@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from maulab.agents.base import Agent, pack_mlp, pack_opt, unpack_mlp, unpack_opt
+from maulab.agents.base import NetAgent
 from maulab.agents.policy import head_logits, heads_stats, score_entropy_logits_grad
 from maulab.config import ConfigError, ScenarioConfig
 from maulab.grid import BidAction
@@ -109,14 +109,12 @@ def ppo_update(
             dist, logp, ent = heads_stats(head_logits(aout, k, levels), actions[mb])
             ratio = np.exp(logp - old_logp[mb])
             unclipped = ratio * adv[mb]
-            clipped = np.clip(ratio, 1.0 - eps_clip, 1.0 + eps_clip) * adv[mb]
-            obj = np.minimum(unclipped, clipped)
+            obj = ppo_clip_objective(ratio, adv[mb], eps_clip)
             policy_loss = float(-obj.mean() - entropy_coef * ent.mean())
-            clip_fracs.append(float(np.mean(unclipped > clipped)))
+            clip_fracs.append(float(np.mean(obj < unclipped)))
             # d obj / d logp is ratio*adv where the unclipped branch is active,
             # 0 on the clipped-flat region.
-            active = unclipped <= clipped
-            gw = np.where(active, ratio * adv[mb], 0.0)
+            gw = np.where(obj == unclipped, unclipped, 0.0)
             g3 = score_entropy_logits_grad(dist, actions[mb], gw, entropy_coef, 1.0 / m)
             wg, bg = backward(actor, acache, g3.reshape(m, k * levels))
             adam_step_params(actor, wg, bg, opt_actor)
@@ -134,8 +132,13 @@ def ppo_update(
     }
 
 
-class _ActorCriticAgent(Agent):
+class _ActorCriticAgent(NetAgent):
     """Shared plumbing: factored actor, scalar critic, rollout collection."""
+
+    nets = (
+        ("actor", "opt_actor", "layout_actor", "actor_lr", "opt_actor_step"),
+        ("critic", "opt_critic", "layout_critic", "critic_lr", "opt_critic_step"),
+    )
 
     def __init__(
         self,
@@ -179,43 +182,13 @@ class _ActorCriticAgent(Agent):
     def _clear_rollout(self) -> None:
         self._obs, self._acts, self._logp, self._rews = [], [], [], []
 
-    def _payload_meta(self) -> dict:
-        return {
-            "layout_actor": list(self.actor.layout),
-            "layout_critic": list(self.critic.layout),
-            "activation": self.actor.activation,
-            "actor_lr": self.opt_actor.lr,
-            "critic_lr": self.opt_critic.lr,
-            "entropy_coef": self.entropy_coef,
-            "t": self.t,
-            "opt_actor_step": self.opt_actor.step,
-            "opt_critic_step": self.opt_critic.step,
-        }
-
     def checkpoint_payload(self):
-        arrays = {}
-        arrays.update(pack_mlp("actor", self.actor))
-        arrays.update(pack_mlp("critic", self.critic))
-        self.opt_actor._ensure(self.actor.weights + self.actor.biases)
-        self.opt_critic._ensure(self.critic.weights + self.critic.biases)
-        arrays.update(pack_opt("opt_actor", self.opt_actor))
-        arrays.update(pack_opt("opt_critic", self.opt_critic))
-        return self._payload_meta(), arrays
+        meta, arrays = super().checkpoint_payload()
+        meta.update(entropy_coef=self.entropy_coef, t=self.t)
+        return meta, arrays
 
     def load_payload(self, meta, arrays) -> None:
-        layout_actor = tuple(int(w) for w in meta["layout_actor"])
-        layout_critic = tuple(int(w) for w in meta["layout_critic"])
-        if layout_actor != self.actor.layout or layout_critic != self.critic.layout:
-            self.actor = mlp_init(layout_actor, 0, meta["activation"])
-            self.critic = mlp_init(layout_critic, 0, meta["activation"])
-            self.opt_actor = OptimState(lr=float(meta["actor_lr"]))
-            self.opt_critic = OptimState(lr=float(meta["critic_lr"]))
-        unpack_mlp("actor", self.actor, arrays)
-        unpack_mlp("critic", self.critic, arrays)
-        unpack_opt("opt_actor", self.opt_actor, arrays, self.actor.weights + self.actor.biases)
-        unpack_opt("opt_critic", self.opt_critic, arrays, self.critic.weights + self.critic.biases)
-        self.opt_actor.step = int(meta["opt_actor_step"])
-        self.opt_critic.step = int(meta["opt_critic_step"])
+        super().load_payload(meta, arrays)
         self.entropy_coef = float(meta["entropy_coef"])
         self.t = int(meta["t"])
 

@@ -3,6 +3,7 @@ action space, the random baseline bidder, and the agent factory."""
 
 from __future__ import annotations
 
+import inspect
 import itertools
 from dataclasses import dataclass
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from maulab.config import ConfigError, ScenarioConfig
 from maulab.grid import BidAction, BidGrid
-from maulab.nn import MlpParams, OptimState
+from maulab.nn import OptimState, mlp_init
 
 
 @dataclass
@@ -138,37 +139,50 @@ class RandomAgent(Agent):
         return BidAction(tuple(int(l) for l in levels))
 
 
-def pack_mlp(prefix: str, params: MlpParams) -> dict[str, np.ndarray]:
-    out = {}
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        out[f"{prefix}.w{i}"] = w
-        out[f"{prefix}.b{i}"] = b
-    return out
+class NetAgent(Agent):
+    """An agent whose state includes MLPs with their Adam states.
+
+    `nets` lists (network attribute, optimizer attribute, layout key, lr key,
+    optimizer-step key). The attribute names double as the checkpoint's array
+    prefixes: every network's w/b arrays come first, then every optimizer's
+    m/v arrays."""
+
+    nets: tuple[tuple[str, str, str, str, str], ...] = ()
+
+    def checkpoint_payload(self):
+        meta = {"activation": getattr(self, self.nets[0][0]).activation}
+        arrays, moments = {}, {}
+        for net_attr, opt_attr, layout_key, lr_key, step_key in self.nets:
+            net, opt = getattr(self, net_attr), getattr(self, opt_attr)
+            meta.update({layout_key: list(net.layout), lr_key: opt.lr, step_key: opt.step})
+            opt._ensure(net.weights + net.biases)
+            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+                arrays[f"{net_attr}.w{i}"], arrays[f"{net_attr}.b{i}"] = w, b
+            for i, (m, v) in enumerate(zip(opt.m, opt.v)):
+                moments[f"{opt_attr}.m{i}"], moments[f"{opt_attr}.v{i}"] = m, v
+        return meta, {**arrays, **moments}
+
+    def load_payload(self, meta, arrays) -> None:
+        """Restore every network and optimizer; rebuild them all first (taking
+        the saved learning rates) if any saved layout differs from this agent's."""
+        layouts = [tuple(int(w) for w in meta[spec[2]]) for spec in self.nets]
+        if any(layout != getattr(self, spec[0]).layout for layout, spec in zip(layouts, self.nets)):
+            for layout, (net_attr, opt_attr, _, lr_key, _) in zip(layouts, self.nets):
+                setattr(self, net_attr, mlp_init(layout, 0, meta["activation"]))
+                setattr(self, opt_attr, OptimState(lr=float(meta[lr_key])))
+        for net_attr, opt_attr, _, _, step_key in self.nets:
+            net, opt = getattr(self, net_attr), getattr(self, opt_attr)
+            opt._ensure(net.weights + net.biases)
+            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+                w[...] = arrays[f"{net_attr}.w{i}"]
+                b[...] = arrays[f"{net_attr}.b{i}"]
+            for i, (m, v) in enumerate(zip(opt.m, opt.v)):
+                m[...] = arrays[f"{opt_attr}.m{i}"]
+                v[...] = arrays[f"{opt_attr}.v{i}"]
+            opt.step = int(meta[step_key])
 
 
-def unpack_mlp(prefix: str, params: MlpParams, arrays: dict[str, np.ndarray]) -> None:
-    for i in range(len(params.weights)):
-        params.weights[i][...] = arrays[f"{prefix}.w{i}"]
-        params.biases[i][...] = arrays[f"{prefix}.b{i}"]
-
-
-def pack_opt(prefix: str, opt: OptimState) -> dict[str, np.ndarray]:
-    out = {}
-    for i, (m, v) in enumerate(zip(opt.m, opt.v)):
-        out[f"{prefix}.m{i}"] = m
-        out[f"{prefix}.v{i}"] = v
-    return out
-
-
-def unpack_opt(prefix: str, opt: OptimState, arrays: dict[str, np.ndarray], template) -> None:
-    opt._ensure(template)
-    for i in range(len(opt.m)):
-        opt.m[i][...] = arrays[f"{prefix}.m{i}"]
-        opt.v[i][...] = arrays[f"{prefix}.v{i}"]
-
-
-def make_agent(algo: str, config: ScenarioConfig, rng: np.random.Generator, **overrides) -> Agent:
-    """Construct a fresh agent by algorithm tag."""
+def _agent_class(algo: str) -> type[Agent]:
     from maulab.agents.actor_critic import A2cAgent, PpoAgent
     from maulab.agents.policy import DpgAgent, VpgAgent
     from maulab.agents.qlearn import DqnAgent, QLearningAgent
@@ -184,4 +198,18 @@ def make_agent(algo: str, config: ScenarioConfig, rng: np.random.Generator, **ov
     }
     if algo not in classes:
         raise ConfigError(f"unknown algorithm {algo!r}; expected one of {sorted(classes)}")
-    return classes[algo](config, rng, **overrides)
+    return classes[algo]
+
+
+def check_overrides(algo: str, overrides: dict) -> None:
+    """Raise ConfigError unless every key names a hyperparameter of algo's agent."""
+    params = set(inspect.signature(_agent_class(algo)).parameters) - {"config", "rng"}
+    unknown = sorted(set(overrides) - params)
+    if unknown:
+        raise ConfigError(f"unknown hyperparameters for {algo}: {unknown}; expected some of {sorted(params)}")
+
+
+def make_agent(algo: str, config: ScenarioConfig, rng: np.random.Generator, **overrides) -> Agent:
+    """Construct a fresh agent by algorithm tag."""
+    check_overrides(algo, overrides)
+    return _agent_class(algo)(config, rng, **overrides)

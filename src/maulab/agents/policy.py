@@ -5,15 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from maulab.agents.base import (
-    Agent,
-    bin_value,
-    joint_action_space,
-    pack_mlp,
-    pack_opt,
-    unpack_mlp,
-    unpack_opt,
-)
+from maulab.agents.base import Agent, NetAgent, bin_value, joint_action_space
 from maulab.config import ScenarioConfig
 from maulab.grid import BidAction
 from maulab.nn import Categorical, OptimState, adam_step_params, backward, forward, mlp_init, softmax
@@ -41,12 +33,10 @@ class VpgAgent(Agent):
         rng: np.random.Generator,
         value_bins: int = 11,
         alpha: float = 0.2,
-        gamma: float = 0.99,
     ):
         super().__init__(config, rng)
         self.value_bins = value_bins
         self.alpha = alpha
-        self.gamma = gamma
         self.actions = joint_action_space(config.grid_levels, self.k)
         self.action_index = {a: i for i, a in enumerate(self.actions)}
         self.table = np.zeros((value_bins, len(self.actions)))
@@ -72,7 +62,6 @@ class VpgAgent(Agent):
         meta = {
             "value_bins": self.value_bins,
             "alpha": self.alpha,
-            "gamma": self.gamma,
             "t": self.t,
         }
         return meta, {"table": self.table}
@@ -80,7 +69,6 @@ class VpgAgent(Agent):
     def load_payload(self, meta, arrays) -> None:
         self.value_bins = int(meta["value_bins"])
         self.alpha = float(meta["alpha"])
-        self.gamma = float(meta["gamma"])
         self.t = int(meta["t"])
         self.table = arrays["table"].copy()
 
@@ -137,12 +125,13 @@ def dpg_update(
     return loss
 
 
-class DpgAgent(Agent):
+class DpgAgent(NetAgent):
     """Deep policy gradient: MLP with two categorical heads whose
     log-probabilities add; batch-mean baseline and entropy regularization."""
 
     algo = "dpn"
     kind = "dpg"
+    nets = (("net", "opt", "layout", "lr", "opt_step"),)
 
     def __init__(
         self,
@@ -193,27 +182,10 @@ class DpgAgent(Agent):
             self._obs, self._acts, self._rews = [], [], []
 
     def checkpoint_payload(self):
-        meta = {
-            "layout": list(self.net.layout),
-            "activation": self.net.activation,
-            "batch_size": self.batch_size,
-            "lr": self.opt.lr,
-            "entropy_coef": self.entropy_coef,
-            "t": self.t,
-            "opt_step": self.opt.step,
-        }
-        arrays = {}
-        arrays.update(pack_mlp("net", self.net))
-        self.opt._ensure(self.net.weights + self.net.biases)
-        arrays.update(pack_opt("opt", self.opt))
+        meta, arrays = super().checkpoint_payload()
+        meta.update(batch_size=self.batch_size, entropy_coef=self.entropy_coef, t=self.t)
         return meta, arrays
 
     def load_payload(self, meta, arrays) -> None:
-        layout = tuple(int(w) for w in meta["layout"])
-        if layout != self.net.layout:
-            self.net = mlp_init(layout, 0, meta["activation"])
-            self.opt = OptimState(lr=float(meta["lr"]))
-        unpack_mlp("net", self.net, arrays)
-        unpack_opt("opt", self.opt, arrays, self.net.weights + self.net.biases)
-        self.opt.step = int(meta["opt_step"])
+        super().load_payload(meta, arrays)
         self.t = int(meta["t"])

@@ -7,26 +7,21 @@ import numpy as np
 from maulab.agents.base import (
     Agent,
     EpsilonSchedule,
+    NetAgent,
     ReplayBuffer,
     bin_value,
     decay_for,
     joint_action_space,
-    pack_mlp,
-    pack_opt,
-    unpack_mlp,
-    unpack_opt,
 )
 from maulab.config import ScenarioConfig
 from maulab.grid import BidAction
 from maulab.nn import OptimState, adam_step_params, backward, forward, mlp_init
 
 
-def q_update(table: np.ndarray, s: int, a: int, r: float, alpha: float, gamma: float = 0.99) -> float:
+def q_update(table: np.ndarray, s: int, a: int, r: float, alpha: float) -> float:
     """Bellman update for a terminal single-step episode: the next-state
-    bootstrap term is 0, so Q <- Q + alpha * (r - Q). gamma is inert but kept
-    for the general form."""
-    bootstrap = 0.0
-    table[s, a] += alpha * (r + gamma * bootstrap - table[s, a])
+    bootstrap term is 0, so there is no discount and Q <- Q + alpha * (r - Q)."""
+    table[s, a] += alpha * (r - table[s, a])
     return float(table[s, a])
 
 
@@ -43,14 +38,12 @@ class QLearningAgent(Agent):
         rng: np.random.Generator,
         value_bins: int = 11,
         alpha: float = 0.1,
-        gamma: float = 0.99,
         eps_max: float = 1.0,
         decay_rate: float | None = None,
     ):
         super().__init__(config, rng)
         self.value_bins = value_bins
         self.alpha = alpha
-        self.gamma = gamma
         self.actions = joint_action_space(config.grid_levels, self.k)
         self.action_index = {a: i for i, a in enumerate(self.actions)}
         self.table = np.zeros((value_bins, len(self.actions)))
@@ -75,14 +68,13 @@ class QLearningAgent(Agent):
             return
         s = self._bin(transition.observation)
         a = self.action_index[transition.action.levels]
-        q_update(self.table, s, a, transition.episode_reward, self.alpha, self.gamma)
+        q_update(self.table, s, a, transition.episode_reward, self.alpha)
         self.schedule.advance()
 
     def checkpoint_payload(self):
         meta = {
             "value_bins": self.value_bins,
             "alpha": self.alpha,
-            "gamma": self.gamma,
             "eps_max": self.schedule.eps_max,
             "decay_rate": self.schedule.decay_rate,
             "t": self.schedule.t,
@@ -92,7 +84,6 @@ class QLearningAgent(Agent):
     def load_payload(self, meta, arrays) -> None:
         self.value_bins = int(meta["value_bins"])
         self.alpha = float(meta["alpha"])
-        self.gamma = float(meta["gamma"])
         self.schedule = EpsilonSchedule(float(meta["eps_max"]), float(meta["decay_rate"]), int(meta["t"]))
         self.table = arrays["table"].copy()
 
@@ -118,12 +109,13 @@ def dqn_train_step(
     return loss
 
 
-class DqnAgent(Agent):
-    """DQN over the canonical joint-bid action space with replay memory and a
-    periodically synchronized target network."""
+class DqnAgent(NetAgent):
+    """DQN over the canonical joint-bid action space with replay memory.
+    Single-step targets have no bootstrap term, so there is no target network."""
 
     algo = "dqn"
     kind = "dqn"
+    nets = (("net", "opt", "layout", "lr", "opt_step"),)
 
     def __init__(
         self,
@@ -133,7 +125,6 @@ class DqnAgent(Agent):
         buffer_capacity: int = 50_000,
         batch_size: int = 64,
         lr: float = 1e-4,
-        sync_every: int = 1000,
         warmup: int = 1000,
         eps_max: float = 1.0,
         decay_rate: float | None = None,
@@ -143,11 +134,9 @@ class DqnAgent(Agent):
         self.action_index = {a: i for i, a in enumerate(self.actions)}
         layout = (self.k, *hidden, len(self.actions))
         self.net = mlp_init(layout, rng)
-        self.target_net = self.net.copy()
         self.buffer = ReplayBuffer(buffer_capacity)
         self.batch_size = batch_size
         self.opt = OptimState(lr=lr)
-        self.sync_every = sync_every
         self.warmup = warmup
         if decay_rate is None:
             decay_rate = decay_for(config.episodes)
@@ -172,39 +161,20 @@ class DqnAgent(Agent):
         if len(self.buffer) >= max(self.warmup, self.batch_size):
             dqn_train_step(self.net, self.buffer, self.opt, self.batch_size, self.rng)
             self.train_steps += 1
-            if self.train_steps % self.sync_every == 0:
-                self.target_net = self.net.copy()
 
     def checkpoint_payload(self):
-        meta = {
-            "layout": list(self.net.layout),
-            "activation": self.net.activation,
-            "batch_size": self.batch_size,
-            "lr": self.opt.lr,
-            "sync_every": self.sync_every,
-            "warmup": self.warmup,
-            "eps_max": self.schedule.eps_max,
-            "decay_rate": self.schedule.decay_rate,
-            "t": self.schedule.t,
-            "train_steps": self.train_steps,
-            "opt_step": self.opt.step,
-        }
-        arrays = {}
-        arrays.update(pack_mlp("net", self.net))
-        arrays.update(pack_mlp("target", self.target_net))
-        self.opt._ensure(self.net.weights + self.net.biases)
-        arrays.update(pack_opt("opt", self.opt))
+        meta, arrays = super().checkpoint_payload()
+        meta.update(
+            batch_size=self.batch_size,
+            warmup=self.warmup,
+            eps_max=self.schedule.eps_max,
+            decay_rate=self.schedule.decay_rate,
+            t=self.schedule.t,
+            train_steps=self.train_steps,
+        )
         return meta, arrays
 
     def load_payload(self, meta, arrays) -> None:
-        layout = tuple(int(w) for w in meta["layout"])
-        if layout != self.net.layout:
-            self.net = mlp_init(layout, 0, meta["activation"])
-            self.target_net = self.net.copy()
-            self.opt = OptimState(lr=float(meta["lr"]))
-        unpack_mlp("net", self.net, arrays)
-        unpack_mlp("target", self.target_net, arrays)
-        unpack_opt("opt", self.opt, arrays, self.net.weights + self.net.biases)
-        self.opt.step = int(meta["opt_step"])
+        super().load_payload(meta, arrays)
         self.schedule = EpsilonSchedule(float(meta["eps_max"]), float(meta["decay_rate"]), int(meta["t"]))
         self.train_steps = int(meta["train_steps"])

@@ -10,10 +10,13 @@ import argparse
 import json
 import os
 import sys
+from operator import itemgetter
 from pathlib import Path
+from typing import get_type_hints
 
-from maulab.config import ConfigError
+from maulab.agents.base import check_overrides
 from maulab.checkpoint import CheckpointError
+from maulab.config import LEARNERS, RULES, ConfigError
 from maulab.harness import SUPPLIES, pretrain, pretrain_manifest, tournament
 from maulab.metrics import (
     AUCTION_FIELDS,
@@ -28,45 +31,66 @@ from maulab.metrics import (
     write_csv,
 )
 
-LEARNERS = ("ppo", "a2c", "dqn", "dpn", "ql", "vpg")
+# Settings given by flag or by config file (flags win): key -> (type, choices, default).
+OPTIONS = {
+    "algo": (str, LEARNERS, None),
+    "auction": (str, RULES, None),
+    "items": (int, SUPPLIES, None),
+    "episodes": (int, None, 100_000),
+    "seed": (int, None, 0),
+    "grid_levels": (int, None, 21),
+    "out": (str, None, None),  # default: $MAULAB_OUT, else "runs"
+}
+CONFIG_KEYS = {*OPTIONS, "hyperparameters"}
 
-CONFIG_KEYS = {"algo", "auction", "items", "episodes", "seed", "grid_levels", "out", "hyperparameters"}
 
-
-def _default_out() -> str:
-    return os.environ.get("MAULAB_OUT", "runs")
+def _option_value(key: str, value):
+    """A config-file value, parsed and checked as its flag would be."""
+    kind, choices, _ = OPTIONS[key]
+    try:
+        parsed = kind(str(value))
+    except ValueError:
+        raise ConfigError(f"config key {key!r}: invalid {kind.__name__} value {value!r}") from None
+    if choices is not None and parsed not in choices:
+        raise ConfigError(f"config key {key!r}: {value!r} is not one of {list(choices)}")
+    return parsed
 
 
 def _load_config_file(path) -> dict:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from e
+    if not isinstance(data, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
     unknown = set(data) - CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return data
+    hyper = data.get("hyperparameters", {})
+    if not isinstance(hyper, dict) or not all(isinstance(h, dict) for h in hyper.values()):
+        raise ConfigError("hyperparameters must map algorithm names to objects")
+    for algo, overrides in hyper.items():
+        check_overrides(algo, overrides)
+    return {k: _option_value(k, v) if k in OPTIONS else v for k, v in data.items()}
 
 
-def _merged(args, key, file_cfg, default=None):
-    v = getattr(args, key, None)
-    if v is not None:
-        return v
-    if file_cfg and key in file_cfg:
-        return file_cfg[key]
-    return default
+def _options(args) -> dict:
+    """Flag values over config-file values over defaults."""
+    opts = {key: default for key, (_, _, default) in OPTIONS.items()}
+    opts["out"] = os.environ.get("MAULAB_OUT", "runs")
+    if args.config:
+        opts.update(_load_config_file(args.config))
+    opts.update({k: v for k, v in vars(args).items() if k in OPTIONS and v is not None})
+    return opts
 
 
 def cmd_pretrain(args) -> int:
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    out = Path(_merged(args, "out", file_cfg, _default_out()))
-    episodes = int(_merged(args, "episodes", file_cfg, 100_000))
-    seed = int(_merged(args, "seed", file_cfg, 0))
-    grid_levels = int(_merged(args, "grid_levels", file_cfg, 21))
-    hyper = file_cfg.get("hyperparameters", {})
+    o = _options(args)
+    out = Path(o["out"])
+    hyper = o.get("hyperparameters", {})
 
     if args.all:
-        sessions = pretrain_manifest(episodes, seed, out)
+        sessions = pretrain_manifest(o["episodes"], o["seed"], out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "manifest.json").write_text(
             json.dumps(sessions, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -74,34 +98,25 @@ def cmd_pretrain(args) -> int:
         for s in sessions:
             ckpt = pretrain(
                 s["algo"], s["rule"], s["K"], s["episodes"], s["seed"], out,
-                grid_levels=grid_levels, overrides=hyper.get(s["algo"], {}),
+                grid_levels=o["grid_levels"], overrides=hyper.get(s["algo"], {}),
             )
             print(ckpt)
         return 0
 
-    algo = _merged(args, "algo", file_cfg)
-    auction = _merged(args, "auction", file_cfg)
-    items = _merged(args, "items", file_cfg)
-    if algo is None or auction is None or items is None:
+    if o["algo"] is None or o["auction"] is None or o["items"] is None:
         print("pretrain requires --algo, --auction and --items (or --all)", file=sys.stderr)
         return 2
     ckpt = pretrain(
-        algo, auction, int(items), episodes, seed, out,
-        grid_levels=grid_levels, overrides=hyper.get(algo, {}),
+        o["algo"], o["auction"], o["items"], o["episodes"], o["seed"], out,
+        grid_levels=o["grid_levels"], overrides=hyper.get(o["algo"], {}),
     )
     print(ckpt)
     return 0
 
 
 def cmd_tournament(args) -> int:
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    out = Path(_merged(args, "out", file_cfg, _default_out()))
-    episodes = int(_merged(args, "episodes", file_cfg, 100_000))
-    seed = int(_merged(args, "seed", file_cfg, 0))
-    grid_levels = int(_merged(args, "grid_levels", file_cfg, 21))
-    auction = _merged(args, "auction", file_cfg)
-    items = _merged(args, "items", file_cfg)
-    if auction is None or items is None:
+    o = _options(args)
+    if o["auction"] is None or o["items"] is None:
         print("tournament requires --auction and --items", file=sys.stderr)
         return 2
 
@@ -131,75 +146,57 @@ def cmd_tournament(args) -> int:
             return 4
 
     run_dir = tournament(
-        auction, int(items), checkpoints, episodes, seed, out,
-        grid_levels=grid_levels, all_ppo=args.all_ppo, freeze=args.freeze,
+        o["auction"], o["items"], checkpoints, o["episodes"], o["seed"], Path(o["out"]),
+        grid_levels=o["grid_levels"], all_ppo=args.all_ppo, freeze=args.freeze,
     )
     print(run_dir)
     return 0
 
 
+def _parse_rows(raw, row_cls) -> list:
+    """Log rows from CSV records, each column converted by its field's type."""
+    columns = [map(kind, map(itemgetter(name), raw)) for name, kind in get_type_hints(row_cls).items()]
+    return list(map(row_cls, *columns))
+
+
+# Named per log so that a profiler can time the parsing of each.
 def _parse_episode_rows(raw) -> list[EpisodeLogRow]:
-    return [
-        EpisodeLogRow(
-            episode=int(r["episode"]),
-            agent_id=int(r["agent_id"]),
-            algo=r["algo"],
-            value=float(r["value"]),
-            bid1=float(r["bid1"]),
-            bid2=float(r["bid2"]),
-            units_won=int(r["units_won"]),
-            payment_total=float(r["payment_total"]),
-            payoff_total=float(r["payoff_total"]),
-            reward_total=float(r["reward_total"]),
-            learning_ratio1=float(r["learning_ratio1"]),
-            learning_ratio2=float(r["learning_ratio2"]),
-            bid_ratio1=float(r["bid_ratio1"]),
-            bid_ratio2=float(r["bid_ratio2"]),
-        )
-        for r in raw
-    ]
+    return _parse_rows(raw, EpisodeLogRow)
 
 
 def _parse_auction_rows(raw) -> list[AuctionLogRow]:
-    return [
-        AuctionLogRow(
-            episode=int(r["episode"]),
-            rule=r["rule"],
-            K=int(r["K"]),
-            revenue=float(r["revenue"]),
-            efficiency_ratio=float(r["efficiency_ratio"]),
-            efficiency_gap=float(r["efficiency_gap"]),
-        )
-        for r in raw
-    ]
+    return _parse_rows(raw, AuctionLogRow)
 
 
 def cmd_report(args) -> int:
+    if args.window < 1:
+        raise ConfigError(f"--window must be >= 1, got {args.window}")
     run_dir = Path(args.run)
     out = Path(args.out) if args.out else run_dir
     ep_path = run_dir / "episodes.csv"
     au_path = run_dir / "auctions.csv"
+    snapshot = run_dir / "config.json"
     if not ep_path.is_file() or not au_path.is_file():
         print(f"no logs found in {run_dir}", file=sys.stderr)
         return 5
     try:
         episode_rows = _parse_episode_rows(read_csv(ep_path))
         auction_rows = _parse_auction_rows(read_csv(au_path))
-    except (KeyError, ValueError) as e:
-        print(f"corrupt logs in {run_dir}: {e}", file=sys.stderr)
+        declared = None
+        if snapshot.is_file():
+            declared = int(json.loads(snapshot.read_text(encoding="utf-8"))["scenario"]["episodes"])
+    except (KeyError, TypeError, ValueError) as e:
+        print(f"corrupt run directory {run_dir}: {e}", file=sys.stderr)
         return 5
     if not episode_rows or not auction_rows:
         print(f"empty logs in {run_dir}", file=sys.stderr)
         return 5
     n_episodes = max(r.episode for r in auction_rows) + 1
-    snapshot = run_dir / "config.json"
-    if snapshot.is_file():
-        declared = json.loads(snapshot.read_text(encoding="utf-8"))["scenario"]["episodes"]
-        if n_episodes < declared:
-            print(
-                f"warning: logs cover {n_episodes} of {declared} episodes; reporting on what is available",
-                file=sys.stderr,
-            )
+    if declared is not None and n_episodes < declared:
+        print(
+            f"warning: logs cover {n_episodes} of {declared} episodes; reporting on what is available",
+            file=sys.stderr,
+        )
 
     out.mkdir(parents=True, exist_ok=True)
     bidder_table, auction_table = summary_tables(episode_rows, auction_rows)
@@ -219,29 +216,26 @@ def cmd_report(args) -> int:
         (label, {k: rolling_mean(v, window) for k, v in series.items()})
         for label, series in sorted(by_algo.items())
     ]
-    emit_svg(panes, out / "fig_learning_ratio.svg")
-    emit_svg(
-        [("revenue", {"rolling mean": rolling_mean([r.revenue for r in auction_rows], window)})],
-        out / "fig_revenue.svg",
-    )
-    emit_svg(
-        [
-            (
-                "efficiency",
-                {"rolling mean": rolling_mean([r.efficiency_ratio for r in auction_rows], window)},
-            )
+    figures = {
+        "fig_learning_ratio.svg": panes,
+        "fig_revenue.svg": [
+            ("revenue", {"rolling mean": rolling_mean([r.revenue for r in auction_rows], window)})
         ],
-        out / "fig_efficiency.svg",
-    )
-    for name in (
-        "table_bidders.csv",
-        "table_auctions.csv",
-        "fig_learning_ratio.svg",
-        "fig_revenue.svg",
-        "fig_efficiency.svg",
-    ):
+        "fig_efficiency.svg": [
+            ("efficiency", {"rolling mean": rolling_mean([r.efficiency_ratio for r in auction_rows], window)})
+        ],
+    }
+    for name, fig_panes in figures.items():
+        emit_svg(fig_panes, out / name)
+    for name in ("table_bidders.csv", "table_auctions.csv", *figures):
         print(out / name)
     return 0
+
+
+def _add_options(parser, keys) -> None:
+    for key in keys:
+        kind, choices, _ = OPTIONS[key]
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, choices=choices)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,24 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     pre = sub.add_parser("pretrain", help="train one learner against five random bidders")
-    pre.add_argument("--algo", choices=LEARNERS)
-    pre.add_argument("--auction", choices=("dp", "gsp", "up"))
-    pre.add_argument("--items", type=int, choices=SUPPLIES)
-    pre.add_argument("--episodes", type=int)
-    pre.add_argument("--seed", type=int)
-    pre.add_argument("--grid-levels", dest="grid_levels", type=int)
-    pre.add_argument("--out")
+    _add_options(pre, OPTIONS)
     pre.add_argument("--config", help="JSON experiment config; flags override")
     pre.add_argument("--all", action="store_true", help="run the full 54-session grid")
     pre.set_defaults(func=cmd_pretrain)
 
     tour = sub.add_parser("tournament", help="run the six-agent head-to-head roster")
-    tour.add_argument("--auction", choices=("dp", "gsp", "up"))
-    tour.add_argument("--items", type=int, choices=SUPPLIES)
-    tour.add_argument("--episodes", type=int)
-    tour.add_argument("--seed", type=int)
-    tour.add_argument("--grid-levels", dest="grid_levels", type=int)
-    tour.add_argument("--out")
+    _add_options(tour, [key for key in OPTIONS if key != "algo"])
     tour.add_argument("--config")
     tour.add_argument("--ckpt", action="append", metavar="ALGO=PATH")
     tour.add_argument("--ckpt-dir", help="directory holding <algo>.ckpt files")
@@ -282,23 +265,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Most specific first: CheckpointError and FileNotFoundError are OSErrors.
+_EXIT_CODES = ((ConfigError, 2), (FileNotFoundError, 4), (CheckpointError, 5), (OSError, 3))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
+    except (ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except CheckpointError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 5
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+        return next(code for cls, code in _EXIT_CODES if isinstance(e, cls))
 
 
 if __name__ == "__main__":

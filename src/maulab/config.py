@@ -6,6 +6,7 @@ from dataclasses import dataclass, field, asdict
 
 RULES = ("dp", "gsp", "up")
 ALGOS = ("ppo", "a2c", "dqn", "dpn", "ql", "vpg", "random")
+LEARNERS = tuple(a for a in ALGOS if a != "random")
 
 # Bidder IDs used in tournament mode rosters.
 TOURNAMENT_IDS = {"ppo": 1, "a2c": 2, "dqn": 3, "dpn": 4, "ql": 5, "vpg": 6}

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from maulab.auction import AuctionOutcome, clear, efficiency_gap, efficiency_ratio
+from maulab.auction import AuctionOutcome, clear
 from maulab.config import ConfigError, ScenarioConfig
 from maulab.grid import BidAction, BidGrid
 
@@ -111,8 +111,3 @@ class AuctionEnv:
 
         self._values = None
         return transitions, outcome
-
-    def efficiency(self, outcome: AuctionOutcome, valuations: np.ndarray) -> tuple[float, float]:
-        """(ratio form, difference form) for a cleared episode."""
-        K = self.config.supply
-        return efficiency_ratio(valuations, outcome, K), efficiency_gap(valuations, outcome, K)

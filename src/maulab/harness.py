@@ -8,7 +8,6 @@ value draws, tie-breaking, and each agent, so every session replays exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,18 +15,17 @@ import numpy as np
 from maulab.agents.base import Agent, make_agent
 from maulab.auction import efficiency_gap, efficiency_ratio
 from maulab.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from maulab.config import ALGOS, RULES, TOURNAMENT_IDS, ScenarioConfig
+from maulab.config import ALGOS, LEARNERS, RULES, TOURNAMENT_IDS, ScenarioConfig
 from maulab.env import AuctionEnv, Transition
 from maulab.metrics import (
+    AUCTION_LOG_FIELDS,
+    EPISODE_LOG_FIELDS,
     AuctionLogRow,
     EpisodeLogRow,
     bid_ratio,
     learning_ratio,
     write_csv,
 )
-
-EPISODE_FIELDS = [f.name for f in fields(EpisodeLogRow)]
-AUCTION_FIELDS = [f.name for f in fields(AuctionLogRow)]
 
 SUPPLIES = (4, 6, 8)
 
@@ -135,8 +133,8 @@ def session_dir(out_dir, rule: str, K: int, algo: str, seed: int) -> Path:
 
 
 def _write_logs(run_dir: Path, episode_rows, auction_rows) -> None:
-    write_csv(episode_rows, run_dir / "episodes.csv", EPISODE_FIELDS)
-    write_csv(auction_rows, run_dir / "auctions.csv", AUCTION_FIELDS)
+    write_csv(episode_rows, run_dir / "episodes.csv", EPISODE_LOG_FIELDS)
+    write_csv(auction_rows, run_dir / "auctions.csv", AUCTION_LOG_FIELDS)
 
 
 def _write_snapshot(run_dir: Path, snapshot: dict) -> None:
@@ -260,7 +258,6 @@ def tournament(
 
 def pretrain_manifest(episodes: int, seed: int, out_dir) -> list[dict]:
     """The full 6 algorithms x 3 rules x 3 supplies = 54 session grid."""
-    learners = [a for a in ALGOS if a != "random"]
     return [
         {
             "algo": algo,
@@ -270,7 +267,7 @@ def pretrain_manifest(episodes: int, seed: int, out_dir) -> list[dict]:
             "seed": seed,
             "out_dir": str(out_dir),
         }
-        for algo in learners
+        for algo in LEARNERS
         for rule in RULES
         for K in SUPPLIES
     ]

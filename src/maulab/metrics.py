@@ -68,6 +68,12 @@ class AuctionLogRow:
     efficiency_gap: float
 
 
+# Log columns, in file order (the summary-table columns are BIDDER_FIELDS and
+# AUCTION_FIELDS below).
+EPISODE_LOG_FIELDS = [f.name for f in fields(EpisodeLogRow)]
+AUCTION_LOG_FIELDS = [f.name for f in fields(AuctionLogRow)]
+
+
 def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.6f}"

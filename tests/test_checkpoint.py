@@ -111,3 +111,58 @@ def test_float32_input_upcast(tmp_path):
     _, _, arrays = load_checkpoint(path)
     assert arrays["w"].dtype == np.float64
     assert np.array_equal(arrays["w"], np.ones(3))
+
+
+@pytest.mark.parametrize("algo", ["ql", "vpg", "dqn"])
+def test_earlier_layout_loads_to_same_state(tmp_path, algo):
+    # Checkpoints from before the inert `gamma` (ql, vpg) and the unread DQN
+    # target network with its `sync_every` were removed carry those fields;
+    # they load and are ignored.
+    from maulab.agents.base import make_agent
+    from maulab.config import ScenarioConfig
+    from maulab.harness import load_agent, save_agent
+
+    config = ScenarioConfig(episodes=50)
+    rng = np.random.default_rng(3)
+    if algo == "dqn":
+        agent = make_agent(algo, config, np.random.default_rng(1), hidden=(8, 8), lr=2e-3)
+        agent.opt._ensure(agent.net.weights + agent.net.biases)
+        for a in agent.opt.m + agent.opt.v:
+            a[...] = rng.normal(size=a.shape)
+        agent.opt.step, agent.schedule.t, agent.train_steps = 7, 13, 5
+    else:
+        agent = make_agent(algo, config, np.random.default_rng(1))
+        agent.table[...] = rng.normal(size=agent.table.shape)
+        if algo == "ql":
+            agent.schedule.t = 13
+        else:
+            agent.t = 13
+    meta, arrays = agent.checkpoint_payload()
+    meta = dict(meta, algo=algo)
+    if algo == "dqn":
+        meta["sync_every"] = 1000
+        net = {k: v for k, v in arrays.items() if k.startswith("net.")}
+        target = {"target." + k[4:]: rng.normal(size=v.shape) for k, v in net.items()}
+        arrays = {**net, **target, **{k: v for k, v in arrays.items() if k.startswith("opt.")}}
+    else:
+        meta["gamma"] = 0.99
+    old = tmp_path / "old.ckpt"
+    save_checkpoint(old, agent.kind, meta, arrays)
+
+    clone = load_agent(old, config, np.random.default_rng(2))
+    if algo == "dqn":
+        assert clone.net.layout == agent.net.layout
+        assert np.array_equal(clone.net.flat(), agent.net.flat())
+        for a, b in zip(clone.opt.m + clone.opt.v, agent.opt.m + agent.opt.v):
+            assert np.array_equal(a, b)
+        assert (clone.opt.step, clone.opt.lr, clone.train_steps) == (7, 2e-3, 5)
+        assert clone.schedule == agent.schedule
+        assert not hasattr(clone, "target_net")
+    else:
+        assert np.array_equal(clone.table, agent.table)
+        assert clone.alpha == agent.alpha
+        assert (clone.schedule if algo == "ql" else clone).t == 13
+        assert not hasattr(clone, "gamma")
+    save_agent(agent, tmp_path / "current.ckpt")
+    save_agent(clone, tmp_path / "reloaded.ckpt")
+    assert (tmp_path / "reloaded.ckpt").read_bytes() == (tmp_path / "current.ckpt").read_bytes()

@@ -169,3 +169,46 @@ def test_default_out_from_env(tmp_path, monkeypatch, capsys):
         "--episodes", "5", "--seed", "0",
     ]) == 0
     assert (tmp_path / "envout" / "dp_4_ql_0" / "ql.ckpt").is_file()
+
+
+@pytest.mark.parametrize("window", ["0", "-3"])
+def test_report_window_below_one_exits_2(tmp_path, capsys, window):
+    assert _pretrain(tmp_path, episodes=5) == 0
+    run = tmp_path / "dp_4_ql_1"
+    assert main(["report", "--run", str(run), "--out", str(tmp_path / "rep"), "--window", window]) == 2
+    assert "--window" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("algo, key", [("ql", "gamma"), ("vpg", "gamma"), ("dqn", "sync_every"), ("ppo", "bogus")])
+def test_unknown_hyperparameter_exits_2(tmp_path, capsys, algo, key):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "algo": algo, "auction": "dp", "items": 4, "episodes": 5,
+        "hyperparameters": {algo: {key: 1}},
+    }))
+    assert main(["pretrain", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert algo in err and key in err
+    assert not any(tmp_path.glob("dp_4_*"))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("items", "x"), ("items", 5), ("algo", "random"), ("auction", "fp"),
+    ("episodes", 10.5), ("episodes", "ten"), ("seed", 1.5), ("grid_levels", "x"),
+])
+def test_config_file_values_checked_like_flags(tmp_path, capsys, key, value):
+    cfg = {"algo": "ql", "auction": "dp", "items": 4, "episodes": 5, "seed": 0, key: value}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["pretrain", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_report_corrupt_config_snapshot_exits_5(tmp_path, capsys):
+    assert _pretrain(tmp_path, episodes=5) == 0
+    run = tmp_path / "dp_4_ql_1"
+    for text in ("{not json", '{"scenario": {}}', '["a list"]'):
+        (run / "config.json").write_text(text)
+        assert main(["report", "--run", str(run), "--out", str(tmp_path / "rep")]) == 5
+        assert "corrupt run directory" in capsys.readouterr().err

@@ -22,16 +22,12 @@ def test_q_update_examples():
     assert np.count_nonzero(table) == 1
 
 
-def test_q_update_gamma_inert():
-    # single-step episodes have a zero bootstrap, so gamma cannot matter
-    results = []
-    for gamma in (0.0, 0.5, 0.99):
-        table = np.full((1, 2), 0.3)
-        q_update(table, 0, 0, -1.5, alpha=0.2, gamma=gamma)
-        results.append(table.copy())
-    assert np.array_equal(results[0], results[1])
-    assert np.array_equal(results[1], results[2])
-    assert results[0][0, 0] == pytest.approx(0.3 + 0.2 * (-1.5 - 0.3), abs=1e-15)
+def test_q_update_single_step_target():
+    # single-step episodes have a zero bootstrap: Q <- Q + alpha * (r - Q)
+    table = np.full((1, 2), 0.3)
+    q_update(table, 0, 0, -1.5, alpha=0.2)
+    assert table[0, 0] == pytest.approx(0.3 + 0.2 * (-1.5 - 0.3), abs=1e-15)
+    assert table[0, 1] == 0.3
 
 
 def test_q_values_bounded_by_reward_range():
@@ -93,7 +89,7 @@ def test_dqn_overfits_small_buffer():
         assert q[a] == pytest.approx(r, abs=0.05)
 
 
-def test_dqn_target_sync_boundaries():
+def test_dqn_trains_every_episode_after_warmup():
     from maulab.env import Transition
     from maulab.grid import BidAction
 
@@ -103,26 +99,23 @@ def test_dqn_target_sync_boundaries():
         config,
         np.random.default_rng(4),
         batch_size=2,
-        warmup=2,
-        sync_every=3,
+        warmup=3,
         eps_max=0.0,
     )
-    initial_target = agent.target_net.flat().copy()
+    initial = agent.net.flat().copy()
 
     def feed(n):
         for i in range(n):
             tr = Transition(np.full(2, 0.5), BidAction((2, 1)), (), 1.0)
             agent.observe(tr)
 
-    feed(2)  # warmup reached: train steps 1
-    feed(2)  # train steps 3 -> sync happens on the third
+    feed(2)  # below warmup: no update
+    assert agent.train_steps == 0
+    assert np.array_equal(agent.net.flat(), initial)
+    feed(3)  # warmup reached on the third transition: one step per episode
     assert agent.train_steps == 3
-    assert np.array_equal(agent.target_net.flat(), agent.net.flat())
-    after_sync = agent.target_net.flat().copy()
-    feed(2)  # steps 4, 5: no sync
-    assert agent.train_steps == 5
-    assert np.array_equal(agent.target_net.flat(), after_sync)
-    assert not np.array_equal(agent.net.flat(), after_sync)
+    assert agent.opt.step == 3
+    assert not np.array_equal(agent.net.flat(), initial)
 
 
 def test_dqn_loss_gradient_finite_difference():
@@ -181,5 +174,4 @@ def test_dqn_checkpoint_roundtrip(tmp_path):
     save_agent(agent, path)
     clone = load_agent(path, config, np.random.default_rng(12))
     assert np.array_equal(clone.net.flat(), agent.net.flat())
-    assert np.array_equal(clone.target_net.flat(), agent.target_net.flat())
     assert clone.train_steps == agent.train_steps
