@@ -1,6 +1,5 @@
 from maulab.agents.base import (
     Agent,
-    EpsilonSchedule,
     RandomAgent,
     ReplayBuffer,
     epsilon_at,
@@ -13,7 +12,6 @@ from maulab.agents.actor_critic import A2cAgent, PpoAgent, advantage, ppo_clip_o
 
 __all__ = [
     "Agent",
-    "EpsilonSchedule",
     "RandomAgent",
     "ReplayBuffer",
     "epsilon_at",

@@ -135,10 +135,8 @@ def ppo_update(
 class _ActorCriticAgent(NetAgent):
     """Shared plumbing: factored actor, scalar critic, rollout collection."""
 
-    nets = (
-        ("actor", "opt_actor", "layout_actor", "actor_lr", "opt_actor_step"),
-        ("critic", "opt_critic", "layout_critic", "critic_lr", "opt_critic_step"),
-    )
+    nets = (("actor", "opt_actor"), ("critic", "opt_critic"))
+    counters = ("t", "opt_actor.step", "opt_critic.step")
 
     def __init__(
         self,
@@ -150,9 +148,11 @@ class _ActorCriticAgent(NetAgent):
         entropy_coef: float,
     ):
         super().__init__(config, rng)
+        self.hidden = tuple(hidden)
         self.levels = config.grid_levels
-        self.actor = mlp_init((self.k, *hidden, self.k * self.levels), rng)
-        self.critic = mlp_init((self.k, *hidden, 1), rng)
+        self.actor = mlp_init((self.k, *self.hidden, self.k * self.levels), rng)
+        self.critic = mlp_init((self.k, *self.hidden, 1), rng)
+        self.actor_lr, self.critic_lr = actor_lr, critic_lr
         self.opt_actor = OptimState(lr=actor_lr)
         self.opt_critic = OptimState(lr=critic_lr)
         self.entropy_coef = entropy_coef
@@ -181,16 +181,6 @@ class _ActorCriticAgent(NetAgent):
 
     def _clear_rollout(self) -> None:
         self._obs, self._acts, self._logp, self._rews = [], [], [], []
-
-    def checkpoint_payload(self):
-        meta, arrays = super().checkpoint_payload()
-        meta.update(entropy_coef=self.entropy_coef, t=self.t)
-        return meta, arrays
-
-    def load_payload(self, meta, arrays) -> None:
-        super().load_payload(meta, arrays)
-        self.entropy_coef = float(meta["entropy_coef"])
-        self.t = int(meta["t"])
 
 
 class A2cAgent(_ActorCriticAgent):
@@ -229,11 +219,6 @@ class A2cAgent(_ActorCriticAgent):
                 self.levels,
             )
             self._clear_rollout()
-
-    def checkpoint_payload(self):
-        meta, arrays = super().checkpoint_payload()
-        meta["batch_size"] = self.batch_size
-        return meta, arrays
 
 
 class PpoAgent(_ActorCriticAgent):
@@ -289,14 +274,3 @@ class PpoAgent(_ActorCriticAgent):
                 self.levels,
             )
             self._clear_rollout()
-
-    def checkpoint_payload(self):
-        meta, arrays = super().checkpoint_payload()
-        meta.update(
-            rollout=self.rollout,
-            epochs=self.epochs,
-            minibatch=self.minibatch,
-            eps_clip=self.eps_clip,
-            value_weight=self.value_weight,
-        )
-        return meta, arrays

@@ -1,38 +1,24 @@
-"""Common bidder-agent contract: exploration schedule, replay buffer, joint
-action space, the random baseline bidder, and the agent factory."""
+"""Common bidder-agent contract: exploration rate, replay buffer, joint action
+space, the checkpoint codec, the random baseline bidder, and the agent factory."""
 
 from __future__ import annotations
 
 import inspect
 import itertools
-from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
+from maulab.checkpoint import CheckpointError
 from maulab.config import ConfigError, ScenarioConfig
 from maulab.grid import BidAction, BidGrid
-from maulab.nn import OptimState, mlp_init
 
 
-@dataclass
-class EpsilonSchedule:
-    """Exponentially decaying exploration rate: eps(t) = eps_max * decay^t."""
-
-    eps_max: float = 1.0
-    decay_rate: float = 0.99
-    t: int = 0
-
-    def value(self) -> float:
-        return epsilon_at(self, self.t)
-
-    def advance(self) -> None:
-        self.t += 1
-
-
-def epsilon_at(schedule: EpsilonSchedule, t: int) -> float:
+def epsilon_at(eps_max: float, decay_rate: float, t: int) -> float:
+    """Exponentially decaying exploration rate: eps(t) = eps_max * decay_rate^t."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    return schedule.eps_max * schedule.decay_rate**t
+    return eps_max * decay_rate**t
 
 
 def decay_for(episodes: int, floor: float = 0.01, at_fraction: float = 0.8) -> float:
@@ -42,39 +28,35 @@ def decay_for(episodes: int, floor: float = 0.01, at_fraction: float = 0.8) -> f
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring of (observation, action index, reward) tuples."""
+    """Fixed-capacity ring of (observation, action index, reward) rows, held in
+    arrays allocated on the first push from the observation's shape."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ConfigError("replay capacity must be >= 1")
         self.capacity = capacity
-        self._obs: list[np.ndarray] = []
-        self._act: list[int] = []
-        self._rew: list[float] = []
+        self._obs: np.ndarray | None = None
+        self._size = 0
         self._cursor = 0
 
     def __len__(self) -> int:
-        return len(self._obs)
+        return self._size
 
     def push(self, obs: np.ndarray, action: int, rew: float) -> None:
-        if len(self._obs) < self.capacity:
-            self._obs.append(np.array(obs, dtype=float))
-            self._act.append(int(action))
-            self._rew.append(float(rew))
-        else:
-            self._obs[self._cursor] = np.array(obs, dtype=float)
-            self._act[self._cursor] = int(action)
-            self._rew[self._cursor] = float(rew)
-        self._cursor = (self._cursor + 1) % self.capacity
+        if self._obs is None:
+            self._obs = np.empty((self.capacity, *np.shape(obs)))
+            self._act = np.empty(self.capacity, dtype=int)
+            self._rew = np.empty(self.capacity)
+        i = self._cursor
+        self._obs[i], self._act[i], self._rew[i] = obs, action, rew
+        self._cursor = (i + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
 
     def sample(self, batch_size: int, rng: np.random.Generator):
-        if len(self) < batch_size:
-            raise ValueError(f"replay buffer holds {len(self)} < batch {batch_size}")
-        idx = rng.integers(0, len(self), size=batch_size)
-        obs = np.stack([self._obs[i] for i in idx])
-        act = np.array([self._act[i] for i in idx], dtype=int)
-        rew = np.array([self._rew[i] for i in idx])
-        return obs, act, rew
+        if self._size < batch_size:
+            raise ValueError(f"replay buffer holds {self._size} < batch {batch_size}")
+        idx = rng.integers(0, self._size, size=batch_size)
+        return self._obs[idx], self._act[idx], self._rew[idx]
 
 
 def joint_action_space(grid_levels: int, k: int) -> list[tuple[int, ...]]:
@@ -92,9 +74,17 @@ def bin_value(value: float, lo: float, hi: float, bins: int) -> int:
 
 
 class Agent:
-    """Base bidder agent. Subclasses implement act() and learning in observe()."""
+    """Base bidder agent. Subclasses implement act() and learning in observe().
+
+    The checkpoint codec: a checkpoint's meta holds every constructor
+    hyperparameter, read back from the attribute of the same name, and the
+    integer `counters` (attribute paths, saved with "." written as "_"); its
+    arrays are those of `state_arrays()`. Loading builds the agent from the
+    saved hyperparameters, then `load_payload` restores the rest."""
 
     algo = "?"
+    kind = "none"
+    counters: tuple[str, ...] = ()
 
     def __init__(self, config: ScenarioConfig, rng: np.random.Generator):
         self.config = config
@@ -117,14 +107,34 @@ class Agent:
     def observe(self, transition) -> None:
         """Deliver this agent's own transition; no-op in freeze mode."""
 
-    # checkpoint protocol -------------------------------------------------
-    kind = "none"
+    def hyperparameters(self) -> dict:
+        return {name: getattr(self, name) for name in hyperparameter_names(type(self))}
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """The learned arrays by checkpoint name; loading writes into them in place."""
+        return {}
 
     def checkpoint_payload(self) -> tuple[dict, dict[str, np.ndarray]]:
-        return {}, {}
+        counters = {path.replace(".", "_"): attrgetter(path)(self) for path in self.counters}
+        return {**self.hyperparameters(), **counters}, self.state_arrays()
 
     def load_payload(self, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-        pass
+        """Copy each saved array into this agent's array of the same name and
+        set the counters; raise CheckpointError on anything missing or misshapen."""
+        for name, target in self.state_arrays().items():
+            if name not in arrays:
+                raise CheckpointError(f"missing array {name!r}")
+            if arrays[name].shape != target.shape:
+                raise CheckpointError(
+                    f"array {name!r} has shape {arrays[name].shape}; this scenario needs {target.shape}"
+                )
+            target[...] = arrays[name]
+        for path in self.counters:
+            key = path.replace(".", "_")
+            if key not in meta:
+                raise CheckpointError(f"missing counter {key!r}")
+            owner, _, leaf = path.rpartition(".")
+            setattr(attrgetter(owner)(self) if owner else self, leaf, int(meta[key]))
 
 
 class RandomAgent(Agent):
@@ -142,47 +152,25 @@ class RandomAgent(Agent):
 class NetAgent(Agent):
     """An agent whose state includes MLPs with their Adam states.
 
-    `nets` lists (network attribute, optimizer attribute, layout key, lr key,
-    optimizer-step key). The attribute names double as the checkpoint's array
-    prefixes: every network's w/b arrays come first, then every optimizer's
-    m/v arrays."""
+    `nets` lists (network attribute, optimizer attribute) pairs. The attribute
+    names double as the checkpoint's array prefixes: every network's w/b arrays
+    come first, then every optimizer's m/v arrays."""
 
-    nets: tuple[tuple[str, str, str, str, str], ...] = ()
+    nets: tuple[tuple[str, str], ...] = ()
 
-    def checkpoint_payload(self):
-        meta = {"activation": getattr(self, self.nets[0][0]).activation}
+    def state_arrays(self) -> dict[str, np.ndarray]:
         arrays, moments = {}, {}
-        for net_attr, opt_attr, layout_key, lr_key, step_key in self.nets:
+        for net_attr, opt_attr in self.nets:
             net, opt = getattr(self, net_attr), getattr(self, opt_attr)
-            meta.update({layout_key: list(net.layout), lr_key: opt.lr, step_key: opt.step})
             opt._ensure(net.weights + net.biases)
             for i, (w, b) in enumerate(zip(net.weights, net.biases)):
                 arrays[f"{net_attr}.w{i}"], arrays[f"{net_attr}.b{i}"] = w, b
             for i, (m, v) in enumerate(zip(opt.m, opt.v)):
                 moments[f"{opt_attr}.m{i}"], moments[f"{opt_attr}.v{i}"] = m, v
-        return meta, {**arrays, **moments}
-
-    def load_payload(self, meta, arrays) -> None:
-        """Restore every network and optimizer; rebuild them all first (taking
-        the saved learning rates) if any saved layout differs from this agent's."""
-        layouts = [tuple(int(w) for w in meta[spec[2]]) for spec in self.nets]
-        if any(layout != getattr(self, spec[0]).layout for layout, spec in zip(layouts, self.nets)):
-            for layout, (net_attr, opt_attr, _, lr_key, _) in zip(layouts, self.nets):
-                setattr(self, net_attr, mlp_init(layout, 0, meta["activation"]))
-                setattr(self, opt_attr, OptimState(lr=float(meta[lr_key])))
-        for net_attr, opt_attr, _, _, step_key in self.nets:
-            net, opt = getattr(self, net_attr), getattr(self, opt_attr)
-            opt._ensure(net.weights + net.biases)
-            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-                w[...] = arrays[f"{net_attr}.w{i}"]
-                b[...] = arrays[f"{net_attr}.b{i}"]
-            for i, (m, v) in enumerate(zip(opt.m, opt.v)):
-                m[...] = arrays[f"{opt_attr}.m{i}"]
-                v[...] = arrays[f"{opt_attr}.v{i}"]
-            opt.step = int(meta[step_key])
+        return {**arrays, **moments}
 
 
-def _agent_class(algo: str) -> type[Agent]:
+def agent_class(algo: str) -> type[Agent]:
     from maulab.agents.actor_critic import A2cAgent, PpoAgent
     from maulab.agents.policy import DpgAgent, VpgAgent
     from maulab.agents.qlearn import DqnAgent, QLearningAgent
@@ -201,10 +189,15 @@ def _agent_class(algo: str) -> type[Agent]:
     return classes[algo]
 
 
+def hyperparameter_names(cls: type[Agent]) -> tuple[str, ...]:
+    """The constructor parameters of an agent class other than config and rng."""
+    return tuple(p for p in inspect.signature(cls).parameters if p not in ("config", "rng"))
+
+
 def check_overrides(algo: str, overrides: dict) -> None:
     """Raise ConfigError unless every key names a hyperparameter of algo's agent."""
-    params = set(inspect.signature(_agent_class(algo)).parameters) - {"config", "rng"}
-    unknown = sorted(set(overrides) - params)
+    params = hyperparameter_names(agent_class(algo))
+    unknown = sorted(set(overrides) - set(params))
     if unknown:
         raise ConfigError(f"unknown hyperparameters for {algo}: {unknown}; expected some of {sorted(params)}")
 
@@ -212,4 +205,4 @@ def check_overrides(algo: str, overrides: dict) -> None:
 def make_agent(algo: str, config: ScenarioConfig, rng: np.random.Generator, **overrides) -> Agent:
     """Construct a fresh agent by algorithm tag."""
     check_overrides(algo, overrides)
-    return _agent_class(algo)(config, rng, **overrides)
+    return agent_class(algo)(config, rng, **overrides)

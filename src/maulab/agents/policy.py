@@ -26,6 +26,7 @@ class VpgAgent(Agent):
 
     algo = "vpg"
     kind = "logits_table"
+    counters = ("t",)
 
     def __init__(
         self,
@@ -58,19 +59,8 @@ class VpgAgent(Agent):
         vpg_update(self.table, s, a, transition.episode_reward, self.alpha)
         self.t += 1
 
-    def checkpoint_payload(self):
-        meta = {
-            "value_bins": self.value_bins,
-            "alpha": self.alpha,
-            "t": self.t,
-        }
-        return meta, {"table": self.table}
-
-    def load_payload(self, meta, arrays) -> None:
-        self.value_bins = int(meta["value_bins"])
-        self.alpha = float(meta["alpha"])
-        self.t = int(meta["t"])
-        self.table = arrays["table"].copy()
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        return {"table": self.table}
 
 
 # --- factored two-head categorical machinery (shared with actor-critic) ----
@@ -131,7 +121,8 @@ class DpgAgent(NetAgent):
 
     algo = "dpn"
     kind = "dpg"
-    nets = (("net", "opt", "layout", "lr", "opt_step"),)
+    nets = (("net", "opt"),)
+    counters = ("t", "opt.step")
 
     def __init__(
         self,
@@ -143,9 +134,10 @@ class DpgAgent(NetAgent):
         entropy_coef: float = 0.01,
     ):
         super().__init__(config, rng)
+        self.hidden = tuple(hidden)
         self.levels = config.grid_levels
-        layout = (self.k, *hidden, self.k * self.levels)
-        self.net = mlp_init(layout, rng)
+        self.net = mlp_init((self.k, *self.hidden, self.k * self.levels), rng)
+        self.lr = lr
         self.opt = OptimState(lr=lr)
         self.batch_size = batch_size
         self.entropy_coef = entropy_coef
@@ -180,12 +172,3 @@ class DpgAgent(NetAgent):
                 self.levels,
             )
             self._obs, self._acts, self._rews = [], [], []
-
-    def checkpoint_payload(self):
-        meta, arrays = super().checkpoint_payload()
-        meta.update(batch_size=self.batch_size, entropy_coef=self.entropy_coef, t=self.t)
-        return meta, arrays
-
-    def load_payload(self, meta, arrays) -> None:
-        super().load_payload(meta, arrays)
-        self.t = int(meta["t"])

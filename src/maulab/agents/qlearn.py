@@ -6,11 +6,11 @@ import numpy as np
 
 from maulab.agents.base import (
     Agent,
-    EpsilonSchedule,
     NetAgent,
     ReplayBuffer,
     bin_value,
     decay_for,
+    epsilon_at,
     joint_action_space,
 )
 from maulab.config import ScenarioConfig
@@ -25,12 +25,22 @@ def q_update(table: np.ndarray, s: int, a: int, r: float, alpha: float) -> float
     return float(table[s, a])
 
 
+def _explore_index(agent, explore: bool) -> int | None:
+    """With probability epsilon(t), a uniform random action index; else None.
+    A frozen or non-exploring agent draws nothing."""
+    eps = epsilon_at(agent.eps_max, agent.decay_rate, agent.t) if (explore and not agent.frozen) else 0.0
+    if eps > 0.0 and agent.rng.random() < eps:
+        return int(agent.rng.integers(len(agent.actions)))
+    return None
+
+
 class QLearningAgent(Agent):
     """Tabular Q-learning over (value bin, canonical joint bid) pairs with a
     decaying epsilon-greedy action rule."""
 
     algo = "ql"
     kind = "qtable"
+    counters = ("t",)
 
     def __init__(
         self,
@@ -47,19 +57,17 @@ class QLearningAgent(Agent):
         self.actions = joint_action_space(config.grid_levels, self.k)
         self.action_index = {a: i for i, a in enumerate(self.actions)}
         self.table = np.zeros((value_bins, len(self.actions)))
-        if decay_rate is None:
-            decay_rate = decay_for(config.episodes)
-        self.schedule = EpsilonSchedule(eps_max, decay_rate)
+        self.eps_max = eps_max
+        self.decay_rate = decay_for(config.episodes) if decay_rate is None else decay_rate
+        self.t = 0
 
     def _bin(self, obs: np.ndarray) -> int:
         return bin_value(self.value_of(obs), self.config.value_lo, self.config.value_hi, self.value_bins)
 
     def act(self, obs: np.ndarray, explore: bool = True) -> BidAction:
         s = self._bin(obs)
-        eps = self.schedule.value() if (explore and not self.frozen) else 0.0
-        if eps > 0.0 and self.rng.random() < eps:
-            idx = int(self.rng.integers(len(self.actions)))
-        else:
+        idx = _explore_index(self, explore)
+        if idx is None:
             idx = int(np.argmax(self.table[s]))  # ties -> lowest index
         return BidAction(self.actions[idx])
 
@@ -69,23 +77,10 @@ class QLearningAgent(Agent):
         s = self._bin(transition.observation)
         a = self.action_index[transition.action.levels]
         q_update(self.table, s, a, transition.episode_reward, self.alpha)
-        self.schedule.advance()
+        self.t += 1
 
-    def checkpoint_payload(self):
-        meta = {
-            "value_bins": self.value_bins,
-            "alpha": self.alpha,
-            "eps_max": self.schedule.eps_max,
-            "decay_rate": self.schedule.decay_rate,
-            "t": self.schedule.t,
-        }
-        return meta, {"table": self.table}
-
-    def load_payload(self, meta, arrays) -> None:
-        self.value_bins = int(meta["value_bins"])
-        self.alpha = float(meta["alpha"])
-        self.schedule = EpsilonSchedule(float(meta["eps_max"]), float(meta["decay_rate"]), int(meta["t"]))
-        self.table = arrays["table"].copy()
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        return {"table": self.table}
 
 
 def dqn_train_step(
@@ -115,7 +110,8 @@ class DqnAgent(NetAgent):
 
     algo = "dqn"
     kind = "dqn"
-    nets = (("net", "opt", "layout", "lr", "opt_step"),)
+    nets = (("net", "opt"),)
+    counters = ("t", "train_steps", "opt.step")
 
     def __init__(
         self,
@@ -130,24 +126,23 @@ class DqnAgent(NetAgent):
         decay_rate: float | None = None,
     ):
         super().__init__(config, rng)
+        self.hidden = tuple(hidden)
         self.actions = joint_action_space(config.grid_levels, self.k)
         self.action_index = {a: i for i, a in enumerate(self.actions)}
-        layout = (self.k, *hidden, len(self.actions))
-        self.net = mlp_init(layout, rng)
+        self.net = mlp_init((self.k, *self.hidden, len(self.actions)), rng)
+        self.buffer_capacity = buffer_capacity
         self.buffer = ReplayBuffer(buffer_capacity)
         self.batch_size = batch_size
+        self.lr = lr
         self.opt = OptimState(lr=lr)
         self.warmup = warmup
-        if decay_rate is None:
-            decay_rate = decay_for(config.episodes)
-        self.schedule = EpsilonSchedule(eps_max, decay_rate)
-        self.train_steps = 0
+        self.eps_max = eps_max
+        self.decay_rate = decay_for(config.episodes) if decay_rate is None else decay_rate
+        self.t = self.train_steps = 0
 
     def act(self, obs: np.ndarray, explore: bool = True) -> BidAction:
-        eps = self.schedule.value() if (explore and not self.frozen) else 0.0
-        if eps > 0.0 and self.rng.random() < eps:
-            idx = int(self.rng.integers(len(self.actions)))
-        else:
+        idx = _explore_index(self, explore)
+        if idx is None:
             q, _ = forward(self.net, np.asarray(obs, dtype=float))
             idx = int(np.argmax(q))
         return BidAction(self.actions[idx])
@@ -157,24 +152,7 @@ class DqnAgent(NetAgent):
             return
         a = self.action_index[transition.action.levels]
         self.buffer.push(transition.observation, a, transition.episode_reward)
-        self.schedule.advance()
+        self.t += 1
         if len(self.buffer) >= max(self.warmup, self.batch_size):
             dqn_train_step(self.net, self.buffer, self.opt, self.batch_size, self.rng)
             self.train_steps += 1
-
-    def checkpoint_payload(self):
-        meta, arrays = super().checkpoint_payload()
-        meta.update(
-            batch_size=self.batch_size,
-            warmup=self.warmup,
-            eps_max=self.schedule.eps_max,
-            decay_rate=self.schedule.decay_rate,
-            t=self.schedule.t,
-            train_steps=self.train_steps,
-        )
-        return meta, arrays
-
-    def load_payload(self, meta, arrays) -> None:
-        super().load_payload(meta, arrays)
-        self.schedule = EpsilonSchedule(float(meta["eps_max"]), float(meta["decay_rate"]), int(meta["t"]))
-        self.train_steps = int(meta["train_steps"])

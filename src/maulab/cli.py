@@ -1,7 +1,8 @@
 """Command-line entry points: pretrain, tournament, report.
 
 Exit codes: 0 success, 2 invalid flags, 3 I/O failure, 4 missing checkpoint,
-5 empty or corrupt logs. The default output root comes from MAULAB_OUT.
+5 empty or corrupt logs, or a checkpoint that is corrupt or does not fit the
+run's scenario. The default output root comes from MAULAB_OUT.
 """
 
 from __future__ import annotations
@@ -190,6 +191,9 @@ def cmd_report(args) -> int:
         return 5
     if not episode_rows or not auction_rows:
         print(f"empty logs in {run_dir}", file=sys.stderr)
+        return 5
+    if {r.episode for r in episode_rows} != {r.episode for r in auction_rows}:
+        print(f"corrupt run directory {run_dir}: the two logs cover different episodes", file=sys.stderr)
         return 5
     n_episodes = max(r.episode for r in auction_rows) + 1
     if declared is not None and n_episodes < declared:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from maulab.agents.base import Agent, make_agent
+from maulab.agents.base import Agent, agent_class, hyperparameter_names, make_agent
 from maulab.auction import efficiency_gap, efficiency_ratio
 from maulab.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from maulab.config import ALGOS, LEARNERS, RULES, TOURNAMENT_IDS, ScenarioConfig
@@ -115,14 +115,27 @@ def save_agent(agent: Agent, path) -> None:
 
 
 def load_agent(path, config: ScenarioConfig, rng: np.random.Generator) -> Agent:
+    """Build the saved agent from its saved hyperparameters and the scenario,
+    then restore its arrays and counters. Meta keys that are not
+    hyperparameters or counters (earlier layouts) are ignored; a hyperparameter
+    the file lacks takes the constructor default."""
     kind, meta, arrays = load_checkpoint(path)
     algo = meta.get("algo")
     if algo not in ALGOS:
         raise CheckpointError(f"{path}: unknown algorithm tag {algo!r}")
-    agent = make_agent(algo, config, rng)
-    if agent.kind != kind:
+    cls = agent_class(algo)
+    if cls.kind != kind:
         raise CheckpointError(f"{path}: kind {kind!r} does not match algorithm {algo!r}")
-    agent.load_payload(meta, arrays)
+    names = hyperparameter_names(cls)
+    saved = {name: meta[name] for name in names if name in meta}
+    layout = meta.get("layout", meta.get("layout_actor"))  # earlier layouts: widths, no `hidden`
+    if "hidden" in names and "hidden" not in saved and layout is not None:
+        saved["hidden"] = layout[1:-1]
+    try:
+        agent = cls(config, rng, **saved)
+        agent.load_payload(meta, arrays)
+    except (CheckpointError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: {e}") from None
     return agent
 
 
@@ -173,7 +186,6 @@ def pretrain(
 
     ckpt = run_dir / f"{algo}.ckpt"
     save_agent(learner, ckpt)
-    meta, _ = learner.checkpoint_payload()
     _write_snapshot(
         run_dir,
         {
@@ -181,7 +193,7 @@ def pretrain(
             "scenario": config.to_dict(),
             "roster": [{"id": 1, "algo": algo, "train": True}]
             + [{"id": i, "algo": "random", "train": False} for i in range(2, 7)],
-            "hyperparameters": {algo: meta},
+            "hyperparameters": {algo: learner.hyperparameters()},
             "out_dir": str(run_dir),
         },
     )

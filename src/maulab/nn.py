@@ -13,25 +13,17 @@ import numpy as np
 
 from maulab.config import ConfigError
 
-_ACTIVATIONS = ("tanh", "relu")
-
 
 @dataclass
 class MlpParams:
-    """Weights/biases for a fixed-topology MLP with linear output head."""
+    """Weights/biases for a fixed-topology tanh MLP with linear output head."""
 
     layout: tuple[int, ...]
-    activation: str
     weights: list[np.ndarray]  # each (out, in)
     biases: list[np.ndarray]  # each (out,)
 
     def copy(self) -> "MlpParams":
-        return MlpParams(
-            self.layout,
-            self.activation,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
+        return MlpParams(self.layout, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
     def flat(self) -> np.ndarray:
         return np.concatenate([a.ravel() for a in self.weights + self.biases])
@@ -43,7 +35,7 @@ class MlpParams:
             i += arr.size
 
 
-def mlp_init(layout, seed_or_rng, activation: str = "tanh") -> MlpParams:
+def mlp_init(layout, seed_or_rng) -> MlpParams:
     """Scaled-uniform fan-in init: W ~ U(-sqrt(3/fan_in), sqrt(3/fan_in)) so
     Var(W) = 1/fan_in; biases start at 0."""
     layout = tuple(int(w) for w in layout)
@@ -51,15 +43,13 @@ def mlp_init(layout, seed_or_rng, activation: str = "tanh") -> MlpParams:
         raise ConfigError("MLP layout needs at least input and output widths")
     if any(w <= 0 for w in layout):
         raise ConfigError("MLP layer widths must be positive")
-    if activation not in _ACTIVATIONS:
-        raise ConfigError(f"unknown activation {activation!r}")
     rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else np.random.default_rng(seed_or_rng)
     weights, biases = [], []
     for fan_in, fan_out in zip(layout[:-1], layout[1:]):
         bound = np.sqrt(3.0 / fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return MlpParams(layout, activation, weights, biases)
+    return MlpParams(layout, weights, biases)
 
 
 def forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list]:
@@ -74,12 +64,8 @@ def forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list]:
     last = len(params.weights) - 1
     for li, (W, b) in enumerate(zip(params.weights, params.biases)):
         z = h @ W.T + b
-        if li < last:
-            a = np.tanh(z) if params.activation == "tanh" else np.maximum(z, 0.0)
-        else:
-            a = z
         cache.append((h, z))
-        h = a
+        h = np.tanh(z) if li < last else z
     out = h[0] if squeeze else h
     return out, cache
 
@@ -96,10 +82,7 @@ def backward(params: MlpParams, cache: list, grad_out: np.ndarray):
     for li in range(last, -1, -1):
         h_in, z = cache[li]
         if li < last:
-            if params.activation == "tanh":
-                g = g * (1.0 - np.tanh(z) ** 2)
-            else:
-                g = g * (z > 0.0)
+            g = g * (1.0 - np.tanh(z) ** 2)
         if g.shape != z.shape:
             raise ConfigError(f"gradient shape {g.shape} != layer output {z.shape}")
         wg[li] = g.T @ h_in
@@ -129,8 +112,7 @@ class OptimState:
 def adam_step(arrays: list[np.ndarray], grads: list[np.ndarray], opt: OptimState) -> None:
     """One bias-corrected adaptive-moment descent step, in place.
 
-    Skips the update (with a warning event via ValueError suppression policy:
-    caller logs) when any gradient is non-finite."""
+    When any gradient is non-finite, emits a RuntimeWarning and skips the step."""
     if any(not np.all(np.isfinite(g)) for g in grads):
         import warnings
 

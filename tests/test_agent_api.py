@@ -1,4 +1,4 @@
-"""Agent contract tests: schedules, replay memory, grid codec, baselines."""
+"""Agent contract tests: exploration rate, replay memory, grid codec, baselines."""
 
 import hashlib
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from maulab.agents.base import (
-    EpsilonSchedule,
     ReplayBuffer,
     bin_value,
     decay_for,
@@ -23,20 +22,22 @@ def _config(**kw):
 
 
 def test_epsilon_examples():
-    sched = EpsilonSchedule(eps_max=1.0, decay_rate=0.99)
-    assert epsilon_at(sched, 0) == 1.0
-    assert epsilon_at(sched, 100) == pytest.approx(0.99**100)
-    assert epsilon_at(sched, 100) == pytest.approx(0.3660323412732295, abs=1e-12)
+    assert epsilon_at(1.0, 0.99, 0) == 1.0
+    assert epsilon_at(1.0, 0.99, 100) == pytest.approx(0.99**100)
+    assert epsilon_at(1.0, 0.99, 100) == pytest.approx(0.3660323412732295, abs=1e-12)
     with pytest.raises(ValueError):
-        epsilon_at(sched, -1)
+        epsilon_at(1.0, 0.99, -1)
 
 
 def test_epsilon_schedule_advance():
-    sched = EpsilonSchedule(eps_max=0.5, decay_rate=0.9)
-    assert sched.value() == 0.5
-    sched.advance()
-    sched.advance()
-    assert sched.value() == pytest.approx(0.5 * 0.9**2)
+    from maulab.env import Transition
+
+    agent = make_agent("ql", _config(), np.random.default_rng(0), eps_max=0.5, decay_rate=0.9)
+    assert epsilon_at(agent.eps_max, agent.decay_rate, agent.t) == 0.5
+    for _ in range(2):
+        agent.observe(Transition(np.full(2, 0.5), BidAction((1, 0)), (), 0.0))
+    assert agent.t == 2
+    assert epsilon_at(agent.eps_max, agent.decay_rate, agent.t) == pytest.approx(0.5 * 0.9**2)
 
 
 def test_decay_for_reaches_floor_at_fraction():
@@ -78,6 +79,26 @@ def test_replay_sampling_uniform_and_deterministic():
     expected = 1000 / 8
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < 24.3  # chi-square(7) at alpha ~ 0.001
+
+
+def test_replay_ring_matches_list_reference():
+    # the list ring the array ring replaced: same contents, same draws
+    capacity, rng = 7, np.random.default_rng(3)
+    buf, ref, cursor = ReplayBuffer(capacity), [], 0
+    for i in range(18):
+        row = (rng.random(2), int(rng.integers(231)), float(rng.normal()))
+        buf.push(*row)
+        if len(ref) < capacity:
+            ref.append(row)
+        else:
+            ref[cursor] = row
+        cursor = (cursor + 1) % capacity
+        if len(ref) >= 3:
+            obs, act, rew = buf.sample(3, np.random.default_rng(i))
+            idx = np.random.default_rng(i).integers(0, len(ref), size=3)
+            assert np.array_equal(obs, np.stack([ref[j][0] for j in idx]))
+            assert np.array_equal(act, np.array([ref[j][1] for j in idx], dtype=int))
+            assert np.array_equal(rew, np.array([ref[j][2] for j in idx]))
 
 
 def test_grid_decode_examples():
@@ -168,7 +189,7 @@ def test_frozen_tabular_agent_is_pure():
     for _ in range(10_000):
         agent.act(np.full(2, rng.random()))
     assert hashlib.sha256(agent.table.tobytes()).hexdigest() == checksum
-    assert agent.schedule.t == 0
+    assert agent.t == 0
 
 
 def test_full_exploration_covers_action_space():

@@ -1,0 +1,147 @@
+"""The agent-state codec: every constructor hyperparameter and counter and
+every learned array survive a checkpoint, and a checkpoint resumes a run."""
+
+import tempfile
+from operator import attrgetter
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from maulab.agents.base import agent_class, hyperparameter_names, make_agent
+from maulab.config import LEARNERS, TOURNAMENT_IDS, ScenarioConfig
+from maulab.env import AuctionEnv
+from maulab.harness import load_agent, make_streams, pretrain, run_session, save_agent, tournament
+
+_frac = st.floats(0.0, 1.0)
+_lr = st.floats(1e-6, 0.1)
+_hidden = st.lists(st.integers(1, 8), min_size=1, max_size=3).map(tuple)
+# A valid range for every constructor parameter of each learner.
+HYPERPARAMETERS = {
+    "ql": {"value_bins": st.integers(2, 20), "alpha": _frac, "eps_max": _frac, "decay_rate": _frac},
+    "vpg": {"value_bins": st.integers(2, 20), "alpha": _frac},
+    "dqn": {
+        "hidden": _hidden, "buffer_capacity": st.integers(1, 10**6), "batch_size": st.integers(1, 512),
+        "lr": _lr, "warmup": st.integers(0, 10**4), "eps_max": _frac, "decay_rate": _frac,
+    },
+    "dpn": {"hidden": _hidden, "batch_size": st.integers(1, 512), "lr": _lr, "entropy_coef": _frac},
+    "a2c": {
+        "hidden": _hidden, "batch_size": st.integers(1, 512), "actor_lr": _lr, "critic_lr": _lr,
+        "entropy_coef": _frac,
+    },
+    "ppo": {
+        "hidden": _hidden, "rollout": st.integers(1, 4096), "epochs": st.integers(1, 20),
+        "minibatch": st.integers(1, 512), "eps_clip": st.floats(0.01, 0.99), "value_weight": st.floats(0.0, 2.0),
+        "entropy_coef": _frac, "actor_lr": _lr, "critic_lr": _lr,
+    },
+}
+
+
+def _counters(agent) -> dict:
+    meta, _ = agent.checkpoint_payload()
+    return {key: meta[key] for key in (path.replace(".", "_") for path in agent.counters)}
+
+
+@pytest.mark.parametrize("algo", LEARNERS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_checkpoint_round_trip(algo, data):
+    assert set(HYPERPARAMETERS[algo]) == set(hyperparameter_names(agent_class(algo)))
+    overrides = {name: data.draw(s, label=name) for name, s in HYPERPARAMETERS[algo].items()}
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    config = ScenarioConfig(episodes=50)
+    agent = make_agent(algo, config, np.random.default_rng(seed), **overrides)
+    assert agent.hyperparameters() == overrides
+    fill = np.random.default_rng(seed)
+    for a in agent.state_arrays().values():
+        a[...] = fill.normal(size=a.shape)
+    for path in agent.counters:
+        owner, _, leaf = path.rpartition(".")
+        setattr(attrgetter(owner)(agent) if owner else agent, leaf, data.draw(st.integers(0, 10**9), label=path))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.ckpt", Path(tmp) / "b.ckpt"
+        save_agent(agent, first)
+        clone = load_agent(first, config, np.random.default_rng(seed + 1))
+        assert clone.hyperparameters() == agent.hyperparameters()
+        assert _counters(clone) == _counters(agent)
+        want, got = agent.state_arrays(), clone.state_arrays()
+        assert list(got) == list(want)
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
+        save_agent(clone, second)
+        assert second.read_bytes() == first.read_bytes()
+
+
+# Overrides that put an update boundary within a few episodes, and N on one.
+# dqn is left out until its replay ring is saved: a resumed DQN starts with
+# an empty buffer, so it samples differently from an uninterrupted one.
+RESUME = {
+    "ql": ({}, 12),
+    "vpg": ({}, 12),
+    "a2c": ({"hidden": (8, 8)}, 10),
+    "dpn": ({"hidden": (8, 8), "batch_size": 8}, 16),
+    "ppo": ({"hidden": (8, 8), "rollout": 16, "epochs": 2, "minibatch": 8}, 32),
+}
+
+
+@pytest.mark.parametrize("algo", sorted(RESUME))
+def test_resume_at_update_boundary_equals_uninterrupted_run(tmp_path, algo):
+    overrides, n = RESUME[algo]
+    m = 2 * n + 3
+    config = ScenarioConfig(episodes=n + m, master_seed=4)
+
+    def start():
+        value_rng, tie_rng, agent_rngs = make_streams(4, config.n_bidders)
+        agents = [make_agent(algo, config, agent_rngs[0], **overrides)]
+        agents += [make_agent("random", config, r) for r in agent_rngs[1:]]
+        return AuctionEnv(config, value_rng, tie_rng), agents
+
+    def bids(rows):
+        return [(r.agent_id, r.bid1, r.bid2, r.reward_total) for r in rows]
+
+    ids = list(range(1, 7))
+    env, agents = start()
+    whole = bids(run_session(config, agents, ids, env, n + m)[0])
+
+    env, resumed = start()
+    head = bids(run_session(config, resumed, ids, env, n)[0])
+    save_agent(resumed[0], tmp_path / "mid.ckpt")
+    learner = load_agent(tmp_path / "mid.ckpt", config, np.random.default_rng())
+    learner.rng.bit_generator.state = resumed[0].rng.bit_generator.state
+    resumed[0] = learner
+    tail = bids(run_session(config, resumed, ids, env, m)[0])
+
+    assert head + tail == whole
+    assert resumed[0].hyperparameters() == agents[0].hyperparameters()
+    assert _counters(resumed[0]) == _counters(agents[0])
+    want, got = agents[0].state_arrays(), resumed[0].state_arrays()
+    assert list(got) == list(want)
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+
+
+# Each override changes how often the learner updates; `steps` is the update
+# counter after a 70-episode pretrain and a 70-episode learning tournament,
+# each starting a fresh rollout or replay buffer.
+OVERRIDES = {
+    "a2c": ({"batch_size": 7, "actor_lr": 0.01}, "opt_actor_step", 10 + 10),
+    "ppo": ({"rollout": 64, "eps_clip": 0.1}, "opt_actor_step", 10 + 10),
+    "dqn": ({"warmup": 10, "buffer_capacity": 99}, "train_steps", 7 + 7),
+    "dpn": ({"batch_size": 9, "lr": 0.01}, "opt_step", 7 + 7),
+}
+
+
+@pytest.mark.parametrize("algo", sorted(OVERRIDES))
+def test_overrides_survive_checkpoints_and_drive_learning_tournament(tmp_path, algo):
+    overrides, counter, steps = OVERRIDES[algo]
+    ckpt = pretrain(algo, "dp", 4, 70, 1, tmp_path / "pre", overrides=overrides)
+    loaded = load_agent(ckpt, ScenarioConfig(), np.random.default_rng(0))
+    assert {k: loaded.hyperparameters()[k] for k in overrides} == overrides
+
+    run_dir = tournament("dp", 4, {algo: str(ckpt)}, 70, 2, tmp_path / "tour")
+    out = load_agent(run_dir / f"{algo}_{TOURNAMENT_IDS[algo]}.ckpt", ScenarioConfig(), np.random.default_rng(0))
+    assert {k: out.hyperparameters()[k] for k in overrides} == overrides
+    assert _counters(out)[counter] == steps

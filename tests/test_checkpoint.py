@@ -113,56 +113,81 @@ def test_float32_input_upcast(tmp_path):
     assert np.array_equal(arrays["w"], np.ones(3))
 
 
-@pytest.mark.parametrize("algo", ["ql", "vpg", "dqn"])
+# Meta of checkpoints written before the hyperparameters were saved by
+# constructor name, copied key for key. ql and vpg files from before that
+# still carry the inert `gamma`; dqn files carry `sync_every` and (among the
+# arrays) the unread target network. `layout*` keys stand in for `hidden`.
+_NET = {"activation": "tanh", "lr": 2e-3, "opt_step": 7}
+_AC = {
+    "activation": "tanh", "layout_actor": [2, 8, 8, 42], "actor_lr": 2e-3, "opt_actor_step": 7,
+    "layout_critic": [2, 8, 8, 1], "critic_lr": 3e-3, "opt_critic_step": 7, "entropy_coef": 0.02, "t": 13,
+}
+EARLIER_META = {
+    "ql": {"value_bins": 11, "alpha": 0.3, "eps_max": 0.8, "decay_rate": 0.9, "t": 13, "gamma": 0.99},
+    "vpg": {"value_bins": 11, "alpha": 0.3, "t": 13, "gamma": 0.99},
+    "dqn": {
+        **_NET, "layout": [2, 8, 8, 231], "batch_size": 32, "warmup": 10, "eps_max": 0.8,
+        "decay_rate": 0.9, "t": 13, "train_steps": 5, "sync_every": 1000,
+    },
+    "dpn": {**_NET, "layout": [2, 8, 8, 42], "batch_size": 9, "entropy_coef": 0.02, "t": 13},
+    "a2c": {**_AC, "batch_size": 7},
+    "ppo": {**_AC, "rollout": 64, "epochs": 3, "minibatch": 16, "eps_clip": 0.1, "value_weight": 0.4},
+}
+# What each earlier file holds in today's terms: its hyperparameters (hidden
+# from the saved layout; a hyperparameter the file lacks takes the default)
+# and its counters.
+EARLIER_HYPERPARAMETERS = {
+    "ql": {"value_bins": 11, "alpha": 0.3, "eps_max": 0.8, "decay_rate": 0.9},
+    "vpg": {"value_bins": 11, "alpha": 0.3},
+    "dqn": {
+        "hidden": (8, 8), "buffer_capacity": 50_000, "batch_size": 32, "lr": 2e-3, "warmup": 10,
+        "eps_max": 0.8, "decay_rate": 0.9,
+    },
+    "dpn": {"hidden": (8, 8), "batch_size": 9, "lr": 2e-3, "entropy_coef": 0.02},
+    "a2c": {"hidden": (8, 8), "batch_size": 7, "actor_lr": 2e-3, "critic_lr": 3e-3, "entropy_coef": 0.02},
+    "ppo": {
+        "hidden": (8, 8), "rollout": 64, "epochs": 3, "minibatch": 16, "eps_clip": 0.1, "value_weight": 0.4,
+        "entropy_coef": 0.02, "actor_lr": 2e-3, "critic_lr": 3e-3,
+    },
+}
+EARLIER_COUNTERS = {
+    "ql": {"t": 13}, "vpg": {"t": 13},
+    "dqn": {"t": 13, "train_steps": 5, "opt_step": 7}, "dpn": {"t": 13, "opt_step": 7},
+    "a2c": {"t": 13, "opt_actor_step": 7, "opt_critic_step": 7},
+    "ppo": {"t": 13, "opt_actor_step": 7, "opt_critic_step": 7},
+}
+
+
+@pytest.mark.parametrize("algo", ["ql", "vpg", "dqn", "dpn", "a2c", "ppo"])
 def test_earlier_layout_loads_to_same_state(tmp_path, algo):
-    # Checkpoints from before the inert `gamma` (ql, vpg) and the unread DQN
-    # target network with its `sync_every` were removed carry those fields;
-    # they load and are ignored.
     from maulab.agents.base import make_agent
     from maulab.config import ScenarioConfig
     from maulab.harness import load_agent, save_agent
 
     config = ScenarioConfig(episodes=50)
     rng = np.random.default_rng(3)
+    # the same state written the current way, for comparison
+    agent = make_agent(algo, config, np.random.default_rng(1), **EARLIER_HYPERPARAMETERS[algo])
+    arrays = agent.state_arrays()
+    for a in arrays.values():
+        a[...] = rng.normal(size=a.shape)
+    agent.load_payload(EARLIER_META[algo], arrays)  # sets the counters
     if algo == "dqn":
-        agent = make_agent(algo, config, np.random.default_rng(1), hidden=(8, 8), lr=2e-3)
-        agent.opt._ensure(agent.net.weights + agent.net.biases)
-        for a in agent.opt.m + agent.opt.v:
-            a[...] = rng.normal(size=a.shape)
-        agent.opt.step, agent.schedule.t, agent.train_steps = 7, 13, 5
-    else:
-        agent = make_agent(algo, config, np.random.default_rng(1))
-        agent.table[...] = rng.normal(size=agent.table.shape)
-        if algo == "ql":
-            agent.schedule.t = 13
-        else:
-            agent.t = 13
-    meta, arrays = agent.checkpoint_payload()
-    meta = dict(meta, algo=algo)
-    if algo == "dqn":
-        meta["sync_every"] = 1000
-        net = {k: v for k, v in arrays.items() if k.startswith("net.")}
-        target = {"target." + k[4:]: rng.normal(size=v.shape) for k, v in net.items()}
-        arrays = {**net, **target, **{k: v for k, v in arrays.items() if k.startswith("opt.")}}
-    else:
-        meta["gamma"] = 0.99
+        target = {"target." + k[4:]: rng.normal(size=v.shape) for k, v in arrays.items() if k.startswith("net.")}
+        arrays = {**{k: v for k, v in arrays.items() if k.startswith("net.")}, **target,
+                  **{k: v for k, v in arrays.items() if k.startswith("opt.")}}
     old = tmp_path / "old.ckpt"
-    save_checkpoint(old, agent.kind, meta, arrays)
+    save_checkpoint(old, agent.kind, dict(EARLIER_META[algo], algo=algo), arrays)
 
     clone = load_agent(old, config, np.random.default_rng(2))
-    if algo == "dqn":
-        assert clone.net.layout == agent.net.layout
-        assert np.array_equal(clone.net.flat(), agent.net.flat())
-        for a, b in zip(clone.opt.m + clone.opt.v, agent.opt.m + agent.opt.v):
-            assert np.array_equal(a, b)
-        assert (clone.opt.step, clone.opt.lr, clone.train_steps) == (7, 2e-3, 5)
-        assert clone.schedule == agent.schedule
-        assert not hasattr(clone, "target_net")
-    else:
-        assert np.array_equal(clone.table, agent.table)
-        assert clone.alpha == agent.alpha
-        assert (clone.schedule if algo == "ql" else clone).t == 13
-        assert not hasattr(clone, "gamma")
+    assert clone.hyperparameters() == EARLIER_HYPERPARAMETERS[algo]
+    meta, clone_arrays = clone.checkpoint_payload()
+    assert {k: meta[k] for k in EARLIER_COUNTERS[algo]} == EARLIER_COUNTERS[algo]
+    _, want = agent.checkpoint_payload()
+    assert list(clone_arrays) == list(want)
+    for k in want:
+        assert np.array_equal(clone_arrays[k], want[k]), k
+    assert not hasattr(clone, "gamma") and not hasattr(clone, "target_net")
     save_agent(agent, tmp_path / "current.ckpt")
     save_agent(clone, tmp_path / "reloaded.ckpt")
     assert (tmp_path / "reloaded.ckpt").read_bytes() == (tmp_path / "current.ckpt").read_bytes()

@@ -212,3 +212,66 @@ def test_report_corrupt_config_snapshot_exits_5(tmp_path, capsys):
         (run / "config.json").write_text(text)
         assert main(["report", "--run", str(run), "--out", str(tmp_path / "rep")]) == 5
         assert "corrupt run directory" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def grid_checkpoints(tmp_path_factory):
+    """Five-episode pretrains of every learner at the default grid and at 11 levels."""
+    root = tmp_path_factory.mktemp("grids")
+    for levels in (21, 11):
+        for algo in ("ppo", "a2c", "dqn", "dpn", "ql", "vpg"):
+            assert main([
+                "pretrain", "--algo", algo, "--auction", "dp", "--items", "4", "--episodes", "5",
+                "--grid-levels", str(levels), "--out", str(root / str(levels)),
+            ]) == 0
+    return lambda algo, levels=21: root / str(levels) / f"dp_4_{algo}_0" / f"{algo}.ckpt"
+
+
+def _frozen_tournament(tmp_path, ckpts):
+    return main([
+        "tournament", "--auction", "dp", "--items", "4", "--episodes", "5", "--freeze",
+        *[x for algo, path in ckpts.items() for x in ("--ckpt", f"{algo}={path}")],
+        "--out", str(tmp_path),
+    ])
+
+
+@pytest.mark.parametrize("algo", ["ppo", "a2c", "dqn", "dpn", "ql", "vpg"])
+def test_checkpoint_from_other_grid_exits_5(tmp_path, capsys, grid_checkpoints, algo):
+    ckpts = {a: grid_checkpoints(a) for a in ("ppo", "a2c", "dqn", "dpn", "ql", "vpg")}
+    assert _frozen_tournament(tmp_path / "ok", ckpts) == 0
+    capsys.readouterr()
+    ckpts[algo] = grid_checkpoints(algo, 11)
+    assert _frozen_tournament(tmp_path / "bad", ckpts) == 5
+    err = capsys.readouterr().err
+    assert str(ckpts[algo]) in err and "shape" in err and "Traceback" not in err
+    assert not any((tmp_path / "bad").glob("*/episodes.csv"))
+
+
+@pytest.mark.parametrize("drop", ["array", "counter"])
+def test_checkpoint_missing_state_exits_5(tmp_path, capsys, grid_checkpoints, drop):
+    from maulab.checkpoint import load_checkpoint, save_checkpoint
+
+    kind, meta, arrays = load_checkpoint(grid_checkpoints("ppo"))
+    if drop == "array":
+        del arrays["opt_critic.v2"]
+    else:
+        del meta["t"]
+    bad = tmp_path / "ppo.ckpt"
+    save_checkpoint(bad, kind, meta, arrays)
+    code = main([
+        "tournament", "--auction", "dp", "--items", "4", "--episodes", "5", "--all-ppo",
+        "--ckpt", f"ppo={bad}", "--out", str(tmp_path),
+    ])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert str(bad) in err and ("'opt_critic.v2'" if drop == "array" else "'t'") in err
+
+
+def test_report_logs_covering_different_episodes_exit_5(tmp_path, capsys):
+    assert _pretrain(tmp_path, episodes=20) == 0
+    run = tmp_path / "dp_4_ql_1"
+    lines = (run / "auctions.csv").read_text().splitlines(keepends=True)
+    (run / "auctions.csv").write_text("".join(lines[:11]))  # header and episodes 0-9
+    assert main(["report", "--run", str(run), "--out", str(tmp_path / "rep")]) == 5
+    assert "corrupt run directory" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()

@@ -88,7 +88,7 @@ def test_zero_episode_pretrain_checkpoint_is_fresh_init(tmp_path):
     fresh = make_agent("dqn", config, agent_rngs[0])
     loaded = load_agent(ckpt, config, np.random.default_rng(0))
     assert np.array_equal(loaded.net.flat(), fresh.net.flat())
-    assert loaded.schedule.t == 0
+    assert loaded.t == 0
 
 
 def test_pretrain_writes_run_directory(tmp_path):
@@ -163,8 +163,8 @@ def test_load_agent_rejects_kind_mismatch(tmp_path):
 def test_save_agent_roundtrip_schedule_counters(tmp_path):
     config = ScenarioConfig(episodes=100)
     agent = make_agent("ql", config, np.random.default_rng(1))
-    agent.schedule.t = 77
+    agent.t = 77
     path = tmp_path / "ql.ckpt"
     save_agent(agent, path)
     clone = load_agent(path, config, np.random.default_rng(2))
-    assert clone.schedule.t == 77
+    assert clone.t == 77

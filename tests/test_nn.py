@@ -38,8 +38,6 @@ def test_init_validation():
         mlp_init((4,), 0)
     with pytest.raises(ConfigError):
         mlp_init((4, 0, 2), 0)
-    with pytest.raises(ConfigError):
-        mlp_init((4, 2), 0, activation="sigmoid")
 
 
 def test_forward_identity_linear_layer():
@@ -120,10 +118,9 @@ def test_backward_sums_over_batch():
         assert np.allclose(a, b)
 
 
-@pytest.mark.parametrize("activation", ["tanh", "relu"])
-def test_finite_diff_regression_loss(activation):
+def test_finite_diff_regression_loss():
     rng = np.random.default_rng(11)
-    params = mlp_init((3, 8, 2), rng, activation=activation)
+    params = mlp_init((3, 8, 2), rng)
     xs = rng.normal(size=(6, 3))
     ys = rng.normal(size=(6, 2))
 

@@ -62,7 +62,7 @@ def test_ql_learns_from_transitions():
     s = agent._bin(obs)
     a = agent.action_index[(3, 1)]
     assert agent.table[s, a] == pytest.approx(1.0)
-    assert agent.schedule.t == 1
+    assert agent.t == 1
 
 
 def test_dqn_overfits_small_buffer():
@@ -156,13 +156,13 @@ def test_ql_checkpoint_roundtrip(tmp_path):
     config = _config(episodes=50)
     agent = make_agent("ql", config, np.random.default_rng(8))
     agent.table[...] = np.random.default_rng(9).normal(size=agent.table.shape)
-    agent.schedule.t = 17
+    agent.t = 17
     path = tmp_path / "ql.ckpt"
     save_agent(agent, path)
     clone = load_agent(path, config, np.random.default_rng(10))
     assert np.array_equal(clone.table, agent.table)
-    assert clone.schedule.t == 17
-    assert clone.schedule.decay_rate == agent.schedule.decay_rate
+    assert clone.t == 17
+    assert clone.decay_rate == agent.decay_rate
 
 
 def test_dqn_checkpoint_roundtrip(tmp_path):
