@@ -1,8 +1,8 @@
 """Multi-unit sealed-bid auction laboratory with reinforcement-learning bidders."""
 
 from maulab.config import ScenarioConfig, ConfigError
-from maulab.auction import AuctionOutcome, clear_dp, clear_gsp, clear_up, efficiency_ratio, revenue
-from maulab.env import AuctionEnv, Transition, reward
+from maulab.auction import AuctionOutcome, clear_dp, clear_gsp, clear_up, efficiency_ratio
+from maulab.env import AuctionEnv, reward
 
 __all__ = [
     "ScenarioConfig",
@@ -12,9 +12,7 @@ __all__ = [
     "clear_gsp",
     "clear_up",
     "efficiency_ratio",
-    "revenue",
     "AuctionEnv",
-    "Transition",
     "reward",
 ]
 

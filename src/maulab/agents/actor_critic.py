@@ -12,7 +12,6 @@ import numpy as np
 from maulab.agents.base import NetAgent
 from maulab.agents.policy import head_logits, heads_stats, score_entropy_logits_grad
 from maulab.config import ConfigError, ScenarioConfig
-from maulab.grid import BidAction
 from maulab.nn import Categorical, OptimState, adam_step_params, backward, forward, mlp_init
 
 
@@ -160,23 +159,22 @@ class _ActorCriticAgent(NetAgent):
         self._acts: list[np.ndarray] = []
         self._logp: list[float] = []
         self._rews: list[float] = []
-        self._pending: tuple[np.ndarray, float] | None = None
+        self._pending_logp = 0.0  # log-probability of the levels act last returned
         self.t = 0
 
-    def act(self, obs: np.ndarray, explore: bool = True) -> BidAction:
+    def act(self, obs: np.ndarray, explore: bool = True) -> tuple[int, ...]:
+        """One level per head, in head order."""
         out, _ = forward(self.actor, np.asarray(obs, dtype=float))
         dist = Categorical(out.reshape(self.k, self.levels))
-        levels = np.asarray(dist.sample(self.rng), dtype=int)
-        logp = float(dist.log_prob(levels).sum())
-        self._pending = (levels, logp)
-        return BidAction(tuple(int(l) for l in levels))
+        levels = dist.sample(self.rng)
+        self._pending_logp = float(dist.log_prob(levels).sum())
+        return tuple(levels.tolist())
 
-    def _record(self, transition) -> None:
-        levels, logp = self._pending
-        self._obs.append(np.array(transition.observation))
-        self._acts.append(levels)
-        self._logp.append(logp)
-        self._rews.append(transition.episode_reward)
+    def _record(self, obs: np.ndarray, levels: tuple[int, ...], reward: float) -> None:
+        self._obs.append(np.array(obs))
+        self._acts.append(np.array(levels))
+        self._logp.append(self._pending_logp)
+        self._rews.append(reward)
         self.t += 1
 
     def _clear_rollout(self) -> None:
@@ -202,10 +200,10 @@ class A2cAgent(_ActorCriticAgent):
         super().__init__(config, rng, hidden, actor_lr, critic_lr, entropy_coef)
         self.batch_size = batch_size
 
-    def observe(self, transition) -> None:
+    def observe(self, obs: np.ndarray, levels: tuple[int, ...], reward: float) -> None:
         if self.frozen:
             return
-        self._record(transition)
+        self._record(obs, levels, reward)
         if len(self._rews) >= self.batch_size:
             a2c_update(
                 self.actor,
@@ -251,10 +249,10 @@ class PpoAgent(_ActorCriticAgent):
         self.value_weight = value_weight
         self.last_diag: dict = {}
 
-    def observe(self, transition) -> None:
+    def observe(self, obs: np.ndarray, levels: tuple[int, ...], reward: float) -> None:
         if self.frozen:
             return
-        self._record(transition)
+        self._record(obs, levels, reward)
         if len(self._rews) >= self.rollout:
             self.last_diag = ppo_update(
                 self.actor,

@@ -1,17 +1,19 @@
 """Common bidder-agent contract: exploration rate, replay buffer, joint action
-space, the checkpoint codec, the random baseline bidder, and the agent factory."""
+space, the checkpoint codec, the random baseline bidder, the agent factory and
+its hyperparameter checks."""
 
 from __future__ import annotations
 
 import inspect
 import itertools
+import numbers
 from operator import attrgetter
 
 import numpy as np
 
 from maulab.checkpoint import CheckpointError
 from maulab.config import ConfigError, ScenarioConfig
-from maulab.grid import BidAction, BidGrid
+from maulab.grid import BidGrid
 
 
 def epsilon_at(eps_max: float, decay_rate: float, t: int) -> float:
@@ -101,11 +103,13 @@ class Agent:
             raise ConfigError(f"observation length {len(obs)} != k={self.k}")
         return float(obs[0]) * self.config.value_hi
 
-    def act(self, obs: np.ndarray, explore: bool = True) -> BidAction:
+    def act(self, obs: np.ndarray, explore: bool = True) -> tuple[int, ...]:
+        """One grid level per unit slot, in any order; the env canonicalizes."""
         raise NotImplementedError
 
-    def observe(self, transition) -> None:
-        """Deliver this agent's own transition; no-op in freeze mode."""
+    def observe(self, obs: np.ndarray, levels: tuple[int, ...], reward: float) -> None:
+        """Deliver this agent's observation, the levels its act returned and
+        its episode reward; no-op in freeze mode."""
 
     def hyperparameters(self) -> dict:
         return {name: getattr(self, name) for name in hyperparameter_names(type(self))}
@@ -143,10 +147,9 @@ class RandomAgent(Agent):
     algo = "random"
     kind = "random"
 
-    def act(self, obs: np.ndarray, explore: bool = True) -> BidAction:
+    def act(self, obs: np.ndarray, explore: bool = True) -> tuple[int, ...]:
         cap = self.grid.highest_level_at_most(self.value_of(obs))
-        levels = self.rng.integers(0, cap + 1, size=self.k)
-        return BidAction(tuple(int(l) for l in levels))
+        return tuple(self.rng.integers(0, cap + 1, size=self.k).tolist())
 
 
 class NetAgent(Agent):
@@ -194,12 +197,43 @@ def hyperparameter_names(cls: type[Agent]) -> tuple[str, ...]:
     return tuple(p for p in inspect.signature(cls).parameters if p not in ("config", "rng"))
 
 
+# Hyperparameters that count something (as do the `hidden` widths), and learning rates.
+COUNTS = ("batch_size", "rollout", "epochs", "minibatch", "buffer_capacity", "value_bins")
+LEARNING_RATES = ("lr", "actor_lr", "critic_lr")
+_KINDS = {int: "an integer", float: "a number", type(None): "a number or null", tuple: "a list of integers"}
+
+
+def _fits(value, default) -> bool:
+    """Whether `value` has the type of the constructor default: an int passes
+    for a float (also for one that defaults to None), a list for a tuple of ints."""
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(_fits(w, 0) for w in value)
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, int):
+        return isinstance(value, numbers.Integral)
+    return isinstance(value, numbers.Real) or (default is None and value is None)
+
+
 def check_overrides(algo: str, overrides: dict) -> None:
-    """Raise ConfigError unless every key names a hyperparameter of algo's agent."""
-    params = hyperparameter_names(agent_class(algo))
+    """Raise ConfigError unless every key names a hyperparameter of algo's agent
+    and every value has its default's type, every count is >= 1 and every
+    learning rate is > 0."""
+    cls = agent_class(algo)
+    params = hyperparameter_names(cls)
     unknown = sorted(set(overrides) - set(params))
     if unknown:
         raise ConfigError(f"unknown hyperparameters for {algo}: {unknown}; expected some of {sorted(params)}")
+    signature = inspect.signature(cls).parameters
+    for name, value in overrides.items():
+        default = signature[name].default
+        if not _fits(value, default):
+            raise ConfigError(f"{algo} hyperparameter {name!r} must be {_KINDS[type(default)]}, got {value!r}")
+        counts = value if name == "hidden" else (value,) if name in COUNTS else ()
+        if any(c < 1 for c in counts):
+            raise ConfigError(f"{algo} hyperparameter {name!r} must be >= 1, got {value!r}")
+        if name in LEARNING_RATES and not value > 0:
+            raise ConfigError(f"{algo} hyperparameter {name!r} is a learning rate and must be > 0, got {value!r}")
 
 
 def make_agent(algo: str, config: ScenarioConfig, rng: np.random.Generator, **overrides) -> Agent:

@@ -7,7 +7,6 @@ import numpy as np
 
 from maulab.agents.base import Agent, NetAgent, bin_value, joint_action_space
 from maulab.config import ScenarioConfig
-from maulab.grid import BidAction
 from maulab.nn import Categorical, OptimState, adam_step_params, backward, forward, mlp_init, softmax
 
 
@@ -46,17 +45,14 @@ class VpgAgent(Agent):
     def _bin(self, obs: np.ndarray) -> int:
         return bin_value(self.value_of(obs), self.config.value_lo, self.config.value_hi, self.value_bins)
 
-    def act(self, obs: np.ndarray, explore: bool = True) -> BidAction:
+    def act(self, obs: np.ndarray, explore: bool = True) -> tuple[int, ...]:
         s = self._bin(obs)
-        idx = Categorical(self.table[s]).sample(self.rng)
-        return BidAction(self.actions[idx])
+        return self.actions[Categorical(self.table[s]).sample(self.rng)]
 
-    def observe(self, transition) -> None:
+    def observe(self, obs: np.ndarray, levels: tuple[int, ...], reward: float) -> None:
         if self.frozen:
             return
-        s = self._bin(transition.observation)
-        a = self.action_index[transition.action.levels]
-        vpg_update(self.table, s, a, transition.episode_reward, self.alpha)
+        vpg_update(self.table, self._bin(obs), self.action_index[levels], reward, self.alpha)
         self.t += 1
 
     def state_arrays(self) -> dict[str, np.ndarray]:
@@ -144,22 +140,19 @@ class DpgAgent(NetAgent):
         self._obs: list[np.ndarray] = []
         self._acts: list[np.ndarray] = []
         self._rews: list[float] = []
-        self._pending: np.ndarray | None = None
         self.t = 0
 
-    def act(self, obs: np.ndarray, explore: bool = True) -> BidAction:
+    def act(self, obs: np.ndarray, explore: bool = True) -> tuple[int, ...]:
+        """One level per head, in head order."""
         out, _ = forward(self.net, np.asarray(obs, dtype=float))
-        dist = Categorical(out.reshape(self.k, self.levels))
-        levels = dist.sample(self.rng)
-        self._pending = np.asarray(levels, dtype=int)
-        return BidAction(tuple(int(l) for l in levels))
+        return tuple(Categorical(out.reshape(self.k, self.levels)).sample(self.rng).tolist())
 
-    def observe(self, transition) -> None:
+    def observe(self, obs: np.ndarray, levels: tuple[int, ...], reward: float) -> None:
         if self.frozen:
             return
-        self._obs.append(np.array(transition.observation))
-        self._acts.append(self._pending)
-        self._rews.append(transition.episode_reward)
+        self._obs.append(np.array(obs))
+        self._acts.append(np.array(levels))
+        self._rews.append(reward)
         self.t += 1
         if len(self._rews) >= self.batch_size:
             dpg_update(

@@ -14,7 +14,6 @@ from maulab.agents.base import (
     joint_action_space,
 )
 from maulab.config import ScenarioConfig
-from maulab.grid import BidAction
 from maulab.nn import OptimState, adam_step_params, backward, forward, mlp_init
 
 
@@ -64,19 +63,17 @@ class QLearningAgent(Agent):
     def _bin(self, obs: np.ndarray) -> int:
         return bin_value(self.value_of(obs), self.config.value_lo, self.config.value_hi, self.value_bins)
 
-    def act(self, obs: np.ndarray, explore: bool = True) -> BidAction:
+    def act(self, obs: np.ndarray, explore: bool = True) -> tuple[int, ...]:
         s = self._bin(obs)
         idx = _explore_index(self, explore)
         if idx is None:
             idx = int(np.argmax(self.table[s]))  # ties -> lowest index
-        return BidAction(self.actions[idx])
+        return self.actions[idx]
 
-    def observe(self, transition) -> None:
+    def observe(self, obs: np.ndarray, levels: tuple[int, ...], reward: float) -> None:
         if self.frozen:
             return
-        s = self._bin(transition.observation)
-        a = self.action_index[transition.action.levels]
-        q_update(self.table, s, a, transition.episode_reward, self.alpha)
+        q_update(self.table, self._bin(obs), self.action_index[levels], reward, self.alpha)
         self.t += 1
 
     def state_arrays(self) -> dict[str, np.ndarray]:
@@ -140,18 +137,17 @@ class DqnAgent(NetAgent):
         self.decay_rate = decay_for(config.episodes) if decay_rate is None else decay_rate
         self.t = self.train_steps = 0
 
-    def act(self, obs: np.ndarray, explore: bool = True) -> BidAction:
+    def act(self, obs: np.ndarray, explore: bool = True) -> tuple[int, ...]:
         idx = _explore_index(self, explore)
         if idx is None:
             q, _ = forward(self.net, np.asarray(obs, dtype=float))
             idx = int(np.argmax(q))
-        return BidAction(self.actions[idx])
+        return self.actions[idx]
 
-    def observe(self, transition) -> None:
+    def observe(self, obs: np.ndarray, levels: tuple[int, ...], reward: float) -> None:
         if self.frozen:
             return
-        a = self.action_index[transition.action.levels]
-        self.buffer.push(transition.observation, a, transition.episode_reward)
+        self.buffer.push(obs, self.action_index[levels], reward)
         self.t += 1
         if len(self.buffer) >= max(self.warmup, self.batch_size):
             dqn_train_step(self.net, self.buffer, self.opt, self.batch_size, self.rng)

@@ -44,13 +44,6 @@ def _rank(b: np.ndarray, K: int, tie_rng: np.random.Generator) -> np.ndarray:
     return np.lexsort((perm, -b.ravel()))
 
 
-def rank_bids(bids: np.ndarray, K: int, tie_rng: np.random.Generator) -> list[tuple[int, int]]:
-    """Every (bidder, slot) in rank order. The first K entries win."""
-    b = canonicalize(bids)
-    k = b.shape[1]
-    return [(int(i // k), int(i % k)) for i in _rank(b, K, tie_rng)]
-
-
 def _clear(rule: str, bids: np.ndarray, K: int, tie_rng: np.random.Generator) -> AuctionOutcome:
     """Rank once, then pay per rule: dp its own bid, up the (K+1)-th bid, gsp
     the next ranked bid of a different bidder (0 if none exists)."""
@@ -100,11 +93,6 @@ _CLEAR = {"dp": clear_dp, "gsp": clear_gsp, "up": clear_up}
 
 def clear(rule: str, bids: np.ndarray, K: int, tie_rng: np.random.Generator) -> AuctionOutcome:
     return _CLEAR[rule](bids, K, tie_rng)
-
-
-def revenue(outcome: AuctionOutcome) -> float:
-    """Sum of payments made by all winning bidders."""
-    return float(sum(w.payment for w in outcome.winners))
 
 
 def _allocated_and_best(valuations: np.ndarray, outcome: AuctionOutcome, K: int) -> tuple[float, float]:

@@ -1,46 +1,32 @@
 """Single-step multi-agent auction episode environment.
 
-One episode: draw private values -> collect one joint bid per agent ->
+One episode: draw private values -> collect one row of bid levels per agent ->
 clear the auction -> pay out per-slot rewards. Episodes are independent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from maulab.auction import AuctionOutcome, clear
+from maulab.auction import AuctionOutcome, canonicalize, clear
 from maulab.config import ConfigError, ScenarioConfig
-from maulab.grid import BidAction, BidGrid
+from maulab.grid import BidGrid
 
 
-def reward(s: int, p: float, v: float) -> float:
-    """Per-bid reward: scaled payoff on a winning bid, a scaled penalty when
-    the payment exceeds the value, and a flat -0.01 on a losing bid."""
-    if s == 1:
-        if p > 0:
-            return p / max(v, 1.0)
-        return -(v - p) / max(v, 1.0)
-    return -0.01
+def reward(won, payoff, value):
+    """Per-bid reward, elementwise: scaled payoff on a winning bid, a scaled
+    penalty when the payment exceeds the value, and a flat -0.01 on a losing bid."""
+    scale = np.maximum(value, 1.0)
+    return np.where(won, np.where(payoff > 0, payoff, -(value - payoff)) / scale, -0.01)
 
 
-@dataclass(frozen=True)
-class SlotResult:
-    success: int
-    payoff: float
-    value: float
-    reward: float
-
-
-@dataclass(frozen=True)
-class Transition:
-    """One agent's record of a single-step episode."""
-
-    observation: np.ndarray
-    action: BidAction
-    per_slot: tuple[SlotResult, ...]
-    episode_reward: float
+def slot_sum(a: np.ndarray) -> np.ndarray:
+    """Row sums of an (n, k) array, added slot by slot from 0.0: the order a
+    Python sum takes (a numpy sum of 8 or more columns pairs them differently)."""
+    total = np.zeros(len(a))
+    for column in a.T:
+        total += column
+    return total
 
 
 class AuctionEnv:
@@ -58,16 +44,12 @@ class AuctionEnv:
         self._tie_rng = tie_rng
         self._values: np.ndarray | None = None
 
-    def reset(self) -> list[np.ndarray]:
-        """Draw one value per agent (shared across both unit slots) and return
-        the per-agent normalized observations."""
+    def reset(self) -> np.ndarray:
+        """Draw one value per agent (shared across its unit slots) and return
+        the (n, k) observation matrix: row i is agent i's normalized value."""
         c = self.config
         self._values = self._value_rng.uniform(c.value_lo, c.value_hi, size=c.n_bidders)
-        return [self.observation(i) for i in range(c.n_bidders)]
-
-    def observation(self, agent: int) -> np.ndarray:
-        v = self._values[agent] / self.config.value_hi
-        return np.full(self.config.units_per_bidder, v)
+        return np.repeat(self._values[:, None] / c.value_hi, c.units_per_bidder, axis=1)
 
     @property
     def values(self) -> np.ndarray:
@@ -78,36 +60,34 @@ class AuctionEnv:
         c = self.config
         return np.repeat(self._values[:, None], c.units_per_bidder, axis=1)
 
-    def step(self, actions: list[BidAction]) -> tuple[list[Transition], AuctionOutcome]:
+    def step(self, levels) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, AuctionOutcome]:
+        """Clear one (n, k) matrix of bid levels, row i being agent i's.
+
+        Returns (reward, won, payment, bids, outcome): each agent's episode
+        reward (n,), whether each canonical slot won and what it pays (n, k),
+        and the canonical (weakly decreasing) bid amounts (n, k)."""
         c = self.config
         if self._values is None:
             raise RuntimeError("step called before reset")
-        if len(actions) != c.n_bidders:
-            raise ConfigError(f"expected {c.n_bidders} actions, got {len(actions)}")
-        bids = np.zeros((c.n_bidders, c.units_per_bidder))
-        for i, a in enumerate(actions):
-            if len(a.levels) != c.units_per_bidder:
-                raise ConfigError(f"agent {i} submitted {len(a.levels)} bids, need {c.units_per_bidder}")
-            bids[i] = a.decode(self.grid)  # raises ConfigError on out-of-grid levels
+        try:
+            levels = np.asarray(levels)
+        except ValueError:
+            raise ConfigError("every agent must submit the same number of bids") from None
+        if levels.shape != (c.n_bidders, c.units_per_bidder):
+            raise ConfigError(
+                f"expected {c.n_bidders} agents x {c.units_per_bidder} bids, got shape {levels.shape}"
+            )
+        bids = canonicalize(self.grid.decode(levels))  # raises ConfigError on out-of-grid levels
 
         outcome = clear(c.rule, bids, c.supply, self._tie_rng)
 
-        payments = {}
+        won = np.zeros(bids.shape, dtype=bool)
+        payment = np.zeros(bids.shape)
         for w in outcome.winners:
-            payments[(w.bidder_id, w.unit_slot)] = w.payment
-
-        transitions = []
-        for i, a in enumerate(actions):
-            v = float(self._values[i])
-            slots = []
-            for j in range(c.units_per_bidder):
-                if (i, j) in payments:
-                    p = v - payments[(i, j)]
-                    slots.append(SlotResult(1, p, v, reward(1, p, v)))
-                else:
-                    slots.append(SlotResult(0, 0.0, v, reward(0, 0.0, v)))
-            ep_r = float(sum(s.reward for s in slots))
-            transitions.append(Transition(self.observation(i), a, tuple(slots), ep_r))
+            won[w.bidder_id, w.unit_slot] = True
+            payment[w.bidder_id, w.unit_slot] = w.payment
+        value = self._values[:, None]
+        total = slot_sum(reward(won, value - payment, value))
 
         self._values = None
-        return transitions, outcome
+        return total, won, payment, bids, outcome

@@ -27,36 +27,14 @@ class BidGrid:
     def step(self) -> float:
         return (self.hi - self.lo) / (self.levels - 1)
 
-    def decode(self, level: int) -> float:
-        """Grid index -> bid amount."""
-        if not 0 <= level < self.levels:
-            raise ConfigError(f"bid level {level} outside grid [0, {self.levels - 1}]")
-        return self.lo + level * self.step
-
-    def encode(self, bid: float) -> int:
-        """Bid amount -> nearest grid index."""
-        level = int(round((bid - self.lo) / self.step))
-        if not 0 <= level < self.levels:
-            raise ConfigError(f"bid {bid} outside grid range [{self.lo}, {self.hi}]")
-        return level
+    def decode(self, levels) -> np.ndarray:
+        """Grid indices (an array of any shape) -> bid amounts."""
+        levels = np.asarray(levels)
+        if levels.size and (levels.min() < 0 or levels.max() >= self.levels):
+            raise ConfigError(f"bid level outside grid [0, {self.levels - 1}]")
+        return self.lo + levels * self.step
 
     def highest_level_at_most(self, amount: float) -> int:
         """Largest level whose bid does not exceed `amount` (tolerance 1e-9)."""
         lvl = int(np.floor((amount - self.lo) / self.step + 1e-9))
         return max(0, min(lvl, self.levels - 1))
-
-    def all_bids(self) -> np.ndarray:
-        return self.lo + np.arange(self.levels) * self.step
-
-
-@dataclass(frozen=True)
-class BidAction:
-    """One agent's joint bid as grid levels, canonicalized weakly decreasing."""
-
-    levels: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "levels", tuple(sorted(self.levels, reverse=True)))
-
-    def decode(self, grid: BidGrid) -> tuple[float, ...]:
-        return tuple(grid.decode(l) for l in self.levels)

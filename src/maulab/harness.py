@@ -16,7 +16,7 @@ from maulab.agents.base import Agent, agent_class, hyperparameter_names, make_ag
 from maulab.auction import efficiency_gap, efficiency_ratio
 from maulab.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from maulab.config import ALGOS, LEARNERS, RULES, TOURNAMENT_IDS, ScenarioConfig
-from maulab.env import AuctionEnv, Transition
+from maulab.env import AuctionEnv, slot_sum
 from maulab.metrics import (
     AUCTION_LOG_FIELDS,
     EPISODE_LOG_FIELDS,
@@ -42,39 +42,16 @@ def make_streams(master_seed: int, n_agents: int):
 
 
 def run_episode(env: AuctionEnv, agents: list[Agent], learn: bool = True):
-    """One episode: reset, collect joint bids, clear, deliver transitions."""
+    """One episode: reset, collect each agent's bid levels, clear, deliver
+    each agent its reward. Returns env.step's arrays and the valuations."""
     observations = env.reset()
     valuations = env.valuations()
-    actions = [agent.act(obs, explore=learn) for agent, obs in zip(agents, observations)]
-    transitions, outcome = env.step(actions)
+    levels = [agent.act(obs, explore=learn) for agent, obs in zip(agents, observations)]
+    step = env.step(levels)
     if learn:
-        for agent, tr in zip(agents, transitions):
-            agent.observe(tr)
-    return transitions, outcome, valuations
-
-
-def _episode_row(episode: int, agent_id: int, algo: str, tr: Transition, grid) -> EpisodeLogRow:
-    bids = tr.action.decode(grid)
-    value = tr.per_slot[0].value
-    units = sum(s.success for s in tr.per_slot)
-    payoff = sum(s.payoff for s in tr.per_slot if s.success)
-    payment = sum(s.value - s.payoff for s in tr.per_slot if s.success)
-    return EpisodeLogRow(
-        episode=episode,
-        agent_id=agent_id,
-        algo=algo,
-        value=value,
-        bid1=bids[0],
-        bid2=bids[1] if len(bids) > 1 else bids[0],
-        units_won=int(units),
-        payment_total=float(payment),
-        payoff_total=float(payoff),
-        reward_total=tr.episode_reward,
-        learning_ratio1=learning_ratio(value, bids[0]),
-        learning_ratio2=learning_ratio(value, bids[1] if len(bids) > 1 else bids[0]),
-        bid_ratio1=bid_ratio(value, bids[0]),
-        bid_ratio2=bid_ratio(value, bids[1] if len(bids) > 1 else bids[0]),
-    )
+        for agent, obs, own, r in zip(agents, observations, levels, step[0].tolist()):
+            agent.observe(obs, own, r)
+    return step, valuations
 
 
 def run_session(
@@ -89,10 +66,20 @@ def run_session(
     episode_rows: list[EpisodeLogRow] = []
     auction_rows: list[AuctionLogRow] = []
     K = config.supply
+    second = min(1, config.units_per_bidder - 1)  # a one-slot bidder logs its bid twice
+    algos = [agent.algo for agent in agents]
     for ep in range(episodes):
-        transitions, outcome, valuations = run_episode(env, agents, learn)
-        for agent, aid, tr in zip(agents, agent_ids, transitions):
-            episode_rows.append(_episode_row(ep, aid, agent.algo, tr, env.grid))
+        (rewards, won, payment, bids, outcome), valuations = run_episode(env, agents, learn)
+        value = valuations[:, 0]
+        payoffs = slot_sum(np.where(won, value[:, None] - payment, 0.0))
+        columns = (value, bids[:, 0], bids[:, second], won.sum(axis=1), slot_sum(payment), payoffs, rewards)
+        for aid, algo, v, b1, b2, units, paid, payoff, r in zip(agent_ids, algos, *(c.tolist() for c in columns)):
+            episode_rows.append(
+                EpisodeLogRow(
+                    ep, aid, algo, v, b1, b2, units, paid, payoff, r,
+                    learning_ratio(v, b1), learning_ratio(v, b2), bid_ratio(v, b1), bid_ratio(v, b2),
+                )
+            )
         auction_rows.append(
             AuctionLogRow(
                 episode=ep,

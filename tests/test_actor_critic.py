@@ -1,6 +1,5 @@
 """A2C and PPO update rule tests."""
 
-import types
 
 import numpy as np
 import pytest
@@ -214,11 +213,8 @@ def test_ppo_agent_solves_fixed_target_bandit():
     )
     obs = np.full(2, 0.5)
     for _ in range(50 * 64):
-        action = agent.act(obs)
-        levels, _ = agent._pending
-        r = 1.0 if levels[0] == 3 else 0.0
-        tr = types.SimpleNamespace(observation=obs, action=action, episode_reward=r)
-        agent.observe(tr)
+        levels = agent.act(obs)
+        agent.observe(obs, levels, 1.0 if levels[0] == 3 else 0.0)
     out, _ = forward(agent.actor, obs)
     probs = heads_stats(head_logits(out, 2, 21), np.array([[3, 0]]))[0].probs
     assert probs[0, 0, 3] > 0.5

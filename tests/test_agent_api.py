@@ -14,7 +14,7 @@ from maulab.agents.base import (
     make_agent,
 )
 from maulab.config import ConfigError, ScenarioConfig
-from maulab.grid import BidAction, BidGrid
+from maulab.grid import BidGrid
 
 
 def _config(**kw):
@@ -30,12 +30,10 @@ def test_epsilon_examples():
 
 
 def test_epsilon_schedule_advance():
-    from maulab.env import Transition
-
     agent = make_agent("ql", _config(), np.random.default_rng(0), eps_max=0.5, decay_rate=0.9)
     assert epsilon_at(agent.eps_max, agent.decay_rate, agent.t) == 0.5
     for _ in range(2):
-        agent.observe(Transition(np.full(2, 0.5), BidAction((1, 0)), (), 0.0))
+        agent.observe(np.full(2, 0.5), (1, 0), 0.0)
     assert agent.t == 2
     assert epsilon_at(agent.eps_max, agent.decay_rate, agent.t) == pytest.approx(0.5 * 0.9**2)
 
@@ -113,21 +111,12 @@ def test_grid_decode_examples():
         grid.decode(-1)
 
 
-def test_grid_encode_roundtrip():
-    grid = BidGrid(21, 0.0, 10.0)
-    for level in range(21):
-        assert grid.encode(grid.decode(level)) == level
-    with pytest.raises(ConfigError):
-        grid.encode(10.3)
-
-
 def test_grid_highest_level_at_most():
     grid = BidGrid(21, 0.0, 10.0)
     assert grid.highest_level_at_most(3.49) == 6
     assert grid.highest_level_at_most(3.5) == 7
     assert grid.highest_level_at_most(-1.0) == 0
     assert grid.highest_level_at_most(99.0) == 20
-    assert np.array_equal(grid.all_bids(), np.arange(21) * 0.5)
 
 
 def test_grid_validation():
@@ -135,13 +124,6 @@ def test_grid_validation():
         BidGrid(1, 0.0, 10.0)
     with pytest.raises(ConfigError):
         BidGrid(5, 3.0, 3.0)
-
-
-def test_bid_action_canonicalized():
-    assert BidAction((2, 5)).levels == (5, 2)
-    assert BidAction((5, 2)).levels == (5, 2)
-    grid = BidGrid(21, 0.0, 10.0)
-    assert BidAction((2, 5)).decode(grid) == (2.5, 1.0)
 
 
 def test_joint_action_space_size_and_order():
@@ -174,8 +156,7 @@ def test_random_agent_bids_at_most_value():
     for _ in range(500):
         v = float(rng.uniform(0, 10))
         obs = np.full(2, v / 10.0)
-        action = agent.act(obs)
-        for bid in action.decode(grid):
+        for bid in grid.decode(agent.act(obs)):
             assert bid <= v + 1e-9
 
 
@@ -198,7 +179,7 @@ def test_full_exploration_covers_action_space():
     seen = set()
     obs = np.full(2, 0.5)
     for _ in range(20_000):
-        seen.add(agent.act(obs).levels)
+        seen.add(agent.act(obs))
     assert len(seen) == 231
 
 

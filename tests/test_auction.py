@@ -15,8 +15,6 @@ from maulab.auction import (
     clear_up,
     efficiency_gap,
     efficiency_ratio,
-    rank_bids,
-    revenue,
 )
 
 
@@ -82,9 +80,8 @@ def test_oracle_equivalence_random_instances(rule):
 
 def test_rank_example():
     bids = np.array([[9.0, 7.0], [8.0, 2.0], [5.0, 1.0]])
-    ranked = rank_bids(bids, 4, np.random.default_rng(0))
-    top4 = ranked[:4]
-    assert top4 == [(0, 0), (1, 0), (0, 1), (2, 0)]
+    out = clear_dp(bids, 4, np.random.default_rng(0))
+    assert [(w.bidder_id, w.unit_slot) for w in out.winners] == [(0, 0), (1, 0), (0, 1), (2, 0)]
 
 
 def test_dp_example():
@@ -210,7 +207,7 @@ def test_revenue_dominance_no_ties():
 
 def test_rank_rejects_oversized_k():
     with pytest.raises(ValueError):
-        rank_bids(np.zeros((2, 2)), 5, np.random.default_rng(0))
+        clear_dp(np.zeros((2, 2)), 5, np.random.default_rng(0))
 
 
 def test_efficiency_examples():
@@ -255,7 +252,6 @@ def test_clearing_properties(data, n, rule, seed):
     assert len(out.winners) == K
     assert all(w.payment >= 0.0 for w in out.winners)
     assert out.revenue == sum(w.payment for w in out.winners)
-    assert revenue(out) == out.revenue
     if rule == "dp":
         assert all(w.payment == w.winning_bid for w in out.winners)
     if rule == "up":

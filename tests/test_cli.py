@@ -193,6 +193,23 @@ def test_unknown_hyperparameter_exits_2(tmp_path, capsys, algo, key):
     assert not any(tmp_path.glob("dp_4_*"))
 
 
+@pytest.mark.parametrize("algo, overrides, key", [
+    ("ppo", {"rollout": "64"}, "rollout"),
+    ("dqn", {"batch_size": 0, "warmup": 0}, "batch_size"),
+])
+def test_hyperparameter_type_and_range_exit_2(tmp_path, capsys, algo, overrides, key):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "algo": algo, "auction": "dp", "items": 4, "episodes": 5,
+        "hyperparameters": {algo: overrides},
+    }))
+    assert main(["pretrain", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert algo in err and key in err
+    assert "Traceback" not in err
+    assert not any(tmp_path.glob("dp_4_*"))
+
+
 @pytest.mark.parametrize("key, value", [
     ("items", "x"), ("items", 5), ("algo", "random"), ("auction", "fp"),
     ("episodes", 10.5), ("episodes", "ten"), ("seed", 1.5), ("grid_levels", "x"),

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maulab.config import ConfigError, ScenarioConfig
-from maulab.env import AuctionEnv, reward
-from maulab.grid import BidAction
+from maulab.env import AuctionEnv, reward, slot_sum
 
 
 def _env(rule="dp", supply=4, seed=0, **kw):
@@ -57,6 +56,24 @@ def test_reward_total_and_finite(s, p, v):
         assert r == -0.01
 
 
+def test_reward_elementwise_equals_scalar_calls():
+    rng = np.random.default_rng(4)
+    won = rng.integers(0, 2, size=(50, 3))
+    payoff = rng.uniform(-10, 10, size=(50, 3))
+    value = rng.uniform(0, 10, size=(50, 1))
+    r = reward(won, payoff, value)
+    for i, j in np.ndindex(r.shape):
+        assert r[i, j] == reward(int(won[i, j]), float(payoff[i, j]), float(value[i, 0]))
+
+
+@pytest.mark.parametrize("k", [1, 2, 9])
+def test_slot_sum_adds_like_python_sum(k):
+    # Magnitudes from 1 to 1e16, so that adding in another order changes the last bits.
+    rng = np.random.default_rng(k)
+    a = rng.normal(size=(50, k)) * 10.0 ** rng.integers(0, 17, size=(50, k))
+    assert slot_sum(a).tolist() == [sum(row) for row in a.tolist()]
+
+
 def test_reward_monotone_in_payoff():
     v = 7.0
     ps = np.linspace(-5, 5, 101)
@@ -67,9 +84,8 @@ def test_reward_monotone_in_payoff():
 def test_reset_observation_shape_and_range():
     env = _env()
     obs = env.reset()
-    assert len(obs) == 6
+    assert obs.shape == (6, 2)
     for i, o in enumerate(obs):
-        assert o.shape == (2,)
         assert o[0] == o[1]
         assert 0.0 <= o[0] <= 1.0
         assert env.values[i] == pytest.approx(o[0] * 10.0)
@@ -86,50 +102,65 @@ def test_valuations_matrix():
 def test_step_before_reset_raises():
     env = _env()
     with pytest.raises(RuntimeError):
-        env.step([BidAction((0, 0))] * 6)
+        env.step([(0, 0)] * 6)
 
 
 def test_step_wrong_action_count():
     env = _env()
     env.reset()
     with pytest.raises(ConfigError):
-        env.step([BidAction((0, 0))] * 5)
+        env.step([(0, 0)] * 5)
+    with pytest.raises(ConfigError):
+        env.step([(0, 0)] * 5 + [(0,)])
+    with pytest.raises(ConfigError):
+        env.step([(0, 0, 0)] * 6)
 
 
 def test_step_out_of_grid_level():
     env = _env()
     env.reset()
     with pytest.raises(ConfigError):
-        env.step([BidAction((99, 0))] + [BidAction((0, 0))] * 5)
+        env.step([(99, 0)] + [(0, 0)] * 5)
+    with pytest.raises(ConfigError):
+        env.step([(-1, 0)] + [(0, 0)] * 5)
+
+
+def test_step_canonicalizes_levels():
+    env = _env()
+    env.reset()
+    *_, bids, _ = env.step([(2, 5), (5, 2)] + [(0, 0)] * 4)
+    assert bids[0].tolist() == [2.5, 1.0]
+    assert bids[1].tolist() == [2.5, 1.0]
 
 
 def test_step_transitions_consistent():
     env = _env(rule="up", seed=5)
     env.reset()
     values = env.values.copy()
-    actions = [BidAction((20, 10))] * 3 + [BidAction((4, 2))] * 3
-    transitions, outcome = env.step(actions)
-    assert len(transitions) == 6
-    won = sum(s.success for tr in transitions for s in tr.per_slot)
-    assert won == 4
-    for i, tr in enumerate(transitions):
-        assert tr.episode_reward == pytest.approx(sum(s.reward for s in tr.per_slot))
-        for s in tr.per_slot:
-            assert s.value == pytest.approx(values[i])
-            if not s.success:
-                assert s.reward == -0.01
-    total_payment = sum(
-        s.value - s.payoff for tr in transitions for s in tr.per_slot if s.success
-    )
-    assert total_payment == pytest.approx(outcome.revenue)
+    levels = [(20, 10)] * 3 + [(4, 2)] * 3
+    rewards, won, payment, bids, outcome = env.step(levels)
+    assert rewards.shape == (6,)
+    assert won.shape == payment.shape == bids.shape == (6, 2)
+    assert won.sum() == 4
+    for i in range(6):
+        per_slot = [
+            reward(won[i, j], values[i] - payment[i, j], values[i]) for j in range(2)
+        ]
+        assert rewards[i] == sum(per_slot)
+        for j in range(2):
+            if not won[i, j]:
+                assert per_slot[j] == -0.01
+                assert payment[i, j] == 0.0
+    assert payment.sum() == pytest.approx(outcome.revenue)
+    assert {(w.bidder_id, w.unit_slot) for w in outcome.winners} == set(zip(*np.nonzero(won)))
 
 
 def test_step_consumes_values():
     env = _env()
     env.reset()
-    env.step([BidAction((0, 0))] * 6)
+    env.step([(0, 0)] * 6)
     with pytest.raises(RuntimeError):
-        env.step([BidAction((0, 0))] * 6)
+        env.step([(0, 0)] * 6)
 
 
 def test_value_distribution_uniform():

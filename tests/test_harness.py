@@ -50,11 +50,10 @@ def test_value_stream_no_serial_correlation():
 
 def test_run_episode_allocates_full_supply():
     config, env, agents = _random_session(3, 1)
-    transitions, outcome, valuations = run_episode(env, agents)
+    (rewards, won, payment, bids, outcome), valuations = run_episode(env, agents)
     assert len(outcome.winners) == 4
     assert valuations.shape == (6, 2)
-    total_units = sum(s.success for tr in transitions for s in tr.per_slot)
-    assert total_units == 4
+    assert int(won.sum()) == 4
 
 
 def test_run_session_payments_match_revenue():

@@ -95,15 +95,11 @@ def test_vpg_solves_three_action_bandit():
 
 
 def test_vpg_agent_observe_updates_table():
-    from maulab.env import Transition
-    from maulab.grid import BidAction
-
     config = ScenarioConfig(episodes=100)
     agent = make_agent("vpg", config, np.random.default_rng(5), alpha=0.4)
     obs = np.full(2, 0.31)
-    tr = Transition(obs, BidAction((6, 2)), (), 1.5)
     before = agent.table.copy()
-    agent.observe(tr)
+    agent.observe(obs, (6, 2), 1.5)
     s = agent._bin(obs)
     changed = np.nonzero(np.any(agent.table != before, axis=1))[0]
     assert list(changed) == [s]
@@ -165,21 +161,17 @@ def test_dpg_loss_gradient_finite_difference():
 
 
 def test_dpg_agent_batch_trigger_and_pending_actions():
-    from maulab.env import Transition
-    from maulab.grid import BidAction
-
     config = ScenarioConfig(episodes=100)
     agent = make_agent("dpn", config, np.random.default_rng(9), batch_size=3)
     before = agent.net.flat().copy()
     obs = np.full(2, 0.5)
     for i in range(3):
-        action = agent.act(obs)
-        assert agent._pending is not None
-        # pending keeps the raw sampled head levels even though the
-        # published action is canonicalized
-        assert sorted(agent._pending, reverse=True) == list(action.levels)
-        tr = Transition(obs, action, (), 1.0 if i else -1.0)
-        agent.observe(tr)
+        levels = agent.act(obs)
+        assert len(levels) == 2
+        agent.observe(obs, levels, 1.0 if i else -1.0)
+        if i < 2:
+            # the pending batch keeps the head levels in the order act sampled them
+            assert agent._acts[-1].tolist() == list(levels)
     assert agent.t == 3
     assert len(agent._rews) == 0  # batch consumed
     assert not np.array_equal(agent.net.flat(), before)

@@ -44,21 +44,16 @@ def test_ql_greedy_argmax_and_tie_to_lowest_index():
     obs = np.full(2, 0.5)
     s = agent._bin(obs)
     agent.table[s, 17] = 5.0
-    assert agent.act(obs).levels == agent.actions[17]
+    assert agent.act(obs) == agent.actions[17]
     agent.table[s, :] = 1.0  # full tie
-    assert agent.act(obs).levels == agent.actions[0]
+    assert agent.act(obs) == agent.actions[0]
 
 
 def test_ql_learns_from_transitions():
-    from maulab.env import Transition
-    from maulab.grid import BidAction
-
     config = _config(episodes=100)
     agent = make_agent("ql", config, np.random.default_rng(2), alpha=0.5)
     obs = np.full(2, 0.55)
-    action = BidAction((3, 1))
-    tr = Transition(obs, action, (), 2.0)
-    agent.observe(tr)
+    agent.observe(obs, (3, 1), 2.0)
     s = agent._bin(obs)
     a = agent.action_index[(3, 1)]
     assert agent.table[s, a] == pytest.approx(1.0)
@@ -90,9 +85,6 @@ def test_dqn_overfits_small_buffer():
 
 
 def test_dqn_trains_every_episode_after_warmup():
-    from maulab.env import Transition
-    from maulab.grid import BidAction
-
     config = _config(episodes=100)
     agent = make_agent(
         "dqn",
@@ -106,8 +98,7 @@ def test_dqn_trains_every_episode_after_warmup():
 
     def feed(n):
         for i in range(n):
-            tr = Transition(np.full(2, 0.5), BidAction((2, 1)), (), 1.0)
-            agent.observe(tr)
+            agent.observe(np.full(2, 0.5), (2, 1), 1.0)
 
     feed(2)  # below warmup: no update
     assert agent.train_steps == 0
