@@ -22,6 +22,10 @@ class CheckpointError(IOError):
     """Raised on corrupt, truncated, or version-mismatched checkpoint files."""
 
 
+class MissingCheckpointError(FileNotFoundError):
+    """Raised when a checkpoint named for a run does not exist."""
+
+
 def save_checkpoint(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     header = {
         "kind": kind,

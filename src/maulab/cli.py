@@ -1,8 +1,9 @@
 """Command-line entry points: pretrain, tournament, report.
 
-Exit codes: 0 success, 2 invalid flags, 3 I/O failure, 4 missing checkpoint,
-5 empty or corrupt logs, or a checkpoint that is corrupt or does not fit the
-run's scenario. The default output root comes from MAULAB_OUT.
+Exit codes: 0 success, 2 invalid flags, 3 I/O failure (any other missing or
+unreadable file), 4 missing checkpoint, 5 empty or corrupt logs, or a
+checkpoint that is corrupt or does not fit the run's scenario. The default
+output root comes from MAULAB_OUT.
 """
 
 from __future__ import annotations
@@ -11,19 +12,20 @@ import argparse
 import json
 import os
 import sys
-from operator import itemgetter
 from pathlib import Path
-from typing import get_type_hints
+
+import numpy as np
 
 from maulab.agents.base import check_overrides
-from maulab.checkpoint import CheckpointError
-from maulab.config import LEARNERS, RULES, ConfigError
+from maulab.checkpoint import CheckpointError, MissingCheckpointError
+from maulab.config import ALGOS, LEARNERS, RULES, ConfigError
 from maulab.harness import SUPPLIES, pretrain, pretrain_manifest, tournament
 from maulab.metrics import (
     AUCTION_FIELDS,
-    AuctionLogRow,
+    AUCTION_LOG_FIELDS,
     BIDDER_FIELDS,
-    EpisodeLogRow,
+    EPISODE_LOG_FIELDS,
+    bidder_groups,
     emit_svg,
     format_table,
     read_csv,
@@ -142,9 +144,6 @@ def cmd_tournament(args) -> int:
         if algo not in checkpoints:
             print(f"missing checkpoint for {algo}", file=sys.stderr)
             return 4
-        if not Path(checkpoints[algo]).is_file():
-            print(f"missing checkpoint file: {checkpoints[algo]}", file=sys.stderr)
-            return 4
 
     run_dir = tournament(
         o["auction"], o["items"], checkpoints, o["episodes"], o["seed"], Path(o["out"]),
@@ -154,19 +153,26 @@ def cmd_tournament(args) -> int:
     return 0
 
 
-def _parse_rows(raw, row_cls) -> list:
-    """Log rows from CSV records, each column converted by its field's type."""
-    columns = [map(kind, map(itemgetter(name), raw)) for name, kind in get_type_hints(row_cls).items()]
-    return list(map(row_cls, *columns))
+def _read_log(path: Path, fieldnames, column: str, allowed) -> dict:
+    """A log's columns; raises ValueError unless it holds every column of
+    fieldnames and every text cell of `column` is one of `allowed`."""
+    columns = read_csv(path)
+    missing = [f for f in fieldnames if f not in columns]
+    if missing:
+        raise ValueError(f"{path.name} lacks columns {missing}")
+    unknown = ~np.isin(columns[column], allowed)
+    if unknown.any():
+        raise ValueError(f"{path.name}: unknown {column} values {np.unique(columns[column][unknown]).tolist()}")
+    return columns
 
 
-# Named per log so that a profiler can time the parsing of each.
-def _parse_episode_rows(raw) -> list[EpisodeLogRow]:
-    return _parse_rows(raw, EpisodeLogRow)
+# Named per log so that a profiler can time the reading of each.
+def _parse_episode_rows(path: Path) -> dict:
+    return _read_log(path, EPISODE_LOG_FIELDS, "algo", ALGOS)
 
 
-def _parse_auction_rows(raw) -> list[AuctionLogRow]:
-    return _parse_rows(raw, AuctionLogRow)
+def _parse_auction_rows(path: Path) -> dict:
+    return _read_log(path, AUCTION_LOG_FIELDS, "rule", RULES)
 
 
 def cmd_report(args) -> int:
@@ -181,21 +187,21 @@ def cmd_report(args) -> int:
         print(f"no logs found in {run_dir}", file=sys.stderr)
         return 5
     try:
-        episode_rows = _parse_episode_rows(read_csv(ep_path))
-        auction_rows = _parse_auction_rows(read_csv(au_path))
+        ep = _parse_episode_rows(ep_path)
+        au = _parse_auction_rows(au_path)
         declared = None
         if snapshot.is_file():
             declared = int(json.loads(snapshot.read_text(encoding="utf-8"))["scenario"]["episodes"])
     except (KeyError, TypeError, ValueError) as e:
         print(f"corrupt run directory {run_dir}: {e}", file=sys.stderr)
         return 5
-    if not episode_rows or not auction_rows:
+    if not ep["episode"].size or not au["episode"].size:
         print(f"empty logs in {run_dir}", file=sys.stderr)
         return 5
-    if {r.episode for r in episode_rows} != {r.episode for r in auction_rows}:
+    if not np.array_equal(np.unique(ep["episode"]), np.unique(au["episode"])):
         print(f"corrupt run directory {run_dir}: the two logs cover different episodes", file=sys.stderr)
         return 5
-    n_episodes = max(r.episode for r in auction_rows) + 1
+    n_episodes = int(au["episode"].max()) + 1
     if declared is not None and n_episodes < declared:
         print(
             f"warning: logs cover {n_episodes} of {declared} episodes; reporting on what is available",
@@ -203,31 +209,24 @@ def cmd_report(args) -> int:
         )
 
     out.mkdir(parents=True, exist_ok=True)
-    bidder_table, auction_table = summary_tables(episode_rows, auction_rows)
+    bidder_table, auction_table = summary_tables(ep, au)
     write_csv(bidder_table, out / "table_bidders.csv", BIDDER_FIELDS)
     write_csv(auction_table, out / "table_auctions.csv", AUCTION_FIELDS)
     print(format_table(bidder_table, BIDDER_FIELDS))
     print(format_table(auction_table, AUCTION_FIELDS))
 
     window = args.window
-    by_algo: dict[str, dict[str, list[float]]] = {}
-    for r in episode_rows:
-        key = f"{r.algo} (id {r.agent_id})"
-        d = by_algo.setdefault(key, {"unit 1": [], "unit 2": []})
-        d["unit 1"].append(r.learning_ratio1)
-        d["unit 2"].append(r.learning_ratio2)
-    panes = [
-        (label, {k: rolling_mean(v, window) for k, v in series.items()})
-        for label, series in sorted(by_algo.items())
-    ]
+    curves = {
+        f"{algo} (id {aid})": {
+            "unit 1": rolling_mean(ep["learning_ratio1"][m], window),
+            "unit 2": rolling_mean(ep["learning_ratio2"][m], window),
+        }
+        for aid, algo, m in bidder_groups(ep)
+    }
     figures = {
-        "fig_learning_ratio.svg": panes,
-        "fig_revenue.svg": [
-            ("revenue", {"rolling mean": rolling_mean([r.revenue for r in auction_rows], window)})
-        ],
-        "fig_efficiency.svg": [
-            ("efficiency", {"rolling mean": rolling_mean([r.efficiency_ratio for r in auction_rows], window)})
-        ],
+        "fig_learning_ratio.svg": sorted(curves.items()),
+        "fig_revenue.svg": [("revenue", {"rolling mean": rolling_mean(au["revenue"], window)})],
+        "fig_efficiency.svg": [("efficiency", {"rolling mean": rolling_mean(au["efficiency_ratio"], window)})],
     }
     for name, fig_panes in figures.items():
         emit_svg(fig_panes, out / name)
@@ -269,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-# Most specific first: CheckpointError and FileNotFoundError are OSErrors.
-_EXIT_CODES = ((ConfigError, 2), (FileNotFoundError, 4), (CheckpointError, 5), (OSError, 3))
+# Most specific first: CheckpointError and MissingCheckpointError are OSErrors.
+_EXIT_CODES = ((ConfigError, 2), (MissingCheckpointError, 4), (CheckpointError, 5), (OSError, 3))
 
 
 def main(argv=None) -> int:

@@ -12,20 +12,12 @@ from pathlib import Path
 
 import numpy as np
 
-from maulab.agents.base import Agent, agent_class, hyperparameter_names, make_agent
+from maulab.agents.base import Agent, agent_class, check_overrides, hyperparameter_names, make_agent
 from maulab.auction import efficiency_gap, efficiency_ratio
-from maulab.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from maulab.checkpoint import CheckpointError, MissingCheckpointError, load_checkpoint, save_checkpoint
 from maulab.config import ALGOS, LEARNERS, RULES, TOURNAMENT_IDS, ScenarioConfig
 from maulab.env import AuctionEnv, slot_sum
-from maulab.metrics import (
-    AUCTION_LOG_FIELDS,
-    EPISODE_LOG_FIELDS,
-    AuctionLogRow,
-    EpisodeLogRow,
-    bid_ratio,
-    learning_ratio,
-    write_csv,
-)
+from maulab.metrics import AUCTION_LOG_FIELDS, EPISODE_LOG_FIELDS, bid_ratio, learning_ratio, write_csv
 
 SUPPLIES = (4, 6, 8)
 
@@ -61,36 +53,48 @@ def run_session(
     env: AuctionEnv,
     episodes: int,
     learn: bool = True,
-):
-    """Run `episodes` auctions, returning (episode_rows, auction_rows)."""
-    episode_rows: list[EpisodeLogRow] = []
-    auction_rows: list[AuctionLogRow] = []
-    K = config.supply
-    second = min(1, config.units_per_bidder - 1)  # a one-slot bidder logs its bid twice
-    algos = [agent.algo for agent in agents]
+) -> tuple[dict, dict]:
+    """Run `episodes` auctions, returning the columns of the episode log (one
+    row per agent per episode) and of the auction log (one row per episode)."""
+    n, k, K = len(agents), config.units_per_bidder, config.supply
+    value, reward = np.empty((episodes, n)), np.empty((episodes, n))
+    bids, payment = np.empty((episodes, n, k)), np.empty((episodes, n, k))
+    won = np.empty((episodes, n, k), dtype=bool)
+    revenue, eff_ratio, eff_gap = (np.empty(episodes) for _ in range(3))
     for ep in range(episodes):
-        (rewards, won, payment, bids, outcome), valuations = run_episode(env, agents, learn)
-        value = valuations[:, 0]
-        payoffs = slot_sum(np.where(won, value[:, None] - payment, 0.0))
-        columns = (value, bids[:, 0], bids[:, second], won.sum(axis=1), slot_sum(payment), payoffs, rewards)
-        for aid, algo, v, b1, b2, units, paid, payoff, r in zip(agent_ids, algos, *(c.tolist() for c in columns)):
-            episode_rows.append(
-                EpisodeLogRow(
-                    ep, aid, algo, v, b1, b2, units, paid, payoff, r,
-                    learning_ratio(v, b1), learning_ratio(v, b2), bid_ratio(v, b1), bid_ratio(v, b2),
-                )
-            )
-        auction_rows.append(
-            AuctionLogRow(
-                episode=ep,
-                rule=config.rule,
-                K=K,
-                revenue=outcome.revenue,
-                efficiency_ratio=efficiency_ratio(valuations, outcome, K),
-                efficiency_gap=efficiency_gap(valuations, outcome, K),
-            )
-        )
-    return episode_rows, auction_rows
+        (reward[ep], won[ep], payment[ep], bids[ep], outcome), valuations = run_episode(env, agents, learn)
+        value[ep] = valuations[:, 0]
+        revenue[ep] = outcome.revenue
+        eff_ratio[ep] = efficiency_ratio(valuations, outcome, K)
+        eff_gap[ep] = efficiency_gap(valuations, outcome, K)
+    value, units = value.ravel(), won.sum(axis=2).ravel()
+    bids, won, payment = (a.reshape(episodes * n, k) for a in (bids, won, payment))
+    bid1, bid2 = bids[:, 0], bids[:, min(1, k - 1)]  # a one-slot bidder logs its bid twice
+    episode_columns = {
+        "episode": np.repeat(np.arange(episodes), n),
+        "agent_id": np.tile(np.asarray(agent_ids, dtype=np.int64), episodes),
+        "algo": np.tile([agent.algo for agent in agents], episodes),
+        "value": value,
+        "bid1": bid1,
+        "bid2": bid2,
+        "units_won": units,
+        "payment_total": slot_sum(payment),
+        "payoff_total": slot_sum(np.where(won, value[:, None] - payment, 0.0)),
+        "reward_total": reward.ravel(),
+        "learning_ratio1": learning_ratio(value, bid1),
+        "learning_ratio2": learning_ratio(value, bid2),
+        "bid_ratio1": bid_ratio(value, bid1),
+        "bid_ratio2": bid_ratio(value, bid2),
+    }
+    auction_columns = {
+        "episode": np.arange(episodes),
+        "rule": np.full(episodes, config.rule),
+        "K": np.full(episodes, K),
+        "revenue": revenue,
+        "efficiency_ratio": eff_ratio,
+        "efficiency_gap": eff_gap,
+    }
+    return episode_columns, auction_columns
 
 
 # --- checkpoint lifecycle ---------------------------------------------------
@@ -105,7 +109,8 @@ def load_agent(path, config: ScenarioConfig, rng: np.random.Generator) -> Agent:
     """Build the saved agent from its saved hyperparameters and the scenario,
     then restore its arrays and counters. Meta keys that are not
     hyperparameters or counters (earlier layouts) are ignored; a hyperparameter
-    the file lacks takes the constructor default."""
+    the file lacks takes the constructor default, and the saved ones are
+    checked by type and range as a config file's are."""
     kind, meta, arrays = load_checkpoint(path)
     algo = meta.get("algo")
     if algo not in ALGOS:
@@ -119,6 +124,7 @@ def load_agent(path, config: ScenarioConfig, rng: np.random.Generator) -> Agent:
     if "hidden" in names and "hidden" not in saved and layout is not None:
         saved["hidden"] = layout[1:-1]
     try:
+        check_overrides(algo, saved)
         agent = cls(config, rng, **saved)
         agent.load_payload(meta, arrays)
     except (CheckpointError, TypeError, ValueError) as e:
@@ -132,9 +138,9 @@ def session_dir(out_dir, rule: str, K: int, algo: str, seed: int) -> Path:
     return Path(out_dir) / f"{rule}_{K}_{algo}_{seed}"
 
 
-def _write_logs(run_dir: Path, episode_rows, auction_rows) -> None:
-    write_csv(episode_rows, run_dir / "episodes.csv", EPISODE_LOG_FIELDS)
-    write_csv(auction_rows, run_dir / "auctions.csv", AUCTION_LOG_FIELDS)
+def _write_logs(run_dir: Path, episode_columns: dict, auction_columns: dict) -> None:
+    write_csv(episode_columns, run_dir / "episodes.csv", EPISODE_LOG_FIELDS)
+    write_csv(auction_columns, run_dir / "auctions.csv", AUCTION_LOG_FIELDS)
 
 
 def _write_snapshot(run_dir: Path, snapshot: dict) -> None:
@@ -168,8 +174,7 @@ def pretrain(
 
     run_dir = session_dir(out_dir, rule, K, algo, seed)
     run_dir.mkdir(parents=True, exist_ok=True)
-    episode_rows, auction_rows = run_session(config, agents, agent_ids, env, episodes)
-    _write_logs(run_dir, episode_rows, auction_rows)
+    _write_logs(run_dir, *run_session(config, agents, agent_ids, env, episodes))
 
     ckpt = run_dir / f"{algo}.ckpt"
     save_agent(learner, ckpt)
@@ -223,7 +228,7 @@ def tournament(
             agent = make_agent(algo, config, rng)
         else:
             if not Path(path).is_file():
-                raise FileNotFoundError(f"missing checkpoint for {algo}: {path}")
+                raise MissingCheckpointError(f"missing checkpoint for {algo}: {path}")
             agent = load_agent(path, config, rng)
         agent.frozen = freeze
         agents.append(agent)
@@ -232,10 +237,7 @@ def tournament(
     label = "ppo6" if all_ppo else "tournament"
     run_dir = session_dir(out_dir, rule, K, label, seed)
     run_dir.mkdir(parents=True, exist_ok=True)
-    episode_rows, auction_rows = run_session(
-        config, agents, agent_ids, env, episodes, learn=not freeze
-    )
-    _write_logs(run_dir, episode_rows, auction_rows)
+    _write_logs(run_dir, *run_session(config, agents, agent_ids, env, episodes, learn=not freeze))
     for (aid, algo), agent in zip(roster, agents):
         save_agent(agent, run_dir / f"{algo}_{aid}.ckpt")
     _write_snapshot(

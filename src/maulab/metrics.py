@@ -1,29 +1,31 @@
 """Metrics, CSV logs, summary tables, and SVG figures.
 
-Log rows are flat records; every writer is deterministic (fixed column order,
-6-decimal fixed-point reals, LF line endings) so identical runs produce
-byte-identical files.
+Logs and tables are columns: dicts mapping a column name to a 1-D numpy
+array. Every writer is deterministic (fixed column order, 6-decimal
+fixed-point reals, LF line endings) so identical runs produce byte-identical
+files.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass, fields
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-
-def learning_ratio(value: float, bid: float) -> float:
-    """(value - bid) / value with a zero-value guard. Positive means
-    underbidding (shading), negative overbidding, 0 truthful."""
-    return (value - bid) / max(value, 1e-6)
+# Rows formatted or parsed per call: bounds the memory a long log needs.
+BLOCK_ROWS = 8192
 
 
-def bid_ratio(value: float, bid: float) -> float:
-    """Auxiliary bid/value form of the learning metric."""
-    return bid / max(value, 1e-6)
+def learning_ratio(value, bid):
+    """(value - bid) / value with a zero-value guard, elementwise. Positive
+    means underbidding (shading), negative overbidding, 0 truthful."""
+    return (value - bid) / np.maximum(value, 1e-6)
+
+
+def bid_ratio(value, bid):
+    """Auxiliary bid/value form of the learning metric, elementwise."""
+    return bid / np.maximum(value, 1e-6)
 
 
 def rolling_mean(series, window: int = 1000) -> np.ndarray:
@@ -40,134 +42,67 @@ def rolling_mean(series, window: int = 1000) -> np.ndarray:
     return (c[hi] - c[lo]) / (hi - lo)
 
 
-@dataclass
-class EpisodeLogRow:
-    episode: int
-    agent_id: int
-    algo: str
-    value: float
-    bid1: float
-    bid2: float
-    units_won: int
-    payment_total: float
-    payoff_total: float
-    reward_total: float
-    learning_ratio1: float
-    learning_ratio2: float
-    bid_ratio1: float
-    bid_ratio2: float
-
-
-@dataclass
-class AuctionLogRow:
-    episode: int
-    rule: str
-    K: int
-    revenue: float
-    efficiency_ratio: float
-    efficiency_gap: float
+def sequential_sum(x) -> float:
+    """Sum from 0.0 in index order, as a Python `+=` loop adds (signed zero
+    included); `x.sum()` adds pairwise and can differ in the last bits."""
+    return float(np.cumsum(np.concatenate(([0.0], x)))[-1])
 
 
 # Log columns, in file order (the summary-table columns are BIDDER_FIELDS and
 # AUCTION_FIELDS below).
-EPISODE_LOG_FIELDS = [f.name for f in fields(EpisodeLogRow)]
-AUCTION_LOG_FIELDS = [f.name for f in fields(AuctionLogRow)]
+EPISODE_LOG_FIELDS = [
+    "episode", "agent_id", "algo", "value", "bid1", "bid2", "units_won", "payment_total",
+    "payoff_total", "reward_total", "learning_ratio1", "learning_ratio2", "bid_ratio1", "bid_ratio2",
+]
+AUCTION_LOG_FIELDS = ["episode", "rule", "K", "revenue", "efficiency_ratio", "efficiency_gap"]
+# The numpy type of every log column that is not a real. Text cells hold at
+# most eight characters: every algorithm tag and rule name fits.
+_LOG_TYPES = {"episode": "i8", "agent_id": "i8", "units_won": "i8", "K": "i8", "algo": "U8", "rule": "U8"}
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.6f}"
-    return str(v)
+def write_csv(columns: dict, path, fieldnames) -> None:
+    """CSV of the named columns, in fieldnames order: LF endings, reals with
+    six decimals, everything else as str() writes it."""
+    cols = [np.asarray(columns[f]) for f in fieldnames]
+    fmt = ",".join("%.6f" if c.dtype.kind == "f" else "%s" for c in cols) + "\n"
+    n = len(cols[0]) if cols else 0
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(fieldnames) + "\n")
+        for lo in range(0, n, BLOCK_ROWS):
+            block = (c[lo : lo + BLOCK_ROWS].tolist() for c in cols)
+            fh.writelines(map(fmt.__mod__, zip(*block)))
 
 
-def write_csv(rows, path, fieldnames=None) -> None:
-    """RFC-4180 CSV with LF endings and 6-decimal fixed-point reals."""
-    rows = list(rows)
-    if fieldnames is None:
-        if not rows:
-            raise ValueError("fieldnames required for empty row sets")
-        first = rows[0]
-        if hasattr(first, "__dataclass_fields__"):
-            fieldnames = [f.name for f in fields(first)]
-        else:
-            fieldnames = list(first.keys())
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(fieldnames)
-    for r in rows:
-        if hasattr(r, "__dataclass_fields__"):
-            w.writerow([_fmt(getattr(r, f)) for f in fieldnames])
-        else:
-            w.writerow([_fmt(r[f]) for f in fieldnames])
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+def read_csv(path) -> dict:
+    """The columns of a log that write_csv wrote, each typed by its name.
+
+    Raises ValueError on an unknown column name, a row with the wrong number
+    of cells or a cell that does not parse as its column's type."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        names = fh.readline().rstrip("\n").split(",")
+        unknown = [n for n in names if n not in EPISODE_LOG_FIELDS + AUCTION_LOG_FIELDS]
+        if unknown:
+            raise ValueError(f"{path}: unknown log columns {unknown}")
+        dtype = np.dtype([(n, _LOG_TYPES.get(n, "f8")) for n in names])
+        blocks = [
+            np.loadtxt(lines, delimiter=",", dtype=dtype, comments=None, quotechar=None, ndmin=1)
+            for lines in iter(lambda: list(islice(fh, BLOCK_ROWS)), [])
+        ] or [np.empty(0, dtype)]
+    return {n: np.concatenate([b[n] for b in blocks]) for n in names}
 
 
-def read_csv(path) -> list[dict]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
-
-
-def summary_tables(episode_rows, auction_rows):
-    """Bidder table (ranked by total payoff, ties by bidder id) and auction
-    revenue/efficiency table per (rule, K)."""
-    by_bidder: dict[tuple[int, str], dict] = {}
-    for r in episode_rows:
-        key = (r.agent_id, r.algo)
-        acc = by_bidder.setdefault(
-            key,
-            {"payoff": 0.0, "cost": 0.0, "items": 0, "episodes": 0, "winning_episodes": 0},
-        )
-        acc["payoff"] += r.payoff_total
-        acc["cost"] += r.payment_total
-        acc["items"] += r.units_won
-        acc["episodes"] += 1
-        if r.units_won > 0:
-            acc["winning_episodes"] += 1
-
-    ranked = sorted(by_bidder.items(), key=lambda kv: (-kv[1]["payoff"], kv[0][0]))
-    bidder_table = []
-    for rank, ((aid, algo), acc) in enumerate(ranked, start=1):
-        items = acc["items"]
-        wins = acc["winning_episodes"]
-        eps = acc["episodes"]
-        bidder_table.append(
-            {
-                "rank": rank,
-                "id": aid,
-                "type": algo,
-                "payoff_total": acc["payoff"],
-                "payoff_mean": acc["payoff"] / items if items else 0.0,
-                "cost_mean": acc["cost"] / items if items else 0.0,
-                "items_won": items,
-                "payoff_mean_per_episode": acc["payoff"] / eps if eps else 0.0,
-                "payoff_mean_per_winning_episode": acc["payoff"] / wins if wins else 0.0,
-            }
-        )
-
-    by_auction: dict[tuple[str, int], dict] = {}
-    for r in auction_rows:
-        key = (r.rule, r.K)
-        acc = by_auction.setdefault(key, {"rev": [], "eff": []})
-        acc["rev"].append(r.revenue)
-        acc["eff"].append(r.efficiency_ratio)
-    auction_table = []
-    for (rule, K), acc in sorted(by_auction.items()):
-        rev = np.array(acc["rev"])
-        eff = np.array(acc["eff"])
-        auction_table.append(
-            {
-                "rule": rule,
-                "K": K,
-                "revenue_total": float(rev.sum()),
-                "revenue_mean": float(rev.mean()),
-                "revenue_min": float(rev.min()),
-                "revenue_max": float(rev.max()),
-                "efficiency_mean": float(eff.mean()),
-                "efficiency_min": float(eff.min()),
-                "efficiency_max": float(eff.max()),
-            }
-        )
-    return bidder_table, auction_table
+def bidder_groups(ep: dict) -> list[tuple[int, str, np.ndarray]]:
+    """(agent_id, algo, row mask) per bidder of an episode log, by id then algo."""
+    aid, algo = ep["agent_id"], ep["algo"]
+    groups = []
+    for i in np.unique(aid).tolist():
+        rest = aid == i
+        while rest.any():
+            a = algo[rest.argmax()]
+            m = rest & (algo == a)
+            groups.append((i, str(a), m))
+            rest &= ~m
+    return sorted(groups, key=lambda g: g[:2])
 
 
 BIDDER_FIELDS = [
@@ -194,9 +129,55 @@ AUCTION_FIELDS = [
 ]
 
 
-def format_table(rows, fieldnames) -> str:
-    """Aligned plain-text table."""
-    cells = [[_fmt(r[f]) for f in fieldnames] for r in rows]
+def _columns(rows: list[dict], fieldnames) -> dict:
+    return {f: np.array([r[f] for r in rows]) for f in fieldnames}
+
+
+def summary_tables(ep: dict, au: dict) -> tuple[dict, dict]:
+    """Bidder table (ranked by total payoff, ties by bidder id) and auction
+    revenue/efficiency table per (rule, K), both as columns."""
+    bidders = []
+    for aid, algo, m in bidder_groups(ep):
+        units = ep["units_won"][m]
+        payoff = sequential_sum(ep["payoff_total"][m])
+        cost = sequential_sum(ep["payment_total"][m])
+        items = int(units.sum())
+        wins = int(np.count_nonzero(units > 0))
+        bidders.append(
+            {
+                "id": aid,
+                "type": algo,
+                "payoff_total": payoff,
+                "payoff_mean": payoff / items if items else 0.0,
+                "cost_mean": cost / items if items else 0.0,
+                "items_won": items,
+                "payoff_mean_per_episode": payoff / units.size,
+                "payoff_mean_per_winning_episode": payoff / wins if wins else 0.0,
+            }
+        )
+    bidders.sort(key=lambda b: (-b["payoff_total"], b["id"]))
+    for rank, b in enumerate(bidders, start=1):
+        b["rank"] = rank
+
+    auctions = []
+    for rule in np.unique(au["rule"]).tolist():
+        of_rule = au["rule"] == rule
+        for K in np.unique(au["K"][of_rule]).tolist():
+            m = of_rule & (au["K"] == K)
+            rev, eff = au["revenue"][m], au["efficiency_ratio"][m]
+            stats = (rev.sum(), rev.mean(), rev.min(), rev.max(), eff.mean(), eff.min(), eff.max())
+            auctions.append(dict(zip(AUCTION_FIELDS, (rule, K, *map(float, stats)))))
+    return _columns(bidders, BIDDER_FIELDS), _columns(auctions, AUCTION_FIELDS)
+
+
+def _fmt(v) -> str:
+    return f"{v:.6f}" if isinstance(v, float) else str(v)
+
+
+def format_table(columns: dict, fieldnames) -> str:
+    """Aligned plain-text table of the named columns."""
+    rows = zip(*(np.asarray(columns[f]).tolist() for f in fieldnames))
+    cells = [[_fmt(v) for v in row] for row in rows]
     widths = [max(len(f), *(len(c[i]) for c in cells)) if cells else len(f) for i, f in enumerate(fieldnames)]
     lines = ["  ".join(f.ljust(w) for f, w in zip(fieldnames, widths))]
     lines.append("  ".join("-" * w for w in widths))
@@ -207,6 +188,8 @@ def format_table(rows, fieldnames) -> str:
 
 # --- SVG line charts --------------------------------------------------------
 
+# Points drawn per polyline; the axes and the episode count use the full series.
+MAX_POLYLINE_POINTS = 2000
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
 
 
@@ -220,17 +203,20 @@ def _pane_svg(x0: float, y0: float, w: float, h: float, title: str, series: dict
         f'<line x1="{px:.1f}" y1="{py:.1f}" x2="{px:.1f}" y2="{py + ph:.1f}" stroke="#000" stroke-width="1"/>',
         f'<line x1="{px:.1f}" y1="{py + ph:.1f}" x2="{px + pw:.1f}" y2="{py + ph:.1f}" stroke="#000" stroke-width="1"/>',
     ]
-    all_vals = [v for s in series.values() for v in np.asarray(s, dtype=float)] or [0.0]
-    lo, hi = float(min(all_vals)), float(max(all_vals))
+    arrays = {label: np.asarray(s, dtype=float) for label, s in series.items()}
+    filled = [a for a in arrays.values() if a.size]
+    lo = min((float(a.min()) for a in filled), default=0.0)
+    hi = max((float(a.max()) for a in filled), default=0.0)
     if hi - lo < 1e-12:
         lo, hi = lo - 1.0, hi + 1.0
-    n = max((len(np.asarray(s)) for s in series.values()), default=1)
-    for ci, (label, s) in enumerate(sorted(series.items())):
-        arr = np.asarray(s, dtype=float)
+    n = max((a.size for a in arrays.values()), default=1)
+    for ci, (label, arr) in enumerate(sorted(arrays.items())):
         if arr.size == 0:
             continue
-        xs = px + pw * (np.arange(arr.size) / max(arr.size - 1, 1))
-        ys = py + ph * (1.0 - (arr - lo) / (hi - lo))
+        # At most MAX_POLYLINE_POINTS evenly spaced points, the first and last kept.
+        idx = np.linspace(0, arr.size - 1, min(arr.size, MAX_POLYLINE_POINTS)).round().astype(np.intp)
+        xs = px + pw * (idx / max(arr.size - 1, 1))
+        ys = py + ph * (1.0 - (arr[idx] - lo) / (hi - lo))
         pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
         color = _COLORS[ci % len(_COLORS)]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1"/>')

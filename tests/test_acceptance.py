@@ -299,8 +299,9 @@ def test_criterion_4_up_first_unit_truthfulness():
 # --- criterion 5: learning improvement ----------------------------------------
 
 def _learner_payoffs(run_dir):
-    rows = [r for r in read_csv(run_dir / "episodes.csv") if r["agent_id"] == "1"]
-    return rows, np.array([float(r["payoff_total"]) for r in rows])
+    ep = read_csv(run_dir / "episodes.csv")
+    mine = ep["agent_id"] == 1
+    return {name: col[mine] for name, col in ep.items()}, ep["payoff_total"][mine]
 
 
 def _random_baseline(seed, episodes):
@@ -308,8 +309,8 @@ def _random_baseline(seed, episodes):
     value_rng, tie_rng, agent_rngs = make_streams(seed, config.n_bidders)
     env = AuctionEnv(config, value_rng, tie_rng)
     agents = [make_agent("random", config, r) for r in agent_rngs]
-    ep_rows, _ = run_session(config, agents, list(range(1, 7)), env, episodes)
-    pay = np.array([r.payoff_total for r in ep_rows if r.agent_id == 1])
+    ep, _ = run_session(config, agents, list(range(1, 7)), env, episodes)
+    pay = ep["payoff_total"][ep["agent_id"] == 1]
     return float(pay[-1000:].mean())
 
 
@@ -325,8 +326,8 @@ def test_criterion_5_learning_improvement(tmp_path):
     ckpt = pretrain("ppo", "dp", 4, 20_000, 42, tmp_path / "ppo")
     rows, pay = _learner_payoffs(ckpt.parent)
     first, last = float(pay[:1000].mean()), float(pay[-1000:].mean())
-    lr1 = rolling_mean([float(r["learning_ratio1"]) for r in rows], 1000)[-1]
-    lr2 = rolling_mean([float(r["learning_ratio2"]) for r in rows], 1000)[-1]
+    lr1 = rolling_mean(rows["learning_ratio1"], 1000)[-1]
+    lr2 = rolling_mean(rows["learning_ratio2"], 1000)[-1]
     ppo_ok = last >= 1.5 * first and 0.0 < lr1 < 1.0 and 0.0 < lr2 < 1.0
 
     baseline = _random_baseline(seed=11, episodes=2000)
@@ -363,16 +364,14 @@ def test_criterion_6_accounting_invariants():
         env = AuctionEnv(config, value_rng, tie_rng)
         agents = [make_agent("ql", config, agent_rngs[0]), make_agent("vpg", config, agent_rngs[1])]
         agents += [make_agent("random", config, r) for r in agent_rngs[2:]]
-        ep_rows, au_rows = run_session(config, agents, list(range(1, 7)), env, 300)
-        by_ep = {}
-        for r in ep_rows:
-            by_ep.setdefault(r.episode, []).append(r)
-        for a in au_rows:
-            paid = sum(r.payment_total for r in by_ep[a.episode])
-            worst = max(worst, abs(paid - a.revenue))
-            ok &= abs(paid - a.revenue) < 1e-9
-            ok &= sum(r.units_won for r in by_ep[a.episode]) == 4
-            ok &= 0.0 <= a.efficiency_ratio <= 1.0
+        ep, au = run_session(config, agents, list(range(1, 7)), env, 300)
+        for e, revenue, eff in zip(au["episode"], au["revenue"], au["efficiency_ratio"]):
+            rows = ep["episode"] == e
+            paid = sum(ep["payment_total"][rows].tolist())
+            worst = max(worst, abs(paid - revenue))
+            ok &= abs(paid - revenue) < 1e-9
+            ok &= int(ep["units_won"][rows].sum()) == 4
+            ok &= 0.0 <= eff <= 1.0
     # efficiency hits exactly 1 when the allocation matches a top-K multiset
     rng = np.random.default_rng(66)
     for _ in range(100):
@@ -434,8 +433,7 @@ def test_criterion_8_directional_report(tmp_path):
     for rule, K in (("dp", 4), ("up", 4), ("dp", 8), ("gsp", 8), ("up", 8)):
         run_dir = tournament(rule, K, {}, episodes, 8, tmp_path)
         au = read_csv(run_dir / "auctions.csv")
-        eff = np.array([float(r["efficiency_ratio"]) for r in au])
-        rev = np.array([float(r["revenue"]) for r in au])
+        eff, rev = au["efficiency_ratio"], au["revenue"]
         results[(rule, K)] = {
             "eff_mean": float(eff.mean()),
             "eff_ci": 1.96 * float(eff.std(ddof=1)) / np.sqrt(eff.size),

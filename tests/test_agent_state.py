@@ -99,8 +99,8 @@ def test_resume_at_update_boundary_equals_uninterrupted_run(tmp_path, algo):
         agents += [make_agent("random", config, r) for r in agent_rngs[1:]]
         return AuctionEnv(config, value_rng, tie_rng), agents
 
-    def bids(rows):
-        return [(r.agent_id, r.bid1, r.bid2, r.reward_total) for r in rows]
+    def bids(ep):
+        return list(zip(*(ep[c].tolist() for c in ("agent_id", "bid1", "bid2", "reward_total"))))
 
     ids = list(range(1, 7))
     env, agents = start()

@@ -292,3 +292,93 @@ def test_report_logs_covering_different_episodes_exit_5(tmp_path, capsys):
     assert main(["report", "--run", str(run), "--out", str(tmp_path / "rep")]) == 5
     assert "corrupt run directory" in capsys.readouterr().err
     assert not (tmp_path / "rep").exists()
+
+
+def _exit_case(code, tmp_path):
+    """argv for a command that must exit with `code`."""
+    if code == 0:
+        return ["pretrain", "--algo", "ql", "--auction", "dp", "--items", "4", "--episodes", "3",
+                "--out", str(tmp_path)]
+    if code == 2:
+        return ["pretrain", "--config", str(tmp_path / "missing.json")]
+    if code == 3:
+        (tmp_path / "file").write_text("not a directory\n")
+        return ["pretrain", "--algo", "ql", "--auction", "dp", "--items", "4", "--episodes", "3",
+                "--out", str(tmp_path / "file" / "runs")]
+    if code == 4:
+        return ["tournament", "--auction", "dp", "--items", "4", "--episodes", "3", "--all-ppo",
+                "--ckpt", f"ppo={tmp_path / 'missing.ckpt'}", "--out", str(tmp_path)]
+    (tmp_path / "bad.ckpt").write_bytes(b"MAUL" + bytes(60))
+    return ["tournament", "--auction", "dp", "--items", "4", "--episodes", "3", "--all-ppo",
+            "--ckpt", f"ppo={tmp_path / 'bad.ckpt'}", "--out", str(tmp_path)]
+
+
+@pytest.mark.parametrize("code", [0, 2, 3, 4, 5])
+def test_documented_exit_codes(tmp_path, capsys, code):
+    assert main(_exit_case(code, tmp_path)) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_missing_file_other_than_a_checkpoint_exits_3(tmp_path, capsys, monkeypatch):
+    import maulab.cli
+
+    def vanish(*args, **kwargs):
+        raise FileNotFoundError(2, "No such file or directory", str(tmp_path / "gone"))
+
+    monkeypatch.setattr(maulab.cli, "pretrain", vanish)
+    assert main(_exit_case(0, tmp_path)) == 3
+    assert "gone" in capsys.readouterr().err
+
+
+def test_checkpoint_with_out_of_range_hyperparameter_exits_5(tmp_path, capsys, grid_checkpoints):
+    """A checkpoint written before hyperparameters were range-checked."""
+    from maulab.checkpoint import load_checkpoint, save_checkpoint
+
+    kind, meta, arrays = load_checkpoint(grid_checkpoints("dqn"))
+    bad = tmp_path / "dqn.ckpt"
+    save_checkpoint(bad, kind, dict(meta, batch_size=0, warmup=0), arrays)
+    ckpts = {a: grid_checkpoints(a) for a in ("ppo", "a2c", "dpn", "ql", "vpg")}
+    code = main([
+        "tournament", "--auction", "dp", "--items", "4", "--episodes", "5",
+        *[x for algo, path in {**ckpts, "dqn": bad}.items() for x in ("--ckpt", f"{algo}={path}")],
+        "--out", str(tmp_path / "tour"),
+    ])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert str(bad) in err and "batch_size" in err and "Traceback" not in err
+    assert not (tmp_path / "tour").exists()
+
+
+def _drop_column(text, name):
+    rows = [line.split(",") for line in text.splitlines()]
+    i = rows[0].index(name)
+    return "".join(",".join(r[:i] + r[i + 1:]) + "\n" for r in rows)
+
+
+def _set_cell(text, row, name, value):
+    rows = [line.split(",") for line in text.splitlines()]
+    rows[row + 1][rows[0].index(name)] = value
+    return "".join(",".join(r) + "\n" for r in rows)
+
+
+def _short_row(text):
+    lines = text.splitlines(keepends=True)
+    lines[2] = lines[2].rsplit(",", 1)[0] + "\n"
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("damage", [
+    _short_row,
+    lambda t: _set_cell(t, 3, "value", "abc"),
+    lambda t: _drop_column(t, "bid2"),
+    lambda t: _set_cell(t, 3, "algo", "mystery"),
+    lambda t: "",
+], ids=["ragged_row", "non_numeric", "missing_column", "unknown_algo", "empty_file"])
+def test_report_malformed_episode_log_exits_5(tmp_path, capsys, damage):
+    assert _pretrain(tmp_path, episodes=5) == 0
+    log = tmp_path / "dp_4_ql_1" / "episodes.csv"
+    log.write_text(damage(log.read_text()))
+    assert main(["report", "--run", str(log.parent), "--out", str(tmp_path / "rep")]) == 5
+    err = capsys.readouterr().err
+    assert "corrupt run directory" in err and "Traceback" not in err
+    assert not (tmp_path / "rep").exists()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from maulab.agents.base import make_agent
-from maulab.checkpoint import CheckpointError, save_checkpoint
+from maulab.checkpoint import CheckpointError, MissingCheckpointError, save_checkpoint
 from maulab.config import ScenarioConfig
 from maulab.env import AuctionEnv
 from maulab.harness import (
@@ -58,18 +58,14 @@ def test_run_episode_allocates_full_supply():
 
 def test_run_session_payments_match_revenue():
     config, env, agents = _random_session(5, 50, rule="gsp")
-    ep_rows, au_rows = run_session(config, agents, list(range(1, 7)), env, 50)
-    assert len(au_rows) == 50
-    assert len(ep_rows) == 300
-    by_episode = {}
-    for r in ep_rows:
-        by_episode.setdefault(r.episode, []).append(r)
-    for a in au_rows:
-        paid = sum(r.payment_total for r in by_episode[a.episode])
-        assert paid == pytest.approx(a.revenue, abs=1e-9)
-        units = sum(r.units_won for r in by_episode[a.episode])
-        assert units == 4
-        assert 0.0 <= a.efficiency_ratio <= 1.0
+    ep, au = run_session(config, agents, list(range(1, 7)), env, 50)
+    assert au["episode"].size == 50
+    assert ep["episode"].size == 300
+    for e, revenue, eff in zip(au["episode"], au["revenue"], au["efficiency_ratio"]):
+        rows = ep["episode"] == e
+        assert sum(ep["payment_total"][rows].tolist()) == pytest.approx(revenue, abs=1e-9)
+        assert int(ep["units_won"][rows].sum()) == 4
+        assert 0.0 <= eff <= 1.0
 
 
 def test_identical_seeds_replay_identically(tmp_path):
@@ -97,9 +93,9 @@ def test_pretrain_writes_run_directory(tmp_path):
     assert (run_dir / "episodes.csv").is_file()
     assert (run_dir / "auctions.csv").is_file()
     assert (run_dir / "config.json").is_file()
-    rows = read_csv(run_dir / "episodes.csv")
-    assert len(rows) == 30 * 6
-    assert {r["algo"] for r in rows} == {"vpg", "random"}
+    ep = read_csv(run_dir / "episodes.csv")
+    assert ep["episode"].size == 30 * 6
+    assert set(ep["algo"].tolist()) == {"vpg", "random"}
 
 
 def test_pretrain_manifest_grid():
@@ -141,8 +137,9 @@ def test_tournament_resumes_checkpoints_and_freeze(tmp_path):
 
 def test_tournament_missing_checkpoint_raises(tmp_path):
     ckpts = {"ppo": str(tmp_path / "nope.ckpt")}
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(MissingCheckpointError):
         tournament("dp", 4, ckpts, 1, 0, tmp_path, all_ppo=True)
+    assert not any(tmp_path.iterdir())
 
 
 def test_load_agent_rejects_unknown_algo(tmp_path):

@@ -1,21 +1,26 @@
 """Metric formulas, log serialization, summary tables, and figures."""
 
+import re
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 from maulab.metrics import (
     AUCTION_FIELDS,
+    AUCTION_LOG_FIELDS,
     BIDDER_FIELDS,
-    AuctionLogRow,
-    EpisodeLogRow,
+    BLOCK_ROWS,
+    EPISODE_LOG_FIELDS,
+    MAX_POLYLINE_POINTS,
     bid_ratio,
     emit_svg,
     format_table,
     learning_ratio,
     read_csv,
     rolling_mean,
+    sequential_sum,
     summary_tables,
     write_csv,
 )
@@ -49,111 +54,212 @@ def test_rolling_mean_edge_cases():
         rolling_mean([1.0], window=0)
 
 
-def _episode_row(episode, agent_id, algo, payoff, units, payment=0.0):
-    return EpisodeLogRow(
-        episode=episode,
-        agent_id=agent_id,
-        algo=algo,
-        value=5.0,
-        bid1=4.0,
-        bid2=3.0,
-        units_won=units,
-        payment_total=payment,
-        payoff_total=payoff,
-        reward_total=payoff / 5.0,
-        learning_ratio1=0.2,
-        learning_ratio2=0.4,
-        bid_ratio1=0.8,
-        bid_ratio2=0.6,
-    )
+def _episode_log(rows):
+    """Episode-log columns from (episode, agent_id, algo, payoff, units, payment)
+    rows; the other columns hold fixed values."""
+    episode, agent_id, algo, payoff, units, payment = zip(*rows)
+    n = len(rows)
+    return {
+        "episode": np.array(episode),
+        "agent_id": np.array(agent_id),
+        "algo": np.array(algo),
+        "value": np.full(n, 5.0),
+        "bid1": np.full(n, 4.0),
+        "bid2": np.full(n, 3.0),
+        "units_won": np.array(units),
+        "payment_total": np.array(payment, dtype=float),
+        "payoff_total": np.array(payoff, dtype=float),
+        "reward_total": np.array(payoff, dtype=float) / 5.0,
+        "learning_ratio1": np.full(n, 0.2),
+        "learning_ratio2": np.full(n, 0.4),
+        "bid_ratio1": np.full(n, 0.8),
+        "bid_ratio2": np.full(n, 0.6),
+    }
+
+
+def _auction_log(rows):
+    """Auction-log columns from (episode, rule, K, revenue, efficiency_ratio,
+    efficiency_gap) rows."""
+    return {name: np.array(col) for name, col in zip(AUCTION_LOG_FIELDS, zip(*rows))}
 
 
 def test_summary_tables_ranking_and_means():
-    ep_rows = [
-        _episode_row(0, 1, "ppo", payoff=6.0, units=2, payment=4.0),
-        _episode_row(1, 1, "ppo", payoff=0.0, units=0),
-        _episode_row(0, 2, "ql", payoff=3.0, units=1, payment=2.0),
-        _episode_row(1, 2, "ql", payoff=2.0, units=2, payment=1.0),
-        _episode_row(0, 3, "vpg", payoff=6.0, units=3, payment=3.0),
-        _episode_row(1, 3, "vpg", payoff=0.0, units=0),
-    ]
-    au_rows = [
-        AuctionLogRow(0, "dp", 4, revenue=9.0, efficiency_ratio=0.9, efficiency_gap=1.0),
-        AuctionLogRow(1, "dp", 4, revenue=3.0, efficiency_ratio=1.0, efficiency_gap=0.0),
-    ]
-    bidders, auctions = summary_tables(ep_rows, au_rows)
+    ep = _episode_log([
+        (0, 1, "ppo", 6.0, 2, 4.0),
+        (1, 1, "ppo", 0.0, 0, 0.0),
+        (0, 2, "ql", 3.0, 1, 2.0),
+        (1, 2, "ql", 2.0, 2, 1.0),
+        (0, 3, "vpg", 6.0, 3, 3.0),
+        (1, 3, "vpg", 0.0, 0, 0.0),
+    ])
+    au = _auction_log([(0, "dp", 4, 9.0, 0.9, 1.0), (1, "dp", 4, 3.0, 1.0, 0.0)])
+    bidders, auctions = summary_tables(ep, au)
     # payoff ties between ids 1 and 3 resolve by lower id first
-    assert [b["id"] for b in bidders] == [1, 3, 2]
-    assert [b["rank"] for b in bidders] == [1, 2, 3]
-    top = bidders[0]
-    assert top["payoff_total"] == 6.0
-    assert top["payoff_mean"] == pytest.approx(3.0)  # per item won
-    assert top["cost_mean"] == pytest.approx(2.0)
-    assert top["payoff_mean_per_episode"] == pytest.approx(3.0)
-    assert top["payoff_mean_per_winning_episode"] == pytest.approx(6.0)
-    assert auctions == [
-        {
-            "rule": "dp",
-            "K": 4,
-            "revenue_total": 12.0,
-            "revenue_mean": 6.0,
-            "revenue_min": 3.0,
-            "revenue_max": 9.0,
-            "efficiency_mean": pytest.approx(0.95),
-            "efficiency_min": 0.9,
-            "efficiency_max": 1.0,
-        }
-    ]
+    assert bidders["id"].tolist() == [1, 3, 2]
+    assert bidders["rank"].tolist() == [1, 2, 3]
+    assert bidders["payoff_total"][0] == 6.0
+    assert bidders["payoff_mean"][0] == pytest.approx(3.0)  # per item won
+    assert bidders["cost_mean"][0] == pytest.approx(2.0)
+    assert bidders["payoff_mean_per_episode"][0] == pytest.approx(3.0)
+    assert bidders["payoff_mean_per_winning_episode"][0] == pytest.approx(6.0)
+    assert {k: v.tolist() for k, v in auctions.items()} == {
+        "rule": ["dp"],
+        "K": [4],
+        "revenue_total": [12.0],
+        "revenue_mean": [6.0],
+        "revenue_min": [3.0],
+        "revenue_max": [9.0],
+        "efficiency_mean": [pytest.approx(0.95)],
+        "efficiency_min": [0.9],
+        "efficiency_max": [1.0],
+    }
 
 
 def test_summary_tables_zero_items_bidder():
-    ep_rows = [_episode_row(0, 1, "ql", payoff=0.0, units=0)]
-    au_rows = [AuctionLogRow(0, "dp", 4, 0.0, 1.0, 0.0)]
-    bidders, _ = summary_tables(ep_rows, au_rows)
-    assert bidders[0]["payoff_mean"] == 0.0
-    assert bidders[0]["payoff_mean_per_winning_episode"] == 0.0
+    ep = _episode_log([(0, 1, "ql", 0.0, 0, 0.0)])
+    au = _auction_log([(0, "dp", 4, 0.0, 1.0, 0.0)])
+    bidders, _ = summary_tables(ep, au)
+    assert bidders["payoff_mean"][0] == 0.0
+    assert bidders["payoff_mean_per_winning_episode"][0] == 0.0
+
+
+def test_summary_tables_add_in_log_order():
+    # Pairwise summation (numpy's x.sum()) and a Python += loop disagree here.
+    payoffs = [1e16, 1.0, -1e16, 1.0] * 8 + [0.1] * 9
+    assert sum(payoffs) != np.array(payoffs).sum()
+    ep = _episode_log([(i, 1, "ppo", p, 1, p) for i, p in enumerate(payoffs)])
+    au = _auction_log([(i, "dp", 4, 1.0, 1.0, 0.0) for i in range(len(payoffs))])
+    bidders, _ = summary_tables(ep, au)
+    acc = 0.0
+    for p in payoffs:
+        acc += p
+    assert bidders["payoff_total"][0] == acc
+    assert bidders["cost_mean"][0] == acc / len(payoffs)
+
+
+def test_sequential_sum_keeps_signed_zero():
+    for x in ([], [-0.0], [-0.0, -0.0], [0.0, -0.0], [1e-300, -1e-300]):
+        acc = 0.0
+        for v in x:
+            acc += v
+        got = sequential_sum(np.array(x, dtype=float))
+        assert got == acc and np.signbit(got) == np.signbit(acc)
 
 
 def test_write_csv_fixed_point_and_lf(tmp_path):
     path = tmp_path / "x.csv"
-    rows = [{"a": 1, "b": 0.123456789, "c": "txt"}]
-    write_csv(rows, path)
+    columns = {"a": np.array([1]), "b": np.array([0.123456789]), "c": np.array(["txt"])}
+    write_csv(columns, path, ["a", "b", "c"])
     raw = path.read_bytes()
     assert b"\r" not in raw
     assert raw.decode() == "a,b,c\n1,0.123457,txt\n"
 
 
+# Rounding edge cases: signed zeros, values either side of half a unit in the
+# sixth decimal, exact binary halves and large magnitudes.
+EDGE_REALS = [
+    0.0, -0.0, 5e-7, -5e-7, 4.9999999e-7, 5.0000001e-7, 1e-7, -1e-7, 0.0000005, 0.0000015,
+    0.0000025, 0.5, 2.5, 0.1234565, 0.1234575, 1.0000005, 2 ** -20, -(2 ** -21), 1e15, -1e15,
+    123456789.1234565, 1e300, 2.0 ** 70, 7.0, -3.25,
+]
+
+
+def test_write_csv_matches_per_cell_reference(tmp_path):
+    n = len(EDGE_REALS)
+    columns = {
+        "i": np.arange(n) - 3,
+        "x": np.array(EDGE_REALS),
+        "s": np.array(["ppo", "random", "dp", "up", "gsp"] * 5),
+    }
+    path = tmp_path / "edge.csv"
+    write_csv(columns, path, ["s", "x", "i"])
+    want = "s,x,i\n" + "".join(
+        f"{s},{x:.6f},{i}\n" for s, x, i in zip(columns["s"].tolist(), EDGE_REALS, columns["i"].tolist())
+    )
+    assert path.read_text() == want
+    assert "-0.000000" in want and "0.000001" in want  # the cases above really differ
+
+
+def test_write_csv_spans_blocks(tmp_path):
+    n = 2 * BLOCK_ROWS + 5
+    x = np.random.default_rng(0).normal(size=n)
+    write_csv({"k": np.arange(n), "x": x}, tmp_path / "b.csv", ["k", "x"])
+    lines = (tmp_path / "b.csv").read_text().splitlines()
+    assert len(lines) == n + 1
+    assert lines[-1] == f"{n - 1},{x[-1]:.6f}"
+
+
+def test_read_csv_matches_float(tmp_path):
+    rng = np.random.default_rng(3)
+    n = 5000
+    values = rng.uniform(-20, 20, n) * 10.0 ** rng.integers(-8, 8, n)
+    lines = ["episode,revenue,rule"] + [f"{i},{v:.6f},gsp" for i, v in enumerate(values)]
+    lines += [f"{n},{t},dp" for t in ("-0.000000", "0.000000", "1e300", "123456789.123457")]
+    (tmp_path / "au.csv").write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = read_csv(tmp_path / "au.csv")
+    want = [float(line.split(",")[1]) for line in lines[1:]]
+    assert got["revenue"].tolist() == want
+    assert np.signbit(got["revenue"][-4]) and not np.signbit(got["revenue"][-3])
+    assert got["episode"].dtype == np.int64 and got["rule"][-1] == "dp"
+
+
+def test_read_csv_no_warning_at_block_boundary(tmp_path):
+    for n in (0, BLOCK_ROWS, 2 * BLOCK_ROWS):
+        path = tmp_path / f"{n}.csv"
+        write_csv({"episode": np.arange(n), "K": np.full(n, 4)}, path, ["episode", "K"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = read_csv(path)
+        assert got["episode"].tolist() == list(range(n))
+
+
+@pytest.mark.parametrize("text", [
+    "episode,K\n0,4\n1\n",  # a short row
+    "episode,K\n0,4,4\n",  # a long row
+    "episode,K\n0,four\n",  # a non-numeric cell
+    "episode,K\n0,\n",  # an empty cell
+    "episode,bogus\n0,1\n",  # an unknown column
+])
+def test_read_csv_rejects_malformed_logs(tmp_path, text):
+    (tmp_path / "bad.csv").write_text(text)
+    with pytest.raises(ValueError):
+        read_csv(tmp_path / "bad.csv")
+
+
 def test_csv_roundtrip(tmp_path):
     path = tmp_path / "x.csv"
-    rows = [_episode_row(i, 1, "ppo", payoff=float(i), units=1) for i in range(5)]
-    write_csv(rows, path)
+    ep = _episode_log([(i, 1, "ppo", float(i), 1, 0.0) for i in range(5)])
+    write_csv(ep, path, EPISODE_LOG_FIELDS)
     back = read_csv(path)
-    assert len(back) == 5
-    assert back[3]["payoff_total"] == "3.000000"
-    assert back[3]["algo"] == "ppo"
+    assert list(back) == EPISODE_LOG_FIELDS
+    assert back["episode"].size == 5
+    assert back["payoff_total"][3] == 3.0
+    assert back["algo"][3] == "ppo"
+    for name in EPISODE_LOG_FIELDS:
+        assert back[name].tolist() == ep[name].tolist()
 
 
 def test_write_csv_empty_needs_fieldnames(tmp_path):
     path = tmp_path / "x.csv"
-    with pytest.raises(ValueError):
-        write_csv([], path)
-    write_csv([], path, fieldnames=["a", "b"])
+    with pytest.raises(TypeError):
+        write_csv({}, path)
+    write_csv({"a": np.empty(0), "b": np.empty(0, dtype=int)}, path, ["a", "b"])
     assert path.read_text() == "a,b\n"
 
 
 def test_write_csv_100k_rows_fast(tmp_path):
-    rows = [
-        {"episode": i, "x": i * 0.5, "y": -i * 0.25}
-        for i in range(100_000)
-    ]
+    i = np.arange(100_000)
+    columns = {"episode": i, "x": i * 0.5, "y": -i * 0.25}
     start = time.monotonic()
-    write_csv(rows, tmp_path / "big.csv")
+    write_csv(columns, tmp_path / "big.csv", ["episode", "x", "y"])
     assert time.monotonic() - start < 5.0
 
 
 def test_format_table_alignment():
-    rows = [{"a": 1, "b": 0.5}, {"a": 22, "b": 0.25}]
-    text = format_table(rows, ["a", "b"])
+    columns = {"a": np.array([1, 22]), "b": np.array([0.5, 0.25])}
+    text = format_table(columns, ["a", "b"])
     lines = text.splitlines()
     assert lines[0].startswith("a")
     assert "0.500000" in lines[2]
@@ -181,8 +287,34 @@ def test_emit_svg_empty_and_constant_series(tmp_path):
 
 
 def test_field_lists_match_tables():
-    ep_rows = [_episode_row(0, 1, "ppo", payoff=1.0, units=1)]
-    au_rows = [AuctionLogRow(0, "dp", 4, 1.0, 1.0, 0.0)]
-    bidders, auctions = summary_tables(ep_rows, au_rows)
-    assert list(bidders[0].keys()) == BIDDER_FIELDS
-    assert list(auctions[0].keys()) == AUCTION_FIELDS
+    ep = _episode_log([(0, 1, "ppo", 1.0, 1, 0.0)])
+    au = _auction_log([(0, "dp", 4, 1.0, 1.0, 0.0)])
+    bidders, auctions = summary_tables(ep, au)
+    assert list(bidders) == BIDDER_FIELDS
+    assert list(auctions) == AUCTION_FIELDS
+
+
+def _polyline_points(text):
+    return [p.split(" ") for p in re.findall(r'points="([^"]*)"', text)]
+
+
+def test_emit_svg_short_series_keep_every_point(tmp_path):
+    s = np.sin(np.arange(MAX_POLYLINE_POINTS))
+    emit_svg([("m", {"s": s})], tmp_path / "a.svg")
+    (points,) = _polyline_points((tmp_path / "a.svg").read_text())
+    assert len(points) == MAX_POLYLINE_POINTS
+
+
+def test_emit_svg_long_series_thinned(tmp_path):
+    n = 20 * MAX_POLYLINE_POINTS + 7
+    s = np.linspace(-1.0, 3.0, n)
+    s[n // 3] = 9.0  # a spike between drawn points still sets the axis
+    emit_svg([("m", {"s": s})], tmp_path / "a.svg")
+    text = (tmp_path / "a.svg").read_text()
+    (points,) = _polyline_points(text)
+    assert len(points) == MAX_POLYLINE_POINTS
+    xs = [float(p.split(",")[0]) for p in points]
+    assert xs[0] == 34.0 and xs[-1] == 310.0  # first and last episodes kept
+    assert xs == sorted(xs)
+    assert ">9.00</text>" in text and ">-1.00</text>" in text
+    assert f">{n}</text>" in text
