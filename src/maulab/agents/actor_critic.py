@@ -201,8 +201,6 @@ class A2cAgent(_ActorCriticAgent):
         self.batch_size = batch_size
 
     def observe(self, obs: np.ndarray, levels: tuple[int, ...], reward: float) -> None:
-        if self.frozen:
-            return
         self._record(obs, levels, reward)
         if len(self._rews) >= self.batch_size:
             a2c_update(
@@ -250,8 +248,6 @@ class PpoAgent(_ActorCriticAgent):
         self.last_diag: dict = {}
 
     def observe(self, obs: np.ndarray, levels: tuple[int, ...], reward: float) -> None:
-        if self.frozen:
-            return
         self._record(obs, levels, reward)
         if len(self._rews) >= self.rollout:
             self.last_diag = ppo_update(

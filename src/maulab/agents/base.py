@@ -92,7 +92,6 @@ class Agent:
         self.config = config
         self.grid = BidGrid(config.grid_levels, config.value_lo, config.value_hi)
         self.rng = rng
-        self.frozen = False
 
     @property
     def k(self) -> int:
@@ -109,7 +108,7 @@ class Agent:
 
     def observe(self, obs: np.ndarray, levels: tuple[int, ...], reward: float) -> None:
         """Deliver this agent's observation, the levels its act returned and
-        its episode reward; no-op in freeze mode."""
+        its episode reward. Called only for a seat that trains."""
 
     def hyperparameters(self) -> dict:
         return {name: getattr(self, name) for name in hyperparameter_names(type(self))}

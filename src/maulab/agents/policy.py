@@ -50,8 +50,6 @@ class VpgAgent(Agent):
         return self.actions[Categorical(self.table[s]).sample(self.rng)]
 
     def observe(self, obs: np.ndarray, levels: tuple[int, ...], reward: float) -> None:
-        if self.frozen:
-            return
         vpg_update(self.table, self._bin(obs), self.action_index[levels], reward, self.alpha)
         self.t += 1
 
@@ -148,8 +146,6 @@ class DpgAgent(NetAgent):
         return tuple(Categorical(out.reshape(self.k, self.levels)).sample(self.rng).tolist())
 
     def observe(self, obs: np.ndarray, levels: tuple[int, ...], reward: float) -> None:
-        if self.frozen:
-            return
         self._obs.append(np.array(obs))
         self._acts.append(np.array(levels))
         self._rews.append(reward)

@@ -26,8 +26,8 @@ def q_update(table: np.ndarray, s: int, a: int, r: float, alpha: float) -> float
 
 def _explore_index(agent, explore: bool) -> int | None:
     """With probability epsilon(t), a uniform random action index; else None.
-    A frozen or non-exploring agent draws nothing."""
-    eps = epsilon_at(agent.eps_max, agent.decay_rate, agent.t) if (explore and not agent.frozen) else 0.0
+    A non-exploring agent draws nothing."""
+    eps = epsilon_at(agent.eps_max, agent.decay_rate, agent.t) if explore else 0.0
     if eps > 0.0 and agent.rng.random() < eps:
         return int(agent.rng.integers(len(agent.actions)))
     return None
@@ -71,8 +71,6 @@ class QLearningAgent(Agent):
         return self.actions[idx]
 
     def observe(self, obs: np.ndarray, levels: tuple[int, ...], reward: float) -> None:
-        if self.frozen:
-            return
         q_update(self.table, self._bin(obs), self.action_index[levels], reward, self.alpha)
         self.t += 1
 
@@ -145,8 +143,6 @@ class DqnAgent(NetAgent):
         return self.actions[idx]
 
     def observe(self, obs: np.ndarray, levels: tuple[int, ...], reward: float) -> None:
-        if self.frozen:
-            return
         self.buffer.push(obs, self.action_index[levels], reward)
         self.t += 1
         if len(self.buffer) >= max(self.warmup, self.batch_size):

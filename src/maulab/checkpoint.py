@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from maulab.metrics import atomic_open
+
 MAGIC = b"MAUL"
 VERSION = 1
 
@@ -40,7 +42,8 @@ def save_checkpoint(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) 
     for v in arrays.values():
         body += np.ascontiguousarray(v, dtype="<f8").tobytes()
     body += hashlib.sha256(bytes(body)).digest()
-    Path(path).write_bytes(bytes(body))
+    with atomic_open(path, "wb") as fh:
+        fh.write(body)
 
 
 def load_checkpoint(path) -> tuple[str, dict, dict[str, np.ndarray]]:

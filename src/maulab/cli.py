@@ -19,7 +19,7 @@ import numpy as np
 from maulab.agents.base import check_overrides
 from maulab.checkpoint import CheckpointError, MissingCheckpointError
 from maulab.config import ALGOS, LEARNERS, RULES, ConfigError
-from maulab.harness import SUPPLIES, pretrain, pretrain_manifest, tournament
+from maulab.harness import SUPPLIES, checkpoint_name, pretrain, pretrain_grid, run, tournament, write_json
 from maulab.metrics import (
     AUCTION_FIELDS,
     AUCTION_LOG_FIELDS,
@@ -91,29 +91,19 @@ def cmd_pretrain(args) -> int:
     o = _options(args)
     out = Path(o["out"])
     hyper = o.get("hyperparameters", {})
-
     if args.all:
-        sessions = pretrain_manifest(o["episodes"], o["seed"], out)
+        sessions = pretrain_grid(o["episodes"], o["seed"], o["grid_levels"], hyper)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "manifest.json").write_text(
-            json.dumps(sessions, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        for s in sessions:
-            ckpt = pretrain(
-                s["algo"], s["rule"], s["K"], s["episodes"], s["seed"], out,
-                grid_levels=o["grid_levels"], overrides=hyper.get(s["algo"], {}),
-            )
-            print(ckpt)
-        return 0
-
-    if o["algo"] is None or o["auction"] is None or o["items"] is None:
+        write_json(out / "manifest.json", [session.to_dict() for session in sessions])
+    elif o["algo"] is None or o["auction"] is None or o["items"] is None:
         print("pretrain requires --algo, --auction and --items (or --all)", file=sys.stderr)
         return 2
-    ckpt = pretrain(
-        o["algo"], o["auction"], o["items"], o["episodes"], o["seed"], out,
-        grid_levels=o["grid_levels"], overrides=hyper.get(o["algo"], {}),
-    )
-    print(ckpt)
+    else:
+        sessions = [pretrain(
+            o["algo"], o["auction"], o["items"], o["episodes"], o["seed"], o["grid_levels"], hyper.get(o["algo"])
+        )]
+    for session in sessions:
+        print(run(session, out) / checkpoint_name(session, session.roster[0]))
     return 0
 
 
@@ -145,11 +135,10 @@ def cmd_tournament(args) -> int:
             print(f"missing checkpoint for {algo}", file=sys.stderr)
             return 4
 
-    run_dir = tournament(
-        o["auction"], o["items"], checkpoints, o["episodes"], o["seed"], Path(o["out"]),
-        grid_levels=o["grid_levels"], all_ppo=args.all_ppo, freeze=args.freeze,
+    session = tournament(
+        o["auction"], o["items"], checkpoints, o["episodes"], o["seed"], o["grid_levels"], args.all_ppo, args.freeze
     )
-    print(run_dir)
+    print(run(session, Path(o["out"])))
     return 0
 
 

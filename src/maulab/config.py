@@ -51,14 +51,39 @@ class ScenarioConfig:
             raise ConfigError("grid_levels must be >= 2")
         if self.episodes < 0:
             raise ConfigError("episodes must be >= 0")
+        if self.master_seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScenarioConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
-        return cls(**d)
+
+@dataclass(frozen=True)
+class Seat:
+    """One bidder of a session: built fresh with its hyperparameter overrides,
+    or loaded from its checkpoint. Only a seat that trains explores and
+    observes its rewards."""
+
+    id: int
+    algo: str
+    train: bool
+    checkpoint: str | None = None
+    overrides: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class Session:
+    """Everything a run needs: a mode ("pretrain" or "tournament"), the
+    scenario and one seat per bidder. `to_dict()` is what a run directory's
+    config.json records."""
+
+    mode: str
+    scenario: ScenarioConfig
+    roster: tuple[Seat, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.roster) != self.scenario.n_bidders:
+            raise ConfigError(f"a session needs {self.scenario.n_bidders} seats, got {len(self.roster)}")
+
+    def to_dict(self) -> dict:
+        return asdict(self)

@@ -1,8 +1,11 @@
-"""Session orchestration: pretraining, head-to-head tournaments, the all-PPO
-rematch, seed stream derivation, logging, and checkpoint lifecycle.
+"""Sessions: building, playing and recording them, seed stream derivation,
+and the checkpoint lifecycle.
 
-A master seed expands via SeedSequence spawning into disjoint streams for the
-value draws, tie-breaking, and each agent, so every session replays exactly.
+A session is a `Session` spec; `pretrain`, `tournament` and `pretrain_grid`
+only build specs, and `run` is the one code path that plays a spec and writes
+its run directory. A master seed expands via SeedSequence spawning into
+disjoint streams for the value draws, tie-breaking, and each agent, so every
+session replays exactly.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ import numpy as np
 from maulab.agents.base import Agent, agent_class, check_overrides, hyperparameter_names, make_agent
 from maulab.auction import efficiency_gap, efficiency_ratio
 from maulab.checkpoint import CheckpointError, MissingCheckpointError, load_checkpoint, save_checkpoint
-from maulab.config import ALGOS, LEARNERS, RULES, TOURNAMENT_IDS, ScenarioConfig
+from maulab.config import ALGOS, LEARNERS, RULES, TOURNAMENT_IDS, ScenarioConfig, Seat, Session
 from maulab.env import AuctionEnv, slot_sum
-from maulab.metrics import AUCTION_LOG_FIELDS, EPISODE_LOG_FIELDS, bid_ratio, learning_ratio, write_csv
+from maulab.metrics import AUCTION_LOG_FIELDS, EPISODE_LOG_FIELDS, atomic_open, bid_ratio, learning_ratio, write_csv
 
 SUPPLIES = (4, 6, 8)
 
@@ -33,36 +36,32 @@ def make_streams(master_seed: int, n_agents: int):
     )
 
 
-def run_episode(env: AuctionEnv, agents: list[Agent], learn: bool = True):
+def run_episode(env: AuctionEnv, agents: list[Agent], train):
     """One episode: reset, collect each agent's bid levels, clear, deliver
-    each agent its reward. Returns env.step's arrays and the valuations."""
+    each agent its reward. `train` holds one flag per agent: an agent that
+    trains explores and observes its reward, any other acts greedily and
+    learns nothing. Returns env.step's arrays and the valuations."""
     observations = env.reset()
     valuations = env.valuations()
-    levels = [agent.act(obs, explore=learn) for agent, obs in zip(agents, observations)]
+    levels = [agent.act(obs, explore=t) for agent, obs, t in zip(agents, observations, train)]
     step = env.step(levels)
-    if learn:
-        for agent, obs, own, r in zip(agents, observations, levels, step[0].tolist()):
+    for agent, obs, own, r, t in zip(agents, observations, levels, step[0].tolist(), train):
+        if t:
             agent.observe(obs, own, r)
     return step, valuations
 
 
-def run_session(
-    config: ScenarioConfig,
-    agents: list[Agent],
-    agent_ids: list[int],
-    env: AuctionEnv,
-    episodes: int,
-    learn: bool = True,
-) -> tuple[dict, dict]:
+def run_session(session: Session, env: AuctionEnv, agents: list[Agent], episodes: int) -> tuple[dict, dict]:
     """Run `episodes` auctions, returning the columns of the episode log (one
     row per agent per episode) and of the auction log (one row per episode)."""
+    config, train = session.scenario, [seat.train for seat in session.roster]
     n, k, K = len(agents), config.units_per_bidder, config.supply
     value, reward = np.empty((episodes, n)), np.empty((episodes, n))
     bids, payment = np.empty((episodes, n, k)), np.empty((episodes, n, k))
     won = np.empty((episodes, n, k), dtype=bool)
     revenue, eff_ratio, eff_gap = (np.empty(episodes) for _ in range(3))
     for ep in range(episodes):
-        (reward[ep], won[ep], payment[ep], bids[ep], outcome), valuations = run_episode(env, agents, learn)
+        (reward[ep], won[ep], payment[ep], bids[ep], outcome), valuations = run_episode(env, agents, train)
         value[ep] = valuations[:, 0]
         revenue[ep] = outcome.revenue
         eff_ratio[ep] = efficiency_ratio(valuations, outcome, K)
@@ -72,7 +71,7 @@ def run_session(
     bid1, bid2 = bids[:, 0], bids[:, min(1, k - 1)]  # a one-slot bidder logs its bid twice
     episode_columns = {
         "episode": np.repeat(np.arange(episodes), n),
-        "agent_id": np.tile(np.asarray(agent_ids, dtype=np.int64), episodes),
+        "agent_id": np.tile(np.asarray([seat.id for seat in session.roster], dtype=np.int64), episodes),
         "algo": np.tile([agent.algo for agent in agents], episodes),
         "value": value,
         "bid1": bid1,
@@ -132,71 +131,31 @@ def load_agent(path, config: ScenarioConfig, rng: np.random.Generator) -> Agent:
     return agent
 
 
-# --- protocols --------------------------------------------------------------
-
-def session_dir(out_dir, rule: str, K: int, algo: str, seed: int) -> Path:
-    return Path(out_dir) / f"{rule}_{K}_{algo}_{seed}"
-
-
-def _write_logs(run_dir: Path, episode_columns: dict, auction_columns: dict) -> None:
-    write_csv(episode_columns, run_dir / "episodes.csv", EPISODE_LOG_FIELDS)
-    write_csv(auction_columns, run_dir / "auctions.csv", AUCTION_LOG_FIELDS)
-
-
-def _write_snapshot(run_dir: Path, snapshot: dict) -> None:
-    (run_dir / "config.json").write_text(
-        json.dumps(snapshot, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
+# --- sessions ----------------------------------------------------------------
 
 def pretrain(
-    algo: str,
-    rule: str,
-    K: int,
-    episodes: int,
-    seed: int,
-    out_dir,
-    grid_levels: int = 21,
-    overrides: dict | None = None,
-) -> Path:
-    """Train one learner against five random bidders and save its checkpoint.
-
-    Returns the checkpoint path; logs and a config snapshot land in the run
-    directory {rule}_{K}_{algo}_{seed}."""
-    config = ScenarioConfig(
-        rule=rule, supply=K, episodes=episodes, master_seed=seed, grid_levels=grid_levels
-    )
-    value_rng, tie_rng, agent_rngs = make_streams(seed, config.n_bidders)
-    env = AuctionEnv(config, value_rng, tie_rng)
-    learner = make_agent(algo, config, agent_rngs[0], **(overrides or {}))
-    agents = [learner] + [make_agent("random", config, r) for r in agent_rngs[1:]]
-    agent_ids = list(range(1, config.n_bidders + 1))
-
-    run_dir = session_dir(out_dir, rule, K, algo, seed)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    _write_logs(run_dir, *run_session(config, agents, agent_ids, env, episodes))
-
-    ckpt = run_dir / f"{algo}.ckpt"
-    save_agent(learner, ckpt)
-    _write_snapshot(
-        run_dir,
-        {
-            "mode": "pretrain",
-            "scenario": config.to_dict(),
-            "roster": [{"id": 1, "algo": algo, "train": True}]
-            + [{"id": i, "algo": "random", "train": False} for i in range(2, 7)],
-            "hyperparameters": {algo: learner.hyperparameters()},
-            "out_dir": str(run_dir),
-        },
-    )
-    return ckpt
+    algo: str, rule: str, K: int, episodes: int, seed: int, grid_levels: int = 21, overrides: dict | None = None
+) -> Session:
+    """One learner (id 1), fresh with its overrides, trained against five
+    random bidders."""
+    scenario = ScenarioConfig(rule=rule, supply=K, episodes=episodes, master_seed=seed, grid_levels=grid_levels)
+    learner = Seat(1, algo, True, None, dict(overrides or {}))
+    randoms = tuple(Seat(i, "random", False) for i in range(2, scenario.n_bidders + 1))
+    return Session("pretrain", scenario, (learner, *randoms))
 
 
-def tournament_roster(all_ppo: bool = False) -> list[tuple[int, str]]:
-    """(bidder id, algo) pairs in the fixed tournament assignment."""
-    if all_ppo:
-        return [(i, "ppo") for i in range(1, 7)]
-    return sorted((i, a) for a, i in TOURNAMENT_IDS.items())
+def pretrain_grid(
+    episodes: int, seed: int, grid_levels: int = 21, hyperparameters: dict | None = None
+) -> list[Session]:
+    """The full 6 algorithms x 3 rules x 3 supplies = 54 session grid, each
+    learner with its entry of `hyperparameters`."""
+    hyper = hyperparameters or {}
+    return [
+        pretrain(algo, rule, K, episodes, seed, grid_levels, hyper.get(algo))
+        for algo in LEARNERS
+        for rule in RULES
+        for K in SUPPLIES
+    ]
 
 
 def tournament(
@@ -205,70 +164,65 @@ def tournament(
     checkpoints: dict[str, str],
     episodes: int,
     seed: int,
-    out_dir,
     grid_levels: int = 21,
     all_ppo: bool = False,
     freeze: bool = False,
-) -> Path:
-    """Head-to-head run of the six-algorithm roster (or six PPO copies).
+) -> Session:
+    """Head-to-head session of the six-algorithm roster (or six PPO copies),
+    each loaded from `checkpoints[algo]` when given and fresh otherwise.
 
-    Learning stays on unless freeze is set; schedules resume from the saved
-    step counters. Returns the run directory."""
-    roster = tournament_roster(all_ppo)
-    config = ScenarioConfig(
-        rule=rule, supply=K, episodes=episodes, master_seed=seed, grid_levels=grid_levels
-    )
-    value_rng, tie_rng, agent_rngs = make_streams(seed, config.n_bidders)
-    env = AuctionEnv(config, value_rng, tie_rng)
+    Every seat trains unless freeze is set; schedules resume from the saved
+    step counters."""
+    scenario = ScenarioConfig(rule=rule, supply=K, episodes=episodes, master_seed=seed, grid_levels=grid_levels)
+    roster = [(i, "ppo") for i in range(1, 7)] if all_ppo else sorted((i, a) for a, i in TOURNAMENT_IDS.items())
+    paths = {algo: str(path) for algo, path in checkpoints.items()}
+    return Session("tournament", scenario, tuple(Seat(i, algo, not freeze, paths.get(algo)) for i, algo in roster))
 
+
+def start(session: Session) -> tuple[AuctionEnv, list[Agent]]:
+    """The session's env and agents on their seeded streams: each seat's agent
+    is loaded from its checkpoint or built fresh with its overrides. A missing
+    checkpoint raises MissingCheckpointError."""
+    config = session.scenario
+    value_rng, tie_rng, agent_rngs = make_streams(config.master_seed, config.n_bidders)
     agents = []
-    for (aid, algo), rng in zip(roster, agent_rngs):
-        path = checkpoints.get("ppo" if all_ppo else algo)
-        if path is None:
-            agent = make_agent(algo, config, rng)
+    for seat, rng in zip(session.roster, agent_rngs):
+        if seat.checkpoint is None:
+            agents.append(make_agent(seat.algo, config, rng, **seat.overrides))
+        elif Path(seat.checkpoint).is_file():
+            agents.append(load_agent(seat.checkpoint, config, rng))
         else:
-            if not Path(path).is_file():
-                raise MissingCheckpointError(f"missing checkpoint for {algo}: {path}")
-            agent = load_agent(path, config, rng)
-        agent.frozen = freeze
-        agents.append(agent)
-    agent_ids = [aid for aid, _ in roster]
+            raise MissingCheckpointError(f"missing checkpoint for {seat.algo}: {seat.checkpoint}")
+    return AuctionEnv(config, value_rng, tie_rng), agents
 
-    label = "ppo6" if all_ppo else "tournament"
-    run_dir = session_dir(out_dir, rule, K, label, seed)
+
+def checkpoint_name(session: Session, seat: Seat) -> str:
+    return f"{seat.algo}.ckpt" if session.mode == "pretrain" else f"{seat.algo}_{seat.id}.ckpt"
+
+
+def write_json(path, data) -> None:
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
+def run(session: Session, out) -> Path:
+    """Play a session and write its run directory {rule}_{K}_{label}_{seed}
+    under `out` (label: the learner for a pretrain, "ppo6" for six PPO seats,
+    else "tournament"). The logs come first, then the checkpoint of every seat
+    that is not random, then config.json, last: the session spec and
+    `out_dir`. Nothing is written unless every agent could be built."""
+    env, agents = start(session)
+    s = session.scenario
+    algos = {seat.algo for seat in session.roster}
+    label = session.roster[0].algo if session.mode == "pretrain" else "ppo6" if algos == {"ppo"} else "tournament"
+    run_dir = Path(out) / f"{s.rule}_{s.supply}_{label}_{s.master_seed}"
     run_dir.mkdir(parents=True, exist_ok=True)
-    _write_logs(run_dir, *run_session(config, agents, agent_ids, env, episodes, learn=not freeze))
-    for (aid, algo), agent in zip(roster, agents):
-        save_agent(agent, run_dir / f"{algo}_{aid}.ckpt")
-    _write_snapshot(
-        run_dir,
-        {
-            "mode": "tournament",
-            "scenario": config.to_dict(),
-            "roster": [
-                {"id": aid, "algo": algo, "train": not freeze} for aid, algo in roster
-            ],
-            "checkpoints": {k: str(v) for k, v in checkpoints.items()},
-            "all_ppo": all_ppo,
-            "freeze": freeze,
-            "out_dir": str(run_dir),
-        },
-    )
+    (run_dir / "config.json").unlink(missing_ok=True)
+    episode_columns, auction_columns = run_session(session, env, agents, s.episodes)
+    write_csv(episode_columns, run_dir / "episodes.csv", EPISODE_LOG_FIELDS)
+    write_csv(auction_columns, run_dir / "auctions.csv", AUCTION_LOG_FIELDS)
+    for seat, agent in zip(session.roster, agents):
+        if seat.algo != "random":
+            save_agent(agent, run_dir / checkpoint_name(session, seat))
+    write_json(run_dir / "config.json", {**session.to_dict(), "out_dir": str(run_dir)})
     return run_dir
-
-
-def pretrain_manifest(episodes: int, seed: int, out_dir) -> list[dict]:
-    """The full 6 algorithms x 3 rules x 3 supplies = 54 session grid."""
-    return [
-        {
-            "algo": algo,
-            "rule": rule,
-            "K": K,
-            "episodes": episodes,
-            "seed": seed,
-            "out_dir": str(out_dir),
-        }
-        for algo in LEARNERS
-        for rule in RULES
-        for K in SUPPLIES
-    ]

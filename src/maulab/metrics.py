@@ -8,6 +8,8 @@ files.
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
 
@@ -60,13 +62,29 @@ AUCTION_LOG_FIELDS = ["episode", "rule", "K", "revenue", "efficiency_ratio", "ef
 _LOG_TYPES = {"episode": "i8", "agent_id": "i8", "units_won": "i8", "K": "i8", "algo": "U8", "rule": "U8"}
 
 
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Write through a temporary sibling that replaces `path` only once the
+    block ends without an error: `path` is then either the whole new file or
+    left as it was, and the sibling is removed."""
+    path = Path(path)
+    part = path.with_name(path.name + ".part")
+    try:
+        text = "b" not in mode
+        with open(part, mode, encoding="utf-8" if text else None, newline="\n" if text else None) as fh:
+            yield fh
+        os.replace(part, path)
+    finally:
+        part.unlink(missing_ok=True)
+
+
 def write_csv(columns: dict, path, fieldnames) -> None:
     """CSV of the named columns, in fieldnames order: LF endings, reals with
     six decimals, everything else as str() writes it."""
     cols = [np.asarray(columns[f]) for f in fieldnames]
     fmt = ",".join("%.6f" if c.dtype.kind == "f" else "%s" for c in cols) + "\n"
     n = len(cols[0]) if cols else 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path) as fh:
         fh.write(",".join(fieldnames) + "\n")
         for lo in range(0, n, BLOCK_ROWS):
             block = (c[lo : lo + BLOCK_ROWS].tolist() for c in cols)
@@ -248,4 +266,5 @@ def emit_svg(panes, path, pane_width: int = 320, pane_height: int = 200, columns
         r, c = divmod(i, ncols)
         parts += _pane_svg(c * pane_width, r * pane_height, pane_width, pane_height, title, series)
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(parts) + "\n")

@@ -9,11 +9,10 @@ import time
 import numpy as np
 import pytest
 
-from maulab.agents.base import make_agent
 from maulab.auction import clear, clear_dp, efficiency_ratio
-from maulab.config import ScenarioConfig
-from maulab.env import AuctionEnv, reward
-from maulab.harness import make_streams, pretrain, run_session, tournament
+from maulab.config import ScenarioConfig, Seat, Session
+from maulab.env import reward
+from maulab.harness import pretrain, run, run_session, start, tournament
 from maulab.metrics import read_csv, rolling_mean
 from maulab.nn import backward, finite_diff_check, forward, mlp_init, softmax
 from maulab.agents.policy import head_logits, heads_stats, score_entropy_logits_grad
@@ -306,10 +305,9 @@ def _learner_payoffs(run_dir):
 
 def _random_baseline(seed, episodes):
     config = ScenarioConfig(rule="dp", supply=4, episodes=episodes, master_seed=seed)
-    value_rng, tie_rng, agent_rngs = make_streams(seed, config.n_bidders)
-    env = AuctionEnv(config, value_rng, tie_rng)
-    agents = [make_agent("random", config, r) for r in agent_rngs]
-    ep, _ = run_session(config, agents, list(range(1, 7)), env, episodes)
+    session = Session("tournament", config, tuple(Seat(i, "random", False) for i in range(1, 7)))
+    env, agents = start(session)
+    ep, _ = run_session(session, env, agents, episodes)
     pay = ep["payoff_total"][ep["agent_id"] == 1]
     return float(pay[-1000:].mean())
 
@@ -323,8 +321,7 @@ SMOKE_OVERRIDES = {
 
 def test_criterion_5_learning_improvement(tmp_path):
     start = time.monotonic()
-    ckpt = pretrain("ppo", "dp", 4, 20_000, 42, tmp_path / "ppo")
-    rows, pay = _learner_payoffs(ckpt.parent)
+    rows, pay = _learner_payoffs(run(pretrain("ppo", "dp", 4, 20_000, 42), tmp_path / "ppo"))
     first, last = float(pay[:1000].mean()), float(pay[-1000:].mean())
     lr1 = rolling_mean(rows["learning_ratio1"], 1000)[-1]
     lr2 = rolling_mean(rows["learning_ratio2"], 1000)[-1]
@@ -333,8 +330,7 @@ def test_criterion_5_learning_improvement(tmp_path):
     baseline = _random_baseline(seed=11, episodes=2000)
     smoke = {}
     for algo, overrides in SMOKE_OVERRIDES.items():
-        c = pretrain(algo, "dp", 4, 2000, 11, tmp_path / algo, overrides=overrides)
-        _, p = _learner_payoffs(c.parent)
+        _, p = _learner_payoffs(run(pretrain(algo, "dp", 4, 2000, 11, overrides=overrides), tmp_path / algo))
         smoke[algo] = float(p[-1000:].mean())
     smoke_ok = all(v > baseline for v in smoke.values())
     elapsed = time.monotonic() - start
@@ -360,11 +356,10 @@ def test_criterion_6_accounting_invariants():
     worst = 0.0
     for rule in ("dp", "gsp", "up"):
         config = ScenarioConfig(rule=rule, supply=4, episodes=300, master_seed=6)
-        value_rng, tie_rng, agent_rngs = make_streams(6, config.n_bidders)
-        env = AuctionEnv(config, value_rng, tie_rng)
-        agents = [make_agent("ql", config, agent_rngs[0]), make_agent("vpg", config, agent_rngs[1])]
-        agents += [make_agent("random", config, r) for r in agent_rngs[2:]]
-        ep, au = run_session(config, agents, list(range(1, 7)), env, 300)
+        algos = ["ql", "vpg"] + ["random"] * 4
+        session = Session("tournament", config, tuple(Seat(i, a, a != "random") for i, a in enumerate(algos, 1)))
+        env, agents = start(session)
+        ep, au = run_session(session, env, agents, 300)
         for e, revenue, eff in zip(au["episode"], au["revenue"], au["efficiency_ratio"]):
             rows = ep["episode"] == e
             paid = sum(ep["payment_total"][rows].tolist())
@@ -431,7 +426,7 @@ def test_criterion_8_directional_report(tmp_path):
     episodes = 100_000
     results = {}
     for rule, K in (("dp", 4), ("up", 4), ("dp", 8), ("gsp", 8), ("up", 8)):
-        run_dir = tournament(rule, K, {}, episodes, 8, tmp_path)
+        run_dir = run(tournament(rule, K, {}, episodes, 8), tmp_path)
         au = read_csv(run_dir / "auctions.csv")
         eff, rev = au["efficiency_ratio"], au["revenue"]
         results[(rule, K)] = {

@@ -164,11 +164,10 @@ def test_frozen_tabular_agent_is_pure():
     config = _config(episodes=1000)
     agent = make_agent("ql", config, np.random.default_rng(3))
     agent.table[...] = np.random.default_rng(4).normal(size=agent.table.shape)
-    agent.frozen = True
     checksum = hashlib.sha256(agent.table.tobytes()).hexdigest()
     rng = np.random.default_rng(5)
     for _ in range(10_000):
-        agent.act(np.full(2, rng.random()))
+        agent.act(np.full(2, rng.random()), explore=False)
     assert hashlib.sha256(agent.table.tobytes()).hexdigest() == checksum
     assert agent.t == 0
 

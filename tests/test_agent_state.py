@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from maulab.agents.base import agent_class, hyperparameter_names, make_agent
 from maulab.config import LEARNERS, TOURNAMENT_IDS, ScenarioConfig
-from maulab.env import AuctionEnv
-from maulab.harness import load_agent, make_streams, pretrain, run_session, save_agent, tournament
+from maulab.harness import load_agent, pretrain, run, run_session, save_agent, start, tournament
 
 _frac = st.floats(0.0, 1.0)
 _lr = st.floats(1e-6, 0.1)
@@ -91,28 +90,22 @@ RESUME = {
 def test_resume_at_update_boundary_equals_uninterrupted_run(tmp_path, algo):
     overrides, n = RESUME[algo]
     m = 2 * n + 3
-    config = ScenarioConfig(episodes=n + m, master_seed=4)
-
-    def start():
-        value_rng, tie_rng, agent_rngs = make_streams(4, config.n_bidders)
-        agents = [make_agent(algo, config, agent_rngs[0], **overrides)]
-        agents += [make_agent("random", config, r) for r in agent_rngs[1:]]
-        return AuctionEnv(config, value_rng, tie_rng), agents
+    session = pretrain(algo, "dp", 4, n + m, 4, overrides=overrides)
+    config = session.scenario
 
     def bids(ep):
         return list(zip(*(ep[c].tolist() for c in ("agent_id", "bid1", "bid2", "reward_total"))))
 
-    ids = list(range(1, 7))
-    env, agents = start()
-    whole = bids(run_session(config, agents, ids, env, n + m)[0])
+    env, agents = start(session)
+    whole = bids(run_session(session, env, agents, n + m)[0])
 
-    env, resumed = start()
-    head = bids(run_session(config, resumed, ids, env, n)[0])
+    env, resumed = start(session)
+    head = bids(run_session(session, env, resumed, n)[0])
     save_agent(resumed[0], tmp_path / "mid.ckpt")
     learner = load_agent(tmp_path / "mid.ckpt", config, np.random.default_rng())
     learner.rng.bit_generator.state = resumed[0].rng.bit_generator.state
     resumed[0] = learner
-    tail = bids(run_session(config, resumed, ids, env, m)[0])
+    tail = bids(run_session(session, env, resumed, m)[0])
 
     assert head + tail == whole
     assert resumed[0].hyperparameters() == agents[0].hyperparameters()
@@ -137,11 +130,11 @@ OVERRIDES = {
 @pytest.mark.parametrize("algo", sorted(OVERRIDES))
 def test_overrides_survive_checkpoints_and_drive_learning_tournament(tmp_path, algo):
     overrides, counter, steps = OVERRIDES[algo]
-    ckpt = pretrain(algo, "dp", 4, 70, 1, tmp_path / "pre", overrides=overrides)
+    ckpt = run(pretrain(algo, "dp", 4, 70, 1, overrides=overrides), tmp_path / "pre") / f"{algo}.ckpt"
     loaded = load_agent(ckpt, ScenarioConfig(), np.random.default_rng(0))
     assert {k: loaded.hyperparameters()[k] for k in overrides} == overrides
 
-    run_dir = tournament("dp", 4, {algo: str(ckpt)}, 70, 2, tmp_path / "tour")
+    run_dir = run(tournament("dp", 4, {algo: str(ckpt)}, 70, 2), tmp_path / "tour")
     out = load_agent(run_dir / f"{algo}_{TOURNAMENT_IDS[algo]}.ckpt", ScenarioConfig(), np.random.default_rng(0))
     assert {k: out.hyperparameters()[k] for k in overrides} == overrides
     assert _counters(out)[counter] == steps

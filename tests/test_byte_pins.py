@@ -12,10 +12,8 @@ import hashlib
 
 import pytest
 
-from maulab.agents.base import make_agent
-from maulab.config import ScenarioConfig
-from maulab.env import AuctionEnv
-from maulab.harness import make_streams, pretrain, run_session
+from maulab.config import ScenarioConfig, Seat, Session
+from maulab.harness import pretrain, run, run_session, start
 from maulab.metrics import AUCTION_LOG_FIELDS, EPISODE_LOG_FIELDS, write_csv
 
 SEED = 17
@@ -54,10 +52,9 @@ def _sha256(path) -> str:
 @pytest.mark.parametrize("rule, K", sorted(RANDOM_SESSIONS))
 def test_random_session_bytes_pinned(rule, K, tmp_path):
     config = ScenarioConfig(rule=rule, supply=K, episodes=200, master_seed=SEED)
-    value_rng, tie_rng, agent_rngs = make_streams(SEED, config.n_bidders)
-    env = AuctionEnv(config, value_rng, tie_rng)
-    agents = [make_agent("random", config, r) for r in agent_rngs]
-    ep_rows, au_rows = run_session(config, agents, list(range(1, 7)), env, 200)
+    session = Session("tournament", config, tuple(Seat(i, "random", False) for i in range(1, 7)))
+    env, agents = start(session)
+    ep_rows, au_rows = run_session(session, env, agents, 200)
     write_csv(ep_rows, tmp_path / "episodes.csv", EPISODE_LOG_FIELDS)
     write_csv(au_rows, tmp_path / "auctions.csv", AUCTION_LOG_FIELDS)
     got = (_sha256(tmp_path / "episodes.csv"), _sha256(tmp_path / "auctions.csv"))
@@ -65,6 +62,6 @@ def test_random_session_bytes_pinned(rule, K, tmp_path):
 
 
 def test_ql_pretrain_bytes_pinned(tmp_path):
-    run_dir = pretrain("ql", "dp", 4, 300, SEED, tmp_path).parent
+    run_dir = run(pretrain("ql", "dp", 4, 300, SEED), tmp_path)
     got = (_sha256(run_dir / "episodes.csv"), _sha256(run_dir / "auctions.csv"))
     assert got == QL_PRETRAIN

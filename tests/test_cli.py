@@ -48,7 +48,7 @@ def test_pretrain_config_file_with_flag_override(tmp_path, capsys):
     assert code == 0
     snapshot = json.loads((tmp_path / "gsp_6_vpg_3" / "config.json").read_text())
     assert snapshot["scenario"]["episodes"] == 15  # flag wins
-    assert snapshot["hyperparameters"]["vpg"]["alpha"] == 0.5
+    assert snapshot["roster"][0]["overrides"] == {"alpha": 0.5}
 
 
 def test_config_file_unknown_key_exits_2(tmp_path, capsys):
@@ -382,3 +382,58 @@ def test_report_malformed_episode_log_exits_5(tmp_path, capsys, damage):
     err = capsys.readouterr().err
     assert "corrupt run directory" in err and "Traceback" not in err
     assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("source", ["pretrain", "tournament", "config_file"])
+def test_negative_seed_exits_2_before_any_run_directory(tmp_path, capsys, source):
+    out = tmp_path / "out"
+    if source == "pretrain":
+        argv = ["pretrain", "--algo", "ql", "--auction", "dp", "--items", "4", "--seed", "-1"]
+    elif source == "tournament":
+        (tmp_path / "ppo.ckpt").write_bytes(b"")
+        argv = ["tournament", "--auction", "dp", "--items", "4", "--seed", "-1", "--all-ppo",
+                "--ckpt", f"ppo={tmp_path / 'ppo.ckpt'}"]
+    else:
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"algo": "ql", "auction": "dp", "items": 4, "seed": -1}))
+        argv = ["pretrain", "--config", str(cfg)]
+    assert main([*argv, "--episodes", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "seed" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_all_manifest_matches_each_run_config(tmp_path, capsys):
+    assert main(["pretrain", "--all", "--episodes", "2", "--seed", "4", "--out", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out.split()
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert len(manifest) == len(printed) == 54
+    for spec, ckpt in zip(manifest, printed):
+        learner = spec["roster"][0]
+        run_dir = tmp_path / f"{spec['scenario']['rule']}_{spec['scenario']['supply']}_{learner['algo']}_4"
+        assert ckpt == str(run_dir / f"{learner['algo']}.ckpt")
+        snapshot = json.loads((run_dir / "config.json").read_text())
+        assert snapshot.pop("out_dir") == str(run_dir)
+        assert snapshot == spec
+
+
+def test_report_reads_earlier_layout_snapshot(tmp_path, capsys):
+    """config.json as written before sessions were specs: top-level
+    hyperparameters, checkpoints, all_ppo and freeze keys, seats without a
+    checkpoint or overrides."""
+    assert _pretrain(tmp_path, episodes=30) == 0
+    run = tmp_path / "dp_4_ql_1"
+    snapshot = json.loads((run / "config.json").read_text())
+    earlier = {
+        "mode": "tournament",
+        "scenario": dict(snapshot["scenario"], episodes=1000),
+        "roster": [{"id": s["id"], "algo": s["algo"], "train": s["train"]} for s in snapshot["roster"]],
+        "hyperparameters": {"ql": {"alpha": 0.1}},
+        "checkpoints": {"ql": "ql.ckpt"},
+        "all_ppo": False,
+        "freeze": True,
+        "out_dir": str(run),
+    }
+    (run / "config.json").write_text(json.dumps(earlier))
+    assert main(["report", "--run", str(run), "--out", str(tmp_path / "rep")]) == 0
+    assert "logs cover 30 of 1000 episodes" in capsys.readouterr().err

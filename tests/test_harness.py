@@ -1,33 +1,34 @@
 """Session orchestration tests: streams, logging, checkpoint lifecycle."""
 
+import json
+
 import numpy as np
 import pytest
 
 from maulab.agents.base import make_agent
 from maulab.checkpoint import CheckpointError, MissingCheckpointError, save_checkpoint
-from maulab.config import ScenarioConfig
-from maulab.env import AuctionEnv
+from maulab.config import LEARNERS, ConfigError, ScenarioConfig, Seat, Session
 from maulab.harness import (
     load_agent,
     make_streams,
     pretrain,
-    pretrain_manifest,
+    pretrain_grid,
+    run,
     run_episode,
     run_session,
     save_agent,
-    session_dir,
+    start,
     tournament,
-    tournament_roster,
 )
 from maulab.metrics import read_csv
+
+TOURNAMENT_ROSTER = [(1, "ppo"), (2, "a2c"), (3, "dqn"), (4, "dpn"), (5, "ql"), (6, "vpg")]
 
 
 def _random_session(seed, episodes, rule="dp", supply=4):
     config = ScenarioConfig(rule=rule, supply=supply, episodes=episodes, master_seed=seed)
-    value_rng, tie_rng, agent_rngs = make_streams(seed, config.n_bidders)
-    env = AuctionEnv(config, value_rng, tie_rng)
-    agents = [make_agent("random", config, r) for r in agent_rngs]
-    return config, env, agents
+    session = Session("tournament", config, tuple(Seat(i, "random", False) for i in range(1, 7)))
+    return (session, *start(session))
 
 
 def test_make_streams_deterministic_and_distinct():
@@ -49,16 +50,16 @@ def test_value_stream_no_serial_correlation():
 
 
 def test_run_episode_allocates_full_supply():
-    config, env, agents = _random_session(3, 1)
-    (rewards, won, payment, bids, outcome), valuations = run_episode(env, agents)
+    session, env, agents = _random_session(3, 1)
+    (rewards, won, payment, bids, outcome), valuations = run_episode(env, agents, [False] * 6)
     assert len(outcome.winners) == 4
     assert valuations.shape == (6, 2)
     assert int(won.sum()) == 4
 
 
 def test_run_session_payments_match_revenue():
-    config, env, agents = _random_session(5, 50, rule="gsp")
-    ep, au = run_session(config, agents, list(range(1, 7)), env, 50)
+    session, env, agents = _random_session(5, 50, rule="gsp")
+    ep, au = run_session(session, env, agents, 50)
     assert au["episode"].size == 50
     assert ep["episode"].size == 300
     for e, revenue, eff in zip(au["episode"], au["revenue"], au["efficiency_ratio"]):
@@ -69,15 +70,15 @@ def test_run_session_payments_match_revenue():
 
 
 def test_identical_seeds_replay_identically(tmp_path):
-    p1 = pretrain("ql", "dp", 4, 200, 9, tmp_path / "r1")
-    p2 = pretrain("ql", "dp", 4, 200, 9, tmp_path / "r2")
+    p1 = run(pretrain("ql", "dp", 4, 200, 9), tmp_path / "r1") / "ql.ckpt"
+    p2 = run(pretrain("ql", "dp", 4, 200, 9), tmp_path / "r2") / "ql.ckpt"
     assert (p1.parent / "episodes.csv").read_bytes() == (p2.parent / "episodes.csv").read_bytes()
     assert (p1.parent / "auctions.csv").read_bytes() == (p2.parent / "auctions.csv").read_bytes()
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_zero_episode_pretrain_checkpoint_is_fresh_init(tmp_path):
-    ckpt = pretrain("dqn", "up", 6, 0, 13, tmp_path)
+    ckpt = run(pretrain("dqn", "up", 6, 0, 13), tmp_path) / "dqn.ckpt"
     config = ScenarioConfig(rule="up", supply=6, episodes=0, master_seed=13)
     _, _, agent_rngs = make_streams(13, 6)
     fresh = make_agent("dqn", config, agent_rngs[0])
@@ -87,9 +88,9 @@ def test_zero_episode_pretrain_checkpoint_is_fresh_init(tmp_path):
 
 
 def test_pretrain_writes_run_directory(tmp_path):
-    ckpt = pretrain("vpg", "gsp", 8, 30, 21, tmp_path)
-    run_dir = ckpt.parent
-    assert run_dir == session_dir(tmp_path, "gsp", 8, "vpg", 21)
+    run_dir = run(pretrain("vpg", "gsp", 8, 30, 21), tmp_path)
+    assert run_dir == tmp_path / "gsp_8_vpg_21"
+    assert (run_dir / "vpg.ckpt").is_file()
     assert (run_dir / "episodes.csv").is_file()
     assert (run_dir / "auctions.csv").is_file()
     assert (run_dir / "config.json").is_file()
@@ -99,34 +100,48 @@ def test_pretrain_writes_run_directory(tmp_path):
 
 
 def test_pretrain_manifest_grid():
-    sessions = pretrain_manifest(100, 0, "out")
+    sessions = pretrain_grid(100, 0, hyperparameters={"ql": {"alpha": 0.5}})
     assert len(sessions) == 54
-    combos = {(s["algo"], s["rule"], s["K"]) for s in sessions}
+    combos = {(s.roster[0].algo, s.scenario.rule, s.scenario.supply) for s in sessions}
     assert len(combos) == 54
-    assert all(s["episodes"] == 100 for s in sessions)
+    assert all(s.mode == "pretrain" and s.scenario.episodes == 100 for s in sessions)
+    for s in sessions:
+        assert s.roster[0].overrides == ({"alpha": 0.5} if s.roster[0].algo == "ql" else {})
+        assert [seat.train for seat in s.roster] == [True] + [False] * 5
 
 
 def test_tournament_roster_ids():
-    roster = tournament_roster()
-    assert roster == [(1, "ppo"), (2, "a2c"), (3, "dqn"), (4, "dpn"), (5, "ql"), (6, "vpg")]
-    assert tournament_roster(all_ppo=True) == [(i, "ppo") for i in range(1, 7)]
+    session = tournament("dp", 4, {"ql": "ql.ckpt"}, 0, 0)
+    assert [(seat.id, seat.algo) for seat in session.roster] == TOURNAMENT_ROSTER
+    assert [seat.checkpoint for seat in session.roster] == [None] * 4 + ["ql.ckpt", None]
+    assert all(seat.train for seat in session.roster)
+    ppo6 = tournament("dp", 4, {"ppo": "p.ckpt"}, 0, 0, all_ppo=True, freeze=True)
+    seats = [(seat.id, seat.algo, seat.checkpoint) for seat in ppo6.roster]
+    assert seats == [(i, "ppo", "p.ckpt") for i in range(1, 7)]
+    assert not any(seat.train for seat in ppo6.roster)
+
+
+def test_session_needs_one_seat_per_bidder():
+    with pytest.raises(ConfigError):
+        Session("tournament", ScenarioConfig(), (Seat(1, "random", False),))
 
 
 def test_tournament_fresh_agents_zero_episodes(tmp_path):
-    run_dir = tournament("dp", 4, {}, 0, 1, tmp_path)
+    run_dir = run(tournament("dp", 4, {}, 0, 1), tmp_path)
+    assert run_dir == tmp_path / "dp_4_tournament_1"
     assert (run_dir / "episodes.csv").is_file()
-    for aid, algo in tournament_roster():
+    for aid, algo in TOURNAMENT_ROSTER:
         assert (run_dir / f"{algo}_{aid}.ckpt").is_file()
 
 
 def test_tournament_resumes_checkpoints_and_freeze(tmp_path):
     ckpts = {}
     for algo in ("ppo", "a2c", "dqn", "dpn", "ql", "vpg"):
-        ckpts[algo] = str(pretrain(algo, "dp", 4, 5, 2, tmp_path / "pre"))
-    run_dir = tournament("dp", 4, ckpts, 10, 3, tmp_path / "tour", freeze=True)
+        ckpts[algo] = str(run(pretrain(algo, "dp", 4, 5, 2), tmp_path / "pre") / f"{algo}.ckpt")
+    run_dir = run(tournament("dp", 4, ckpts, 10, 3, freeze=True), tmp_path / "tour")
     # frozen agents do not learn: saved checkpoint arrays equal the inputs
     config = ScenarioConfig(rule="dp", supply=4, episodes=10, master_seed=3)
-    for aid, algo in tournament_roster():
+    for aid, algo in TOURNAMENT_ROSTER:
         src = load_agent(ckpts[algo], config, np.random.default_rng(0))
         out = load_agent(run_dir / f"{algo}_{aid}.ckpt", config, np.random.default_rng(0))
         _, src_arrays = src.checkpoint_payload()
@@ -138,7 +153,7 @@ def test_tournament_resumes_checkpoints_and_freeze(tmp_path):
 def test_tournament_missing_checkpoint_raises(tmp_path):
     ckpts = {"ppo": str(tmp_path / "nope.ckpt")}
     with pytest.raises(MissingCheckpointError):
-        tournament("dp", 4, ckpts, 1, 0, tmp_path, all_ppo=True)
+        run(tournament("dp", 4, ckpts, 1, 0, all_ppo=True), tmp_path)
     assert not any(tmp_path.iterdir())
 
 
@@ -164,3 +179,52 @@ def test_save_agent_roundtrip_schedule_counters(tmp_path):
     save_agent(agent, path)
     clone = load_agent(path, config, np.random.default_rng(2))
     assert clone.t == 77
+
+
+SEAT_KEYS = {"id", "algo", "train", "checkpoint", "overrides"}
+
+
+@pytest.fixture(scope="module")
+def pretrained(tmp_path_factory):
+    """Checkpoint paths of three-episode pretrains of every learner."""
+    root = tmp_path_factory.mktemp("pre")
+    return {a: str(run(pretrain(a, "dp", 4, 3, 2), root) / f"{a}.ckpt") for a in LEARNERS}
+
+
+@pytest.mark.parametrize("build", [
+    lambda ckpts: pretrain("dqn", "gsp", 6, 4, 1, overrides={"hidden": (8,), "warmup": 2}),
+    lambda ckpts: tournament("up", 8, ckpts, 4, 2, freeze=True),
+    lambda ckpts: tournament("gsp", 6, ckpts, 4, 3),
+    lambda ckpts: tournament("dp", 4, ckpts, 4, 4, all_ppo=True),
+], ids=["pretrain", "frozen", "learning", "all_ppo"])
+def test_config_json_is_the_session_spec(tmp_path, pretrained, build):
+    session = build(pretrained)
+    run_dir = run(session, tmp_path)
+    snapshot = json.loads((run_dir / "config.json").read_text())
+    assert snapshot == json.loads(json.dumps({**session.to_dict(), "out_dir": str(run_dir)}))
+    assert all(set(seat) == SEAT_KEYS for seat in snapshot["roster"])
+    names = sorted(p.name for p in run_dir.iterdir())
+    if session.mode == "pretrain":
+        assert names == ["auctions.csv", "config.json", "dqn.ckpt", "episodes.csv"]
+    else:
+        assert names == sorted(["auctions.csv", "config.json", "episodes.csv"]
+                               + [f"{seat.algo}_{seat.id}.ckpt" for seat in session.roster])
+
+
+def test_config_json_is_written_last(tmp_path, monkeypatch):
+    """A run that fails after its logs leaves no config.json, not even the one
+    an earlier complete run in the same directory wrote."""
+    import maulab.harness
+
+    session = pretrain("ql", "dp", 4, 5, 1)
+    run_dir = run(session, tmp_path)
+    assert (run_dir / "config.json").is_file()
+
+    def crash(agent, path):
+        raise OSError("killed")
+
+    monkeypatch.setattr(maulab.harness, "save_agent", crash)
+    with pytest.raises(OSError):
+        run(session, tmp_path)
+    assert (run_dir / "episodes.csv").is_file()
+    assert not (run_dir / "config.json").exists()

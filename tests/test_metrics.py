@@ -318,3 +318,64 @@ def test_emit_svg_long_series_thinned(tmp_path):
     assert xs == sorted(xs)
     assert ">9.00</text>" in text and ">-1.00</text>" in text
     assert f">{n}</text>" in text
+
+
+class _Unwritable:
+    """A cell that fails when formatted, as a full disk fails a write."""
+
+    def __str__(self):
+        raise OSError(28, "No space left on device")
+
+
+def test_write_csv_failing_partway_leaves_no_partial_file(tmp_path):
+    cells = np.array([1] * (BLOCK_ROWS + 10) + [_Unwritable()], dtype=object)
+    path = tmp_path / "log.csv"
+    with pytest.raises(OSError):
+        write_csv({"x": cells}, path, ["x"])
+    assert list(tmp_path.iterdir()) == []
+    write_csv({"x": np.arange(3)}, path, ["x"])
+    before = path.read_bytes()
+    with pytest.raises(OSError):
+        write_csv({"x": cells}, path, ["x"])
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def _json_file(path):
+    from maulab.harness import write_json
+
+    write_json(path, {"mode": "pretrain"})
+
+
+def _checkpoint_file(path):
+    from maulab.checkpoint import save_checkpoint
+
+    save_checkpoint(path, "qtable", {"t": 1}, {"table": np.ones((2, 3))})
+
+
+@pytest.mark.parametrize("write", [
+    lambda p: write_csv({"x": np.arange(5.0)}, p, ["x"]),
+    lambda p: emit_svg([("pane", {"line": np.arange(5.0)})], p),
+    _checkpoint_file,
+    _json_file,
+], ids=["write_csv", "emit_svg", "save_checkpoint", "write_json"])
+def test_writers_replace_the_final_file_only_when_complete(tmp_path, monkeypatch, write):
+    """A crash after the data is written but before the file is moved into
+    place leaves the earlier file as it was, and no new one."""
+    import maulab.metrics
+
+    path = tmp_path / "out"
+    write(path)
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    earlier = path.read_bytes()
+
+    def crash(src, dst):
+        raise OSError("killed")
+
+    monkeypatch.setattr(maulab.metrics.os, "replace", crash)
+    with pytest.raises(OSError):
+        write(tmp_path / "new")
+    with pytest.raises(OSError):
+        write(path)
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert path.read_bytes() == earlier
