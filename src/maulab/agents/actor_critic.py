@@ -12,7 +12,7 @@ import numpy as np
 from maulab.agents.base import NetAgent
 from maulab.agents.policy import head_logits, heads_stats, score_entropy_logits_grad
 from maulab.config import ConfigError, ScenarioConfig
-from maulab.nn import Categorical, OptimState, adam_step_params, backward, forward, mlp_init
+from maulab.nn import OptimState, adam_step_params, backward, forward, log_softmax, mlp_init, sample_categorical
 
 
 def advantage(reward: float, value: float) -> float:
@@ -162,15 +162,17 @@ class _ActorCriticAgent(NetAgent):
         self._pending_logp = 0.0  # log-probability of the levels act last returned
         self.t = 0
 
-    def act(self, obs: np.ndarray, explore: bool = True) -> tuple[int, ...]:
-        """One level per head, in head order."""
-        out, _ = forward(self.actor, np.asarray(obs, dtype=float))
-        dist = Categorical(out.reshape(self.k, self.levels))
-        levels = dist.sample(self.rng)
-        self._pending_logp = float(dist.log_prob(levels).sum())
-        return tuple(levels.tolist())
+    def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
+        """One level per head, in head order. An exploring act (one episode)
+        keeps the joint log-probability of its levels for the rollout."""
+        out, _ = forward(self.actor, obs[:, None, :])
+        log_probs = log_softmax(out.reshape(len(obs), self.k, self.levels))
+        levels = sample_categorical(log_probs, self.rng)
+        if explore:
+            self._pending_logp = float(np.take_along_axis(log_probs, levels[..., None], axis=-1).sum())
+        return levels
 
-    def _record(self, obs: np.ndarray, levels: tuple[int, ...], reward: float) -> None:
+    def _record(self, obs: np.ndarray, levels: np.ndarray, reward: float) -> None:
         self._obs.append(np.array(obs))
         self._acts.append(np.array(levels))
         self._logp.append(self._pending_logp)
@@ -200,7 +202,7 @@ class A2cAgent(_ActorCriticAgent):
         super().__init__(config, rng, hidden, actor_lr, critic_lr, entropy_coef)
         self.batch_size = batch_size
 
-    def observe(self, obs: np.ndarray, levels: tuple[int, ...], reward: float) -> None:
+    def observe(self, obs: np.ndarray, levels: np.ndarray, reward: float) -> None:
         self._record(obs, levels, reward)
         if len(self._rews) >= self.batch_size:
             a2c_update(
@@ -247,7 +249,7 @@ class PpoAgent(_ActorCriticAgent):
         self.value_weight = value_weight
         self.last_diag: dict = {}
 
-    def observe(self, obs: np.ndarray, levels: tuple[int, ...], reward: float) -> None:
+    def observe(self, obs: np.ndarray, levels: np.ndarray, reward: float) -> None:
         self._record(obs, levels, reward)
         if len(self._rews) >= self.rollout:
             self.last_diag = ppo_update(

@@ -69,14 +69,23 @@ def joint_action_space(grid_levels: int, k: int) -> list[tuple[int, ...]]:
     return [tuple(sorted(c, reverse=True)) for c in combos]
 
 
-def bin_value(value: float, lo: float, hi: float, bins: int) -> int:
-    """Floor the value into one of `bins` integer bins over [lo, hi]."""
-    b = int(np.floor((value - lo) / (hi - lo) * (bins - 1)))
-    return max(0, min(b, bins - 1))
+def action_table(grid_levels: int, k: int) -> tuple[np.ndarray, dict]:
+    """The canonical joint actions as an (A, k) level array, and the index of each tuple."""
+    actions = joint_action_space(grid_levels, k)
+    return np.array(actions), {a: i for i, a in enumerate(actions)}
+
+
+def bin_value(value, lo: float, hi: float, bins: int):
+    """Floor the value into one of `bins` integer bins over [lo, hi],
+    elementwise: the count of bin edges 1..bins-1 at or below its position."""
+    return np.arange(1, bins).searchsorted((value - lo) / (hi - lo) * (bins - 1), side="right")
 
 
 class Agent:
     """Base bidder agent. Subclasses implement act() and learning in observe().
+
+    `act` maps a block of observations, one (k,) row per episode, to a row of k
+    levels per episode; a seat that trains acts on one episode, then observes it.
 
     The checkpoint codec: a checkpoint's meta holds every constructor
     hyperparameter, read back from the attribute of the same name, and the
@@ -97,18 +106,19 @@ class Agent:
     def k(self) -> int:
         return self.config.units_per_bidder
 
-    def value_of(self, obs: np.ndarray) -> float:
-        if len(obs) != self.k:
-            raise ConfigError(f"observation length {len(obs)} != k={self.k}")
-        return float(obs[0]) * self.config.value_hi
+    def value_of(self, obs: np.ndarray):
+        """The value behind an observation row (k,), or one per row of a (B, k) block."""
+        if obs.shape[-1] != self.k:
+            raise ConfigError(f"observation length {obs.shape[-1]} != k={self.k}")
+        return obs[..., 0] * self.config.value_hi
 
-    def act(self, obs: np.ndarray, explore: bool = True) -> tuple[int, ...]:
-        """One grid level per unit slot, in any order; the env canonicalizes."""
+    def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
+        """(B, k) grid levels for a (B, k) block of observations, any order per row; the env canonicalizes."""
         raise NotImplementedError
 
-    def observe(self, obs: np.ndarray, levels: tuple[int, ...], reward: float) -> None:
-        """Deliver this agent's observation, the levels its act returned and
-        its episode reward. Called only for a seat that trains."""
+    def observe(self, obs: np.ndarray, levels: np.ndarray, reward: float) -> None:
+        """Deliver one episode's observation row, the levels row its act
+        returned and its episode reward. Called only for a seat that trains."""
 
     def hyperparameters(self) -> dict:
         return {name: getattr(self, name) for name in hyperparameter_names(type(self))}
@@ -146,9 +156,12 @@ class RandomAgent(Agent):
     algo = "random"
     kind = "random"
 
-    def act(self, obs: np.ndarray, explore: bool = True) -> tuple[int, ...]:
+    def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
+        if len(obs) == 1:  # one episode: Python floats and numpy's scalar path, the same draws sooner
+            cap = int(self.grid.highest_level_at_most(self.value_of(obs[0]).item()))
+            return self.rng.integers(0, cap, size=self.k, endpoint=True)[None]
         cap = self.grid.highest_level_at_most(self.value_of(obs))
-        return tuple(self.rng.integers(0, cap + 1, size=self.k).tolist())
+        return self.rng.integers(0, cap[:, None], size=(len(obs), self.k), endpoint=True)
 
 
 class NetAgent(Agent):

@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from maulab.agents.base import Agent, NetAgent, bin_value, joint_action_space
+from maulab.agents.base import Agent, NetAgent, action_table, bin_value
 from maulab.config import ScenarioConfig
 from maulab.nn import Categorical, OptimState, adam_step_params, backward, forward, mlp_init, softmax
+from maulab.nn import log_softmax, sample_categorical
 
 
 def vpg_update(table: np.ndarray, s: int, a: int, r: float, alpha: float) -> None:
@@ -37,20 +38,18 @@ class VpgAgent(Agent):
         super().__init__(config, rng)
         self.value_bins = value_bins
         self.alpha = alpha
-        self.actions = joint_action_space(config.grid_levels, self.k)
-        self.action_index = {a: i for i, a in enumerate(self.actions)}
+        self.actions, self.action_index = action_table(config.grid_levels, self.k)
         self.table = np.zeros((value_bins, len(self.actions)))
         self.t = 0
 
     def _bin(self, obs: np.ndarray) -> int:
         return bin_value(self.value_of(obs), self.config.value_lo, self.config.value_hi, self.value_bins)
 
-    def act(self, obs: np.ndarray, explore: bool = True) -> tuple[int, ...]:
-        s = self._bin(obs)
-        return self.actions[Categorical(self.table[s]).sample(self.rng)]
+    def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
+        return self.actions[sample_categorical(log_softmax(self.table)[self._bin(obs)], self.rng)]
 
-    def observe(self, obs: np.ndarray, levels: tuple[int, ...], reward: float) -> None:
-        vpg_update(self.table, self._bin(obs), self.action_index[levels], reward, self.alpha)
+    def observe(self, obs: np.ndarray, levels: np.ndarray, reward: float) -> None:
+        vpg_update(self.table, self._bin(obs), self.action_index[tuple(levels.tolist())], reward, self.alpha)
         self.t += 1
 
     def state_arrays(self) -> dict[str, np.ndarray]:
@@ -140,12 +139,12 @@ class DpgAgent(NetAgent):
         self._rews: list[float] = []
         self.t = 0
 
-    def act(self, obs: np.ndarray, explore: bool = True) -> tuple[int, ...]:
+    def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
         """One level per head, in head order."""
-        out, _ = forward(self.net, np.asarray(obs, dtype=float))
-        return tuple(Categorical(out.reshape(self.k, self.levels)).sample(self.rng).tolist())
+        out, _ = forward(self.net, obs[:, None, :])
+        return sample_categorical(log_softmax(out.reshape(len(obs), self.k, self.levels)), self.rng)
 
-    def observe(self, obs: np.ndarray, levels: tuple[int, ...], reward: float) -> None:
+    def observe(self, obs: np.ndarray, levels: np.ndarray, reward: float) -> None:
         self._obs.append(np.array(obs))
         self._acts.append(np.array(levels))
         self._rews.append(reward)

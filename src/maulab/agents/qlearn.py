@@ -8,10 +8,10 @@ from maulab.agents.base import (
     Agent,
     NetAgent,
     ReplayBuffer,
+    action_table,
     bin_value,
     decay_for,
     epsilon_at,
-    joint_action_space,
 )
 from maulab.config import ScenarioConfig
 from maulab.nn import OptimState, adam_step_params, backward, forward, mlp_init
@@ -24,13 +24,21 @@ def q_update(table: np.ndarray, s: int, a: int, r: float, alpha: float) -> float
     return float(table[s, a])
 
 
-def _explore_index(agent, explore: bool) -> int | None:
-    """With probability epsilon(t), a uniform random action index; else None.
-    A non-exploring agent draws nothing."""
+def _epsilon_greedy(agent, obs: np.ndarray, explore: bool, greedy) -> np.ndarray:
+    """One action index per row of obs: with probability epsilon(t) a uniform random one,
+    else greedy's (on the rows that do not explore). A non-exploring agent draws nothing."""
     eps = epsilon_at(agent.eps_max, agent.decay_rate, agent.t) if explore else 0.0
-    if eps > 0.0 and agent.rng.random() < eps:
-        return int(agent.rng.integers(len(agent.actions)))
-    return None
+    if eps <= 0.0:
+        return greedy(obs)
+    drawn = agent.rng.random(len(obs)) < eps
+    n_drawn = np.count_nonzero(drawn)
+    if not n_drawn:
+        return greedy(obs)
+    idx = np.empty(len(obs), dtype=int)
+    idx[drawn] = agent.rng.integers(len(agent.actions), size=n_drawn)
+    if n_drawn < len(obs):
+        idx[~drawn] = greedy(obs[~drawn])
+    return idx
 
 
 class QLearningAgent(Agent):
@@ -53,8 +61,7 @@ class QLearningAgent(Agent):
         super().__init__(config, rng)
         self.value_bins = value_bins
         self.alpha = alpha
-        self.actions = joint_action_space(config.grid_levels, self.k)
-        self.action_index = {a: i for i, a in enumerate(self.actions)}
+        self.actions, self.action_index = action_table(config.grid_levels, self.k)
         self.table = np.zeros((value_bins, len(self.actions)))
         self.eps_max = eps_max
         self.decay_rate = decay_for(config.episodes) if decay_rate is None else decay_rate
@@ -63,15 +70,14 @@ class QLearningAgent(Agent):
     def _bin(self, obs: np.ndarray) -> int:
         return bin_value(self.value_of(obs), self.config.value_lo, self.config.value_hi, self.value_bins)
 
-    def act(self, obs: np.ndarray, explore: bool = True) -> tuple[int, ...]:
-        s = self._bin(obs)
-        idx = _explore_index(self, explore)
-        if idx is None:
-            idx = int(np.argmax(self.table[s]))  # ties -> lowest index
-        return self.actions[idx]
+    def _greedy(self, obs: np.ndarray) -> np.ndarray:
+        return self.table.argmax(axis=1)[self._bin(obs)]  # ties -> lowest index
 
-    def observe(self, obs: np.ndarray, levels: tuple[int, ...], reward: float) -> None:
-        q_update(self.table, self._bin(obs), self.action_index[levels], reward, self.alpha)
+    def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
+        return self.actions[_epsilon_greedy(self, obs, explore, self._greedy)]
+
+    def observe(self, obs: np.ndarray, levels: np.ndarray, reward: float) -> None:
+        q_update(self.table, self._bin(obs), self.action_index[tuple(levels.tolist())], reward, self.alpha)
         self.t += 1
 
     def state_arrays(self) -> dict[str, np.ndarray]:
@@ -122,8 +128,7 @@ class DqnAgent(NetAgent):
     ):
         super().__init__(config, rng)
         self.hidden = tuple(hidden)
-        self.actions = joint_action_space(config.grid_levels, self.k)
-        self.action_index = {a: i for i, a in enumerate(self.actions)}
+        self.actions, self.action_index = action_table(config.grid_levels, self.k)
         self.net = mlp_init((self.k, *self.hidden, len(self.actions)), rng)
         self.buffer_capacity = buffer_capacity
         self.buffer = ReplayBuffer(buffer_capacity)
@@ -135,15 +140,15 @@ class DqnAgent(NetAgent):
         self.decay_rate = decay_for(config.episodes) if decay_rate is None else decay_rate
         self.t = self.train_steps = 0
 
-    def act(self, obs: np.ndarray, explore: bool = True) -> tuple[int, ...]:
-        idx = _explore_index(self, explore)
-        if idx is None:
-            q, _ = forward(self.net, np.asarray(obs, dtype=float))
-            idx = int(np.argmax(q))
-        return self.actions[idx]
+    def _greedy(self, obs: np.ndarray) -> np.ndarray:
+        q, _ = forward(self.net, obs[:, None, :])
+        return q[:, 0].argmax(axis=1)  # ties -> lowest index
 
-    def observe(self, obs: np.ndarray, levels: tuple[int, ...], reward: float) -> None:
-        self.buffer.push(obs, self.action_index[levels], reward)
+    def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
+        return self.actions[_epsilon_greedy(self, obs, explore, self._greedy)]
+
+    def observe(self, obs: np.ndarray, levels: np.ndarray, reward: float) -> None:
+        self.buffer.push(obs, self.action_index[tuple(levels.tolist())], reward)
         self.t += 1
         if len(self.buffer) >= max(self.warmup, self.batch_size):
             dqn_train_step(self.net, self.buffer, self.opt, self.batch_size, self.rng)

@@ -1,89 +1,80 @@
 """Sealed-bid multi-unit auction clearing: bid ranking and the three payment rules.
 
-All functions are pure given an explicit tie-break random stream. Bids arrive
-as an (n_bidders, k) matrix; each row is canonicalized weakly decreasing
-before ranking (row order within a bidder never affects the outcome).
+All functions are pure given an explicit tie-break random stream and work on
+a block of B auctions. Bids arrive as a (B, n_bidders, k) array; each row is
+canonicalized weakly decreasing before ranking (row order within a bidder
+never affects the outcome). A clearing returns the winning canonical slots
+(bidder * k + slot) in rank order (B, K), their payments (B, K) and the
+revenues (B,).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True)
-class WinnerEntry:
-    bidder_id: int
-    unit_slot: int
-    winning_bid: float
-    payment: float
-
-
-@dataclass(frozen=True)
-class AuctionOutcome:
-    winners: tuple[WinnerEntry, ...]
-    clearing_price: float | None  # uniform-price only
-    revenue: float
-
-
 def canonicalize(bids: np.ndarray) -> np.ndarray:
-    """Sort each bidder's row weakly decreasing."""
-    return -np.sort(-np.asarray(bids, dtype=float), axis=1)
+    """Sort each bidder's row (the last axis) weakly decreasing."""
+    return -np.sort(-np.asarray(bids, dtype=float), axis=-1)
+
+
+def slot_sum(a: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, added column by column from 0.0: the order a
+    Python sum takes (a numpy sum of 8 or more columns pairs them differently)."""
+    total = np.zeros(a.shape[:-1])
+    for j in range(a.shape[-1]):
+        total += a[..., j]
+    return total
 
 
 def _rank(b: np.ndarray, K: int, tie_rng: np.random.Generator) -> np.ndarray:
-    """Flat indices of the canonical bids `b` by bid descending; ties broken by
-    a uniform random permutation drawn from tie_rng."""
-    n, k = b.shape
+    """Flat indices of each auction's canonical bids `b` (B, n, k) by bid
+    descending; ties broken by a uniform random permutation per auction drawn
+    from tie_rng (the draws of B successive `permutation(n * k)` calls)."""
+    B, n, k = b.shape
     if K > n * k:
         raise ValueError(f"K={K} exceeds {n * k} submitted bids")
-    perm = tie_rng.permutation(n * k)
+    perm = tie_rng.permuted(np.tile(np.arange(n * k), (B, 1)), axis=1)
     # lexsort: last key is primary. Sort by bid descending, then by the
     # random permutation position for equal bids.
-    return np.lexsort((perm, -b.ravel()))
+    return np.lexsort((perm, -b.reshape(B, n * k)), axis=-1)
 
 
-def _clear(rule: str, bids: np.ndarray, K: int, tie_rng: np.random.Generator) -> AuctionOutcome:
+def _clear(rule: str, bids: np.ndarray, K: int, tie_rng: np.random.Generator):
     """Rank once, then pay per rule: dp its own bid, up the (K+1)-th bid, gsp
     the next ranked bid of a different bidder (0 if none exists)."""
     b = canonicalize(bids)
-    k = b.shape[1]
+    B, n, k = b.shape
     order = _rank(b, K, tie_rng)
-    ranked = b.ravel()[order].tolist()
-    owner = (order // k).tolist()
-    price = None
+    ranked = b.reshape(B, n * k)[np.arange(B)[:, None], order]
     if rule == "dp":
-        pay = ranked[:K]
+        pay = ranked[:, :K]
     elif rule == "up":
-        price = ranked[K] if len(ranked) > K else 0.0
-        pay = [price] * K
+        price = ranked[:, K] if n * k > K else np.zeros(B)
+        pay = np.repeat(price[:, None], K, axis=1)
     else:
-        # A bidder holds at most k slots, so another bidder's bid, if any,
-        # ranks within the next k positions.
-        pay = []
-        for p in range(K):
-            ahead = range(p + 1, min(p + 1 + k, len(ranked)))
-            pay.append(next((ranked[q] for q in ahead if owner[q] != owner[p]), 0.0))
-    winners = tuple(
-        WinnerEntry(owner[p], int(order[p] % k), ranked[p], pay[p]) for p in range(K)
-    )
-    # A Python sum in rank order: a numpy sum of the same payments can differ in the last bit.
-    return AuctionOutcome(winners, price, float(sum(pay)))
+        # Another bidder's bid, if any, ranks within the next k positions (a bidder holds
+        # at most k slots). Pads past the last bid pay 0 for no bidder; the nearest wins.
+        bid = np.concatenate((ranked, np.zeros((B, k))), axis=1)
+        owner = np.concatenate((order // k, np.full((B, k), -1)), axis=1)
+        pay = np.zeros((B, K))
+        for d in range(k, 0, -1):
+            pay = np.where(owner[:, d : d + K] != owner[:, :K], bid[:, d : d + K], pay)
+    return order[:, :K], pay, slot_sum(pay)
 
 
-def clear_dp(bids: np.ndarray, K: int, tie_rng: np.random.Generator) -> AuctionOutcome:
+def clear_dp(bids: np.ndarray, K: int, tie_rng: np.random.Generator):
     """Discriminatory (pay-as-bid): each winning slot pays its own bid."""
     return _clear("dp", bids, K, tie_rng)
 
 
-def clear_gsp(bids: np.ndarray, K: int, tie_rng: np.random.Generator) -> AuctionOutcome:
+def clear_gsp(bids: np.ndarray, K: int, tie_rng: np.random.Generator):
     """Generalized second-price: each winning slot pays the highest bid ranked
     below it that belongs to a different bidder (0 if none exists)."""
     return _clear("gsp", bids, K, tie_rng)
 
 
-def clear_up(bids: np.ndarray, K: int, tie_rng: np.random.Generator) -> AuctionOutcome:
+def clear_up(bids: np.ndarray, K: int, tie_rng: np.random.Generator):
     """Uniform-price: every winner pays the highest losing ((K+1)-th) bid."""
     return _clear("up", bids, K, tie_rng)
 
@@ -91,28 +82,30 @@ def clear_up(bids: np.ndarray, K: int, tie_rng: np.random.Generator) -> AuctionO
 _CLEAR = {"dp": clear_dp, "gsp": clear_gsp, "up": clear_up}
 
 
-def clear(rule: str, bids: np.ndarray, K: int, tie_rng: np.random.Generator) -> AuctionOutcome:
+def clear(rule: str, bids: np.ndarray, K: int, tie_rng: np.random.Generator):
+    """(winners, payment, revenue) of a block of auctions under `rule`."""
     return _CLEAR[rule](bids, K, tie_rng)
 
 
-def _allocated_and_best(valuations: np.ndarray, outcome: AuctionOutcome, K: int) -> tuple[float, float]:
-    """Value allocated to the winners, and the sum of the K highest marginal values."""
-    v = canonicalize(valuations)
-    allocated = sum(float(v[w.bidder_id, w.unit_slot]) for w in outcome.winners)
-    best = float(np.sort(v.ravel())[::-1][:K].sum())
+def _allocated_and_best(valuations: np.ndarray, winners: np.ndarray, K: int):
+    """Per auction, the value allocated to the winners (added in rank order)
+    and the sum of the K highest marginal values."""
+    B, n, k = valuations.shape
+    v = canonicalize(valuations).reshape(B, n * k)
+    allocated = slot_sum(v[np.arange(B)[:, None], winners])
+    best = np.sort(v, axis=1)[:, ::-1][:, :K].sum(axis=1)
     return allocated, best
 
 
-def efficiency_ratio(valuations: np.ndarray, outcome: AuctionOutcome, K: int) -> float:
+def efficiency_ratio(valuations: np.ndarray, winners: np.ndarray, K: int) -> np.ndarray:
     """Allocated value over the best attainable (sum of the K highest marginal
-    values). Returns 1 when the denominator is 0."""
-    allocated, best = _allocated_and_best(valuations, outcome, K)
-    if best == 0.0:
-        return 1.0
-    return min(allocated / best, 1.0)
+    values), per auction. 1 where the denominator is 0."""
+    allocated, best = _allocated_and_best(valuations, winners, K)
+    return np.where(best == 0.0, 1.0, np.minimum(allocated / np.where(best == 0.0, 1.0, best), 1.0))
 
 
-def efficiency_gap(valuations: np.ndarray, outcome: AuctionOutcome, K: int) -> float:
-    """Difference form: top-K value sum minus allocated value sum (0 = efficient)."""
-    allocated, best = _allocated_and_best(valuations, outcome, K)
-    return max(best - allocated, 0.0)
+def efficiency_gap(valuations: np.ndarray, winners: np.ndarray, K: int) -> np.ndarray:
+    """Difference form, per auction: top-K value sum minus allocated value sum
+    (0 = efficient)."""
+    allocated, best = _allocated_and_best(valuations, winners, K)
+    return np.maximum(best - allocated, 0.0)

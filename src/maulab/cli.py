@@ -112,6 +112,9 @@ def cmd_tournament(args) -> int:
     if o["auction"] is None or o["items"] is None:
         print("tournament requires --auction and --items", file=sys.stderr)
         return 2
+    if "hyperparameters" in o:
+        print("config key 'hyperparameters' applies to pretrain only (seats load checkpoints)", file=sys.stderr)
+        return 2
 
     checkpoints: dict[str, str] = {}
     if args.ckpt_dir:

@@ -34,7 +34,7 @@ class BidGrid:
             raise ConfigError(f"bid level outside grid [0, {self.levels - 1}]")
         return self.lo + levels * self.step
 
-    def highest_level_at_most(self, amount: float) -> int:
-        """Largest level whose bid does not exceed `amount` (tolerance 1e-9)."""
-        lvl = int(np.floor((amount - self.lo) / self.step + 1e-9))
-        return max(0, min(lvl, self.levels - 1))
+    def highest_level_at_most(self, amount):
+        """Largest level whose bid does not exceed `amount` (tolerance 1e-9), elementwise:
+        (amount - lo) / step + 1e-9 floored and clipped, as the count of levels 1.. at or below it."""
+        return np.arange(1, self.levels).searchsorted((amount - self.lo) / self.step + 1e-9, side="right")

@@ -16,13 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from maulab.agents.base import Agent, agent_class, check_overrides, hyperparameter_names, make_agent
-from maulab.auction import efficiency_gap, efficiency_ratio
+from maulab.auction import efficiency_gap, efficiency_ratio, slot_sum
 from maulab.checkpoint import CheckpointError, MissingCheckpointError, load_checkpoint, save_checkpoint
 from maulab.config import ALGOS, LEARNERS, RULES, TOURNAMENT_IDS, ScenarioConfig, Seat, Session
-from maulab.env import AuctionEnv, slot_sum
+from maulab.env import AuctionEnv
 from maulab.metrics import AUCTION_LOG_FIELDS, EPISODE_LOG_FIELDS, atomic_open, bid_ratio, learning_ratio, write_csv
 
 SUPPLIES = (4, 6, 8)
+BLOCK = 4096  # episodes per block when no seat trains; a training seat's session plays blocks of one
 
 
 def make_streams(master_seed: int, n_agents: int):
@@ -36,37 +37,43 @@ def make_streams(master_seed: int, n_agents: int):
     )
 
 
-def run_episode(env: AuctionEnv, agents: list[Agent], train):
-    """One episode: reset, collect each agent's bid levels, clear, deliver
-    each agent its reward. `train` holds one flag per agent: an agent that
-    trains explores and observes its reward, any other acts greedily and
-    learns nothing. Returns env.step's arrays and the valuations."""
-    observations = env.reset()
+def run_episode(env: AuctionEnv, agents: list[Agent], train, episodes: int = 1):
+    """One block of episodes: reset, one act call per agent, clear, deliver
+    the rewards. `train` holds one flag per agent: an agent that trains explores
+    and observes its rewards, any other acts greedily and learns nothing.
+    Returns env.step's arrays and the (B, n, k) valuations."""
+    observations = env.reset(episodes)
     valuations = env.valuations()
-    levels = [agent.act(obs, explore=t) for agent, obs, t in zip(agents, observations, train)]
-    step = env.step(levels)
-    for agent, obs, own, r, t in zip(agents, observations, levels, step[0].tolist(), train):
+    seats = observations.transpose(1, 0, 2)  # row i: agent i's (B, k) observations
+    levels = np.array([agent.act(obs, explore=t) for agent, obs, t in zip(agents, seats, train)])
+    step = env.step(levels.transpose(1, 0, 2))
+    for i, t in enumerate(train):
         if t:
-            agent.observe(obs, own, r)
+            for row in zip(seats[i], levels[i], step[0][:, i].tolist()):
+                agents[i].observe(*row)
     return step, valuations
 
 
 def run_session(session: Session, env: AuctionEnv, agents: list[Agent], episodes: int) -> tuple[dict, dict]:
-    """Run `episodes` auctions, returning the columns of the episode log (one
-    row per agent per episode) and of the auction log (one row per episode)."""
+    """Run `episodes` auctions in blocks (see BLOCK), returning the columns of
+    the episode log (one row per agent per episode) and of the auction log (one
+    row per episode). Efficiency is scored after the last block, BLOCK episodes a call."""
     config, train = session.scenario, [seat.train for seat in session.roster]
     n, k, K = len(agents), config.units_per_bidder, config.supply
-    value, reward = np.empty((episodes, n)), np.empty((episodes, n))
-    bids, payment = np.empty((episodes, n, k)), np.empty((episodes, n, k))
-    won = np.empty((episodes, n, k), dtype=bool)
-    revenue, eff_ratio, eff_gap = (np.empty(episodes) for _ in range(3))
-    for ep in range(episodes):
-        (reward[ep], won[ep], payment[ep], bids[ep], outcome), valuations = run_episode(env, agents, train)
-        value[ep] = valuations[:, 0]
-        revenue[ep] = outcome.revenue
-        eff_ratio[ep] = efficiency_ratio(valuations, outcome, K)
-        eff_gap[ep] = efficiency_gap(valuations, outcome, K)
-    value, units = value.ravel(), won.sum(axis=2).ravel()
+    reward, revenue = np.empty((episodes, n)), np.empty(episodes)
+    valuations, bids, payment = (np.empty((episodes, n, k)) for _ in range(3))
+    won, winners = np.empty((episodes, n, k), dtype=bool), np.empty((episodes, K), dtype=int)
+    block = 1 if any(train) else BLOCK
+    for a in range(0, episodes, block):
+        b = min(a + block, episodes)
+        (reward[a:b], won[a:b], payment[a:b], bids[a:b], (winners[a:b], _, revenue[a:b])), valuations[a:b] = (
+            run_episode(env, agents, train, b - a)
+        )
+    eff_ratio, eff_gap = np.empty(episodes), np.empty(episodes)
+    for a in range(0, episodes, BLOCK):
+        v, w = valuations[a : a + BLOCK], winners[a : a + BLOCK]
+        eff_ratio[a : a + BLOCK], eff_gap[a : a + BLOCK] = efficiency_ratio(v, w, K), efficiency_gap(v, w, K)
+    value, units = valuations[:, :, 0].ravel(), won.sum(axis=2).ravel()
     bids, won, payment = (a.reshape(episodes * n, k) for a in (bids, won, payment))
     bid1, bid2 = bids[:, 0], bids[:, min(1, k - 1)]  # a one-slot bidder logs its bid twice
     episode_columns = {
@@ -182,7 +189,7 @@ def tournament(
 def start(session: Session) -> tuple[AuctionEnv, list[Agent]]:
     """The session's env and agents on their seeded streams: each seat's agent
     is loaded from its checkpoint or built fresh with its overrides. A missing
-    checkpoint raises MissingCheckpointError."""
+    checkpoint raises MissingCheckpointError, one of another algorithm CheckpointError."""
     config = session.scenario
     value_rng, tie_rng, agent_rngs = make_streams(config.master_seed, config.n_bidders)
     agents = []
@@ -191,6 +198,8 @@ def start(session: Session) -> tuple[AuctionEnv, list[Agent]]:
             agents.append(make_agent(seat.algo, config, rng, **seat.overrides))
         elif Path(seat.checkpoint).is_file():
             agents.append(load_agent(seat.checkpoint, config, rng))
+            if agents[-1].algo != seat.algo:
+                raise CheckpointError(f"{seat.checkpoint}: holds a {agents[-1].algo} agent, not {seat.algo}")
         else:
             raise MissingCheckpointError(f"missing checkpoint for {seat.algo}: {seat.checkpoint}")
     return AuctionEnv(config, value_rng, tie_rng), agents

@@ -53,17 +53,19 @@ def mlp_init(layout, seed_or_rng) -> MlpParams:
 
 
 def forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list]:
-    """Batch forward pass. x is (batch, in) or (in,); returns (output, cache)."""
+    """Batch forward pass. x is (batch, in) or (in,); returns (output, cache). A stack of
+    rows (batch, 1, in) gives each row the bits of a call on it alone; (batch, in) may not."""
     squeeze = x.ndim == 1
     h = np.atleast_2d(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(h)):
         raise ValueError("non-finite network input")
-    if h.shape[1] != params.layout[0]:
-        raise ConfigError(f"input width {h.shape[1]} != layout input {params.layout[0]}")
+    if h.shape[-1] != params.layout[0]:
+        raise ConfigError(f"input width {h.shape[-1]} != layout input {params.layout[0]}")
     cache = []
     last = len(params.weights) - 1
     for li, (W, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ W.T + b
+        z = h @ W.T
+        z += b  # in place: one block-sized array fewer
         cache.append((h, z))
         h = np.tanh(z) if li < last else z
     out = h[0] if squeeze else h
@@ -132,6 +134,25 @@ def adam_step_params(params: MlpParams, wg, bg, opt: OptimState) -> None:
     adam_step(params.weights + params.biases, list(wg) + list(bg), opt)
 
 
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-probabilities over the last axis; raises ValueError on non-finite logits."""
+    logits = np.asarray(logits, dtype=float)
+    if not np.all(np.isfinite(logits)):
+        raise ValueError("non-finite logits")
+    z = logits - logits.max(axis=-1, keepdims=True)
+    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return z
+
+
+def sample_categorical(log_probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One index per row of `log_probs` (over the last axis) by inverse CDF,
+    from one uniform draw per row in row order."""
+    cdf = np.exp(log_probs)
+    np.cumsum(cdf, axis=-1, out=cdf)
+    u = rng.random(cdf.shape[:-1] + (1,))
+    return (u > cdf).sum(axis=-1)
+
+
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     z = logits - logits.max(axis=axis, keepdims=True)
     e = np.exp(z)
@@ -142,21 +163,12 @@ class Categorical:
     """Categorical distribution over the last axis of a logits array."""
 
     def __init__(self, logits: np.ndarray):
-        self.logits = np.asarray(logits, dtype=float)
-        if not np.all(np.isfinite(self.logits)):
-            raise ValueError("non-finite logits")
-        z = self.logits - self.logits.max(axis=-1, keepdims=True)
-        self._logz = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-        self.log_probs = z - self._logz
+        self.log_probs = log_softmax(logits)
         self.probs = np.exp(self.log_probs)
 
     def sample(self, rng: np.random.Generator):
-        cdf = np.cumsum(self.probs, axis=-1)
-        u = rng.random(self.probs.shape[:-1] + (1,))
-        idx = (u > cdf).sum(axis=-1)
-        if idx.shape == ():
-            return int(idx)
-        return idx.astype(int)
+        idx = sample_categorical(self.log_probs, rng)
+        return int(idx) if idx.ndim == 0 else idx
 
     def log_prob(self, actions):
         a = np.asarray(actions, dtype=int)

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from maulab.auction import clear, clear_dp, efficiency_ratio
+from maulab.auction import canonicalize, clear, clear_dp, efficiency_ratio
 from maulab.config import ScenarioConfig, Seat, Session
 from maulab.env import reward
 from maulab.harness import pretrain, run, run_session, start, tournament
@@ -64,11 +64,12 @@ def test_criterion_1_mechanism_oracle_equivalence():
         bids = rng.integers(0, 11, size=(n, 2)).astype(float)
         rule = ("dp", "gsp", "up")[trial % 3]
         seed = int(rng.integers(1 << 30))
-        out = clear(rule, bids, K, np.random.default_rng(seed))
-        got = sorted((w.bidder_id, w.winning_bid, w.payment) for w in out.winners)
+        winners, pay, revenue = clear(rule, bids[None], K, np.random.default_rng(seed))
+        canonical = canonicalize(bids).ravel()
+        got = sorted((int(w // 2), float(canonical[w]), float(p)) for w, p in zip(winners[0], pay[0]))
         perm = np.random.default_rng(seed).permutation(n * 2)
         want, want_rev = _oracle_clear(rule, bids, K, perm)
-        if got != want or out.revenue != want_rev:
+        if got != want or revenue[0] != want_rev:
             mismatches += 1
     elapsed = time.monotonic() - start
     _verdict(
@@ -371,8 +372,8 @@ def test_criterion_6_accounting_invariants():
     rng = np.random.default_rng(66)
     for _ in range(100):
         values = rng.uniform(0, 10, size=(6, 2))
-        out = clear_dp(values, 4, np.random.default_rng(1))  # truthful bids
-        ok &= efficiency_ratio(values, out, 4) == 1.0
+        winners, _, _ = clear_dp(values[None], 4, np.random.default_rng(1))  # truthful bids
+        ok &= efficiency_ratio(values[None], winners, 4)[0] == 1.0
     _verdict(
         6,
         "payments sum to revenue, supply fully allocated, efficiency in [0,1] "

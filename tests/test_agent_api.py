@@ -33,7 +33,7 @@ def test_epsilon_schedule_advance():
     agent = make_agent("ql", _config(), np.random.default_rng(0), eps_max=0.5, decay_rate=0.9)
     assert epsilon_at(agent.eps_max, agent.decay_rate, agent.t) == 0.5
     for _ in range(2):
-        agent.observe(np.full(2, 0.5), (1, 0), 0.0)
+        agent.observe(np.full(2, 0.5), np.array([1, 0]), 0.0)
     assert agent.t == 2
     assert epsilon_at(agent.eps_max, agent.decay_rate, agent.t) == pytest.approx(0.5 * 0.9**2)
 
@@ -156,7 +156,7 @@ def test_random_agent_bids_at_most_value():
     for _ in range(500):
         v = float(rng.uniform(0, 10))
         obs = np.full(2, v / 10.0)
-        for bid in grid.decode(agent.act(obs)):
+        for bid in grid.decode(agent.act(obs[None])[0]):
             assert bid <= v + 1e-9
 
 
@@ -167,7 +167,7 @@ def test_frozen_tabular_agent_is_pure():
     checksum = hashlib.sha256(agent.table.tobytes()).hexdigest()
     rng = np.random.default_rng(5)
     for _ in range(10_000):
-        agent.act(np.full(2, rng.random()), explore=False)
+        agent.act(np.full((1, 2), rng.random()), explore=False)
     assert hashlib.sha256(agent.table.tobytes()).hexdigest() == checksum
     assert agent.t == 0
 
@@ -178,7 +178,7 @@ def test_full_exploration_covers_action_space():
     seen = set()
     obs = np.full(2, 0.5)
     for _ in range(20_000):
-        seen.add(agent.act(obs))
+        seen.add(tuple(agent.act(obs[None])[0].tolist()))
     assert len(seen) == 231
 
 

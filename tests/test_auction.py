@@ -1,13 +1,13 @@
 """Clearing-rule tests against a prose-literal brute-force oracle."""
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maulab.auction import (
-    AuctionOutcome,
-    WinnerEntry,
     canonicalize,
     clear,
     clear_dp,
@@ -57,6 +57,21 @@ def _tie_perm(seed, n_slots):
     return np.random.default_rng(seed).permutation(n_slots)
 
 
+# One auction read back from a block of one: its winners in rank order.
+Winner = namedtuple("Winner", "bidder_id unit_slot winning_bid payment")
+Outcome = namedtuple("Outcome", "winners clearing_price revenue")
+
+
+def one(rule, bids, K, tie_rng):
+    """Clear `bids` (n, k) as a block of one auction and read the arrays back."""
+    bids = np.asarray(bids, dtype=float)
+    winners, pay, revenue = clear(rule, bids[None], K, tie_rng)
+    k = bids.shape[1]
+    canonical = canonicalize(bids).ravel()
+    rows = tuple(Winner(int(w // k), int(w % k), float(canonical[w]), float(p)) for w, p in zip(winners[0], pay[0]))
+    return Outcome(rows, float(pay[0, 0]) if rule == "up" else None, float(revenue[0]))
+
+
 def _summary(outcome):
     return sorted((w.bidder_id, w.winning_bid, w.payment) for w in outcome.winners)
 
@@ -70,7 +85,7 @@ def test_oracle_equivalence_random_instances(rule):
         K = int(rng.integers(1, min(5, n * k) + 1))
         bids = rng.integers(0, 11, size=(n, k)).astype(float)
         seed = int(rng.integers(1 << 30))
-        out = clear(rule, bids, K, np.random.default_rng(seed))
+        out = one(rule, bids, K, np.random.default_rng(seed))
         winners, pays, rev = oracle_clear(rule, bids, K, _tie_perm(seed, n * k))
         assert _summary(out) == sorted(
             (i, b, p) for (i, _, b), p in zip(winners, pays)
@@ -80,13 +95,13 @@ def test_oracle_equivalence_random_instances(rule):
 
 def test_rank_example():
     bids = np.array([[9.0, 7.0], [8.0, 2.0], [5.0, 1.0]])
-    out = clear_dp(bids, 4, np.random.default_rng(0))
+    out = one("dp", bids, 4, np.random.default_rng(0))
     assert [(w.bidder_id, w.unit_slot) for w in out.winners] == [(0, 0), (1, 0), (0, 1), (2, 0)]
 
 
 def test_dp_example():
     bids = np.array([[9.0, 7.0], [8.0, 2.0], [5.0, 1.0]])
-    out = clear_dp(bids, 4, np.random.default_rng(0))
+    out = one("dp", bids, 4, np.random.default_rng(0))
     per_bidder = {}
     for w in out.winners:
         per_bidder[w.bidder_id] = per_bidder.get(w.bidder_id, 0.0) + w.payment
@@ -97,19 +112,19 @@ def test_dp_example():
 
 def test_dp_single_effective_bidder():
     bids = np.array([[3.0, 2.0], [0.0, 0.0], [0.0, 0.0]])
-    out = clear_dp(bids, 2, np.random.default_rng(1))
+    out = one("dp", bids, 2, np.random.default_rng(1))
     assert out.revenue == 5.0
 
 
 def test_all_zero_bids_zero_revenue():
     bids = np.zeros((3, 2))
     for fn in (clear_dp, clear_gsp, clear_up):
-        assert fn(bids, 4, np.random.default_rng(2)).revenue == 0.0
+        assert fn(bids[None], 4, np.random.default_rng(2))[2][0] == 0.0
 
 
 def test_gsp_example():
     bids = np.array([[9.0, 7.0], [8.0, 2.0], [5.0, 1.0]])
-    out = clear_gsp(bids, 4, np.random.default_rng(0))
+    out = one("gsp", bids, 4, np.random.default_rng(0))
     pay_by_bid = {w.winning_bid: w.payment for w in out.winners}
     assert pay_by_bid == {9.0: 8.0, 8.0: 7.0, 7.0: 5.0, 5.0: 2.0}
     assert out.revenue == 22.0
@@ -117,13 +132,13 @@ def test_gsp_example():
 
 def test_gsp_excludes_own_bids():
     bids = np.array([[9.0, 8.0], [0.0, 0.0], [0.0, 0.0]])
-    out = clear_gsp(bids, 2, np.random.default_rng(3))
+    out = one("gsp", bids, 2, np.random.default_rng(3))
     assert all(w.bidder_id == 0 and w.payment == 0.0 for w in out.winners)
 
 
 def test_up_example():
     bids = np.array([[9.0, 7.0], [8.0, 2.0], [5.0, 1.0]])
-    out = clear_up(bids, 4, np.random.default_rng(0))
+    out = one("up", bids, 4, np.random.default_rng(0))
     assert out.clearing_price == 2.0
     assert out.revenue == 8.0
     assert all(w.payment == 2.0 for w in out.winners)
@@ -131,7 +146,7 @@ def test_up_example():
 
 def test_up_no_losing_bid():
     bids = np.array([[9.0, 7.0], [8.0, 2.0], [5.0, 1.0]])
-    out = clear_up(bids, 6, np.random.default_rng(0))
+    out = one("up", bids, 6, np.random.default_rng(0))
     assert out.clearing_price == 0.0
     assert out.revenue == 0.0
 
@@ -139,15 +154,15 @@ def test_up_no_losing_bid():
 def test_up_symmetric_truthful_zero_payoff():
     v = 6.0
     bids = np.full((3, 2), v)
-    out = clear_up(bids, 4, np.random.default_rng(5))
+    out = one("up", bids, 4, np.random.default_rng(5))
     assert out.clearing_price == v
     assert all(w.winning_bid - w.payment == 0.0 for w in out.winners)
 
 
 def test_tie_break_deterministic_replay():
     bids = np.array([[9.0, 9.0], [9.0, 0.0]])
-    a = clear_dp(bids, 2, np.random.default_rng(7))
-    b = clear_dp(bids, 2, np.random.default_rng(7))
+    a = one("dp", bids, 2, np.random.default_rng(7))
+    b = one("dp", bids, 2, np.random.default_rng(7))
     assert a == b
 
 
@@ -157,7 +172,7 @@ def test_tie_break_uniform_over_slots():
     counts = np.zeros(6)
     trials = 3000
     for _ in range(trials):
-        out = clear_dp(bids, 4, rng)
+        out = one("dp", bids, 4, rng)
         for w in out.winners:
             counts[w.bidder_id * 2 + w.unit_slot] += 1
     expected = trials * 4 / 6
@@ -172,8 +187,8 @@ def test_row_permutation_invariance():
         swapped = bids[:, ::-1].copy()
         seed = int(rng.integers(1 << 30))
         for rule in ("dp", "gsp", "up"):
-            a = clear(rule, bids, 3, np.random.default_rng(seed))
-            b = clear(rule, swapped, 3, np.random.default_rng(seed))
+            a = one(rule, bids, 3, np.random.default_rng(seed))
+            b = one(rule, swapped, 3, np.random.default_rng(seed))
             assert a == b
 
 
@@ -185,9 +200,9 @@ def test_revenue_dominance_no_ties():
         K = int(rng.integers(1, min(5, n * 2) + 1))
         bids = rng.uniform(0, 10, size=(n, 2))
         seed = int(rng.integers(1 << 30))
-        dp = clear_dp(bids, K, np.random.default_rng(seed))
-        gsp = clear_gsp(bids, K, np.random.default_rng(seed))
-        up = clear_up(bids, K, np.random.default_rng(seed))
+        dp = one("dp", bids, K, np.random.default_rng(seed))
+        gsp = one("gsp", bids, K, np.random.default_rng(seed))
+        up = one("up", bids, K, np.random.default_rng(seed))
         assert dp.revenue >= gsp.revenue - 1e-9
         # the GSP >= UP leg only holds when the price-setting bid is not a
         # winner's own losing bid; skip instances where it is
@@ -207,27 +222,25 @@ def test_revenue_dominance_no_ties():
 
 def test_rank_rejects_oversized_k():
     with pytest.raises(ValueError):
-        clear_dp(np.zeros((2, 2)), 5, np.random.default_rng(0))
+        clear_dp(np.zeros((1, 2, 2)), 5, np.random.default_rng(0))
 
 
 def test_efficiency_examples():
-    vals = np.array([[10.0, 10.0], [1.0, 1.0], [1.0, 1.0]])
-    # misallocation: one unit to a value-1 slot
-    winners = (WinnerEntry(0, 0, 9.0, 9.0), WinnerEntry(1, 0, 8.0, 8.0))
-    out = AuctionOutcome(winners, None, 17.0)
-    assert efficiency_ratio(vals, out, 2) == pytest.approx(0.55)
-    assert efficiency_gap(vals, out, 2) == pytest.approx(9.0)
+    vals = np.array([[[10.0, 10.0], [1.0, 1.0], [1.0, 1.0]]])
+    # misallocation: one unit to a value-1 slot (winners are bidder * k + slot)
+    out = np.array([[0 * 2 + 0, 1 * 2 + 0]])
+    assert efficiency_ratio(vals, out, 2)[0] == pytest.approx(0.55)
+    assert efficiency_gap(vals, out, 2)[0] == pytest.approx(9.0)
     # efficient allocation
-    winners = (WinnerEntry(0, 0, 9.0, 9.0), WinnerEntry(0, 1, 8.0, 8.0))
-    out = AuctionOutcome(winners, None, 17.0)
-    assert efficiency_ratio(vals, out, 2) == 1.0
-    assert efficiency_gap(vals, out, 2) == 0.0
+    out = np.array([[0 * 2 + 0, 0 * 2 + 1]])
+    assert efficiency_ratio(vals, out, 2)[0] == 1.0
+    assert efficiency_gap(vals, out, 2)[0] == 0.0
 
 
 def test_efficiency_zero_denominator():
-    vals = np.zeros((3, 2))
-    out = AuctionOutcome((), None, 0.0)
-    assert efficiency_ratio(vals, out, 2) == 1.0
+    vals = np.zeros((1, 3, 2))
+    out = np.zeros((1, 0), dtype=int)
+    assert efficiency_ratio(vals, out, 2)[0] == 1.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -248,7 +261,7 @@ def test_clearing_properties(data, n, rule, seed):
             )
         )
     )
-    out = clear(rule, bids, K, np.random.default_rng(seed))
+    out = one(rule, bids, K, np.random.default_rng(seed))
     assert len(out.winners) == K
     assert all(w.payment >= 0.0 for w in out.winners)
     assert out.revenue == sum(w.payment for w in out.winners)

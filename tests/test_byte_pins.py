@@ -65,3 +65,25 @@ def test_ql_pretrain_bytes_pinned(tmp_path):
     run_dir = run(pretrain("ql", "dp", 4, 300, SEED), tmp_path)
     got = (_sha256(run_dir / "episodes.csv"), _sha256(run_dir / "auctions.csv"))
     assert got == QL_PRETRAIN
+
+
+# rule -> (episodes.csv, auctions.csv) of a frozen ql seat, loaded from the
+# 300-episode ql pretrain above, and five random seats: K=8, 500 episodes.
+FROZEN_QL_SESSIONS = {
+    "dp": ("3747adda71c8ed05b8c94a9e39256076ed9edd6811620773bc57bf51dbc9b1bf",
+           "5dcfd6a28a8798fa248bb6c2fcc8fcf909b598be5b30d7410cc4b4efbc6cc81e"),
+    "gsp": ("c0eccccd1ad3b574281eb0ca3fdee9ed5e2fb35cc4603ce013307147885372ae",
+            "9e4e97f066b3bc322424660b460135aeb586cb4d928d161070226f027978f2a0"),
+    "up": ("a68603caa6ba6370902299d606bbd335df54242996f66e6bae174101dd024779",
+           "bef188efcb8ba91f4e5cf4cadac05d1e70acd043a0c77dd38fae5df5a28cd943"),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(FROZEN_QL_SESSIONS))
+def test_frozen_tournament_bytes_pinned(rule, tmp_path):
+    ckpt = run(pretrain("ql", "dp", 4, 300, SEED), tmp_path / "pretrain") / "ql.ckpt"
+    config = ScenarioConfig(rule=rule, supply=8, episodes=500, master_seed=SEED)
+    roster = (Seat(1, "ql", False, str(ckpt)), *(Seat(i, "random", False) for i in range(2, 7)))
+    run_dir = run(Session("tournament", config, roster), tmp_path / "tournament")
+    got = (_sha256(run_dir / "episodes.csv"), _sha256(run_dir / "auctions.csv"))
+    assert got == FROZEN_QL_SESSIONS[rule]

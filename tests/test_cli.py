@@ -437,3 +437,25 @@ def test_report_reads_earlier_layout_snapshot(tmp_path, capsys):
     (run / "config.json").write_text(json.dumps(earlier))
     assert main(["report", "--run", str(run), "--out", str(tmp_path / "rep")]) == 0
     assert "logs cover 30 of 1000 episodes" in capsys.readouterr().err
+
+
+def test_checkpoint_of_another_algorithm_exits_5(tmp_path, capsys, grid_checkpoints):
+    ckpts = {a: grid_checkpoints(a) for a in ("ppo", "a2c", "dqn", "dpn", "ql", "vpg")}
+    ckpts["ql"] = grid_checkpoints("dqn")
+    assert _frozen_tournament(tmp_path / "out", ckpts) == 5
+    err = capsys.readouterr().err
+    assert str(ckpts["ql"]) in err and "dqn" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_tournament_config_file_hyperparameters_exit_2(tmp_path, capsys, grid_checkpoints):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"auction": "dp", "items": 4, "hyperparameters": {"ppo": {"rollout": 8}}}))
+    code = main([
+        "tournament", "--config", str(cfg), "--episodes", "5", "--all-ppo",
+        "--ckpt", f"ppo={grid_checkpoints('ppo')}", "--out", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "hyperparameters" in err and "pretrain only" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -84,63 +84,66 @@ def test_reward_monotone_in_payoff():
 def test_reset_observation_shape_and_range():
     env = _env()
     obs = env.reset()
-    assert obs.shape == (6, 2)
-    for i, o in enumerate(obs):
+    assert obs.shape == (1, 6, 2)
+    for i, o in enumerate(obs[0]):
         assert o[0] == o[1]
         assert 0.0 <= o[0] <= 1.0
-        assert env.values[i] == pytest.approx(o[0] * 10.0)
+        assert env.values[0, i] == pytest.approx(o[0] * 10.0)
 
 
 def test_valuations_matrix():
     env = _env()
     env.reset()
     v = env.valuations()
-    assert v.shape == (6, 2)
-    assert np.all(v[:, 0] == v[:, 1])
+    assert v.shape == (1, 6, 2)
+    assert np.all(v[..., 0] == v[..., 1])
 
 
 def test_step_before_reset_raises():
     env = _env()
     with pytest.raises(RuntimeError):
-        env.step([(0, 0)] * 6)
+        env.step([[(0, 0)] * 6])
 
 
 def test_step_wrong_action_count():
     env = _env()
     env.reset()
     with pytest.raises(ConfigError):
-        env.step([(0, 0)] * 5)
+        env.step([[(0, 0)] * 5])
     with pytest.raises(ConfigError):
-        env.step([(0, 0)] * 5 + [(0,)])
+        env.step([[(0, 0)] * 5 + [(0,)]])
     with pytest.raises(ConfigError):
-        env.step([(0, 0, 0)] * 6)
+        env.step([[(0, 0, 0)] * 6])
+    with pytest.raises(ConfigError):
+        env.step([[(0, 0)] * 6] * 2)  # two episodes' levels for a block of one
 
 
 def test_step_out_of_grid_level():
     env = _env()
     env.reset()
     with pytest.raises(ConfigError):
-        env.step([(99, 0)] + [(0, 0)] * 5)
+        env.step([[(99, 0)] + [(0, 0)] * 5])
     with pytest.raises(ConfigError):
-        env.step([(-1, 0)] + [(0, 0)] * 5)
+        env.step([[(-1, 0)] + [(0, 0)] * 5])
 
 
 def test_step_canonicalizes_levels():
     env = _env()
     env.reset()
-    *_, bids, _ = env.step([(2, 5), (5, 2)] + [(0, 0)] * 4)
-    assert bids[0].tolist() == [2.5, 1.0]
-    assert bids[1].tolist() == [2.5, 1.0]
+    *_, bids, _ = env.step([[(2, 5), (5, 2)] + [(0, 0)] * 4])
+    assert bids[0, 0].tolist() == [2.5, 1.0]
+    assert bids[0, 1].tolist() == [2.5, 1.0]
 
 
 def test_step_transitions_consistent():
     env = _env(rule="up", seed=5)
     env.reset()
-    values = env.values.copy()
+    values = env.values[0].copy()
     levels = [(20, 10)] * 3 + [(4, 2)] * 3
-    rewards, won, payment, bids, outcome = env.step(levels)
-    assert rewards.shape == (6,)
-    assert won.shape == payment.shape == bids.shape == (6, 2)
+    rewards, won, payment, bids, (winners, pay, revenue) = env.step([levels])
+    assert rewards.shape == (1, 6)
+    assert won.shape == payment.shape == bids.shape == (1, 6, 2)
+    rewards, won, payment = rewards[0], won[0], payment[0]
     assert won.sum() == 4
     for i in range(6):
         per_slot = [
@@ -151,16 +154,16 @@ def test_step_transitions_consistent():
             if not won[i, j]:
                 assert per_slot[j] == -0.01
                 assert payment[i, j] == 0.0
-    assert payment.sum() == pytest.approx(outcome.revenue)
-    assert {(w.bidder_id, w.unit_slot) for w in outcome.winners} == set(zip(*np.nonzero(won)))
+    assert payment.sum() == pytest.approx(revenue[0])
+    assert {(w // 2, w % 2) for w in winners[0].tolist()} == set(zip(*np.nonzero(won)))
 
 
 def test_step_consumes_values():
     env = _env()
     env.reset()
-    env.step([(0, 0)] * 6)
+    env.step([[(0, 0)] * 6])
     with pytest.raises(RuntimeError):
-        env.step([(0, 0)] * 6)
+        env.step([[(0, 0)] * 6])
 
 
 def test_value_distribution_uniform():
@@ -168,7 +171,7 @@ def test_value_distribution_uniform():
     draws = []
     for _ in range(2000):
         env.reset()
-        draws.extend(env.values.tolist())
+        draws.extend(env.values[0].tolist())
         env._values = None
     x = np.sort(np.array(draws)) / 10.0
     n = x.size

@@ -51,9 +51,9 @@ def test_value_stream_no_serial_correlation():
 
 def test_run_episode_allocates_full_supply():
     session, env, agents = _random_session(3, 1)
-    (rewards, won, payment, bids, outcome), valuations = run_episode(env, agents, [False] * 6)
-    assert len(outcome.winners) == 4
-    assert valuations.shape == (6, 2)
+    (rewards, won, payment, bids, (winners, pay, revenue)), valuations = run_episode(env, agents, [False] * 6)
+    assert winners.shape == (1, 4)
+    assert valuations.shape == (1, 6, 2)
     assert int(won.sum()) == 4
 
 

@@ -44,16 +44,16 @@ def test_ql_greedy_argmax_and_tie_to_lowest_index():
     obs = np.full(2, 0.5)
     s = agent._bin(obs)
     agent.table[s, 17] = 5.0
-    assert agent.act(obs) == agent.actions[17]
+    assert agent.act(obs[None])[0].tolist() == agent.actions[17].tolist()
     agent.table[s, :] = 1.0  # full tie
-    assert agent.act(obs) == agent.actions[0]
+    assert agent.act(obs[None])[0].tolist() == agent.actions[0].tolist()
 
 
 def test_ql_learns_from_transitions():
     config = _config(episodes=100)
     agent = make_agent("ql", config, np.random.default_rng(2), alpha=0.5)
     obs = np.full(2, 0.55)
-    agent.observe(obs, (3, 1), 2.0)
+    agent.observe(obs, np.array([3, 1]), 2.0)
     s = agent._bin(obs)
     a = agent.action_index[(3, 1)]
     assert agent.table[s, a] == pytest.approx(1.0)
@@ -98,7 +98,7 @@ def test_dqn_trains_every_episode_after_warmup():
 
     def feed(n):
         for i in range(n):
-            agent.observe(np.full(2, 0.5), (2, 1), 1.0)
+            agent.observe(np.full(2, 0.5), np.array([2, 1]), 1.0)
 
     feed(2)  # below warmup: no update
     assert agent.train_steps == 0
