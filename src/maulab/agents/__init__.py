@@ -1,5 +1,30 @@
-"""Bidder agents: the contract, the random baseline and the factory (`base`),
-value learners (`qlearn`), policy gradients (`policy`) and actor-critics
-(`actor_critic`). Importing the package loads every agent class."""
+from maulab.agents.base import (
+    Agent,
+    RandomAgent,
+    ReplayBuffer,
+    epsilon_at,
+    joint_action_space,
+    make_agent,
+)
+from maulab.agents.qlearn import DqnAgent, QLearningAgent, q_update
+from maulab.agents.policy import DpgAgent, VpgAgent, vpg_update
+from maulab.agents.actor_critic import A2cAgent, PpoAgent, advantage, ppo_clip_objective
 
-from maulab.agents import actor_critic, base, policy, qlearn  # noqa: F401
+__all__ = [
+    "Agent",
+    "RandomAgent",
+    "ReplayBuffer",
+    "epsilon_at",
+    "joint_action_space",
+    "make_agent",
+    "QLearningAgent",
+    "DqnAgent",
+    "q_update",
+    "VpgAgent",
+    "DpgAgent",
+    "vpg_update",
+    "A2cAgent",
+    "PpoAgent",
+    "advantage",
+    "ppo_clip_objective",
+]

@@ -13,7 +13,7 @@ import numpy as np
 
 from maulab.checkpoint import CheckpointError
 from maulab.config import ConfigError, ScenarioConfig
-from maulab.grid import BidGrid
+from maulab.grid import BidGrid, level_edges
 
 
 def epsilon_at(eps_max: float, decay_rate: float, t: int) -> float:
@@ -78,14 +78,15 @@ def action_table(grid_levels: int, k: int) -> tuple[np.ndarray, dict]:
 def bin_value(value, lo: float, hi: float, bins: int):
     """Floor the value into one of `bins` integer bins over [lo, hi],
     elementwise: the count of bin edges 1..bins-1 at or below its position."""
-    return np.arange(1, bins).searchsorted((value - lo) / (hi - lo) * (bins - 1), side="right")
+    return level_edges(bins).searchsorted((value - lo) / (hi - lo) * (bins - 1), side="right")
 
 
 class Agent:
     """Base bidder agent. Subclasses implement act() and learning in observe().
 
     `act` maps a block of observations, one (k,) row per episode, to a row of k
-    levels per episode; a seat that trains acts on one episode, then observes it.
+    levels per episode. A seat that trains acts on one episode at a time (one
+    row, exploring), then observes it.
 
     The checkpoint codec: a checkpoint's meta holds every constructor
     hyperparameter, read back from the attribute of the same name, and the
@@ -157,9 +158,6 @@ class RandomAgent(Agent):
     kind = "random"
 
     def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
-        if len(obs) == 1:  # one episode: Python floats and numpy's scalar path, the same draws sooner
-            cap = int(self.grid.highest_level_at_most(self.value_of(obs[0]).item()))
-            return self.rng.integers(0, cap, size=self.k, endpoint=True)[None]
         cap = self.grid.highest_level_at_most(self.value_of(obs))
         return self.rng.integers(0, cap[:, None], size=(len(obs), self.k), endpoint=True)
 

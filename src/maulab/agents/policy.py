@@ -46,7 +46,7 @@ class VpgAgent(Agent):
         return bin_value(self.value_of(obs), self.config.value_lo, self.config.value_hi, self.value_bins)
 
     def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
-        return self.actions[sample_categorical(log_softmax(self.table)[self._bin(obs)], self.rng)]
+        return self.actions[sample_categorical(log_softmax(self.table[self._bin(obs)]), self.rng)]
 
     def observe(self, obs: np.ndarray, levels: np.ndarray, reward: float) -> None:
         vpg_update(self.table, self._bin(obs), self.action_index[tuple(levels.tolist())], reward, self.alpha)

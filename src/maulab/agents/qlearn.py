@@ -25,20 +25,13 @@ def q_update(table: np.ndarray, s: int, a: int, r: float, alpha: float) -> float
 
 
 def _epsilon_greedy(agent, obs: np.ndarray, explore: bool, greedy) -> np.ndarray:
-    """One action index per row of obs: with probability epsilon(t) a uniform random one,
-    else greedy's (on the rows that do not explore). A non-exploring agent draws nothing."""
+    """Greedy's action index per row of obs. An exploring act (one episode)
+    instead takes a uniform random index with probability epsilon(t). A
+    non-exploring agent draws nothing."""
     eps = epsilon_at(agent.eps_max, agent.decay_rate, agent.t) if explore else 0.0
-    if eps <= 0.0:
-        return greedy(obs)
-    drawn = agent.rng.random(len(obs)) < eps
-    n_drawn = np.count_nonzero(drawn)
-    if not n_drawn:
-        return greedy(obs)
-    idx = np.empty(len(obs), dtype=int)
-    idx[drawn] = agent.rng.integers(len(agent.actions), size=n_drawn)
-    if n_drawn < len(obs):
-        idx[~drawn] = greedy(obs[~drawn])
-    return idx
+    if eps > 0.0 and agent.rng.random() < eps:
+        return np.full(len(obs), agent.rng.integers(len(agent.actions)))
+    return greedy(obs)
 
 
 class QLearningAgent(Agent):

@@ -1,8 +1,8 @@
 """Single-step multi-agent auction episode environment.
 
 One episode: draw private values -> collect one row of bid levels per agent ->
-clear the auction -> pay out per-slot rewards. Each reset/step plays a block
-of B independent episodes.
+clear the auction -> pay out per-slot rewards. A reset draws the values of a
+block of B independent episodes; each step clears the next episodes of it.
 """
 
 from __future__ import annotations
@@ -46,18 +46,22 @@ class AuctionEnv:
 
     @property
     def values(self) -> np.ndarray:
+        """The values of the episodes not yet stepped, (B, n)."""
         return self._values
 
     def valuations(self) -> np.ndarray:
-        """Per-episode, per-bidder marginal values (B, n, k), equal across the k slots here."""
+        """Per-episode, per-bidder marginal values (B, n, k) of the episodes not
+        yet stepped, equal across the k slots here."""
         return np.repeat(self._values[:, :, None], self.config.units_per_bidder, axis=2)
 
     def step(self, levels) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple]:
-        """Clear a (B, n, k) block of bid levels, [b, i] being agent i's in episode b.
+        """Clear the next b episodes of the block: a (b, n, k) block of bid
+        levels, [e, i] being agent i's in episode e. After the last episode of
+        the block, step needs another reset.
 
         Returns (reward, won, payment, bids, outcome): each agent's episode
-        reward (B, n), whether each canonical slot won and what it pays
-        (B, n, k), the canonical (weakly decreasing) bid amounts (B, n, k),
+        reward (b, n), whether each canonical slot won and what it pays
+        (b, n, k), the canonical (weakly decreasing) bid amounts (b, n, k),
         and the clearing's (winners, payment, revenue) arrays."""
         c = self.config
         if self._values is None:
@@ -66,9 +70,12 @@ class AuctionEnv:
             levels = np.asarray(levels)
         except ValueError:
             raise ConfigError("every agent must submit the same number of bids") from None
-        shape = (len(self._values), c.n_bidders, c.units_per_bidder)
-        if levels.shape != shape:
-            raise ConfigError(f"expected levels of shape (episodes, agents, bids) {shape}, got {levels.shape}")
+        shape, per_episode = levels.shape, (c.n_bidders, c.units_per_bidder)
+        if levels.ndim != 3 or shape[1:] != per_episode or not 0 < shape[0] <= len(self._values):
+            raise ConfigError(
+                f"expected levels of shape (episodes, agents, bids): 1 to {len(self._values)} "
+                f"episodes of {per_episode}, got {shape}"
+            )
         bids = canonicalize(self.grid.decode(levels))  # raises ConfigError on out-of-grid levels
 
         winners, pay, _ = outcome = clear(c.rule, bids, c.supply, self._tie_rng)
@@ -76,8 +83,8 @@ class AuctionEnv:
         rows = np.arange(len(bids))[:, None]
         won.reshape(len(bids), -1)[rows, winners] = True  # views: one row of n * k slots per episode
         payment.reshape(len(bids), -1)[rows, winners] = pay
-        value = self._values[:, :, None]
+        value = self._values[: len(bids), :, None]
         total = slot_sum(reward(won, value - payment, value))
 
-        self._values = None
+        self._values = self._values[len(bids) :] if len(bids) < len(self._values) else None
         return total, won, payment, bids, outcome

@@ -3,10 +3,20 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from maulab.config import ConfigError
+
+
+@cache
+def level_edges(levels: int) -> np.ndarray:
+    """The read-only array 1..levels-1, built once per count: flooring x into
+    `levels` levels or bins is counting the edges at or below x."""
+    edges = np.arange(1, levels)
+    edges.flags.writeable = False
+    return edges
 
 
 @dataclass(frozen=True)
@@ -37,4 +47,4 @@ class BidGrid:
     def highest_level_at_most(self, amount):
         """Largest level whose bid does not exceed `amount` (tolerance 1e-9), elementwise:
         (amount - lo) / step + 1e-9 floored and clipped, as the count of levels 1.. at or below it."""
-        return np.arange(1, self.levels).searchsorted((amount - self.lo) / self.step + 1e-9, side="right")
+        return level_edges(self.levels).searchsorted((amount - self.lo) / self.step + 1e-9, side="right")

@@ -23,7 +23,7 @@ from maulab.env import AuctionEnv
 from maulab.metrics import AUCTION_LOG_FIELDS, EPISODE_LOG_FIELDS, atomic_open, bid_ratio, learning_ratio, write_csv
 
 SUPPLIES = (4, 6, 8)
-BLOCK = 4096  # episodes per block when no seat trains; a training seat's session plays blocks of one
+BLOCK = 512  # episodes per block; the episodes of a block clear one at a time when a seat trains
 
 
 def make_streams(master_seed: int, n_agents: int):
@@ -37,42 +37,47 @@ def make_streams(master_seed: int, n_agents: int):
     )
 
 
-def run_episode(env: AuctionEnv, agents: list[Agent], train, episodes: int = 1):
-    """One block of episodes: reset, one act call per agent, clear, deliver
-    the rewards. `train` holds one flag per agent: an agent that trains explores
-    and observes its rewards, any other acts greedily and learns nothing.
-    Returns env.step's arrays and the (B, n, k) valuations."""
-    observations = env.reset(episodes)
-    valuations = env.valuations()
-    seats = observations.transpose(1, 0, 2)  # row i: agent i's (B, k) observations
-    levels = np.array([agent.act(obs, explore=t) for agent, obs, t in zip(agents, seats, train)])
-    step = env.step(levels.transpose(1, 0, 2))
-    for i, t in enumerate(train):
-        if t:
-            for row in zip(seats[i], levels[i], step[0][:, i].tolist()):
-                agents[i].observe(*row)
-    return step, valuations
+def run_episode(env: AuctionEnv, agents: list[Agent], train, out) -> None:
+    """Play one block of episodes into `out`, the block's rows of the session's
+    reward, won, payment, bids, winners, revenue and valuations arrays.
+
+    `train` holds one flag per agent. The reset draws the block's values, and
+    each agent that does not train acts on the whole block, greedily. The block
+    then clears at once or, when an agent trains, one episode at a time: each
+    training agent acts on the episode (exploring), it clears, and they observe
+    their rewards."""
+    reward, won, payment, bids, winners, revenue, valuations = out
+    observations = env.reset(len(reward))
+    valuations[...] = env.valuations()
+    seats = observations.transpose(1, 0, 2)  # [i]: agent i's (B, k) observations
+    levels = np.empty(observations.shape, dtype=int)
+    learners = [i for i, t in enumerate(train) if t]
+    for i, agent in enumerate(agents):
+        if i not in learners:
+            levels[:, i] = agent.act(seats[i], explore=False)
+    for rows in [slice(e, e + 1) for e in range(len(reward))] if learners else [slice(None)]:
+        for i in learners:
+            levels[rows, i] = agents[i].act(seats[i, rows], explore=True)
+        reward[rows], won[rows], payment[rows], bids[rows], (winners[rows], _, revenue[rows]) = env.step(levels[rows])
+        for i in learners:
+            agents[i].observe(seats[i, rows.start], levels[rows.start, i], reward[rows.start, i].item())
 
 
 def run_session(session: Session, env: AuctionEnv, agents: list[Agent], episodes: int) -> tuple[dict, dict]:
-    """Run `episodes` auctions in blocks (see BLOCK), returning the columns of
-    the episode log (one row per agent per episode) and of the auction log (one
-    row per episode). Efficiency is scored after the last block, BLOCK episodes a call."""
+    """Run `episodes` auctions in blocks of BLOCK, returning the columns of the
+    episode log (one row per agent per episode) and of the auction log (one row
+    per episode). Efficiency is scored a block a call."""
     config, train = session.scenario, [seat.train for seat in session.roster]
     n, k, K = len(agents), config.units_per_bidder, config.supply
     reward, revenue = np.empty((episodes, n)), np.empty(episodes)
     valuations, bids, payment = (np.empty((episodes, n, k)) for _ in range(3))
     won, winners = np.empty((episodes, n, k), dtype=bool), np.empty((episodes, K), dtype=int)
-    block = 1 if any(train) else BLOCK
-    for a in range(0, episodes, block):
-        b = min(a + block, episodes)
-        (reward[a:b], won[a:b], payment[a:b], bids[a:b], (winners[a:b], _, revenue[a:b])), valuations[a:b] = (
-            run_episode(env, agents, train, b - a)
-        )
     eff_ratio, eff_gap = np.empty(episodes), np.empty(episodes)
     for a in range(0, episodes, BLOCK):
-        v, w = valuations[a : a + BLOCK], winners[a : a + BLOCK]
-        eff_ratio[a : a + BLOCK], eff_gap[a : a + BLOCK] = efficiency_ratio(v, w, K), efficiency_gap(v, w, K)
+        rows = slice(a, a + BLOCK)
+        run_episode(env, agents, train, [x[rows] for x in (reward, won, payment, bids, winners, revenue, valuations)])
+        v, w = valuations[rows], winners[rows]
+        eff_ratio[rows], eff_gap[rows] = efficiency_ratio(v, w, K), efficiency_gap(v, w, K)
     value, units = valuations[:, :, 0].ravel(), won.sum(axis=2).ravel()
     bids, won, payment = (a.reshape(episodes * n, k) for a in (bids, won, payment))
     bid1, bid2 = bids[:, 0], bids[:, min(1, k - 1)]  # a one-slot bidder logs its bid twice

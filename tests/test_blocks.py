@@ -1,10 +1,11 @@
 """Block computations give the bits of the same work done one episode at a time.
 
-A frozen session plays up to `harness.BLOCK` episodes per call of each layer;
-a session with a training seat plays blocks of one. Each test here runs one
-layer on a block and on its rows one by one (blocks of one), from the same
-seeded streams, and asserts equal results, bit for bit, and equal stream
-states afterwards.
+A session plays blocks of up to `harness.BLOCK` episodes. Seats that do not
+train act on a whole block per call; a frozen session also clears it at once,
+while one with a training seat clears its episodes one at a time. Each test
+here runs one layer on a block and on its rows one by one (blocks of one), from
+the same seeded streams, and asserts equal results, bit for bit, and equal
+stream states afterwards.
 """
 
 import copy
@@ -105,19 +106,25 @@ def test_slot_sum_adds_each_row_like_python_sum():
 
 def test_env_block_matches_single_episodes():
     config = ScenarioConfig(rule="gsp", supply=8, master_seed=4)
-    envs = [AuctionEnv(config, np.random.default_rng(10), np.random.default_rng(11)) for _ in range(2)]
+    envs = [AuctionEnv(config, np.random.default_rng(10), np.random.default_rng(11)) for _ in range(3)]
     levels = np.random.default_rng(12).integers(0, 21, size=(B, 6, 2))
     obs = envs[0].reset(B)
     block = envs[0].step(levels)
-    rows = []
+    rows, stepped = [], []
+    assert np.array_equal(envs[2].reset(B), obs)
     for b in range(B):
         assert np.array_equal(envs[1].reset(1), obs[b : b + 1])
         rows.append(envs[1].step(levels[b : b + 1]))
+        stepped.append(envs[2].step(levels[b : b + 1]))  # a block's episodes stepped one at a time
+    with pytest.raises(RuntimeError):
+        envs[2].step(levels[:1])
     reward, won, payment, bids, (winners, pay, revenue) = block
-    for got, want in zip((reward, won, payment, bids, winners, pay, revenue),
-                         (np.concatenate(parts) for parts in zip(*(r[:4] + r[4] for r in rows)))):
-        assert np.array_equal(got, want)
-    assert all(_same_state(getattr(envs[0], s), getattr(envs[1], s)) for s in ("_value_rng", "_tie_rng"))
+    for parts in (rows, stepped):
+        for got, want in zip((reward, won, payment, bids, winners, pay, revenue),
+                             (np.concatenate(p) for p in zip(*(r[:4] + r[4] for r in parts)))):
+            assert np.array_equal(got, want)
+    for env in envs[1:]:
+        assert all(_same_state(getattr(envs[0], s), getattr(env, s)) for s in ("_value_rng", "_tie_rng"))
 
 
 def _obs(k=2):
@@ -201,15 +208,20 @@ def test_stacked_forward_is_bit_equal_to_single_rows():
         assert np.array_equal(row, forward(net, xi)[0])
 
 
+@pytest.mark.parametrize("train", [False, True])
 @pytest.mark.parametrize("block", [1, 7, 4096])
-def test_frozen_session_columns_do_not_depend_on_the_block_size(block, tmp_path, monkeypatch):
+def test_session_columns_do_not_depend_on_the_block_size(block, train, tmp_path, monkeypatch):
     pretrained = harness.run(harness.pretrain("ql", "dp", 4, 50, 2), tmp_path) / "ql.ckpt"
     config = ScenarioConfig(rule="gsp", supply=6, episodes=300, master_seed=5)
-    roster = (Seat(1, "ql", False, str(pretrained)), *(Seat(i, "random", False) for i in range(2, 7)))
+    roster = (Seat(1, "ql", train, str(pretrained)), *(Seat(i, "random", False) for i in range(2, 7)))
     session = Session("tournament", config, roster)
-    want = harness.run_session(session, *harness.start(session), 300)
+    env, agents = harness.start(session)
+    want = harness.run_session(session, env, agents, 300)
     monkeypatch.setattr(harness, "BLOCK", block)
-    got = harness.run_session(session, *harness.start(session), 300)
+    env, blocked = harness.start(session)
+    got = harness.run_session(session, env, blocked, 300)
     for w, g in zip(want, got):
         assert w.keys() == g.keys()
         assert all(np.array_equal(w[key], g[key]) for key in w)
+    assert np.array_equal(agents[0].table, blocked[0].table) and agents[0].t == blocked[0].t
+    assert all(_same_state(a.rng, b.rng) for a, b in zip(agents, blocked))

@@ -51,9 +51,11 @@ def test_value_stream_no_serial_correlation():
 
 def test_run_episode_allocates_full_supply():
     session, env, agents = _random_session(3, 1)
-    (rewards, won, payment, bids, (winners, pay, revenue)), valuations = run_episode(env, agents, [False] * 6)
-    assert winners.shape == (1, 4)
-    assert valuations.shape == (1, 6, 2)
+    won, winners, valuations = np.zeros((1, 6, 2), dtype=bool), np.zeros((1, 4), dtype=int), np.zeros((1, 6, 2))
+    run_episode(env, agents, [False] * 6, [np.zeros((1, 6)), won, np.zeros((1, 6, 2)), np.zeros((1, 6, 2)), winners,
+                                           np.zeros(1), valuations])
+    assert sorted(winners[0].tolist()) == np.flatnonzero(won[0]).tolist()
+    assert np.all(valuations > 0.0)
     assert int(won.sum()) == 4
 
 

@@ -82,7 +82,10 @@ def test_traced_pretrain_finds_every_target(traces):
     data = runs["ql"]
     assert data["missing"] == []
     assert data["spans"]["harness.run_session"][0] == 1
-    assert data["spans"]["harness.run_episode"][0] == PRETRAIN_EPISODES  # a training seat: blocks of one
+    assert data["spans"]["harness.run_episode"][0] == 1  # one block, its episodes one at a time
+    assert data["spans"]["env.reset"][0] == 1
+    assert data["spans"]["agents.random.act"][0] == 5  # each random seat acts on the block at once
+    assert data["spans"]["agents.ql.act"][0] == data["spans"]["env.step"][0] == PRETRAIN_EPISODES
 
 
 def test_frozen_tournament_plays_one_block(traces):
