@@ -159,23 +159,24 @@ class _ActorCriticAgent(NetAgent):
         self._acts: list[np.ndarray] = []
         self._logp: list[float] = []
         self._rews: list[float] = []
-        self._pending_logp = 0.0  # log-probability of the levels act last returned
+        self._pending_logp: list[float] = []  # per row: log-probability of the levels not yet observed
         self.t = 0
 
     def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
-        """One level per head, in head order. An exploring act (one episode)
-        keeps the joint log-probability of its levels for the rollout."""
+        """One level per head, in head order. An exploring act keeps the joint
+        log-probability of each row's levels for the rollout."""
         out, _ = forward(self.actor, obs[:, None, :])
         log_probs = log_softmax(out.reshape(len(obs), self.k, self.levels))
         levels = sample_categorical(log_probs, self.rng)
         if explore:
-            self._pending_logp = float(np.take_along_axis(log_probs, levels[..., None], axis=-1).sum())
+            picked = np.take_along_axis(log_probs, levels[..., None], axis=-1)[..., 0]
+            self._pending_logp = picked.sum(axis=-1).tolist()
         return levels
 
     def _record(self, obs: np.ndarray, levels: np.ndarray, reward: float) -> None:
         self._obs.append(np.array(obs))
         self._acts.append(np.array(levels))
-        self._logp.append(self._pending_logp)
+        self._logp.append(self._pending_logp.pop(0))
         self._rews.append(reward)
         self.t += 1
 
@@ -201,6 +202,9 @@ class A2cAgent(_ActorCriticAgent):
     ):
         super().__init__(config, rng, hidden, actor_lr, critic_lr, entropy_coef)
         self.batch_size = batch_size
+
+    def horizon(self) -> int:
+        return self.batch_size - len(self._rews)
 
     def observe(self, obs: np.ndarray, levels: np.ndarray, reward: float) -> None:
         self._record(obs, levels, reward)
@@ -248,6 +252,9 @@ class PpoAgent(_ActorCriticAgent):
         self.eps_clip = eps_clip
         self.value_weight = value_weight
         self.last_diag: dict = {}
+
+    def horizon(self) -> int:
+        return self.rollout - len(self._rews)
 
     def observe(self, obs: np.ndarray, levels: np.ndarray, reward: float) -> None:
         self._record(obs, levels, reward)

@@ -85,8 +85,9 @@ class Agent:
     """Base bidder agent. Subclasses implement act() and learning in observe().
 
     `act` maps a block of observations, one (k,) row per episode, to a row of k
-    levels per episode. A seat that trains acts on one episode at a time (one
-    row, exploring), then observes it.
+    levels per episode. A seat that trains acts (exploring) on the next
+    `horizon()` episodes or fewer at once, then observes them one at a time in
+    episode order: an exploring act on m rows draws what m one-row acts would.
 
     The checkpoint codec: a checkpoint's meta holds every constructor
     hyperparameter, read back from the attribute of the same name, and the
@@ -120,6 +121,11 @@ class Agent:
     def observe(self, obs: np.ndarray, levels: np.ndarray, reward: float) -> None:
         """Deliver one episode's observation row, the levels row its act
         returned and its episode reward. Called only for a seat that trains."""
+
+    def horizon(self) -> int:
+        """How many upcoming episodes (at least 1) this agent's policy stays
+        fixed over: the observes before its next update."""
+        return 1
 
     def hyperparameters(self) -> dict:
         return {name: getattr(self, name) for name in hyperparameter_names(type(self))}

@@ -144,6 +144,9 @@ class DpgAgent(NetAgent):
         out, _ = forward(self.net, obs[:, None, :])
         return sample_categorical(log_softmax(out.reshape(len(obs), self.k, self.levels)), self.rng)
 
+    def horizon(self) -> int:
+        return self.batch_size - len(self._rews)
+
     def observe(self, obs: np.ndarray, levels: np.ndarray, reward: float) -> None:
         self._obs.append(np.array(obs))
         self._acts.append(np.array(levels))

@@ -25,13 +25,24 @@ def q_update(table: np.ndarray, s: int, a: int, r: float, alpha: float) -> float
 
 
 def _epsilon_greedy(agent, obs: np.ndarray, explore: bool, greedy) -> np.ndarray:
-    """Greedy's action index per row of obs. An exploring act (one episode)
-    instead takes a uniform random index with probability epsilon(t). A
-    non-exploring agent draws nothing."""
-    eps = epsilon_at(agent.eps_max, agent.decay_rate, agent.t) if explore else 0.0
-    if eps > 0.0 and agent.rng.random() < eps:
-        return np.full(len(obs), agent.rng.integers(len(agent.actions)))
-    return greedy(obs)
+    """Greedy's action index per row of obs. An exploring act instead takes, for
+    each row j in order, a uniform random index with probability epsilon(t + j):
+    row j is observed j episodes after the first. A non-exploring agent draws
+    nothing, and greedy sees only the rows that do not explore."""
+    if not explore:
+        return greedy(obs)
+    index, greedy_rows = np.empty(len(obs), dtype=int), []
+    for j in range(len(obs)):
+        eps = epsilon_at(agent.eps_max, agent.decay_rate, agent.t + j)
+        if eps > 0.0 and agent.rng.random() < eps:
+            index[j] = agent.rng.integers(len(agent.actions))
+        else:
+            greedy_rows.append(j)
+    if len(greedy_rows) == len(obs):
+        return greedy(obs)
+    if greedy_rows:
+        index[greedy_rows] = greedy(obs[greedy_rows])
+    return index
 
 
 class QLearningAgent(Agent):
@@ -139,6 +150,10 @@ class DqnAgent(NetAgent):
 
     def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
         return self.actions[_epsilon_greedy(self, obs, explore, self._greedy)]
+
+    def horizon(self) -> int:
+        """The episodes left until the buffer is warm, then 1 (an update per episode)."""
+        return max(max(self.warmup, self.batch_size) - len(self.buffer), 1)
 
     def observe(self, obs: np.ndarray, levels: np.ndarray, reward: float) -> None:
         self.buffer.push(obs, self.action_index[tuple(levels.tolist())], reward)

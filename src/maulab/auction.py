@@ -42,8 +42,11 @@ def _rank(b: np.ndarray, K: int, tie_rng: np.random.Generator) -> np.ndarray:
 
 def _clear(rule: str, bids: np.ndarray, K: int, tie_rng: np.random.Generator):
     """Rank once, then pay per rule: dp its own bid, up the (K+1)-th bid, gsp
-    the next ranked bid of a different bidder (0 if none exists)."""
-    b = canonicalize(bids)
+    the next ranked bid of a different bidder (0 if none exists). Bids that are
+    already canonical (as AuctionEnv.step passes them) are not sorted again."""
+    b = np.asarray(bids, dtype=float)
+    if not (b[..., :-1] >= b[..., 1:]).all():
+        b = canonicalize(b)
     B, n, k = b.shape
     order = _rank(b, K, tie_rng)
     ranked = b.reshape(B, n * k)[np.arange(B)[:, None], order]

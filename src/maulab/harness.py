@@ -23,7 +23,7 @@ from maulab.env import AuctionEnv
 from maulab.metrics import AUCTION_LOG_FIELDS, EPISODE_LOG_FIELDS, atomic_open, bid_ratio, learning_ratio, write_csv
 
 SUPPLIES = (4, 6, 8)
-BLOCK = 512  # episodes per block; the episodes of a block clear one at a time when a seat trains
+BLOCK = 512  # episodes per block; a training seat splits a block at its horizon
 
 
 def make_streams(master_seed: int, n_agents: int):
@@ -43,9 +43,10 @@ def run_episode(env: AuctionEnv, agents: list[Agent], train, out) -> None:
 
     `train` holds one flag per agent. The reset draws the block's values, and
     each agent that does not train acts on the whole block, greedily. The block
-    then clears at once or, when an agent trains, one episode at a time: each
-    training agent acts on the episode (exploring), it clears, and they observe
-    their rewards."""
+    then clears in runs of episodes: a run spans the smallest `horizon()` of the
+    training agents (the whole block when none trains). Each training agent acts
+    on the run (exploring), one step clears it, and they observe its episodes
+    one at a time in episode order."""
     reward, won, payment, bids, winners, revenue, valuations = out
     observations = env.reset(len(reward))
     valuations[...] = env.valuations()
@@ -55,12 +56,16 @@ def run_episode(env: AuctionEnv, agents: list[Agent], train, out) -> None:
     for i, agent in enumerate(agents):
         if i not in learners:
             levels[:, i] = agent.act(seats[i], explore=False)
-    for rows in [slice(e, e + 1) for e in range(len(reward))] if learners else [slice(None)]:
+    start = 0
+    while start < len(reward):
+        rows = slice(start, min([len(reward), *(start + agents[i].horizon() for i in learners)]))
         for i in learners:
             levels[rows, i] = agents[i].act(seats[i, rows], explore=True)
         reward[rows], won[rows], payment[rows], bids[rows], (winners[rows], _, revenue[rows]) = env.step(levels[rows])
-        for i in learners:
-            agents[i].observe(seats[i, rows.start], levels[rows.start, i], reward[rows.start, i].item())
+        for e in range(rows.start, rows.stop):
+            for i in learners:
+                agents[i].observe(seats[i, e], levels[e, i], reward[e, i].item())
+        start = rows.stop
 
 
 def run_session(session: Session, env: AuctionEnv, agents: list[Agent], episodes: int) -> tuple[dict, dict]:

@@ -95,7 +95,8 @@ def read_csv(path) -> dict:
     """The columns of a log that write_csv wrote, each typed by its name.
 
     Raises ValueError on an unknown column name, a row with the wrong number
-    of cells or a cell that does not parse as its column's type."""
+    of cells, a cell that does not parse as its column's type or a real cell
+    that is not finite."""
     with open(path, encoding="utf-8", newline="") as fh:
         names = fh.readline().rstrip("\n").split(",")
         unknown = [n for n in names if n not in EPISODE_LOG_FIELDS + AUCTION_LOG_FIELDS]
@@ -106,7 +107,11 @@ def read_csv(path) -> dict:
             np.loadtxt(lines, delimiter=",", dtype=dtype, comments=None, quotechar=None, ndmin=1)
             for lines in iter(lambda: list(islice(fh, BLOCK_ROWS)), [])
         ] or [np.empty(0, dtype)]
-    return {n: np.concatenate([b[n] for b in blocks]) for n in names}
+    columns = {n: np.concatenate([b[n] for b in blocks]) for n in names}
+    non_finite = [n for n in names if columns[n].dtype.kind == "f" and not np.isfinite(columns[n]).all()]
+    if non_finite:
+        raise ValueError(f"{path}: non-finite values in columns {non_finite}")
+    return columns
 
 
 def bidder_groups(ep: dict) -> list[tuple[int, str, np.ndarray]]:

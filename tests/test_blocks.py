@@ -2,10 +2,11 @@
 
 A session plays blocks of up to `harness.BLOCK` episodes. Seats that do not
 train act on a whole block per call; a frozen session also clears it at once,
-while one with a training seat clears its episodes one at a time. Each test
-here runs one layer on a block and on its rows one by one (blocks of one), from
-the same seeded streams, and asserts equal results, bit for bit, and equal
-stream states afterwards.
+while one with a training seat clears it in runs up to the seats' next update
+(`horizon()`). Each test here runs one layer on a block and on its rows one by
+one (blocks of one), or a session with other block sizes and with every
+horizon forced to 1, from the same seeded streams, and asserts equal results,
+bit for bit, and equal stream states afterwards.
 """
 
 import copy
@@ -14,7 +15,10 @@ import numpy as np
 import pytest
 
 from maulab import harness
+from maulab.agents.actor_critic import A2cAgent, PpoAgent
 from maulab.agents.base import make_agent
+from maulab.agents.policy import DpgAgent
+from maulab.agents.qlearn import DqnAgent
 from maulab.auction import _allocated_and_best, canonicalize, clear, efficiency_gap, efficiency_ratio, slot_sum
 from maulab.config import ScenarioConfig, Seat, Session
 from maulab.env import AuctionEnv
@@ -191,12 +195,18 @@ def test_block_sampling_matches_categorical(algo):
 def test_exploring_act_keeps_the_log_probability(algo):
     agent = make_agent(algo, ScenarioConfig(), np.random.default_rng(4))
     draws = copy.deepcopy(agent.rng)
-    o = _obs()[0]
-    levels = agent.act(o[None], explore=True)[0]
-    out, _ = forward(agent.actor, o)
-    dist = Categorical(out.reshape(2, 21))
-    assert levels.tolist() == dist.sample(draws).tolist()
-    assert agent._pending_logp == float(dist.log_prob(levels).sum())
+    obs = _obs()[:4]  # fewer rows than a2c observes before an update
+    levels = agent.act(obs, explore=True)
+    want = []
+    for o, row in zip(obs, levels):
+        out, _ = forward(agent.actor, o)
+        dist = Categorical(out.reshape(2, 21))
+        assert row.tolist() == dist.sample(draws).tolist()
+        want.append(float(dist.log_prob(row).sum()))
+    assert agent._pending_logp == want
+    for o, row in zip(obs, levels):
+        agent.observe(o, row, 0.0)
+    assert agent._logp == want and agent._pending_logp == []
 
 
 def test_stacked_forward_is_bit_equal_to_single_rows():
@@ -225,3 +235,96 @@ def test_session_columns_do_not_depend_on_the_block_size(block, train, tmp_path,
         assert all(np.array_equal(w[key], g[key]) for key in w)
     assert np.array_equal(agents[0].table, blocked[0].table) and agents[0].t == blocked[0].t
     assert all(_same_state(a.rng, b.rng) for a, b in zip(agents, blocked))
+
+
+# --- a training seat's runs: up to its next update at once ------------------
+
+# Each session with its longest horizon: the longest run one step clears.
+LEARNING_SESSIONS = {
+    "a2c": (lambda: harness.pretrain("a2c", "dp", 4, 300, 3), 5),
+    "dpn": (lambda: harness.pretrain("dpn", "gsp", 6, 300, 3, overrides={"batch_size": 16}), 16),
+    "ppo": (lambda: harness.pretrain("ppo", "up", 8, 600, 3), 512),
+    "dqn": (lambda: harness.pretrain("dqn", "dp", 4, 300, 3, overrides={"warmup": 64}), 64),
+    "tournament": (lambda: harness.tournament("gsp", 6, {}, 300, 3), 1),  # ql and vpg update every episode
+    "ppo6": (lambda: harness.tournament("dp", 4, {}, 600, 3, all_ppo=True), 512),
+}
+
+
+def _play(make_session):
+    """Columns, env, agents and the episodes of each env.step of one session."""
+    session = make_session()
+    env, agents = harness.start(session)
+    steps, step = [], env.step
+    env.step = lambda levels: steps.append(len(levels)) or step(levels)
+    columns = harness.run_session(session, env, agents, session.scenario.episodes)
+    return columns, env, agents, steps
+
+
+@pytest.mark.parametrize("name", list(LEARNING_SESSIONS))
+def test_learning_sessions_do_not_depend_on_horizons_or_block_size(name, monkeypatch):
+    make_session, longest = LEARNING_SESSIONS[name]
+    with monkeypatch.context() as m:
+        for cls in (A2cAgent, PpoAgent, DpgAgent, DqnAgent):
+            m.setattr(cls, "horizon", lambda self: 1)
+        want_columns, want_env, want_agents, want_steps = _play(make_session)
+    assert set(want_steps) == {1}
+    for block in (1, 7, 4096):
+        monkeypatch.setattr(harness, "BLOCK", block)
+        columns, env, agents, steps = _play(make_session)
+        assert sum(steps) == sum(want_steps)
+        assert max(steps) == min(block, longest)
+        for w, g in zip(want_columns, columns):
+            assert w.keys() == g.keys()
+            assert all(np.array_equal(w[key], g[key]) for key in w)
+        for want, got in zip(want_agents, agents):
+            (want_meta, want_arrays), (meta, arrays) = want.checkpoint_payload(), got.checkpoint_payload()
+            assert meta == want_meta
+            assert arrays.keys() == want_arrays.keys()
+            assert all(np.array_equal(arrays[key], want_arrays[key]) for key in arrays)
+            assert _same_state(want.rng, got.rng)
+        assert all(_same_state(getattr(want_env, s), getattr(env, s)) for s in ("_value_rng", "_tie_rng"))
+
+
+def test_horizons_count_the_episodes_to_the_next_update():
+    config, obs = ScenarioConfig(episodes=100), _obs()
+    ppo = {"rollout": 8, "epochs": 1, "minibatch": 4}
+    for algo, overrides, period in (("a2c", {}, 5), ("dpn", {"batch_size": 16}, 16), ("ppo", ppo, 8)):
+        agent = make_agent(algo, config, np.random.default_rng(1), hidden=(8, 8), **overrides)
+        seen = []
+        for e in range(2 * period + 3):  # two updates, then part of a batch
+            seen.append(agent.horizon())
+            agent.observe(obs[e], agent.act(obs[e : e + 1])[0], 0.5)
+        assert seen == [period - e % period for e in range(2 * period + 3)]
+        steps_per_update = 2 if algo == "ppo" else 1  # ppo: two minibatches of 4 in its one epoch
+        assert (agent.opt if algo == "dpn" else agent.opt_actor).step == 2 * steps_per_update
+    for warmup, batch_size, warm in ((10, 4, 10), (3, 6, 6)):
+        dqn = make_agent("dqn", config, np.random.default_rng(1), hidden=(8, 8), warmup=warmup, batch_size=batch_size)
+        seen = []
+        for e in range(warm + 4):  # across the end of the warm-up
+            seen.append(dqn.horizon())
+            dqn.observe(obs[e], dqn.act(obs[e : e + 1])[0], 0.5)
+        assert seen == [warm - e for e in range(warm)] + [1] * 4
+        assert dqn.train_steps == 5
+    for algo in ("ql", "vpg", "random"):
+        assert make_agent(algo, config, np.random.default_rng(1)).horizon() == 1
+
+
+@pytest.mark.parametrize("algo", ["ql", "dqn", "a2c", "ppo"])
+def test_exploring_act_on_a_block_matches_single_rows(algo):
+    config = ScenarioConfig(episodes=100)
+    a, b = make_agent(algo, config, np.random.default_rng(2)), make_agent(algo, config, np.random.default_rng(2))
+    for agent in (a, b):
+        if algo in ("ql", "dqn"):
+            agent.t, agent.decay_rate = 40, 0.99  # epsilon 0.67 at the first row, 0.012 at the last
+        if algo == "ql":
+            agent.table[...] = np.random.default_rng(3).integers(0, 3, size=agent.table.shape)
+    obs = _obs()
+    block = a.act(obs, explore=True)
+    rows, logp = [], []
+    for j, o in enumerate(obs):
+        b.t = a.t + j  # the row's episode comes j observes after the block's first
+        rows.append(b.act(o[None], explore=True))
+        logp += getattr(b, "_pending_logp", [])
+    assert np.array_equal(block, np.concatenate(rows))
+    assert getattr(a, "_pending_logp", []) == logp
+    assert _same_state(a.rng, b.rng)

@@ -373,7 +373,9 @@ def _short_row(text):
     lambda t: _drop_column(t, "bid2"),
     lambda t: _set_cell(t, 3, "algo", "mystery"),
     lambda t: "",
-], ids=["ragged_row", "non_numeric", "missing_column", "unknown_algo", "empty_file"])
+    lambda t: _set_cell(t, 3, "value", "nan"),
+    lambda t: _set_cell(t, 3, "payoff_total", "inf"),
+], ids=["ragged_row", "non_numeric", "missing_column", "unknown_algo", "empty_file", "nan_cell", "inf_cell"])
 def test_report_malformed_episode_log_exits_5(tmp_path, capsys, damage):
     assert _pretrain(tmp_path, episodes=5) == 0
     log = tmp_path / "dp_4_ql_1" / "episodes.csv"

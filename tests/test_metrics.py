@@ -228,6 +228,13 @@ def test_read_csv_rejects_malformed_logs(tmp_path, text):
         read_csv(tmp_path / "bad.csv")
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+def test_read_csv_rejects_non_finite_reals(tmp_path, cell):
+    (tmp_path / "bad.csv").write_text(f"episode,revenue\n0,1.500000\n1,{cell}\n")
+    with pytest.raises(ValueError, match="non-finite values in columns \\['revenue'\\]"):
+        read_csv(tmp_path / "bad.csv")
+
+
 def test_csv_roundtrip(tmp_path):
     path = tmp_path / "x.csv"
     ep = _episode_log([(i, 1, "ppo", float(i), 1, 0.0) for i in range(5)])
