@@ -62,13 +62,11 @@ def a2c_update(
     dist, logp, ent = heads_stats(head_logits(aout, k, levels), actions)
     policy_loss = float(-(logp * adv).sum() - entropy_coef * ent.sum())
     g3 = score_entropy_logits_grad(dist, actions, adv, entropy_coef, 1.0)
-    wg, bg = backward(actor, acache, g3.reshape(B, k * levels))
-    adam_step_params(actor, wg, bg, opt_actor)
+    adam_step_params(actor, backward(actor, acache, g3.reshape(B, k * levels)), opt_actor)
 
     value_loss = float(0.5 * np.sum((rewards - values) ** 2))
     gv = (values - rewards)[:, None]
-    wgc, bgc = backward(critic, vcache, gv)
-    adam_step_params(critic, wgc, bgc, opt_critic)
+    adam_step_params(critic, backward(critic, vcache, gv), opt_critic)
     return policy_loss, value_loss
 
 
@@ -115,15 +113,13 @@ def ppo_update(
             # 0 on the clipped-flat region.
             gw = np.where(obj == unclipped, unclipped, 0.0)
             g3 = score_entropy_logits_grad(dist, actions[mb], gw, entropy_coef, 1.0 / m)
-            wg, bg = backward(actor, acache, g3.reshape(m, k * levels))
-            adam_step_params(actor, wg, bg, opt_actor)
+            adam_step_params(actor, backward(actor, acache, g3.reshape(m, k * levels)), opt_actor)
 
             vmb, vcache = forward(critic, obs[mb])
             verr = vmb[:, 0] - rewards[mb]
             value_loss = float(value_weight * 0.5 * np.mean(verr**2))
             gv = (value_weight * verr / m)[:, None]
-            wgc, bgc = backward(critic, vcache, gv)
-            adam_step_params(critic, wgc, bgc, opt_critic)
+            adam_step_params(critic, backward(critic, vcache, gv), opt_critic)
     return {
         "clip_fraction": float(np.mean(clip_fracs)),
         "policy_loss": policy_loss,
@@ -152,8 +148,8 @@ class _ActorCriticAgent(NetAgent):
         self.actor = mlp_init((self.k, *self.hidden, self.k * self.levels), rng)
         self.critic = mlp_init((self.k, *self.hidden, 1), rng)
         self.actor_lr, self.critic_lr = actor_lr, critic_lr
-        self.opt_actor = OptimState(lr=actor_lr)
-        self.opt_critic = OptimState(lr=critic_lr)
+        self.opt_actor = OptimState(self.actor, actor_lr)
+        self.opt_critic = OptimState(self.critic, critic_lr)
         self.entropy_coef = entropy_coef
         self._obs: list[np.ndarray] = []
         self._acts: list[np.ndarray] = []

@@ -14,6 +14,7 @@ import numpy as np
 from maulab.checkpoint import CheckpointError
 from maulab.config import ConfigError, ScenarioConfig
 from maulab.grid import BidGrid, level_edges
+from maulab.nn import layer_views
 
 
 def epsilon_at(eps_max: float, decay_rate: float, t: int) -> float:
@@ -173,7 +174,8 @@ class NetAgent(Agent):
 
     `nets` lists (network attribute, optimizer attribute) pairs. The attribute
     names double as the checkpoint's array prefixes: every network's w/b arrays
-    come first, then every optimizer's m/v arrays."""
+    come first, then every optimizer's m/v arrays (one per weight, then one per
+    bias). Each array is a view of its network's or moment's one vector."""
 
     nets: tuple[tuple[str, str], ...] = ()
 
@@ -181,10 +183,9 @@ class NetAgent(Agent):
         arrays, moments = {}, {}
         for net_attr, opt_attr in self.nets:
             net, opt = getattr(self, net_attr), getattr(self, opt_attr)
-            opt._ensure(net.weights + net.biases)
             for i, (w, b) in enumerate(zip(net.weights, net.biases)):
                 arrays[f"{net_attr}.w{i}"], arrays[f"{net_attr}.b{i}"] = w, b
-            for i, (m, v) in enumerate(zip(opt.m, opt.v)):
+            for i, (m, v) in enumerate(zip(layer_views(net.layout, opt.m), layer_views(net.layout, opt.v))):
                 moments[f"{opt_attr}.m{i}"], moments[f"{opt_attr}.v{i}"] = m, v
         return {**arrays, **moments}
 

@@ -103,8 +103,7 @@ def dpg_update(
     adv = rewards - rewards.mean()
     loss = float(-(logp * adv).mean() - entropy_coef * ent.mean())
     g3 = score_entropy_logits_grad(dist, actions, adv, entropy_coef, 1.0 / B)
-    wg, bg = backward(net, cache, g3.reshape(B, k * levels))
-    adam_step_params(net, wg, bg, opt)
+    adam_step_params(net, backward(net, cache, g3.reshape(B, k * levels)), opt)
     return loss
 
 
@@ -131,7 +130,7 @@ class DpgAgent(NetAgent):
         self.levels = config.grid_levels
         self.net = mlp_init((self.k, *self.hidden, self.k * self.levels), rng)
         self.lr = lr
-        self.opt = OptimState(lr=lr)
+        self.opt = OptimState(self.net, lr)
         self.batch_size = batch_size
         self.entropy_coef = entropy_coef
         self._obs: list[np.ndarray] = []

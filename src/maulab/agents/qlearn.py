@@ -104,8 +104,7 @@ def dqn_train_step(
     loss = float(np.mean(err**2))
     grad_out = np.zeros_like(q)
     grad_out[np.arange(batch_size), act] = 2.0 * err / batch_size
-    wg, bg = backward(net, cache, grad_out)
-    adam_step_params(net, wg, bg, opt)
+    adam_step_params(net, backward(net, cache, grad_out), opt)
     return loss
 
 
@@ -138,7 +137,7 @@ class DqnAgent(NetAgent):
         self.buffer = ReplayBuffer(buffer_capacity)
         self.batch_size = batch_size
         self.lr = lr
-        self.opt = OptimState(lr=lr)
+        self.opt = OptimState(self.net, lr)
         self.warmup = warmup
         self.eps_max = eps_max
         self.decay_rate = decay_for(config.episodes) if decay_rate is None else decay_rate

@@ -1,38 +1,50 @@
 """Minimal dense-network machinery: MLP forward/backward, adaptive-moment
 optimizer, categorical distributions, and a finite-difference gradient check.
 
-Everything is double precision. Parameters live in plain numpy arrays so
-checkpointing and bit-exact replay stay trivial.
+Everything is double precision. Each network lives in one float64 vector, and
+its per-layer arrays are views of it, so checkpointing and bit-exact replay
+stay trivial and Adam updates the whole network in one pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import warnings
 
 import numpy as np
 
 from maulab.config import ConfigError
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-@dataclass
+
+def layer_views(layout: tuple[int, ...], vec: np.ndarray) -> list[np.ndarray]:
+    """The arrays of an MLP over `layout` as reshaped views of consecutive
+    slices of one vector: every weight (out, in) first, then every bias (out,)."""
+    pairs = list(zip(layout[:-1], layout[1:]))
+    shapes = [(fan_out, fan_in) for fan_in, fan_out in pairs] + [(fan_out,) for _, fan_out in pairs]
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(vec[start:stop].reshape(shape))
+        start = stop
+    return views
+
+
 class MlpParams:
-    """Weights/biases for a fixed-topology tanh MLP with linear output head."""
+    """A fixed-topology tanh MLP with a linear output head, held in one
+    float64 vector `vec`; `weights` (each (out, in)) and `biases` (each (out,))
+    are views of it. Gradients and Adam moments use vectors of the same layout."""
 
-    layout: tuple[int, ...]
-    weights: list[np.ndarray]  # each (out, in)
-    biases: list[np.ndarray]  # each (out,)
+    def __init__(self, layout: tuple[int, ...], vec: np.ndarray):
+        self.layout = layout
+        self.vec = vec
+        arrays = layer_views(layout, vec)
+        self.weights, self.biases = arrays[: len(layout) - 1], arrays[len(layout) - 1 :]
 
     def copy(self) -> "MlpParams":
-        return MlpParams(self.layout, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.weights + self.biases])
-
-    def set_flat(self, vec: np.ndarray) -> None:
-        i = 0
-        for arr in self.weights + self.biases:
-            arr[...] = vec[i : i + arr.size].reshape(arr.shape)
-            i += arr.size
+        return MlpParams(self.layout, self.vec.copy())
 
 
 def mlp_init(layout, seed_or_rng) -> MlpParams:
@@ -44,12 +56,12 @@ def mlp_init(layout, seed_or_rng) -> MlpParams:
     if any(w <= 0 for w in layout):
         raise ConfigError("MLP layer widths must be positive")
     rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else np.random.default_rng(seed_or_rng)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(layout[:-1], layout[1:]):
-        bound = np.sqrt(3.0 / fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return MlpParams(layout, weights, biases)
+    size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(layout[:-1], layout[1:]))
+    params = MlpParams(layout, np.zeros(size))
+    for W in params.weights:
+        bound = np.sqrt(3.0 / W.shape[1])
+        W[...] = rng.uniform(-bound, bound, size=W.shape)
+    return params
 
 
 def forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list]:
@@ -72,66 +84,63 @@ def forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list]:
     return out, cache
 
 
-def backward(params: MlpParams, cache: list, grad_out: np.ndarray):
-    """Exact reverse-mode gradients for the forward pass above.
-
-    Returns (weight_grads, bias_grads) matching parameter shapes, summed over
-    the batch."""
+def backward(params: MlpParams, cache: list, grad_out: np.ndarray) -> MlpParams:
+    """Exact reverse-mode gradients for the forward pass above, summed over
+    the batch, written into a fresh vector of the network's layout."""
     g = np.atleast_2d(np.asarray(grad_out, dtype=float))
+    grads = MlpParams(params.layout, np.empty_like(params.vec))
     last = len(params.weights) - 1
-    wg = [None] * len(params.weights)
-    bg = [None] * len(params.biases)
     for li in range(last, -1, -1):
         h_in, z = cache[li]
         if li < last:
             g = g * (1.0 - np.tanh(z) ** 2)
         if g.shape != z.shape:
             raise ConfigError(f"gradient shape {g.shape} != layer output {z.shape}")
-        wg[li] = g.T @ h_in
-        bg[li] = g.sum(axis=0)
-        g = g @ params.weights[li]
-    return wg, bg
+        np.matmul(g.T, h_in, out=grads.weights[li])
+        g.sum(axis=0, out=grads.biases[li])
+        if li:
+            g = g @ params.weights[li]
+    return grads
 
 
-@dataclass
 class OptimState:
-    """Adam accumulators mirroring one MlpParams (or any array list)."""
+    """Adam's learning rate, step count and moment vectors `m` and `v` for one
+    network; the moments have the network's layout and start at zero."""
 
-    lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
-
-    def _ensure(self, arrays) -> None:
-        if not self.m:
-            self.m = [np.zeros_like(a) for a in arrays]
-            self.v = [np.zeros_like(a) for a in arrays]
+    def __init__(self, params: MlpParams, lr: float = 3e-4):
+        self.lr = lr
+        self.step = 0
+        self.m = np.zeros_like(params.vec)
+        self.v = np.zeros_like(params.vec)
 
 
-def adam_step(arrays: list[np.ndarray], grads: list[np.ndarray], opt: OptimState) -> None:
-    """One bias-corrected adaptive-moment descent step, in place.
-
-    When any gradient is non-finite, emits a RuntimeWarning and skips the step."""
-    if any(not np.all(np.isfinite(g)) for g in grads):
-        import warnings
-
+def adam_step_params(params: MlpParams, grads: MlpParams, opt: OptimState) -> None:
+    """One bias-corrected adaptive-moment descent step on the whole parameter
+    vector, in place. When any gradient is non-finite, emits a RuntimeWarning
+    at the caller's line and skips the step."""
+    g = grads.vec
+    if not np.isfinite(g).all():
         warnings.warn("non-finite gradient: update skipped", RuntimeWarning, stacklevel=2)
         return
-    opt._ensure(arrays)
     opt.step += 1
-    b1c = 1.0 - opt.beta1 ** opt.step
-    b2c = 1.0 - opt.beta2 ** opt.step
-    for a, g, m, v in zip(arrays, grads, opt.m, opt.v):
-        m[...] = opt.beta1 * m + (1.0 - opt.beta1) * g
-        v[...] = opt.beta2 * v + (1.0 - opt.beta2) * g * g
-        a -= opt.lr * (m / b1c) / (np.sqrt(v / b2c) + opt.eps)
-
-
-def adam_step_params(params: MlpParams, wg, bg, opt: OptimState) -> None:
-    adam_step(params.weights + params.biases, list(wg) + list(bg), opt)
+    b1c = 1.0 - BETA1**opt.step
+    b2c = 1.0 - BETA2**opt.step
+    # m = BETA1*m + (1-BETA1)*g, v = BETA2*v + ((1-BETA2)*g)*g, and
+    # vec -= lr*(m/b1c) / (sqrt(v/b2c) + EPS), one rounding at a time in that order.
+    m, v = opt.m, opt.v
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    t = (1.0 - BETA2) * g
+    t *= g
+    v += t
+    den = np.divide(v, b2c, out=t)
+    np.sqrt(den, out=den)
+    den += EPS
+    delta = m / b1c
+    delta *= opt.lr
+    delta /= den
+    params.vec -= delta
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -181,7 +190,7 @@ class Categorical:
 def finite_diff_check(
     params: MlpParams,
     loss_fn,
-    analytic_grads: tuple[list, list],
+    analytic_grads: MlpParams,
     rng: np.random.Generator,
     n_samples: int = 30,
     h: float = 1e-5,
@@ -190,26 +199,21 @@ def finite_diff_check(
     on a random subset of parameter coordinates.
 
     loss_fn(params) must return the scalar loss; analytic_grads is the
-    (weight_grads, bias_grads) pair produced by the implementation under test.
+    gradient produced by the implementation under test.
     """
-    flat_grad = np.concatenate(
-        [g.ravel() for g in list(analytic_grads[0]) + list(analytic_grads[1])]
-    )
-    base = params.flat()
-    n = base.size
+    grad = analytic_grads.vec
+    n = params.vec.size
     idxs = rng.choice(n, size=min(n_samples, n), replace=False)
-    scale = max(np.abs(flat_grad).max(), 1e-8)
+    scale = max(np.abs(grad).max(), 1e-8)
     worst = 0.0
     work = params.copy()
     for i in idxs:
-        vec = base.copy()
-        vec[i] = base[i] + h
-        work.set_flat(vec)
+        work.vec[i] = params.vec[i] + h
         lp = loss_fn(work)
-        vec[i] = base[i] - h
-        work.set_flat(vec)
+        work.vec[i] = params.vec[i] - h
         lm = loss_fn(work)
+        work.vec[i] = params.vec[i]
         fd = (lp - lm) / (2.0 * h)
-        err = abs(fd - flat_grad[i]) / max(abs(fd), abs(flat_grad[i]), scale * 1e-3)
+        err = abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), scale * 1e-3)
         worst = max(worst, err)
     return worst

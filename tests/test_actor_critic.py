@@ -99,7 +99,7 @@ def test_a2c_critic_gradient_finite_difference():
 def test_a2c_update_trains_critic():
     rng = np.random.default_rng(3)
     actor, critic, obs, actions, rewards = _batch(rng, B=16)
-    oa, oc = OptimState(lr=1e-3), OptimState(lr=3e-2)
+    oa, oc = OptimState(actor, lr=1e-3), OptimState(critic, lr=3e-2)
     losses = []
     for _ in range(1000):
         _, vloss = a2c_update(actor, critic, obs, actions, rewards, oa, oc, 0.01, 5)
@@ -115,7 +115,7 @@ def test_a2c_update_moves_policy_toward_high_advantage():
     obs = np.full((16, k), 0.5)
     actions = np.full((16, k), 2)  # always the same action
     rewards = np.full(16, 5.0)  # large positive advantage initially
-    oa, oc = OptimState(lr=5e-3), OptimState(lr=1e-4)
+    oa, oc = OptimState(actor, lr=5e-3), OptimState(critic, lr=1e-4)
     out, _ = forward(actor, obs)
     p_before = heads_stats(head_logits(out, k, levels), actions)[0].probs[0, 0, 2]
     for _ in range(50):
@@ -174,9 +174,9 @@ def test_ppo_fully_clipped_batch_gives_zero_actor_gradient():
     assert np.all(unclipped > clipped)
     gw = np.where(unclipped <= clipped, ratio * adv, 0.0)
     g3 = score_entropy_logits_grad(dist, actions, gw, 0.0, 1.0 / B)
-    grads_w, grads_b = backward(actor, _cache_of(actor, obs), g3.reshape(B, k * levels))
-    assert all(np.allclose(g, 0.0) for g in grads_w)
-    assert all(np.allclose(g, 0.0) for g in grads_b)
+    grads = backward(actor, _cache_of(actor, obs), g3.reshape(B, k * levels))
+    assert all(np.allclose(g, 0.0) for g in grads.weights)
+    assert all(np.allclose(g, 0.0) for g in grads.biases)
 
 
 def _cache_of(params, x):
@@ -195,7 +195,7 @@ def test_ppo_update_first_pass_ratio_one():
     _, old_logp, _ = heads_stats(head_logits(out, k, levels), actions)
     diag = ppo_update(
         actor, critic, obs, actions, old_logp, rewards,
-        OptimState(lr=1e-3), OptimState(lr=1e-3), rng,
+        OptimState(actor, lr=1e-3), OptimState(critic, lr=1e-3), rng,
         eps_clip=0.2, epochs=1, minibatch=B, value_weight=0.5,
         entropy_coef=0.0, levels=levels,
     )
@@ -236,6 +236,6 @@ def test_actor_critic_checkpoint_roundtrip(tmp_path):
         path = tmp_path / f"{algo}.ckpt"
         save_agent(agent, path)
         clone = load_agent(path, config, np.random.default_rng(10))
-        assert np.array_equal(clone.actor.flat(), agent.actor.flat())
-        assert np.array_equal(clone.critic.flat(), agent.critic.flat())
+        assert np.array_equal(clone.actor.vec, agent.actor.vec)
+        assert np.array_equal(clone.critic.vec, agent.critic.vec)
         assert clone.t == 42

@@ -5,15 +5,18 @@ nondeterminism but not a change of output from one commit to the next. These
 digests were recorded once and must not change when the episode loop is
 rewritten. Only random bidders and tabular Q-learning run here: their paths
 call no numpy exp/log and no BLAS, so the bytes do not depend on the CPU's
-vector kernels.
+vector kernels. Fresh network checkpoints are pinned too: initialisation
+draws uniforms and takes a square root, with no BLAS and no exp.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
+from maulab.agents.base import make_agent
 from maulab.config import ScenarioConfig, Seat, Session
-from maulab.harness import pretrain, run, run_session, start
+from maulab.harness import pretrain, run, run_session, save_agent, start
 from maulab.metrics import AUCTION_LOG_FIELDS, EPISODE_LOG_FIELDS, write_csv
 
 SEED = 17
@@ -87,3 +90,21 @@ def test_frozen_tournament_bytes_pinned(rule, tmp_path):
     run_dir = run(Session("tournament", config, roster), tmp_path / "tournament")
     got = (_sha256(run_dir / "episodes.csv"), _sha256(run_dir / "auctions.csv"))
     assert got == FROZEN_QL_SESSIONS[rule]
+
+
+# algo -> checkpoint of a fresh agent with default hyperparameters, dp K=4,
+# built from default_rng(SEED): catches a changed draw order, array order or
+# moment layout.
+FRESH_CHECKPOINTS = {
+    "dpn": "6c8014191abcce9ed2d67f768b842873397d48391176398271986061c405991e",
+    "a2c": "f634a936962be071bfa766f79a5f4ef99d23265854f9a26fa27b7f9e9ea88f3f",
+    "ppo": "17bb9c17813e9e8fdc71e22bc1fc3537f8072cd1246cfc6c1b1da1ae8a5e05e7",
+    "dqn": "6b3afc18eb54f6fdc41ef709c7ee4d4b7825a70f1a836f97f9498e793862c9d9",
+}
+
+
+@pytest.mark.parametrize("algo", sorted(FRESH_CHECKPOINTS))
+def test_fresh_network_checkpoint_bytes_pinned(algo, tmp_path):
+    config = ScenarioConfig(rule="dp", supply=4, master_seed=SEED)
+    save_agent(make_agent(algo, config, np.random.default_rng(SEED)), tmp_path / "agent.ckpt")
+    assert _sha256(tmp_path / "agent.ckpt") == FRESH_CHECKPOINTS[algo]

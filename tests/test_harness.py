@@ -85,7 +85,7 @@ def test_zero_episode_pretrain_checkpoint_is_fresh_init(tmp_path):
     _, _, agent_rngs = make_streams(13, 6)
     fresh = make_agent("dqn", config, agent_rngs[0])
     loaded = load_agent(ckpt, config, np.random.default_rng(0))
-    assert np.array_equal(loaded.net.flat(), fresh.net.flat())
+    assert np.array_equal(loaded.net.vec, fresh.net.vec)
     assert loaded.t == 0
 
 

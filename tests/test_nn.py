@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from maulab.config import ConfigError
+from maulab.agents.base import ReplayBuffer
+from maulab.agents.qlearn import dqn_train_step
 from maulab.nn import (
     Categorical,
+    MlpParams,
     OptimState,
-    adam_step,
+    adam_step_params,
     backward,
     finite_diff_check,
     forward,
@@ -19,10 +22,10 @@ from maulab.nn import (
 def test_init_deterministic_and_zero_biases():
     a = mlp_init((2, 64, 42), 123)
     b = mlp_init((2, 64, 42), 123)
-    assert np.array_equal(a.flat(), b.flat())
+    assert np.array_equal(a.vec, b.vec)
     assert all(np.all(bias == 0.0) for bias in a.biases)
     c = mlp_init((2, 64, 42), 124)
-    assert not np.array_equal(a.flat(), c.flat())
+    assert not np.array_equal(a.vec, c.vec)
 
 
 def test_init_variance_scaling():
@@ -69,9 +72,9 @@ def test_forward_batch_matches_single():
 
 def test_forward_pure():
     params = mlp_init((2, 8, 3), 3)
-    before = params.flat().copy()
+    before = params.vec.copy()
     forward(params, np.array([[0.3, 0.7], [0.1, 0.2]]))
-    assert np.array_equal(params.flat(), before)
+    assert np.array_equal(params.vec, before)
 
 
 def test_forward_rejects_nonfinite():
@@ -92,9 +95,9 @@ def test_backward_linear_weight_gradient():
     x = np.array([[1.0, 2.0, 3.0]])
     _, cache = forward(params, x)
     g = np.array([[0.5, -1.0]])
-    wg, bg = backward(params, cache, g)
-    assert np.allclose(wg[0], g.T @ x)
-    assert np.allclose(bg[0], g[0])
+    grads = backward(params, cache, g)
+    assert np.allclose(grads.weights[0], g.T @ x)
+    assert np.allclose(grads.biases[0], g[0])
 
 
 def test_backward_sums_over_batch():
@@ -102,19 +105,19 @@ def test_backward_sums_over_batch():
     xs = np.random.default_rng(5).normal(size=(4, 2))
     gs = np.random.default_rng(6).normal(size=(4, 3))
     _, cache = forward(params, xs)
-    wg, bg = backward(params, cache, gs)
+    grads = backward(params, cache, gs)
     wg_sum = [np.zeros_like(w) for w in params.weights]
     bg_sum = [np.zeros_like(b) for b in params.biases]
     for i in range(4):
         _, c1 = forward(params, xs[i : i + 1])
-        w1, b1 = backward(params, c1, gs[i : i + 1])
-        for acc, g in zip(wg_sum, w1):
+        one = backward(params, c1, gs[i : i + 1])
+        for acc, g in zip(wg_sum, one.weights):
             acc += g
-        for acc, g in zip(bg_sum, b1):
+        for acc, g in zip(bg_sum, one.biases):
             acc += g
-    for a, b in zip(wg, wg_sum):
+    for a, b in zip(grads.weights, wg_sum):
         assert np.allclose(a, b)
-    for a, b in zip(bg, bg_sum):
+    for a, b in zip(grads.biases, bg_sum):
         assert np.allclose(a, b)
 
 
@@ -134,37 +137,86 @@ def test_finite_diff_regression_loss():
     assert err < 1e-6
 
 
+def _grads(params, g):
+    return MlpParams(params.layout, np.asarray(g, dtype=float))
+
+
 def test_adam_zero_gradient_is_noop():
-    x = np.array([1.0, 2.0, 3.0])
-    opt = OptimState(lr=0.1)
-    adam_step([x], [np.zeros(3)], opt)
-    assert np.array_equal(x, [1.0, 2.0, 3.0])
+    params = MlpParams((2, 1), np.array([1.0, 2.0, 3.0]))
+    opt = OptimState(params, lr=0.1)
+    adam_step_params(params, _grads(params, np.zeros(3)), opt)
+    assert np.array_equal(params.vec, [1.0, 2.0, 3.0])
 
 
 def test_adam_skips_nonfinite_gradients():
-    x = np.array([1.0, 2.0])
-    opt = OptimState(lr=0.1)
-    with pytest.warns(RuntimeWarning):
-        adam_step([x], [np.array([np.nan, 1.0])], opt)
-    assert np.array_equal(x, [1.0, 2.0])
+    params = MlpParams((1, 1), np.array([1.0, 2.0]))
+    opt = OptimState(params, lr=0.1)
+    with pytest.warns(RuntimeWarning) as caught:
+        adam_step_params(params, _grads(params, [np.nan, 1.0]), opt)
+    assert caught[0].filename == __file__  # the warning names the caller's line
+    assert np.array_equal(params.vec, [1.0, 2.0])
+    assert opt.step == 0
+    # through an agent's update it names that update, not the optimizer
+    net = mlp_init((2, 4, 3), 0)
+    net.biases[-1][...] = 1e308  # Q errors of 1e308 double to an infinite gradient
+    buf = ReplayBuffer(4)
+    for i in range(4):
+        buf.push(np.array([0.5, 0.5]), i % 3, 0.0)
+    opt = OptimState(net, lr=0.1)
+    with pytest.warns(RuntimeWarning) as caught:
+        dqn_train_step(net, buf, opt, 4, np.random.default_rng(0))
+    assert caught[0].filename.endswith("qlearn.py")
     assert opt.step == 0
 
 
 def test_adam_first_step_size():
     # bias correction makes the first step approximately lr * sign(g)
-    x = np.array([0.0])
-    opt = OptimState(lr=0.05)
-    adam_step([x], [np.array([3.0])], opt)
-    assert x[0] == pytest.approx(-0.05, rel=1e-6)
+    params = MlpParams((1, 1), np.zeros(2))
+    opt = OptimState(params, lr=0.05)
+    adam_step_params(params, _grads(params, [3.0, -3.0]), opt)
+    assert params.vec[0] == pytest.approx(-0.05, rel=1e-6)
+    assert params.vec[1] == pytest.approx(0.05, rel=1e-6)
 
 
 def test_adam_minimizes_quadratic_bowl():
     target = np.array([2.0, -3.0, 0.5])
-    x = np.zeros(3)
-    opt = OptimState(lr=0.05)
+    params = MlpParams((2, 1), np.zeros(3))
+    opt = OptimState(params, lr=0.05)
     for _ in range(500):
-        adam_step([x], [2.0 * (x - target)], opt)
-    assert np.max(np.abs(x - target)) < 0.01
+        adam_step_params(params, _grads(params, 2.0 * (params.vec - target)), opt)
+    assert np.max(np.abs(params.vec - target)) < 0.01
+
+
+def _reference_adam(arrays, grads, ms, vs, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam as one formula per array, as it was written before the networks
+    became one vector."""
+    b1c = 1.0 - beta1**step
+    b2c = 1.0 - beta2**step
+    for a, g, m, v in zip(arrays, grads, ms, vs):
+        m[...] = beta1 * m + (1.0 - beta1) * g
+        v[...] = beta2 * v + (1.0 - beta2) * g * g
+        a -= lr * (m / b1c) / (np.sqrt(v / b2c) + eps)
+
+
+@pytest.mark.parametrize("layout", [(2, 64, 64, 231), (2, 64, 64, 1)])
+def test_adam_bit_equal_to_per_array_reference(layout):
+    rng = np.random.default_rng(21)
+    params = mlp_init(layout, rng)
+    opt = OptimState(params, lr=1e-3)
+    arrays = [a.copy() for a in params.weights + params.biases]
+    ms = [np.zeros_like(a) for a in arrays]
+    vs = [np.zeros_like(a) for a in arrays]
+    for step in range(1, 301):
+        # magnitudes spread log-uniformly over 1e-8 .. 1e2, random signs
+        g = rng.choice([-1.0, 1.0], size=params.vec.size) * 10.0 ** rng.uniform(-8, 2, size=params.vec.size)
+        grads = _grads(params, g)
+        adam_step_params(params, grads, opt)
+        _reference_adam(arrays, grads.weights + grads.biases, ms, vs, step, opt.lr)
+    assert opt.step == 300
+    flat = lambda xs: np.concatenate([x.ravel() for x in xs])
+    assert np.array_equal(params.vec, flat(arrays))
+    assert np.array_equal(opt.m, flat(ms))
+    assert np.array_equal(opt.v, flat(vs))
 
 
 def test_softmax_shift_invariance_and_normalization():
@@ -220,12 +272,30 @@ def test_categorical_batched_shapes():
     assert np.asarray(samples).shape == (4, 2)
 
 
-def test_params_flat_roundtrip():
+def test_params_arrays_are_views_of_one_vector():
     params = mlp_init((2, 4, 3), 13)
-    vec = params.flat().copy()
-    other = mlp_init((2, 4, 3), 14)
-    other.set_flat(vec)
-    assert np.array_equal(other.flat(), vec)
+    params.weights[1][2, 0] = 7.5
+    params.biases[0][3] = -1.25
+    # weights first, each (out, in) row-major, then biases
+    assert params.vec[2 * 4 + 2 * 4 + 0] == 7.5
+    assert params.vec[2 * 4 + 4 * 3 + 3] == -1.25
+    clone = params.copy()
+    clone.vec[...] = 0.0
+    assert np.all(clone.weights[1] == 0.0)
+    assert params.weights[1][2, 0] == 7.5
+    # gradient views hold each layer's g^T h and g summed over the batch
+    xs = np.random.default_rng(14).normal(size=(5, 2))
+    gs = np.random.default_rng(15).normal(size=(5, 3))
+    out, cache = forward(params, xs)
+    grads = backward(params, cache, gs)
+    assert grads.layout == params.layout and grads.vec.shape == params.vec.shape
+    g = gs
+    for li in (1, 0):
+        h_in, z = cache[li]
+        if li == 0:
+            g = (g @ params.weights[1]) * (1.0 - np.tanh(z) ** 2)
+        assert np.array_equal(grads.weights[li], g.T @ h_in)
+        assert np.array_equal(grads.biases[li], g.sum(axis=0))
 
 
 def test_params_copy_independent():

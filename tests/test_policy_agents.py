@@ -130,12 +130,12 @@ def test_heads_stats_joint_logprob_adds():
 def test_dpg_equal_rewards_without_entropy_is_noop():
     rng = np.random.default_rng(7)
     net = mlp_init((2, 8, 10), rng)
-    before = net.flat().copy()
+    before = net.vec.copy()
     obs = rng.random((6, 2))
     actions = rng.integers(0, 5, size=(6, 2))
     rewards = np.full(6, 1.7)
-    dpg_update(net, obs, actions, rewards, OptimState(lr=0.01), entropy_coef=0.0, levels=5)
-    assert np.allclose(net.flat(), before, atol=1e-12)
+    dpg_update(net, obs, actions, rewards, OptimState(net, lr=0.01), entropy_coef=0.0, levels=5)
+    assert np.allclose(net.vec, before, atol=1e-12)
 
 
 def test_dpg_loss_gradient_finite_difference():
@@ -163,7 +163,7 @@ def test_dpg_loss_gradient_finite_difference():
 def test_dpg_agent_batch_trigger_and_pending_actions():
     config = ScenarioConfig(episodes=100)
     agent = make_agent("dpn", config, np.random.default_rng(9), batch_size=3)
-    before = agent.net.flat().copy()
+    before = agent.net.vec.copy()
     obs = np.full(2, 0.5)
     for i in range(3):
         levels = agent.act(obs[None])[0]
@@ -174,7 +174,7 @@ def test_dpg_agent_batch_trigger_and_pending_actions():
             assert agent._acts[-1].tolist() == list(levels)
     assert agent.t == 3
     assert len(agent._rews) == 0  # batch consumed
-    assert not np.array_equal(agent.net.flat(), before)
+    assert not np.array_equal(agent.net.vec, before)
 
 
 def test_dpg_checkpoint_roundtrip(tmp_path):
@@ -185,5 +185,5 @@ def test_dpg_checkpoint_roundtrip(tmp_path):
     path = tmp_path / "dpn.ckpt"
     save_agent(agent, path)
     clone = load_agent(path, config, np.random.default_rng(11))
-    assert np.array_equal(clone.net.flat(), agent.net.flat())
+    assert np.array_equal(clone.net.vec, agent.net.vec)
     assert clone.net.layout == agent.net.layout

@@ -94,7 +94,7 @@ def test_dqn_trains_every_episode_after_warmup():
         warmup=3,
         eps_max=0.0,
     )
-    initial = agent.net.flat().copy()
+    initial = agent.net.vec.copy()
 
     def feed(n):
         for i in range(n):
@@ -102,11 +102,11 @@ def test_dqn_trains_every_episode_after_warmup():
 
     feed(2)  # below warmup: no update
     assert agent.train_steps == 0
-    assert np.array_equal(agent.net.flat(), initial)
+    assert np.array_equal(agent.net.vec, initial)
     feed(3)  # warmup reached on the third transition: one step per episode
     assert agent.train_steps == 3
     assert agent.opt.step == 3
-    assert not np.array_equal(agent.net.flat(), initial)
+    assert not np.array_equal(agent.net.vec, initial)
 
 
 def test_dqn_loss_gradient_finite_difference():
@@ -131,7 +131,7 @@ def test_dqn_loss_gradient_finite_difference():
 def test_dqn_train_step_reduces_loss():
     rng = np.random.default_rng(6)
     net = mlp_init((2, 16, 4), rng)
-    opt = OptimState(lr=5e-3)
+    opt = OptimState(net, lr=5e-3)
     buf = ReplayBuffer(16)
     for i in range(16):
         buf.push(rng.random(2), int(rng.integers(4)), float(rng.normal()))
@@ -164,5 +164,5 @@ def test_dqn_checkpoint_roundtrip(tmp_path):
     path = tmp_path / "dqn.ckpt"
     save_agent(agent, path)
     clone = load_agent(path, config, np.random.default_rng(12))
-    assert np.array_equal(clone.net.flat(), agent.net.flat())
+    assert np.array_equal(clone.net.vec, agent.net.vec)
     assert clone.train_steps == agent.train_steps
