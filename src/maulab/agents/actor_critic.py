@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from maulab.agents.base import NetAgent
+from maulab.agents.base import NetAgent, ReplayBuffer
 from maulab.agents.policy import head_logits, heads_stats, score_entropy_logits_grad
 from maulab.config import ConfigError, ScenarioConfig
 from maulab.nn import OptimState, adam_step_params, backward, forward, log_softmax, mlp_init, sample_categorical
@@ -128,7 +128,9 @@ def ppo_update(
 
 
 class _ActorCriticAgent(NetAgent):
-    """Shared plumbing: factored actor, scalar critic, rollout collection."""
+    """Shared plumbing: factored actor, scalar critic, and a rollout of
+    `rows` episodes (observation, levels, log-probability, reward) that a
+    full rollout hands to the subclass's `_update`, then clears."""
 
     nets = (("actor", "opt_actor"), ("critic", "opt_critic"))
     counters = ("t", "opt_actor.step", "opt_critic.step")
@@ -141,6 +143,7 @@ class _ActorCriticAgent(NetAgent):
         actor_lr: float,
         critic_lr: float,
         entropy_coef: float,
+        rows: int,
     ):
         super().__init__(config, rng)
         self.hidden = tuple(hidden)
@@ -151,11 +154,9 @@ class _ActorCriticAgent(NetAgent):
         self.opt_actor = OptimState(self.actor, actor_lr)
         self.opt_critic = OptimState(self.critic, critic_lr)
         self.entropy_coef = entropy_coef
-        self._obs: list[np.ndarray] = []
-        self._acts: list[np.ndarray] = []
-        self._logp: list[float] = []
-        self._rews: list[float] = []
-        self._pending_logp: list[float] = []  # per row: log-probability of the levels not yet observed
+        k = (self.k,)
+        self.buffer = ReplayBuffer(rows, obs=(float, k), levels=(int, k), logp=float, reward=float)
+        self._pending_logp = np.empty(0)  # per row of the last exploring act: its levels' log-probability
         self.t = 0
 
     def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
@@ -166,18 +167,18 @@ class _ActorCriticAgent(NetAgent):
         levels = sample_categorical(log_probs, self.rng)
         if explore:
             picked = np.take_along_axis(log_probs, levels[..., None], axis=-1)[..., 0]
-            self._pending_logp = picked.sum(axis=-1).tolist()
+            self._pending_logp = picked.sum(axis=-1)
         return levels
 
-    def _record(self, obs: np.ndarray, levels: np.ndarray, reward: float) -> None:
-        self._obs.append(np.array(obs))
-        self._acts.append(np.array(levels))
-        self._logp.append(self._pending_logp.pop(0))
-        self._rews.append(reward)
-        self.t += 1
+    def horizon(self) -> int:
+        return self.buffer.capacity - len(self.buffer)
 
-    def _clear_rollout(self) -> None:
-        self._obs, self._acts, self._logp, self._rews = [], [], [], []
+    def observe(self, obs: np.ndarray, levels: np.ndarray, rewards: np.ndarray) -> None:
+        self.buffer.push(obs, levels, self._pending_logp, rewards)
+        self.t += len(rewards)
+        if len(self.buffer) == self.buffer.capacity:
+            self._update(*self.buffer.rows())
+            self.buffer.clear()
 
 
 class A2cAgent(_ActorCriticAgent):
@@ -196,27 +197,12 @@ class A2cAgent(_ActorCriticAgent):
         critic_lr: float = 7e-4,
         entropy_coef: float = 0.01,
     ):
-        super().__init__(config, rng, hidden, actor_lr, critic_lr, entropy_coef)
+        super().__init__(config, rng, hidden, actor_lr, critic_lr, entropy_coef, batch_size)
         self.batch_size = batch_size
 
-    def horizon(self) -> int:
-        return self.batch_size - len(self._rews)
-
-    def observe(self, obs: np.ndarray, levels: np.ndarray, reward: float) -> None:
-        self._record(obs, levels, reward)
-        if len(self._rews) >= self.batch_size:
-            a2c_update(
-                self.actor,
-                self.critic,
-                np.stack(self._obs),
-                np.stack(self._acts),
-                np.array(self._rews),
-                self.opt_actor,
-                self.opt_critic,
-                self.entropy_coef,
-                self.levels,
-            )
-            self._clear_rollout()
+    def _update(self, obs: np.ndarray, levels: np.ndarray, logp: np.ndarray, rewards: np.ndarray) -> None:
+        a2c_update(self.actor, self.critic, obs, levels, rewards, self.opt_actor, self.opt_critic,
+                   self.entropy_coef, self.levels)
 
 
 class PpoAgent(_ActorCriticAgent):
@@ -239,7 +225,7 @@ class PpoAgent(_ActorCriticAgent):
         actor_lr: float = 1e-3,
         critic_lr: float = 1e-3,
     ):
-        super().__init__(config, rng, hidden, actor_lr, critic_lr, entropy_coef)
+        super().__init__(config, rng, hidden, actor_lr, critic_lr, entropy_coef, rollout)
         if not 0.0 < eps_clip < 1.0:
             raise ConfigError("eps_clip must be in (0, 1)")
         self.rollout = rollout
@@ -249,27 +235,8 @@ class PpoAgent(_ActorCriticAgent):
         self.value_weight = value_weight
         self.last_diag: dict = {}
 
-    def horizon(self) -> int:
-        return self.rollout - len(self._rews)
-
-    def observe(self, obs: np.ndarray, levels: np.ndarray, reward: float) -> None:
-        self._record(obs, levels, reward)
-        if len(self._rews) >= self.rollout:
-            self.last_diag = ppo_update(
-                self.actor,
-                self.critic,
-                np.stack(self._obs),
-                np.stack(self._acts),
-                np.array(self._logp),
-                np.array(self._rews),
-                self.opt_actor,
-                self.opt_critic,
-                self.rng,
-                self.eps_clip,
-                self.epochs,
-                self.minibatch,
-                self.value_weight,
-                self.entropy_coef,
-                self.levels,
-            )
-            self._clear_rollout()
+    def _update(self, obs: np.ndarray, levels: np.ndarray, logp: np.ndarray, rewards: np.ndarray) -> None:
+        self.last_diag = ppo_update(
+            self.actor, self.critic, obs, levels, logp, rewards, self.opt_actor, self.opt_critic, self.rng,
+            self.eps_clip, self.epochs, self.minibatch, self.value_weight, self.entropy_coef, self.levels,
+        )

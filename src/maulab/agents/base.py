@@ -31,35 +31,47 @@ def decay_for(episodes: int, floor: float = 0.01, at_fraction: float = 0.8) -> f
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring of (observation, action index, reward) rows, held in
-    arrays allocated on the first push from the observation's shape."""
+    """Fixed-capacity ring of rows with named columns, allocated at
+    construction: each keyword names a column and gives its row dtype, e.g.
+    `obs=(float, (k,))`. DQN samples it as its replay; DPN, A2C and PPO read it
+    whole, in episode order, once a rollout fills it, then clear it."""
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, **columns):
         if capacity < 1:
             raise ConfigError("replay capacity must be >= 1")
         self.capacity = capacity
-        self._obs: np.ndarray | None = None
-        self._size = 0
-        self._cursor = 0
+        self._columns = [np.empty(capacity, dtype=dtype) for dtype in columns.values()]
+        self.clear()
 
     def __len__(self) -> int:
         return self._size
 
-    def push(self, obs: np.ndarray, action: int, rew: float) -> None:
-        if self._obs is None:
-            self._obs = np.empty((self.capacity, *np.shape(obs)))
-            self._act = np.empty(self.capacity, dtype=int)
-            self._rew = np.empty(self.capacity)
-        i = self._cursor
-        self._obs[i], self._act[i], self._rew[i] = obs, action, rew
-        self._cursor = (i + 1) % self.capacity
-        self._size = min(self._size + 1, self.capacity)
+    def clear(self) -> None:
+        self._size = self._cursor = 0
 
-    def sample(self, batch_size: int, rng: np.random.Generator):
+    def push(self, *runs: np.ndarray) -> None:
+        """Write a run of m <= capacity rows, one array per column in column
+        order, over the oldest rows; at most two slices per column."""
+        m = len(runs[0])
+        if m > self.capacity:
+            raise ValueError(f"a run of {m} rows exceeds the capacity {self.capacity}")
+        i = self._cursor
+        head = min(m, self.capacity - i)
+        for column, run in zip(self._columns, runs, strict=True):
+            column[i : i + head] = run[:head]
+            column[: m - head] = run[head:]
+        self._cursor = (i + m) % self.capacity
+        self._size = min(self._size + m, self.capacity)
+
+    def rows(self) -> tuple[np.ndarray, ...]:
+        """Every held row of each column, in push order until the ring wraps."""
+        return tuple(column[: self._size] for column in self._columns)
+
+    def sample(self, batch_size: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
         if self._size < batch_size:
             raise ValueError(f"replay buffer holds {self._size} < batch {batch_size}")
         idx = rng.integers(0, self._size, size=batch_size)
-        return self._obs[idx], self._act[idx], self._rew[idx]
+        return tuple(column[idx] for column in self._columns)
 
 
 def joint_action_space(grid_levels: int, k: int) -> list[tuple[int, ...]]:
@@ -76,6 +88,11 @@ def action_table(grid_levels: int, k: int) -> tuple[np.ndarray, dict]:
     return np.array(actions), {a: i for i, a in enumerate(actions)}
 
 
+def action_indices(action_index: dict, levels: np.ndarray) -> list[int]:
+    """The index in `action_index` of each row of an (m, k) levels array."""
+    return [action_index[tuple(row)] for row in levels.tolist()]
+
+
 def bin_value(value, lo: float, hi: float, bins: int):
     """Floor the value into one of `bins` integer bins over [lo, hi],
     elementwise: the count of bin edges 1..bins-1 at or below its position."""
@@ -86,9 +103,9 @@ class Agent:
     """Base bidder agent. Subclasses implement act() and learning in observe().
 
     `act` maps a block of observations, one (k,) row per episode, to a row of k
-    levels per episode. A seat that trains acts (exploring) on the next
-    `horizon()` episodes or fewer at once, then observes them one at a time in
-    episode order: an exploring act on m rows draws what m one-row acts would.
+    levels per episode. A seat that trains acts (exploring) on a run of the
+    next `horizon()` episodes or fewer at once, then observes that run in one
+    call: an exploring act on m rows draws what m one-row acts would.
 
     The checkpoint codec: a checkpoint's meta holds every constructor
     hyperparameter, read back from the attribute of the same name, and the
@@ -119,13 +136,14 @@ class Agent:
         """(B, k) grid levels for a (B, k) block of observations, any order per row; the env canonicalizes."""
         raise NotImplementedError
 
-    def observe(self, obs: np.ndarray, levels: np.ndarray, reward: float) -> None:
-        """Deliver one episode's observation row, the levels row its act
-        returned and its episode reward. Called only for a seat that trains."""
+    def observe(self, obs: np.ndarray, levels: np.ndarray, rewards: np.ndarray) -> None:
+        """Deliver the run of m <= horizon() episodes the agent last acted on:
+        its (m, k) observations, the (m, k) levels act returned and the (m,)
+        episode rewards. Called only for a seat that trains."""
 
     def horizon(self) -> int:
         """How many upcoming episodes (at least 1) this agent's policy stays
-        fixed over: the observes before its next update."""
+        fixed over: the episodes before its next update."""
         return 1
 
     def hyperparameters(self) -> dict:

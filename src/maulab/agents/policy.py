@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from maulab.agents.base import Agent, NetAgent, action_table, bin_value
+from maulab.agents.base import Agent, NetAgent, ReplayBuffer, action_indices, action_table, bin_value
 from maulab.config import ScenarioConfig
 from maulab.nn import Categorical, OptimState, adam_step_params, backward, forward, mlp_init, softmax
 from maulab.nn import log_softmax, sample_categorical
@@ -48,9 +48,10 @@ class VpgAgent(Agent):
     def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
         return self.actions[sample_categorical(log_softmax(self.table[self._bin(obs)]), self.rng)]
 
-    def observe(self, obs: np.ndarray, levels: np.ndarray, reward: float) -> None:
-        vpg_update(self.table, self._bin(obs), self.action_index[tuple(levels.tolist())], reward, self.alpha)
-        self.t += 1
+    def observe(self, obs: np.ndarray, levels: np.ndarray, rewards: np.ndarray) -> None:
+        for s, a, r in zip(self._bin(obs).tolist(), action_indices(self.action_index, levels), rewards.tolist()):
+            vpg_update(self.table, s, a, r, self.alpha)
+        self.t += len(rewards)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {"table": self.table}
@@ -133,9 +134,7 @@ class DpgAgent(NetAgent):
         self.opt = OptimState(self.net, lr)
         self.batch_size = batch_size
         self.entropy_coef = entropy_coef
-        self._obs: list[np.ndarray] = []
-        self._acts: list[np.ndarray] = []
-        self._rews: list[float] = []
+        self.buffer = ReplayBuffer(batch_size, obs=(float, (self.k,)), levels=(int, (self.k,)), reward=float)
         self.t = 0
 
     def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
@@ -144,21 +143,11 @@ class DpgAgent(NetAgent):
         return sample_categorical(log_softmax(out.reshape(len(obs), self.k, self.levels)), self.rng)
 
     def horizon(self) -> int:
-        return self.batch_size - len(self._rews)
+        return self.batch_size - len(self.buffer)
 
-    def observe(self, obs: np.ndarray, levels: np.ndarray, reward: float) -> None:
-        self._obs.append(np.array(obs))
-        self._acts.append(np.array(levels))
-        self._rews.append(reward)
-        self.t += 1
-        if len(self._rews) >= self.batch_size:
-            dpg_update(
-                self.net,
-                np.stack(self._obs),
-                np.stack(self._acts),
-                np.array(self._rews),
-                self.opt,
-                self.entropy_coef,
-                self.levels,
-            )
-            self._obs, self._acts, self._rews = [], [], []
+    def observe(self, obs: np.ndarray, levels: np.ndarray, rewards: np.ndarray) -> None:
+        self.buffer.push(obs, levels, rewards)
+        self.t += len(rewards)
+        if len(self.buffer) == self.batch_size:
+            dpg_update(self.net, *self.buffer.rows(), self.opt, self.entropy_coef, self.levels)
+            self.buffer.clear()

@@ -8,12 +8,13 @@ from maulab.agents.base import (
     Agent,
     NetAgent,
     ReplayBuffer,
+    action_indices,
     action_table,
     bin_value,
     decay_for,
     epsilon_at,
 )
-from maulab.config import ScenarioConfig
+from maulab.config import ConfigError, ScenarioConfig
 from maulab.nn import OptimState, adam_step_params, backward, forward, mlp_init
 
 
@@ -80,9 +81,10 @@ class QLearningAgent(Agent):
     def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
         return self.actions[_epsilon_greedy(self, obs, explore, self._greedy)]
 
-    def observe(self, obs: np.ndarray, levels: np.ndarray, reward: float) -> None:
-        q_update(self.table, self._bin(obs), self.action_index[tuple(levels.tolist())], reward, self.alpha)
-        self.t += 1
+    def observe(self, obs: np.ndarray, levels: np.ndarray, rewards: np.ndarray) -> None:
+        for s, a, r in zip(self._bin(obs).tolist(), action_indices(self.action_index, levels), rewards.tolist()):
+            q_update(self.table, s, a, r, self.alpha)
+        self.t += len(rewards)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {"table": self.table}
@@ -130,11 +132,13 @@ class DqnAgent(NetAgent):
         decay_rate: float | None = None,
     ):
         super().__init__(config, rng)
+        if buffer_capacity < max(warmup, batch_size):
+            raise ConfigError(f"dqn buffer_capacity {buffer_capacity} < max(warmup, batch_size): it would never train")
         self.hidden = tuple(hidden)
         self.actions, self.action_index = action_table(config.grid_levels, self.k)
         self.net = mlp_init((self.k, *self.hidden, len(self.actions)), rng)
         self.buffer_capacity = buffer_capacity
-        self.buffer = ReplayBuffer(buffer_capacity)
+        self.buffer = ReplayBuffer(buffer_capacity, obs=(float, (self.k,)), action=int, reward=float)
         self.batch_size = batch_size
         self.lr = lr
         self.opt = OptimState(self.net, lr)
@@ -154,9 +158,11 @@ class DqnAgent(NetAgent):
         """The episodes left until the buffer is warm, then 1 (an update per episode)."""
         return max(max(self.warmup, self.batch_size) - len(self.buffer), 1)
 
-    def observe(self, obs: np.ndarray, levels: np.ndarray, reward: float) -> None:
-        self.buffer.push(obs, self.action_index[tuple(levels.tolist())], reward)
-        self.t += 1
+    def observe(self, obs: np.ndarray, levels: np.ndarray, rewards: np.ndarray) -> None:
+        """Push the run; train once when the buffer is warm, which a run of at
+        most horizon() rows reaches only at its last row."""
+        self.buffer.push(obs, action_indices(self.action_index, levels), rewards)
+        self.t += len(rewards)
         if len(self.buffer) >= max(self.warmup, self.batch_size):
             dqn_train_step(self.net, self.buffer, self.opt, self.batch_size, self.rng)
             self.train_steps += 1

@@ -45,8 +45,9 @@ def run_episode(env: AuctionEnv, agents: list[Agent], train, out) -> None:
     each agent that does not train acts on the whole block, greedily. The block
     then clears in runs of episodes: a run spans the smallest `horizon()` of the
     training agents (the whole block when none trains). Each training agent acts
-    on the run (exploring), one step clears it, and they observe its episodes
-    one at a time in episode order."""
+    on the run (exploring), one step clears it, and each observes the whole run
+    in one call. That is exact: learners share no state, and none updates before
+    the end of a run."""
     reward, won, payment, bids, winners, revenue, valuations = out
     observations = env.reset(len(reward))
     valuations[...] = env.valuations()
@@ -62,9 +63,8 @@ def run_episode(env: AuctionEnv, agents: list[Agent], train, out) -> None:
         for i in learners:
             levels[rows, i] = agents[i].act(seats[i, rows], explore=True)
         reward[rows], won[rows], payment[rows], bids[rows], (winners[rows], _, revenue[rows]) = env.step(levels[rows])
-        for e in range(rows.start, rows.stop):
-            for i in learners:
-                agents[i].observe(seats[i, e], levels[e, i], reward[e, i].item())
+        for i in learners:
+            agents[i].observe(seats[i, rows], levels[rows, i], reward[rows, i])
         start = rows.stop
 
 

@@ -65,8 +65,9 @@ def mlp_init(layout, seed_or_rng) -> MlpParams:
 
 
 def forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list]:
-    """Batch forward pass. x is (batch, in) or (in,); returns (output, cache). A stack of
-    rows (batch, 1, in) gives each row the bits of a call on it alone; (batch, in) may not."""
+    """Batch forward pass. x is (batch, in) or (in,); returns (output, cache), where
+    the cache holds each layer's input. A stack of rows (batch, 1, in) gives each row
+    the bits of a call on it alone; (batch, in) may not."""
     squeeze = x.ndim == 1
     h = np.atleast_2d(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(h)):
@@ -78,7 +79,7 @@ def forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list]:
     for li, (W, b) in enumerate(zip(params.weights, params.biases)):
         z = h @ W.T
         z += b  # in place: one block-sized array fewer
-        cache.append((h, z))
+        cache.append(h)
         h = np.tanh(z) if li < last else z
     out = h[0] if squeeze else h
     return out, cache
@@ -91,11 +92,11 @@ def backward(params: MlpParams, cache: list, grad_out: np.ndarray) -> MlpParams:
     grads = MlpParams(params.layout, np.empty_like(params.vec))
     last = len(params.weights) - 1
     for li in range(last, -1, -1):
-        h_in, z = cache[li]
+        h_in, out_shape = cache[li], (len(cache[li]), params.layout[li + 1])
         if li < last:
-            g = g * (1.0 - np.tanh(z) ** 2)
-        if g.shape != z.shape:
-            raise ConfigError(f"gradient shape {g.shape} != layer output {z.shape}")
+            g = g * (1.0 - cache[li + 1] ** 2)  # tanh'(z) from tanh(z), the next layer's input
+        if g.shape != out_shape:
+            raise ConfigError(f"gradient shape {g.shape} != layer output {out_shape}")
         np.matmul(g.T, h_in, out=grads.weights[li])
         g.sum(axis=0, out=grads.biases[li])
         if li:

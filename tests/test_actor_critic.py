@@ -213,8 +213,8 @@ def test_ppo_agent_solves_fixed_target_bandit():
     )
     obs = np.full(2, 0.5)
     for _ in range(50 * 64):
-        levels = agent.act(obs[None])[0]
-        agent.observe(obs, levels, 1.0 if levels[0] == 3 else 0.0)
+        levels = agent.act(obs[None])
+        agent.observe(obs[None], levels, np.array([1.0 if levels[0, 0] == 3 else 0.0]))
     out, _ = forward(agent.actor, obs)
     probs = heads_stats(head_logits(out, 2, 21), np.array([[3, 0]]))[0].probs
     assert probs[0, 0, 3] > 0.5

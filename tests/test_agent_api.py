@@ -21,6 +21,16 @@ def _config(**kw):
     return ScenarioConfig(**kw)
 
 
+def _replay(capacity, width=1):
+    """DQN's columns: an observation row, an action index and a reward."""
+    return ReplayBuffer(capacity, obs=(float, (width,)), action=int, reward=float)
+
+
+def _push(buf, obs, action, reward):
+    """Push one row as a run of one."""
+    buf.push(np.asarray(obs, dtype=float)[None], np.array([action]), np.array([reward]))
+
+
 def test_epsilon_examples():
     assert epsilon_at(1.0, 0.99, 0) == 1.0
     assert epsilon_at(1.0, 0.99, 100) == pytest.approx(0.99**100)
@@ -33,7 +43,7 @@ def test_epsilon_schedule_advance():
     agent = make_agent("ql", _config(), np.random.default_rng(0), eps_max=0.5, decay_rate=0.9)
     assert epsilon_at(agent.eps_max, agent.decay_rate, agent.t) == 0.5
     for _ in range(2):
-        agent.observe(np.full(2, 0.5), np.array([1, 0]), 0.0)
+        agent.observe(np.full((1, 2), 0.5), np.array([[1, 0]]), np.zeros(1))
     assert agent.t == 2
     assert epsilon_at(agent.eps_max, agent.decay_rate, agent.t) == pytest.approx(0.5 * 0.9**2)
 
@@ -45,9 +55,9 @@ def test_decay_for_reaches_floor_at_fraction():
 
 
 def test_replay_ring_overwrites_oldest():
-    buf = ReplayBuffer(3)
+    buf = _replay(3)
     for i in range(4):
-        buf.push(np.array([float(i)]), i, float(i))
+        _push(buf, [float(i)], i, float(i))
     assert len(buf) == 3
     obs, act, rew = buf.sample(3, np.random.default_rng(0))
     assert 0 not in act
@@ -55,21 +65,28 @@ def test_replay_ring_overwrites_oldest():
 
 
 def test_replay_underfilled_sample_raises():
-    buf = ReplayBuffer(10)
-    buf.push(np.zeros(1), 0, 0.0)
+    buf = _replay(10)
+    _push(buf, np.zeros(1), 0, 0.0)
     with pytest.raises(ValueError):
         buf.sample(2, np.random.default_rng(0))
 
 
 def test_replay_rejects_bad_capacity():
     with pytest.raises(ConfigError):
-        ReplayBuffer(0)
+        _replay(0)
+
+
+def test_replay_rejects_a_run_longer_than_its_capacity():
+    buf = _replay(4)
+    with pytest.raises(ValueError):
+        buf.push(np.zeros((5, 1)), np.zeros(5, dtype=int), np.zeros(5))
+    assert len(buf) == 0
 
 
 def test_replay_sampling_uniform_and_deterministic():
-    buf = ReplayBuffer(1024)
+    buf = _replay(1024)
     for i in range(1024):
-        buf.push(np.array([float(i)]), i % 8, 0.0)
+        _push(buf, [float(i)], i % 8, 0.0)
     _, a1, _ = buf.sample(1000, np.random.default_rng(42))
     _, a2, _ = buf.sample(1000, np.random.default_rng(42))
     assert np.array_equal(a1, a2)
@@ -80,23 +97,45 @@ def test_replay_sampling_uniform_and_deterministic():
 
 
 def test_replay_ring_matches_list_reference():
-    # the list ring the array ring replaced: same contents, same draws
+    # the list ring the array ring replaced: same contents, same draws, whether
+    # rows arrive one at a time or in runs of 1 to `capacity` rows that wrap
     capacity, rng = 7, np.random.default_rng(3)
-    buf, ref, cursor = ReplayBuffer(capacity), [], 0
-    for i in range(18):
-        row = (rng.random(2), int(rng.integers(231)), float(rng.normal()))
-        buf.push(*row)
-        if len(ref) < capacity:
-            ref.append(row)
-        else:
-            ref[cursor] = row
-        cursor = (cursor + 1) % capacity
+    buf, ref, cursor = _replay(capacity, 2), [], 0
+    runs = [1] * 18 + list(range(1, capacity + 1)) + [capacity, 3, capacity, 5, 2, capacity - 1]
+    for i, m in enumerate(runs):
+        run = [(rng.random(2), int(rng.integers(231)), float(rng.normal())) for _ in range(m)]
+        buf.push(*(np.array(column) for column in zip(*run)))
+        for row in run:
+            if len(ref) < capacity:
+                ref.append(row)
+            else:
+                ref[cursor] = row
+            cursor = (cursor + 1) % capacity
+        assert len(buf) == len(ref)
         if len(ref) >= 3:
             obs, act, rew = buf.sample(3, np.random.default_rng(i))
             idx = np.random.default_rng(i).integers(0, len(ref), size=3)
             assert np.array_equal(obs, np.stack([ref[j][0] for j in idx]))
             assert np.array_equal(act, np.array([ref[j][1] for j in idx], dtype=int))
             assert np.array_equal(rew, np.array([ref[j][2] for j in idx]))
+        if len(ref) == capacity:  # every slot holds the row the list holds there
+            held = buf.rows()
+            assert np.array_equal(held[0], np.stack([row[0] for row in ref]))
+            assert held[1].tolist() == [row[1] for row in ref] and held[2].tolist() == [row[2] for row in ref]
+
+
+def test_rollout_reads_whole_in_push_order_and_clears():
+    buf = ReplayBuffer(5, obs=(float, (2,)), levels=(int, (2,)), reward=float)
+    obs, levels, rewards = np.arange(10.0).reshape(5, 2), np.arange(10).reshape(5, 2), np.arange(5.0)
+    for rows in (slice(0, 2), slice(2, 3), slice(3, 5)):
+        buf.push(obs[rows], levels[rows], rewards[rows])
+    got = buf.rows()
+    assert [g.dtype for g in got] == [float, int, float]
+    assert all(np.array_equal(g, w) for g, w in zip(got, (obs, levels, rewards)))
+    buf.clear()
+    assert len(buf) == 0 and all(len(g) == 0 for g in buf.rows())
+    buf.push(obs[:1], levels[:1], rewards[:1])
+    assert np.array_equal(buf.rows()[0], obs[:1])
 
 
 def test_grid_decode_examples():

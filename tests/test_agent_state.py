@@ -17,13 +17,16 @@ from maulab.harness import load_agent, pretrain, run, run_session, save_agent, s
 _frac = st.floats(0.0, 1.0)
 _lr = st.floats(1e-6, 0.1)
 _hidden = st.lists(st.integers(1, 8), min_size=1, max_size=3).map(tuple)
-# A valid range for every constructor parameter of each learner.
+# A valid range for every constructor parameter of each learner; a function
+# gives the range from the parameters drawn before it.
 HYPERPARAMETERS = {
     "ql": {"value_bins": st.integers(2, 20), "alpha": _frac, "eps_max": _frac, "decay_rate": _frac},
     "vpg": {"value_bins": st.integers(2, 20), "alpha": _frac},
     "dqn": {
-        "hidden": _hidden, "buffer_capacity": st.integers(1, 10**6), "batch_size": st.integers(1, 512),
-        "lr": _lr, "warmup": st.integers(0, 10**4), "eps_max": _frac, "decay_rate": _frac,
+        "hidden": _hidden, "batch_size": st.integers(1, 512), "lr": _lr, "warmup": st.integers(0, 10**4),
+        "eps_max": _frac, "decay_rate": _frac,
+        # a buffer that cannot hold the warm-up would never train: DQN rejects it
+        "buffer_capacity": lambda drawn: st.integers(max(drawn["warmup"], drawn["batch_size"]), 10**6),
     },
     "dpn": {"hidden": _hidden, "batch_size": st.integers(1, 512), "lr": _lr, "entropy_coef": _frac},
     "a2c": {
@@ -48,7 +51,9 @@ def _counters(agent) -> dict:
 @given(data=st.data())
 def test_checkpoint_round_trip(algo, data):
     assert set(HYPERPARAMETERS[algo]) == set(hyperparameter_names(agent_class(algo)))
-    overrides = {name: data.draw(s, label=name) for name, s in HYPERPARAMETERS[algo].items()}
+    overrides = {}
+    for name, s in HYPERPARAMETERS[algo].items():
+        overrides[name] = data.draw(s(overrides) if callable(s) else s, label=name)
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     config = ScenarioConfig(episodes=50)
     agent = make_agent(algo, config, np.random.default_rng(seed), **overrides)

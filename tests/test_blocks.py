@@ -203,10 +203,10 @@ def test_exploring_act_keeps_the_log_probability(algo):
         dist = Categorical(out.reshape(2, 21))
         assert row.tolist() == dist.sample(draws).tolist()
         want.append(float(dist.log_prob(row).sum()))
-    assert agent._pending_logp == want
-    for o, row in zip(obs, levels):
-        agent.observe(o, row, 0.0)
-    assert agent._logp == want and agent._pending_logp == []
+    assert agent._pending_logp.tolist() == want
+    agent.observe(obs, levels, np.zeros(len(obs)))
+    logp = agent.buffer.rows()[2]
+    assert logp.tolist() == want and len(agent.buffer) == len(want)
 
 
 def test_stacked_forward_is_bit_equal_to_single_rows():
@@ -293,7 +293,7 @@ def test_horizons_count_the_episodes_to_the_next_update():
         seen = []
         for e in range(2 * period + 3):  # two updates, then part of a batch
             seen.append(agent.horizon())
-            agent.observe(obs[e], agent.act(obs[e : e + 1])[0], 0.5)
+            agent.observe(obs[e : e + 1], agent.act(obs[e : e + 1]), np.full(1, 0.5))
         assert seen == [period - e % period for e in range(2 * period + 3)]
         steps_per_update = 2 if algo == "ppo" else 1  # ppo: two minibatches of 4 in its one epoch
         assert (agent.opt if algo == "dpn" else agent.opt_actor).step == 2 * steps_per_update
@@ -302,7 +302,7 @@ def test_horizons_count_the_episodes_to_the_next_update():
         seen = []
         for e in range(warm + 4):  # across the end of the warm-up
             seen.append(dqn.horizon())
-            dqn.observe(obs[e], dqn.act(obs[e : e + 1])[0], 0.5)
+            dqn.observe(obs[e : e + 1], dqn.act(obs[e : e + 1]), np.full(1, 0.5))
         assert seen == [warm - e for e in range(warm)] + [1] * 4
         assert dqn.train_steps == 5
     for algo in ("ql", "vpg", "random"):
@@ -324,7 +324,48 @@ def test_exploring_act_on_a_block_matches_single_rows(algo):
     for j, o in enumerate(obs):
         b.t = a.t + j  # the row's episode comes j observes after the block's first
         rows.append(b.act(o[None], explore=True))
-        logp += getattr(b, "_pending_logp", [])
+        logp += getattr(b, "_pending_logp", np.empty(0)).tolist()
     assert np.array_equal(block, np.concatenate(rows))
-    assert getattr(a, "_pending_logp", []) == logp
+    assert getattr(a, "_pending_logp", np.empty(0)).tolist() == logp
     assert _same_state(a.rng, b.rng)
+
+
+# Overrides that put update boundaries within 24 episodes.
+RUN_OVERRIDES = {
+    "dqn": {"warmup": 8, "batch_size": 4},
+    "dpn": {"batch_size": 8},
+    "a2c": {"batch_size": 8},
+    "ppo": {"rollout": 8, "epochs": 2, "minibatch": 4},
+}
+
+
+@pytest.mark.parametrize("algo", ["ql", "vpg", "dqn", "dpn", "a2c", "ppo"])
+def test_observing_a_run_equals_observing_its_rows(algo):
+    # a learner acting and observing in runs of horizon() episodes ends where
+    # one acting and observing an episode at a time does; ql and vpg, whose
+    # horizon is 1, observe a longer run of given levels row by row
+    config, obs = ScenarioConfig(episodes=100), _obs()[:24]
+    rewards = np.random.default_rng(6).normal(size=24)
+    overrides = {"hidden": (8, 8), **RUN_OVERRIDES[algo]} if algo in RUN_OVERRIDES else {}
+    a, b = (make_agent(algo, config, np.random.default_rng(5), **overrides) for _ in range(2))
+    start = 0
+    while start < len(obs):
+        rows = slice(start, start + (6 if algo in ("ql", "vpg") else a.horizon()))
+        levels = a.act(obs[rows])
+        a.observe(obs[rows], levels, rewards[rows])
+        for e in range(rows.start, rows.stop):
+            one = slice(e, e + 1)
+            if algo in ("ql", "vpg"):
+                b.observe(obs[one], levels[e - rows.start][None], rewards[one])
+            else:
+                row = b.act(obs[one])
+                assert np.array_equal(row[0], levels[e - rows.start])
+                b.observe(obs[one], row, rewards[one])
+        start = rows.stop
+    (meta_a, arrays_a), (meta_b, arrays_b) = a.checkpoint_payload(), b.checkpoint_payload()
+    assert meta_a == meta_b and meta_a["t"] == len(obs)
+    assert all(np.array_equal(arrays_a[name], arrays_b[name]) for name in arrays_a)
+    if algo not in ("ql", "vpg"):
+        assert _same_state(a.rng, b.rng)
+        assert len(a.buffer) == len(b.buffer)
+        assert meta_a["train_steps" if algo == "dqn" else "opt_step" if algo == "dpn" else "opt_actor_step"] > 0

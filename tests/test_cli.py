@@ -210,6 +210,30 @@ def test_hyperparameter_type_and_range_exit_2(tmp_path, capsys, algo, overrides,
     assert not any(tmp_path.glob("dp_4_*"))
 
 
+def test_dqn_buffer_below_its_warm_up_exits_2_or_5(tmp_path, capsys, grid_checkpoints):
+    """A DQN whose replay buffer cannot hold its warm-up would never train."""
+    from maulab.checkpoint import load_checkpoint, save_checkpoint
+
+    small = {"buffer_capacity": 32, "warmup": 64}
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "algo": "dqn", "auction": "dp", "items": 4, "episodes": 5, "hyperparameters": {"dqn": small},
+    }))
+    assert main(["pretrain", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "dqn" in err and "buffer_capacity" in err and "Traceback" not in err
+    assert not any(tmp_path.glob("dp_4_*"))
+
+    kind, meta, arrays = load_checkpoint(grid_checkpoints("dqn"))
+    bad = tmp_path / "dqn.ckpt"
+    save_checkpoint(bad, kind, dict(meta, **small), arrays)
+    ckpts = {**{a: grid_checkpoints(a) for a in ("ppo", "a2c", "dpn", "ql", "vpg")}, "dqn": bad}
+    assert _frozen_tournament(tmp_path / "tour", ckpts) == 5
+    err = capsys.readouterr().err
+    assert str(bad) in err and "buffer_capacity" in err and "Traceback" not in err
+    assert not (tmp_path / "tour").exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("items", "x"), ("items", 5), ("algo", "random"), ("auction", "fp"),
     ("episodes", 10.5), ("episodes", "ten"), ("seed", 1.5), ("grid_levels", "x"),

@@ -159,9 +159,8 @@ def test_adam_skips_nonfinite_gradients():
     # through an agent's update it names that update, not the optimizer
     net = mlp_init((2, 4, 3), 0)
     net.biases[-1][...] = 1e308  # Q errors of 1e308 double to an infinite gradient
-    buf = ReplayBuffer(4)
-    for i in range(4):
-        buf.push(np.array([0.5, 0.5]), i % 3, 0.0)
+    buf = ReplayBuffer(4, obs=(float, (2,)), action=int, reward=float)
+    buf.push(np.full((4, 2), 0.5), np.arange(4) % 3, np.zeros(4))
     opt = OptimState(net, lr=0.1)
     with pytest.warns(RuntimeWarning) as caught:
         dqn_train_step(net, buf, opt, 4, np.random.default_rng(0))
@@ -291,8 +290,9 @@ def test_params_arrays_are_views_of_one_vector():
     assert grads.layout == params.layout and grads.vec.shape == params.vec.shape
     g = gs
     for li in (1, 0):
-        h_in, z = cache[li]
+        h_in = cache[li]  # each layer's input
         if li == 0:
+            z = xs @ params.weights[0].T + params.biases[0]
             g = (g @ params.weights[1]) * (1.0 - np.tanh(z) ** 2)
         assert np.array_equal(grads.weights[li], g.T @ h_in)
         assert np.array_equal(grads.biases[li], g.sum(axis=0))

@@ -99,7 +99,7 @@ def test_vpg_agent_observe_updates_table():
     agent = make_agent("vpg", config, np.random.default_rng(5), alpha=0.4)
     obs = np.full(2, 0.31)
     before = agent.table.copy()
-    agent.observe(obs, np.array([6, 2]), 1.5)
+    agent.observe(obs[None], np.array([[6, 2]]), np.array([1.5]))
     s = agent._bin(obs)
     changed = np.nonzero(np.any(agent.table != before, axis=1))[0]
     assert list(changed) == [s]
@@ -168,12 +168,12 @@ def test_dpg_agent_batch_trigger_and_pending_actions():
     for i in range(3):
         levels = agent.act(obs[None])[0]
         assert len(levels) == 2
-        agent.observe(obs, levels, 1.0 if i else -1.0)
+        agent.observe(obs[None], levels[None], np.array([1.0 if i else -1.0]))
         if i < 2:
             # the pending batch keeps the head levels in the order act sampled them
-            assert agent._acts[-1].tolist() == list(levels)
+            assert agent.buffer.rows()[1][-1].tolist() == list(levels)
     assert agent.t == 3
-    assert len(agent._rews) == 0  # batch consumed
+    assert len(agent.buffer) == 0  # batch consumed
     assert not np.array_equal(agent.net.vec, before)
 
 

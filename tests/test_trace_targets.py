@@ -88,6 +88,15 @@ def test_traced_pretrain_finds_every_target(traces):
     assert data["spans"]["agents.ql.act"][0] == data["spans"]["env.step"][0] == PRETRAIN_EPISODES
 
 
+def test_a_learner_observes_each_run_in_one_call(traces):
+    runs, _ = traces
+    spans = runs["a2c"]["spans"]
+    # six episodes at a batch of 5: a run of 5 that ends in an update, then a run of 1
+    assert spans["env.step"][0] == spans["agents.a2c.act"][0] == 2
+    assert spans["agents.a2c.observe"][0] == 2
+    assert spans["nn.adam_step"][0] == 2  # one actor and one critic step
+
+
 def test_frozen_tournament_plays_one_block(traces):
     runs, _ = traces
     spans = runs["tournament"]["spans"]

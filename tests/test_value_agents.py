@@ -53,7 +53,7 @@ def test_ql_learns_from_transitions():
     config = _config(episodes=100)
     agent = make_agent("ql", config, np.random.default_rng(2), alpha=0.5)
     obs = np.full(2, 0.55)
-    agent.observe(obs, np.array([3, 1]), 2.0)
+    agent.observe(obs[None], np.array([[3, 1]]), np.array([2.0]))
     s = agent._bin(obs)
     a = agent.action_index[(3, 1)]
     assert agent.table[s, a] == pytest.approx(1.0)
@@ -66,7 +66,7 @@ def test_dqn_overfits_small_buffer():
     agent = make_agent(
         "dqn", config, rng, hidden=(32, 32), lr=1e-2, batch_size=4, warmup=1
     )
-    buf = ReplayBuffer(4)
+    buf = ReplayBuffer(4, obs=(float, (2,)), action=int, reward=float)
     data = [
         (np.array([0.1, 0.1]), 0, 1.0),
         (np.array([0.4, 0.4]), 5, -0.5),
@@ -74,7 +74,7 @@ def test_dqn_overfits_small_buffer():
         (np.array([0.9, 0.9]), 30, 0.25),
     ]
     for obs, a, r in data:
-        buf.push(obs, a, r)
+        buf.push(obs[None], np.array([a]), np.array([r]))
     loss = np.inf
     for _ in range(2000):
         loss = dqn_train_step(agent.net, buf, agent.opt, 4, rng)
@@ -98,7 +98,7 @@ def test_dqn_trains_every_episode_after_warmup():
 
     def feed(n):
         for i in range(n):
-            agent.observe(np.full(2, 0.5), np.array([2, 1]), 1.0)
+            agent.observe(np.full((1, 2), 0.5), np.array([[2, 1]]), np.ones(1))
 
     feed(2)  # below warmup: no update
     assert agent.train_steps == 0
@@ -132,9 +132,9 @@ def test_dqn_train_step_reduces_loss():
     rng = np.random.default_rng(6)
     net = mlp_init((2, 16, 4), rng)
     opt = OptimState(net, lr=5e-3)
-    buf = ReplayBuffer(16)
+    buf = ReplayBuffer(16, obs=(float, (2,)), action=int, reward=float)
     for i in range(16):
-        buf.push(rng.random(2), int(rng.integers(4)), float(rng.normal()))
+        buf.push(rng.random(2)[None], np.array([rng.integers(4)]), np.array([rng.normal()]))
     first = dqn_train_step(net, buf, opt, 16, np.random.default_rng(7))
     for _ in range(300):
         last = dqn_train_step(net, buf, opt, 16, np.random.default_rng(7))
