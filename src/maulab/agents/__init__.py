@@ -8,7 +8,7 @@ from maulab.agents.base import (
 )
 from maulab.agents.qlearn import DqnAgent, QLearningAgent, q_update
 from maulab.agents.policy import DpgAgent, VpgAgent, vpg_update
-from maulab.agents.actor_critic import A2cAgent, PpoAgent, advantage, ppo_clip_objective
+from maulab.agents.actor_critic import A2cAgent, PpoAgent, ppo_clip_objective
 
 __all__ = [
     "Agent",
@@ -25,6 +25,5 @@ __all__ = [
     "vpg_update",
     "A2cAgent",
     "PpoAgent",
-    "advantage",
     "ppo_clip_objective",
 ]

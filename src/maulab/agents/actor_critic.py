@@ -9,32 +9,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from maulab.agents.base import NetAgent, ReplayBuffer
-from maulab.agents.policy import head_logits, heads_stats, score_entropy_logits_grad
+from maulab.agents.policy import RolloutAgent, head_logits, heads_stats, score_entropy_logits_grad
 from maulab.config import ConfigError, ScenarioConfig
-from maulab.nn import OptimState, adam_step_params, backward, forward, log_softmax, mlp_init, sample_categorical
-
-
-def advantage(reward: float, value: float) -> float:
-    """A = R - V(s): the realized action value minus the state baseline."""
-    return reward - value
+from maulab.nn import OptimState, adam_step_params, backward, forward, mlp_init
 
 
 def normalize_advantages(adv: np.ndarray, eps: float = 1e-8) -> np.ndarray:
     return (adv - adv.mean()) / (adv.std() + eps)
 
 
-def ppo_clip_objective(ratio, adv, eps_clip: float):
-    """Clipped surrogate: min(r*A, clip(r, 1-eps, 1+eps)*A). Maximized in
-    training; works elementwise on arrays."""
-    r = np.asarray(ratio, dtype=float)
-    a = np.asarray(adv, dtype=float)
-    unclipped = r * a
-    clipped = np.clip(r, 1.0 - eps_clip, 1.0 + eps_clip) * a
-    out = np.minimum(unclipped, clipped)
-    if out.shape == ():
-        return float(out)
-    return out
+def ppo_clip_objective(ratio: np.ndarray, adv: np.ndarray, eps_clip: float) -> np.ndarray:
+    """Clipped surrogate, elementwise: min(r*A, clip(r, 1-eps, 1+eps)*A).
+    Maximized in training."""
+    return np.minimum(ratio * adv, np.clip(ratio, 1.0 - eps_clip, 1.0 + eps_clip) * adv)
 
 
 def a2c_update(
@@ -127,10 +114,9 @@ def ppo_update(
     }
 
 
-class _ActorCriticAgent(NetAgent):
-    """Shared plumbing: factored actor, scalar critic, and a rollout of
-    `rows` episodes (observation, levels, log-probability, reward) that a
-    full rollout hands to the subclass's `_update`, then clears."""
+class _ActorCriticAgent(RolloutAgent):
+    """A rollout learner whose policy is the actor, with a scalar-value
+    critic and a learning rate for each."""
 
     nets = (("actor", "opt_actor"), ("critic", "opt_critic"))
     counters = ("t", "opt_actor.step", "opt_critic.step")
@@ -145,40 +131,10 @@ class _ActorCriticAgent(NetAgent):
         entropy_coef: float,
         rows: int,
     ):
-        super().__init__(config, rng)
-        self.hidden = tuple(hidden)
-        self.levels = config.grid_levels
-        self.actor = mlp_init((self.k, *self.hidden, self.k * self.levels), rng)
+        super().__init__(config, rng, hidden, actor_lr, entropy_coef, rows)
         self.critic = mlp_init((self.k, *self.hidden, 1), rng)
         self.actor_lr, self.critic_lr = actor_lr, critic_lr
-        self.opt_actor = OptimState(self.actor, actor_lr)
         self.opt_critic = OptimState(self.critic, critic_lr)
-        self.entropy_coef = entropy_coef
-        k = (self.k,)
-        self.buffer = ReplayBuffer(rows, obs=(float, k), levels=(int, k), logp=float, reward=float)
-        self._pending_logp = np.empty(0)  # per row of the last exploring act: its levels' log-probability
-        self.t = 0
-
-    def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
-        """One level per head, in head order. An exploring act keeps the joint
-        log-probability of each row's levels for the rollout."""
-        out, _ = forward(self.actor, obs[:, None, :])
-        log_probs = log_softmax(out.reshape(len(obs), self.k, self.levels))
-        levels = sample_categorical(log_probs, self.rng)
-        if explore:
-            picked = np.take_along_axis(log_probs, levels[..., None], axis=-1)[..., 0]
-            self._pending_logp = picked.sum(axis=-1)
-        return levels
-
-    def horizon(self) -> int:
-        return self.buffer.capacity - len(self.buffer)
-
-    def observe(self, obs: np.ndarray, levels: np.ndarray, rewards: np.ndarray) -> None:
-        self.buffer.push(obs, levels, self._pending_logp, rewards)
-        self.t += len(rewards)
-        if len(self.buffer) == self.buffer.capacity:
-            self._update(*self.buffer.rows())
-            self.buffer.clear()
 
 
 class A2cAgent(_ActorCriticAgent):

@@ -1,6 +1,6 @@
 """Common bidder-agent contract: exploration rate, replay buffer, joint action
-space, the checkpoint codec, the random baseline bidder, the agent factory and
-its hyperparameter checks."""
+space, the checkpoint codec, the random baseline bidder, the value-bin table
+learner, the agent factory and its hyperparameter checks."""
 
 from __future__ import annotations
 
@@ -185,6 +185,33 @@ class RandomAgent(Agent):
     def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
         cap = self.grid.highest_level_at_most(self.value_of(obs))
         return self.rng.integers(0, cap[:, None], size=(len(obs), self.k), endpoint=True)
+
+
+class TableAgent(Agent):
+    """A learner with one table row per value bin and one column per
+    canonical joint bid. It observes a run row by row, in episode order,
+    through the subclass's `update(table, s, a, r, alpha)`."""
+
+    counters = ("t",)
+
+    def __init__(self, config: ScenarioConfig, rng: np.random.Generator, value_bins: int, alpha: float):
+        super().__init__(config, rng)
+        self.value_bins = value_bins
+        self.alpha = alpha
+        self.actions, self.action_index = action_table(config.grid_levels, self.k)
+        self.table = np.zeros((value_bins, len(self.actions)))
+        self.t = 0
+
+    def _bin(self, obs: np.ndarray) -> int:
+        return bin_value(self.value_of(obs), self.config.value_lo, self.config.value_hi, self.value_bins)
+
+    def observe(self, obs: np.ndarray, levels: np.ndarray, rewards: np.ndarray) -> None:
+        for s, a, r in zip(self._bin(obs).tolist(), action_indices(self.action_index, levels), rewards.tolist()):
+            self.update(self.table, s, a, r, self.alpha)
+        self.t += len(rewards)
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        return {"table": self.table}
 
 
 class NetAgent(Agent):

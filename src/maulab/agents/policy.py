@@ -1,11 +1,11 @@
-"""Policy-gradient bidders: tabular-softmax REINFORCE (VPG) and the deep
-policy-gradient variant (DPN) with a factored two-head categorical policy."""
+"""Policy-gradient bidders: tabular-softmax REINFORCE (VPG), the rollout
+learner (a factored two-head policy) that DPN, A2C and PPO share, and DPN."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from maulab.agents.base import Agent, NetAgent, ReplayBuffer, action_indices, action_table, bin_value
+from maulab.agents.base import NetAgent, ReplayBuffer, TableAgent
 from maulab.config import ScenarioConfig
 from maulab.nn import Categorical, OptimState, adam_step_params, backward, forward, mlp_init, softmax
 from maulab.nn import log_softmax, sample_categorical
@@ -20,13 +20,13 @@ def vpg_update(table: np.ndarray, s: int, a: int, r: float, alpha: float) -> Non
     table[s] += alpha * r * (onehot - probs)
 
 
-class VpgAgent(Agent):
+class VpgAgent(TableAgent):
     """REINFORCE with a per-value-bin softmax logits table over canonical
     joint bids. Exploration comes from the stochastic policy itself."""
 
     algo = "vpg"
     kind = "logits_table"
-    counters = ("t",)
+    update = staticmethod(vpg_update)
 
     def __init__(
         self,
@@ -35,26 +35,10 @@ class VpgAgent(Agent):
         value_bins: int = 11,
         alpha: float = 0.2,
     ):
-        super().__init__(config, rng)
-        self.value_bins = value_bins
-        self.alpha = alpha
-        self.actions, self.action_index = action_table(config.grid_levels, self.k)
-        self.table = np.zeros((value_bins, len(self.actions)))
-        self.t = 0
-
-    def _bin(self, obs: np.ndarray) -> int:
-        return bin_value(self.value_of(obs), self.config.value_lo, self.config.value_hi, self.value_bins)
+        super().__init__(config, rng, value_bins, alpha)
 
     def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
         return self.actions[sample_categorical(log_softmax(self.table[self._bin(obs)]), self.rng)]
-
-    def observe(self, obs: np.ndarray, levels: np.ndarray, rewards: np.ndarray) -> None:
-        for s, a, r in zip(self._bin(obs).tolist(), action_indices(self.action_index, levels), rewards.tolist()):
-            vpg_update(self.table, s, a, r, self.alpha)
-        self.t += len(rewards)
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {"table": self.table}
 
 
 # --- factored two-head categorical machinery (shared with actor-critic) ----
@@ -108,7 +92,57 @@ def dpg_update(
     return loss
 
 
-class DpgAgent(NetAgent):
+class RolloutAgent(NetAgent):
+    """A factored categorical `policy`, one head per unit, learning from
+    rollouts of `rows` episodes (observation, levels, log-probability, reward):
+    a full rollout goes to the subclass's `_update(obs, levels, logp, rewards)`,
+    then is cleared. The first pair in `nets` gives the policy's and its
+    optimizer's attribute and checkpoint names."""
+
+    def __init__(
+        self,
+        config: ScenarioConfig,
+        rng: np.random.Generator,
+        hidden: tuple[int, int],
+        lr: float,
+        entropy_coef: float,
+        rows: int,
+    ):
+        super().__init__(config, rng)
+        self.hidden = tuple(hidden)
+        self.levels = config.grid_levels
+        self.policy = mlp_init((self.k, *self.hidden, self.k * self.levels), rng)
+        net_attr, opt_attr = self.nets[0]
+        setattr(self, net_attr, self.policy)
+        setattr(self, opt_attr, OptimState(self.policy, lr))
+        self.entropy_coef = entropy_coef
+        self.buffer = ReplayBuffer(rows, obs=(float, (self.k,)), levels=(int, (self.k,)), logp=float, reward=float)
+        self._pending_logp = np.empty(0)  # per row of the last exploring act: its levels' log-probability
+        self.t = 0
+
+    def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
+        """One level per head, in head order. An exploring act keeps the joint
+        log-probability of each row's levels for the rollout."""
+        out, _ = forward(self.policy, obs[:, None, :])
+        log_probs = log_softmax(out.reshape(len(obs), self.k, self.levels))
+        levels = sample_categorical(log_probs, self.rng)
+        if explore:
+            picked = np.take_along_axis(log_probs, levels[..., None], axis=-1)[..., 0]
+            self._pending_logp = picked.sum(axis=-1)
+        return levels
+
+    def horizon(self) -> int:
+        return self.buffer.capacity - len(self.buffer)
+
+    def observe(self, obs: np.ndarray, levels: np.ndarray, rewards: np.ndarray) -> None:
+        self.buffer.push(obs, levels, self._pending_logp, rewards)
+        self.t += len(rewards)
+        if len(self.buffer) == self.buffer.capacity:
+            self._update(*self.buffer.rows())
+            self.buffer.clear()
+
+
+class DpgAgent(RolloutAgent):
     """Deep policy gradient: MLP with two categorical heads whose
     log-probabilities add; batch-mean baseline and entropy regularization."""
 
@@ -126,28 +160,9 @@ class DpgAgent(NetAgent):
         lr: float = 3e-4,
         entropy_coef: float = 0.01,
     ):
-        super().__init__(config, rng)
-        self.hidden = tuple(hidden)
-        self.levels = config.grid_levels
-        self.net = mlp_init((self.k, *self.hidden, self.k * self.levels), rng)
-        self.lr = lr
-        self.opt = OptimState(self.net, lr)
+        super().__init__(config, rng, hidden, lr, entropy_coef, batch_size)
         self.batch_size = batch_size
-        self.entropy_coef = entropy_coef
-        self.buffer = ReplayBuffer(batch_size, obs=(float, (self.k,)), levels=(int, (self.k,)), reward=float)
-        self.t = 0
+        self.lr = lr
 
-    def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
-        """One level per head, in head order."""
-        out, _ = forward(self.net, obs[:, None, :])
-        return sample_categorical(log_softmax(out.reshape(len(obs), self.k, self.levels)), self.rng)
-
-    def horizon(self) -> int:
-        return self.batch_size - len(self.buffer)
-
-    def observe(self, obs: np.ndarray, levels: np.ndarray, rewards: np.ndarray) -> None:
-        self.buffer.push(obs, levels, rewards)
-        self.t += len(rewards)
-        if len(self.buffer) == self.batch_size:
-            dpg_update(self.net, *self.buffer.rows(), self.opt, self.entropy_coef, self.levels)
-            self.buffer.clear()
+    def _update(self, obs: np.ndarray, levels: np.ndarray, logp: np.ndarray, rewards: np.ndarray) -> None:
+        dpg_update(self.net, obs, levels, rewards, self.opt, self.entropy_coef, self.levels)

@@ -5,12 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 from maulab.agents.base import (
-    Agent,
     NetAgent,
     ReplayBuffer,
+    TableAgent,
     action_indices,
     action_table,
-    bin_value,
     decay_for,
     epsilon_at,
 )
@@ -46,13 +45,13 @@ def _epsilon_greedy(agent, obs: np.ndarray, explore: bool, greedy) -> np.ndarray
     return index
 
 
-class QLearningAgent(Agent):
+class QLearningAgent(TableAgent):
     """Tabular Q-learning over (value bin, canonical joint bid) pairs with a
     decaying epsilon-greedy action rule."""
 
     algo = "ql"
     kind = "qtable"
-    counters = ("t",)
+    update = staticmethod(q_update)
 
     def __init__(
         self,
@@ -63,31 +62,15 @@ class QLearningAgent(Agent):
         eps_max: float = 1.0,
         decay_rate: float | None = None,
     ):
-        super().__init__(config, rng)
-        self.value_bins = value_bins
-        self.alpha = alpha
-        self.actions, self.action_index = action_table(config.grid_levels, self.k)
-        self.table = np.zeros((value_bins, len(self.actions)))
+        super().__init__(config, rng, value_bins, alpha)
         self.eps_max = eps_max
         self.decay_rate = decay_for(config.episodes) if decay_rate is None else decay_rate
-        self.t = 0
-
-    def _bin(self, obs: np.ndarray) -> int:
-        return bin_value(self.value_of(obs), self.config.value_lo, self.config.value_hi, self.value_bins)
 
     def _greedy(self, obs: np.ndarray) -> np.ndarray:
         return self.table.argmax(axis=1)[self._bin(obs)]  # ties -> lowest index
 
     def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
         return self.actions[_epsilon_greedy(self, obs, explore, self._greedy)]
-
-    def observe(self, obs: np.ndarray, levels: np.ndarray, rewards: np.ndarray) -> None:
-        for s, a, r in zip(self._bin(obs).tolist(), action_indices(self.action_index, levels), rewards.tolist()):
-            q_update(self.table, s, a, r, self.alpha)
-        self.t += len(rewards)
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {"table": self.table}
 
 
 def dqn_train_step(

@@ -46,6 +46,18 @@ def save_checkpoint(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) 
         fh.write(body)
 
 
+def _well_formed(header) -> bool:
+    """Whether a header has the form save_checkpoint writes: a str kind, an
+    object meta and a list of {name, shape} specs with non-negative int dims."""
+    if not (isinstance(header, dict) and isinstance(header.get("kind"), str) and isinstance(header.get("meta"), dict)):
+        return False
+    specs = header.get("arrays")
+    return isinstance(specs, list) and all(
+        isinstance(spec, dict) and isinstance(spec.get("name"), str) and isinstance(spec.get("shape"), list)
+        and all(type(d) is int and d >= 0 for d in spec["shape"]) for spec in specs
+    )
+
+
 def load_checkpoint(path) -> tuple[str, dict, dict[str, np.ndarray]]:
     raw = Path(path).read_bytes()
     if len(raw) < 12 + 32 or raw[:4] != MAGIC:
@@ -61,6 +73,8 @@ def load_checkpoint(path) -> tuple[str, dict, dict[str, np.ndarray]]:
         header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: corrupt header: {e}") from e
+    if not _well_formed(header):
+        raise CheckpointError(f"{path}: corrupt header: not an object of kind, meta and array specs")
     off = 12 + hlen
     arrays = {}
     for spec in header["arrays"]:

@@ -137,9 +137,9 @@ def load_agent(path, config: ScenarioConfig, rng: np.random.Generator) -> Agent:
     names = hyperparameter_names(cls)
     saved = {name: meta[name] for name in names if name in meta}
     layout = meta.get("layout", meta.get("layout_actor"))  # earlier layouts: widths, no `hidden`
-    if "hidden" in names and "hidden" not in saved and layout is not None:
-        saved["hidden"] = layout[1:-1]
     try:
+        if "hidden" in names and "hidden" not in saved and layout is not None:
+            saved["hidden"] = layout[1:-1]
         check_overrides(algo, saved)
         agent = cls(config, rng, **saved)
         agent.load_payload(meta, arrays)

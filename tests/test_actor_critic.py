@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from maulab.agents.actor_critic import (
     a2c_update,
-    advantage,
     normalize_advantages,
     ppo_clip_objective,
     ppo_update,
@@ -17,11 +16,6 @@ from maulab.agents.base import make_agent
 from maulab.agents.policy import head_logits, heads_stats, score_entropy_logits_grad
 from maulab.config import ConfigError, ScenarioConfig
 from maulab.nn import OptimState, backward, finite_diff_check, forward, mlp_init
-
-
-def test_advantage_examples():
-    assert advantage(3.0, 1.5) == 1.5
-    assert advantage(-0.02, 0.5) == pytest.approx(-0.52)
 
 
 def test_normalize_advantages_moments():
@@ -33,11 +27,8 @@ def test_normalize_advantages_moments():
 
 
 def test_ppo_clip_examples():
-    assert ppo_clip_objective(1.3, 1.0, 0.2) == pytest.approx(1.2)
-    assert ppo_clip_objective(0.7, -1.0, 0.2) == pytest.approx(-0.8)
-    assert ppo_clip_objective(1.0, 2.5, 0.2) == pytest.approx(2.5)
-    out = ppo_clip_objective(np.array([1.3, 0.7]), np.array([1.0, -1.0]), 0.2)
-    assert np.allclose(out, [1.2, -0.8])
+    out = ppo_clip_objective(np.array([1.3, 0.7, 1.0]), np.array([1.0, -1.0, 2.5]), 0.2)
+    assert out.tolist() == pytest.approx([1.2, -0.8, 2.5])
 
 
 @settings(max_examples=300, deadline=None)
@@ -47,7 +38,7 @@ def test_ppo_clip_examples():
     eps=st.floats(min_value=0.01, max_value=0.5),
 )
 def test_ppo_clip_properties(ratio, adv, eps):
-    obj = ppo_clip_objective(ratio, adv, eps)
+    obj = ppo_clip_objective(np.array([ratio]), np.array([adv]), eps)[0]
     assert obj <= ratio * adv + 1e-12
     assert obj <= np.clip(ratio, 1 - eps, 1 + eps) * adv + 1e-12
     if 1 - eps <= ratio <= 1 + eps:

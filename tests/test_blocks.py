@@ -191,7 +191,7 @@ def test_block_sampling_matches_categorical(algo):
     assert _same_state(agent.rng, draws)
 
 
-@pytest.mark.parametrize("algo", ["a2c", "ppo"])
+@pytest.mark.parametrize("algo", ["dpn", "a2c", "ppo"])
 def test_exploring_act_keeps_the_log_probability(algo):
     agent = make_agent(algo, ScenarioConfig(), np.random.default_rng(4))
     draws = copy.deepcopy(agent.rng)
@@ -199,7 +199,7 @@ def test_exploring_act_keeps_the_log_probability(algo):
     levels = agent.act(obs, explore=True)
     want = []
     for o, row in zip(obs, levels):
-        out, _ = forward(agent.actor, o)
+        out, _ = forward(agent.net if algo == "dpn" else agent.actor, o)
         dist = Categorical(out.reshape(2, 21))
         assert row.tolist() == dist.sample(draws).tolist()
         want.append(float(dist.log_prob(row).sum()))

@@ -1,7 +1,10 @@
 """Command-line interface tests: flags, exit codes, artifacts."""
 
+import hashlib
 import json
+import struct
 
+import numpy as np
 import pytest
 
 from maulab.cli import main
@@ -352,6 +355,53 @@ def test_missing_file_other_than_a_checkpoint_exits_3(tmp_path, capsys, monkeypa
     monkeypatch.setattr(maulab.cli, "pretrain", vanish)
     assert main(_exit_case(0, tmp_path)) == 3
     assert "gone" in capsys.readouterr().err
+
+
+def _with_header(path, header, arrays=()):
+    """A checkpoint with a valid checksum around an arbitrary JSON header."""
+    hbytes = json.dumps(header).encode("utf-8")
+    body = b"MAUL" + struct.pack("<II", 1, len(hbytes)) + hbytes
+    body += b"".join(np.asarray(a, dtype="<f8").tobytes() for a in arrays)
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+@pytest.mark.parametrize("damage", [
+    "no arrays", "meta a list", "header a list", "kind a number", "spec a list", "negative dim", "bool dim",
+    "int layout",
+])
+def test_checkpoint_with_a_malformed_header_exits_5(tmp_path, capsys, grid_checkpoints, damage):
+    from maulab.checkpoint import load_checkpoint
+
+    kind, meta, arrays = load_checkpoint(grid_checkpoints("ppo"))
+    header = {"kind": kind, "meta": meta, "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays.items()]}
+    first = header["arrays"][0]
+    if damage == "no arrays":
+        del header["arrays"]
+    elif damage == "meta a list":
+        header["meta"] = list(meta)
+    elif damage == "header a list":
+        header = list(header.values())
+    elif damage == "kind a number":
+        header["kind"] = 1
+    elif damage == "spec a list":
+        header["arrays"][0] = [first["name"], first["shape"]]
+    elif damage == "negative dim":
+        first["shape"] = [-1, *first["shape"][1:]]
+    elif damage == "bool dim":
+        first["shape"] = [True, *first["shape"][1:]]
+    else:  # a checkpoint from before `hidden` was saved, whose layout is not a list
+        del meta["hidden"]
+        meta["layout_actor"] = 5
+    bad = tmp_path / "ppo.ckpt"
+    _with_header(bad, header, arrays.values())
+    code = main([
+        "tournament", "--auction", "dp", "--items", "4", "--episodes", "5", "--all-ppo",
+        "--ckpt", f"ppo={bad}", "--out", str(tmp_path / "out"),
+    ])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert str(bad) in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_checkpoint_with_out_of_range_hyperparameter_exits_5(tmp_path, capsys, grid_checkpoints):

@@ -97,6 +97,17 @@ def test_a_learner_observes_each_run_in_one_call(traces):
     assert spans["nn.adam_step"][0] == 2  # one actor and one critic step
 
 
+def test_a_pretrain_counts_only_its_own_learner(traces):
+    # the tracer wraps each class's act and observe; a learner class that
+    # inherited from another learner's would count its calls under both
+    runs, _ = traces
+    for algo in LEARNER_RULES:
+        spans = runs[algo]["spans"]
+        assert spans[f"agents.{algo}.act"][0] > 0
+        for other in LEARNER_RULES.keys() - {algo}:
+            assert spans[f"agents.{other}.act"][0] == spans[f"agents.{other}.observe"][0] == 0, other
+
+
 def test_frozen_tournament_plays_one_block(traces):
     runs, _ = traces
     spans = runs["tournament"]["spans"]
