@@ -14,8 +14,8 @@ from maulab.config import ConfigError, ScenarioConfig
 from maulab.nn import OptimState, adam_step_params, backward, forward, mlp_init
 
 
-def normalize_advantages(adv: np.ndarray, eps: float = 1e-8) -> np.ndarray:
-    return (adv - adv.mean()) / (adv.std() + eps)
+def normalize_advantages(adv: np.ndarray) -> np.ndarray:
+    return (adv - adv.mean()) / (adv.std() + 1e-8)
 
 
 def ppo_clip_objective(ratio: np.ndarray, adv: np.ndarray, eps_clip: float) -> np.ndarray:

@@ -24,10 +24,10 @@ def epsilon_at(eps_max: float, decay_rate: float, t: int) -> float:
     return eps_max * decay_rate**t
 
 
-def decay_for(episodes: int, floor: float = 0.01, at_fraction: float = 0.8) -> float:
-    """Decay constant such that eps reaches `floor` at `at_fraction` of the run."""
-    steps = max(1.0, at_fraction * episodes)
-    return float(floor ** (1.0 / steps))
+def decay_for(episodes: int) -> float:
+    """Decay constant such that eps reaches 0.01 at 80% of the run."""
+    steps = max(1.0, 0.8 * episodes)
+    return float(0.01 ** (1.0 / steps))
 
 
 class ReplayBuffer:

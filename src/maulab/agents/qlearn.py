@@ -17,11 +17,10 @@ from maulab.config import ConfigError, ScenarioConfig
 from maulab.nn import OptimState, adam_step_params, backward, forward, mlp_init
 
 
-def q_update(table: np.ndarray, s: int, a: int, r: float, alpha: float) -> float:
+def q_update(table: np.ndarray, s: int, a: int, r: float, alpha: float) -> None:
     """Bellman update for a terminal single-step episode: the next-state
     bootstrap term is 0, so there is no discount and Q <- Q + alpha * (r - Q)."""
     table[s, a] += alpha * (r - table[s, a])
-    return float(table[s, a])
 
 
 def _epsilon_greedy(agent, obs: np.ndarray, explore: bool, greedy) -> np.ndarray:

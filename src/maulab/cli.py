@@ -18,7 +18,7 @@ import numpy as np
 
 from maulab.agents.base import check_overrides
 from maulab.checkpoint import CheckpointError, MissingCheckpointError
-from maulab.config import ALGOS, LEARNERS, RULES, ConfigError
+from maulab.config import ALGOS, LEARNERS, RULES, ConfigError, ScenarioConfig
 from maulab.harness import SUPPLIES, checkpoint_name, pretrain, pretrain_grid, run, tournament, write_json
 from maulab.metrics import (
     AUCTION_FIELDS,
@@ -39,18 +39,21 @@ OPTIONS = {
     "algo": (str, LEARNERS, None),
     "auction": (str, RULES, None),
     "items": (int, SUPPLIES, None),
-    "episodes": (int, None, 100_000),
-    "seed": (int, None, 0),
-    "grid_levels": (int, None, 21),
+    "episodes": (int, None, ScenarioConfig.episodes),
+    "seed": (int, None, ScenarioConfig.master_seed),
+    "grid_levels": (int, None, ScenarioConfig.grid_levels),
     "out": (str, None, None),  # default: $MAULAB_OUT, else "runs"
 }
 CONFIG_KEYS = {*OPTIONS, "hyperparameters"}
 
 
 def _option_value(key: str, value):
-    """A config-file value, parsed and checked as its flag would be."""
+    """A config-file value, parsed and checked as its flag would be; a text
+    option takes only a JSON string."""
     kind, choices, _ = OPTIONS[key]
     try:
+        if kind is str and not isinstance(value, str):
+            raise ValueError
         parsed = kind(str(value))
     except ValueError:
         raise ConfigError(f"config key {key!r}: invalid {kind.__name__} value {value!r}") from None
@@ -96,8 +99,7 @@ def cmd_pretrain(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         write_json(out / "manifest.json", [session.to_dict() for session in sessions])
     elif o["algo"] is None or o["auction"] is None or o["items"] is None:
-        print("pretrain requires --algo, --auction and --items (or --all)", file=sys.stderr)
-        return 2
+        raise ConfigError("pretrain requires --algo, --auction and --items (or --all)")
     else:
         sessions = [pretrain(
             o["algo"], o["auction"], o["items"], o["episodes"], o["seed"], o["grid_levels"], hyper.get(o["algo"])
@@ -110,11 +112,9 @@ def cmd_pretrain(args) -> int:
 def cmd_tournament(args) -> int:
     o = _options(args)
     if o["auction"] is None or o["items"] is None:
-        print("tournament requires --auction and --items", file=sys.stderr)
-        return 2
+        raise ConfigError("tournament requires --auction and --items")
     if "hyperparameters" in o:
-        print("config key 'hyperparameters' applies to pretrain only (seats load checkpoints)", file=sys.stderr)
-        return 2
+        raise ConfigError("config key 'hyperparameters' applies to pretrain only (seats load checkpoints)")
 
     checkpoints: dict[str, str] = {}
     if args.ckpt_dir:
@@ -124,19 +124,16 @@ def cmd_tournament(args) -> int:
                 checkpoints[algo] = str(p)
     for spec in args.ckpt or []:
         if "=" not in spec:
-            print(f"--ckpt expects ALGO=PATH, got {spec!r}", file=sys.stderr)
-            return 2
+            raise ConfigError(f"--ckpt expects ALGO=PATH, got {spec!r}")
         algo, _, path = spec.partition("=")
         if algo not in LEARNERS:
-            print(f"unknown algorithm {algo!r} in --ckpt", file=sys.stderr)
-            return 2
+            raise ConfigError(f"unknown algorithm {algo!r} in --ckpt")
         checkpoints[algo] = path
 
     needed = ("ppo",) if args.all_ppo else LEARNERS
     for algo in needed:
         if algo not in checkpoints:
-            print(f"missing checkpoint for {algo}", file=sys.stderr)
-            return 4
+            raise MissingCheckpointError(f"missing checkpoint for {algo}")
 
     session = tournament(
         o["auction"], o["items"], checkpoints, o["episodes"], o["seed"], o["grid_levels"], args.all_ppo, args.freeze
@@ -175,23 +172,20 @@ def cmd_report(args) -> int:
     ep_path = run_dir / "episodes.csv"
     au_path = run_dir / "auctions.csv"
     snapshot = run_dir / "config.json"
-    if not ep_path.is_file() or not au_path.is_file():
-        print(f"no logs found in {run_dir}", file=sys.stderr)
-        return 5
     try:
+        if not ep_path.is_file() or not au_path.is_file():
+            raise ValueError("no logs found")
         ep = _parse_episode_rows(ep_path)
         au = _parse_auction_rows(au_path)
         declared = None
         if snapshot.is_file():
             declared = int(json.loads(snapshot.read_text(encoding="utf-8"))["scenario"]["episodes"])
+        if not ep["episode"].size or not au["episode"].size:
+            raise ValueError("empty logs")
+        if not np.array_equal(np.unique(ep["episode"]), np.unique(au["episode"])):
+            raise ValueError("the two logs cover different episodes")
     except (KeyError, TypeError, ValueError) as e:
         print(f"corrupt run directory {run_dir}: {e}", file=sys.stderr)
-        return 5
-    if not ep["episode"].size or not au["episode"].size:
-        print(f"empty logs in {run_dir}", file=sys.stderr)
-        return 5
-    if not np.array_equal(np.unique(ep["episode"]), np.unique(au["episode"])):
-        print(f"corrupt run directory {run_dir}: the two logs cover different episodes", file=sys.stderr)
         return 5
     n_episodes = int(au["episode"].max()) + 1
     if declared is not None and n_episodes < declared:

@@ -54,9 +54,6 @@ class ScenarioConfig:
         if self.master_seed < 0:
             raise ConfigError("seed must be >= 0")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class Seat:

@@ -44,11 +44,6 @@ class AuctionEnv:
         self._values = self._value_rng.uniform(c.value_lo, c.value_hi, size=(episodes, c.n_bidders))
         return np.repeat(self._values[:, :, None] / c.value_hi, c.units_per_bidder, axis=2)
 
-    @property
-    def values(self) -> np.ndarray:
-        """The values of the episodes not yet stepped, (B, n)."""
-        return self._values
-
     def valuations(self) -> np.ndarray:
         """Per-episode, per-bidder marginal values (B, n, k) of the episodes not
         yet stepped, equal across the k slots here."""

@@ -24,8 +24,8 @@ class BidGrid:
     """Evenly spaced bid levels on [lo, hi], level 0 -> lo, level (levels-1) -> hi."""
 
     levels: int
-    lo: float = 0.0
-    hi: float = 10.0
+    lo: float
+    hi: float
 
     def __post_init__(self) -> None:
         if self.levels < 2:

@@ -151,7 +151,8 @@ def load_agent(path, config: ScenarioConfig, rng: np.random.Generator) -> Agent:
 # --- sessions ----------------------------------------------------------------
 
 def pretrain(
-    algo: str, rule: str, K: int, episodes: int, seed: int, grid_levels: int = 21, overrides: dict | None = None
+    algo: str, rule: str, K: int, episodes: int, seed: int, grid_levels: int = ScenarioConfig.grid_levels,
+    overrides: dict | None = None,
 ) -> Session:
     """One learner (id 1), fresh with its overrides, trained against five
     random bidders."""
@@ -162,7 +163,7 @@ def pretrain(
 
 
 def pretrain_grid(
-    episodes: int, seed: int, grid_levels: int = 21, hyperparameters: dict | None = None
+    episodes: int, seed: int, grid_levels: int = ScenarioConfig.grid_levels, hyperparameters: dict | None = None
 ) -> list[Session]:
     """The full 6 algorithms x 3 rules x 3 supplies = 54 session grid, each
     learner with its entry of `hyperparameters`."""
@@ -181,7 +182,7 @@ def tournament(
     checkpoints: dict[str, str],
     episodes: int,
     seed: int,
-    grid_levels: int = 21,
+    grid_levels: int = ScenarioConfig.grid_levels,
     all_ppo: bool = False,
     freeze: bool = False,
 ) -> Session:

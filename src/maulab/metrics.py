@@ -30,8 +30,9 @@ def bid_ratio(value, bid):
     return bid / np.maximum(value, 1e-6)
 
 
-def rolling_mean(series, window: int = 1000) -> np.ndarray:
-    """Trailing-window mean; partial windows average over available points."""
+def rolling_mean(series, window: int) -> np.ndarray:
+    """Trailing-window mean; partial windows average over available points,
+    so any window at least the series' length gives the running mean."""
     if window < 1:
         raise ValueError("window must be >= 1")
     x = np.asarray(series, dtype=float)
@@ -40,7 +41,7 @@ def rolling_mean(series, window: int = 1000) -> np.ndarray:
     c = np.concatenate(([0.0], np.cumsum(x)))
     n = x.size
     hi = np.arange(1, n + 1)
-    lo = np.maximum(hi - window, 0)
+    lo = np.maximum(hi - min(window, n), 0)
     return (c[hi] - c[lo]) / (hi - lo)
 
 
@@ -252,11 +253,12 @@ def _pane_svg(x0: float, y0: float, w: float, h: float, title: str, series: dict
     return parts
 
 
-def emit_svg(panes, path, pane_width: int = 320, pane_height: int = 200, columns: int = 3) -> None:
-    """SVG 1.1 grid of line-chart panes: panes is a list of
-    (title, {label: series}). Empty series render axes only."""
+def emit_svg(panes, path) -> None:
+    """SVG 1.1 grid of 320x200 line-chart panes, three to a row: panes is a
+    list of (title, {label: series}). Empty series render axes only."""
+    pane_width, pane_height = 320, 200
     panes = list(panes)
-    ncols = max(1, min(columns, len(panes) or 1))
+    ncols = max(1, min(3, len(panes) or 1))
     nrows = (len(panes) + ncols - 1) // ncols if panes else 1
     W, H = ncols * pane_width, nrows * pane_height
     parts = [

@@ -108,7 +108,7 @@ class OptimState:
     """Adam's learning rate, step count and moment vectors `m` and `v` for one
     network; the moments have the network's layout and start at zero."""
 
-    def __init__(self, params: MlpParams, lr: float = 3e-4):
+    def __init__(self, params: MlpParams, lr: float):
         self.lr = lr
         self.step = 0
         self.m = np.zeros_like(params.vec)
@@ -163,10 +163,11 @@ def sample_categorical(log_probs: np.ndarray, rng: np.random.Generator) -> np.nd
     return (u > cdf).sum(axis=-1)
 
 
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    z = logits - logits.max(axis=axis, keepdims=True)
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Probabilities over the last axis."""
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class Categorical:

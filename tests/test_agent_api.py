@@ -50,7 +50,7 @@ def test_epsilon_schedule_advance():
 
 def test_decay_for_reaches_floor_at_fraction():
     episodes = 10_000
-    decay = decay_for(episodes, floor=0.01, at_fraction=0.8)
+    decay = decay_for(episodes)
     assert 1.0 * decay ** (0.8 * episodes) == pytest.approx(0.01, rel=1e-9)
 
 

@@ -174,6 +174,18 @@ def test_default_out_from_env(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "envout" / "dp_4_ql_0" / "ql.ckpt").is_file()
 
 
+def test_report_window_beyond_the_log_averages_the_whole_log(tmp_path, capsys):
+    """A window at least the log's length gives the running mean, even one too
+    large for a 64-bit integer."""
+    assert _pretrain(tmp_path, episodes=20) == 0
+    run = tmp_path / "dp_4_ql_1"
+    for window in ("20", str(10**20)):
+        assert main(["report", "--run", str(run), "--out", str(tmp_path / window), "--window", window]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    for name in ("fig_learning_ratio.svg", "fig_revenue.svg", "fig_efficiency.svg"):
+        assert (tmp_path / "20" / name).read_bytes() == (tmp_path / str(10**20) / name).read_bytes()
+
+
 @pytest.mark.parametrize("window", ["0", "-3"])
 def test_report_window_below_one_exits_2(tmp_path, capsys, window):
     assert _pretrain(tmp_path, episodes=5) == 0
@@ -240,6 +252,7 @@ def test_dqn_buffer_below_its_warm_up_exits_2_or_5(tmp_path, capsys, grid_checkp
 @pytest.mark.parametrize("key, value", [
     ("items", "x"), ("items", 5), ("algo", "random"), ("auction", "fp"),
     ("episodes", 10.5), ("episodes", "ten"), ("seed", 1.5), ("grid_levels", "x"),
+    ("out", None), ("out", True), ("out", ["runs"]),
 ])
 def test_config_file_values_checked_like_flags(tmp_path, capsys, key, value):
     cfg = {"algo": "ql", "auction": "dp", "items": 4, "episodes": 5, "seed": 0, key: value}
@@ -535,3 +548,57 @@ def test_tournament_config_file_hyperparameters_exit_2(tmp_path, capsys, grid_ch
     err = capsys.readouterr().err
     assert "hyperparameters" in err and "pretrain only" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+_EPISODE_HEADER = (
+    "episode,agent_id,algo,value,bid1,bid2,units_won,payment_total,"
+    "payoff_total,reward_total,learning_ratio1,learning_ratio2,bid_ratio1,bid_ratio2\n"
+)
+_AUCTION_HEADER = "episode,rule,K,revenue,efficiency_ratio,efficiency_gap\n"
+
+
+def _logs(run, episodes, auctions):
+    run.mkdir()
+    (run / "episodes.csv").write_text(episodes)
+    (run / "auctions.csv").write_text(auctions)
+    return ["report", "--run", str(run)]
+
+
+@pytest.mark.parametrize("case, code", [
+    ("pretrain_without_algo", 2),
+    ("tournament_without_items", 2),
+    ("tournament_hyperparameters", 2),
+    ("ckpt_without_equals_sign", 2),
+    ("ckpt_unknown_algo", 2),
+    ("tournament_missing_checkpoint", 4),
+    ("report_no_logs", 5),
+    ("report_corrupt_logs", 5),
+    ("report_empty_logs", 5),
+    ("report_logs_cover_different_episodes", 5),
+])
+def test_each_cli_failure_is_one_stderr_line_and_its_exit_code(tmp_path, capsys, case, code):
+    tour = ["tournament", "--auction", "dp", "--items", "4", "--episodes", "3"]
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"hyperparameters": {"ppo": {"rollout": 8}}}))
+    argv = {
+        "pretrain_without_algo": ["pretrain", "--auction", "dp", "--items", "4"],
+        "tournament_without_items": ["tournament", "--auction", "dp"],
+        "tournament_hyperparameters": [*tour, "--config", str(cfg)],
+        "ckpt_without_equals_sign": [*tour, "--ckpt", "no-equals-sign"],
+        "ckpt_unknown_algo": [*tour, "--ckpt", "sarsa=x.ckpt"],
+        "tournament_missing_checkpoint": [*tour, "--all-ppo"],
+        "report_no_logs": ["report", "--run", str(tmp_path / "nowhere")],
+        "report_corrupt_logs": _logs(tmp_path / "corrupt", "not,a,log\n1,2,3\n", _AUCTION_HEADER),
+        "report_empty_logs": _logs(tmp_path / "empty", _EPISODE_HEADER, _AUCTION_HEADER),
+        "report_logs_cover_different_episodes": _logs(
+            tmp_path / "apart",
+            _EPISODE_HEADER + "0,1,ql,5.0,1.0,1.0,0,0.0,0.0,0.0,0.8,0.8,0.2,0.2\n",
+            _AUCTION_HEADER + "1,dp,4,0.0,1.0,0.0\n",
+        ),
+    }[case]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("corrupt run directory" if argv[0] == "report" else "error:")
+    assert not out.exists()

@@ -88,7 +88,7 @@ def test_reset_observation_shape_and_range():
     for i, o in enumerate(obs[0]):
         assert o[0] == o[1]
         assert 0.0 <= o[0] <= 1.0
-        assert env.values[0, i] == pytest.approx(o[0] * 10.0)
+        assert env.valuations()[0, i, 0] == pytest.approx(o[0] * 10.0)
 
 
 def test_valuations_matrix():
@@ -138,7 +138,7 @@ def test_step_canonicalizes_levels():
 def test_step_transitions_consistent():
     env = _env(rule="up", seed=5)
     env.reset()
-    values = env.values[0].copy()
+    values = env.valuations()[0, :, 0].copy()
     levels = [(20, 10)] * 3 + [(4, 2)] * 3
     rewards, won, payment, bids, (winners, pay, revenue) = env.step([levels])
     assert rewards.shape == (1, 6)
@@ -171,7 +171,7 @@ def test_value_distribution_uniform():
     draws = []
     for _ in range(2000):
         env.reset()
-        draws.extend(env.values[0].tolist())
+        draws.extend(env.valuations()[0, :, 0].tolist())
         env._values = None
     x = np.sort(np.array(draws)) / 10.0
     n = x.size

@@ -18,7 +18,10 @@ pretrain across its warm-up; up K=8 pretrains of dpn, dqn, a2c and ppo with
 small batches, warm-up and rollout from a config file; `pretrain --all` at
 40 episodes with that file; learning, `--freeze` and `--all-ppo` tournaments
 from the dp K=4 checkpoints; a missing-checkpoint (exit 4) and a
-wrong-algorithm (exit 5) tournament; and `report --window 100` on every run
+wrong-algorithm (exit 5) tournament; six commands that fail before any session
+runs (a pretrain without --algo, two malformed --ckpt, a tournament config
+file with hyperparameters, an --all-ppo tournament without a checkpoint and a
+report on a missing directory); and `report --window 100` on every run
 directory.
 
 Exit status: 0 when nothing differs, 1 when something does, 2 when REV
@@ -75,6 +78,12 @@ def session_commands() -> list[list[str]]:
         ["tournament", "--auction", "dp", "--items", "4", "--episodes", "10", "--seed", "8", *_ckpts(("ppo",))],
         ["tournament", "--auction", "dp", "--items", "4", "--episodes", "10", "--seed", "8",
          *_ckpts(LEARNERS[1:]), "--ckpt=ppo=runs/dp_4_dqn_3/dqn.ckpt"],
+        ["pretrain", "--auction", "dp", "--items", "4"],
+        ["tournament", "--auction", "dp", "--items", "4", "--ckpt", "no-equals-sign"],
+        ["tournament", "--auction", "dp", "--items", "4", "--ckpt", "sarsa=x.ckpt"],
+        ["tournament", "--config", "hyper.json", "--auction", "dp", "--items", "4"],
+        ["tournament", "--all-ppo", "--auction", "dp", "--items", "4"],
+        ["report", "--run", "nowhere"],
     ]
     return [c if "--out" in c else [*c, "--out", "runs"] for c in cmds]
 
