@@ -156,7 +156,7 @@ class A2cAgent(_ActorCriticAgent):
         super().__init__(config, rng, hidden, actor_lr, critic_lr, entropy_coef, batch_size)
         self.batch_size = batch_size
 
-    def _update(self, obs: np.ndarray, levels: np.ndarray, logp: np.ndarray, rewards: np.ndarray) -> None:
+    def _update(self, obs: np.ndarray, levels: np.ndarray, rewards: np.ndarray) -> None:
         a2c_update(self.actor, self.critic, obs, levels, rewards, self.opt_actor, self.opt_critic,
                    self.entropy_coef, self.levels)
 
@@ -191,8 +191,12 @@ class PpoAgent(_ActorCriticAgent):
         self.value_weight = value_weight
         self.last_diag: dict = {}
 
-    def _update(self, obs: np.ndarray, levels: np.ndarray, logp: np.ndarray, rewards: np.ndarray) -> None:
+    def _update(self, obs: np.ndarray, levels: np.ndarray, rewards: np.ndarray) -> None:
+        # The actor that acted on the rollout is unchanged until now, so its
+        # stacked forward gives each row the log-probability its act had.
+        out, _ = forward(self.actor, obs[:, None, :])
+        _, old_logp, _ = heads_stats(head_logits(out, self.k, self.levels), levels)
         self.last_diag = ppo_update(
-            self.actor, self.critic, obs, levels, logp, rewards, self.opt_actor, self.opt_critic, self.rng,
+            self.actor, self.critic, obs, levels, old_logp, rewards, self.opt_actor, self.opt_critic, self.rng,
             self.eps_clip, self.epochs, self.minibatch, self.value_weight, self.entropy_coef, self.levels,
         )

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import inspect
 import itertools
+import math
 import numbers
 from operator import attrgetter
 
@@ -137,9 +138,10 @@ class Agent:
         raise NotImplementedError
 
     def observe(self, obs: np.ndarray, levels: np.ndarray, rewards: np.ndarray) -> None:
-        """Deliver the run of m <= horizon() episodes the agent last acted on:
-        its (m, k) observations, the (m, k) levels act returned and the (m,)
-        episode rewards. Called only for a seat that trains."""
+        """Deliver a run of m <= horizon() episodes that the agent's current
+        policy acted on: its (m, k) observations, the (m, k) levels act
+        returned and the (m,) episode rewards. Act leaves no state behind, so
+        the run need not be the last act's. Called only for a seat that trains."""
 
     def horizon(self) -> int:
         """How many upcoming episodes (at least 1) this agent's policy stays
@@ -159,7 +161,9 @@ class Agent:
 
     def load_payload(self, meta: dict, arrays: dict[str, np.ndarray]) -> None:
         """Copy each saved array into this agent's array of the same name and
-        set the counters; raise CheckpointError on anything missing or misshapen."""
+        set the counters; raise CheckpointError on anything missing or
+        misshapen, on a non-finite array value and on a counter that is not an
+        integer >= 0."""
         for name, target in self.state_arrays().items():
             if name not in arrays:
                 raise CheckpointError(f"missing array {name!r}")
@@ -167,13 +171,17 @@ class Agent:
                 raise CheckpointError(
                     f"array {name!r} has shape {arrays[name].shape}; this scenario needs {target.shape}"
                 )
+            if not np.isfinite(arrays[name]).all():
+                raise CheckpointError(f"array {name!r} holds a non-finite value")
             target[...] = arrays[name]
         for path in self.counters:
             key = path.replace(".", "_")
             if key not in meta:
                 raise CheckpointError(f"missing counter {key!r}")
+            if type(meta[key]) is not int or meta[key] < 0:
+                raise CheckpointError(f"counter {key!r} must be an integer >= 0, got {meta[key]!r}")
             owner, _, leaf = path.rpartition(".")
-            setattr(attrgetter(owner)(self) if owner else self, leaf, int(meta[key]))
+            setattr(attrgetter(owner)(self) if owner else self, leaf, meta[key])
 
 
 class RandomAgent(Agent):
@@ -279,8 +287,8 @@ def _fits(value, default) -> bool:
 
 def check_overrides(algo: str, overrides: dict) -> None:
     """Raise ConfigError unless every key names a hyperparameter of algo's agent
-    and every value has its default's type, every count is >= 1 and every
-    learning rate is > 0."""
+    and every value has its default's type, every real is finite, every count
+    is >= 1, every learning rate is > 0 and `alpha` is >= 0."""
     cls = agent_class(algo)
     params = hyperparameter_names(cls)
     unknown = sorted(set(overrides) - set(params))
@@ -291,11 +299,15 @@ def check_overrides(algo: str, overrides: dict) -> None:
         default = signature[name].default
         if not _fits(value, default):
             raise ConfigError(f"{algo} hyperparameter {name!r} must be {_KINDS[type(default)]}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{algo} hyperparameter {name!r} must be finite, got {value!r}")
         counts = value if name == "hidden" else (value,) if name in COUNTS else ()
         if any(c < 1 for c in counts):
             raise ConfigError(f"{algo} hyperparameter {name!r} must be >= 1, got {value!r}")
         if name in LEARNING_RATES and not value > 0:
             raise ConfigError(f"{algo} hyperparameter {name!r} is a learning rate and must be > 0, got {value!r}")
+        if name == "alpha" and value < 0:
+            raise ConfigError(f"{algo} hyperparameter 'alpha' is a step size and must be >= 0, got {value!r}")
 
 
 def make_agent(algo: str, config: ScenarioConfig, rng: np.random.Generator, **overrides) -> Agent:

@@ -94,10 +94,10 @@ def dpg_update(
 
 class RolloutAgent(NetAgent):
     """A factored categorical `policy`, one head per unit, learning from
-    rollouts of `rows` episodes (observation, levels, log-probability, reward):
-    a full rollout goes to the subclass's `_update(obs, levels, logp, rewards)`,
-    then is cleared. The first pair in `nets` gives the policy's and its
-    optimizer's attribute and checkpoint names."""
+    rollouts of `rows` episodes (observation, levels, reward): a full rollout
+    goes to the subclass's `_update(obs, levels, rewards)`, then is cleared.
+    The first pair in `nets` gives the policy's and its optimizer's attribute
+    and checkpoint names."""
 
     def __init__(
         self,
@@ -116,26 +116,19 @@ class RolloutAgent(NetAgent):
         setattr(self, net_attr, self.policy)
         setattr(self, opt_attr, OptimState(self.policy, lr))
         self.entropy_coef = entropy_coef
-        self.buffer = ReplayBuffer(rows, obs=(float, (self.k,)), levels=(int, (self.k,)), logp=float, reward=float)
-        self._pending_logp = np.empty(0)  # per row of the last exploring act: its levels' log-probability
+        self.buffer = ReplayBuffer(rows, obs=(float, (self.k,)), levels=(int, (self.k,)), reward=float)
         self.t = 0
 
     def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
-        """One level per head, in head order. An exploring act keeps the joint
-        log-probability of each row's levels for the rollout."""
+        """One level per head, in head order."""
         out, _ = forward(self.policy, obs[:, None, :])
-        log_probs = log_softmax(out.reshape(len(obs), self.k, self.levels))
-        levels = sample_categorical(log_probs, self.rng)
-        if explore:
-            picked = np.take_along_axis(log_probs, levels[..., None], axis=-1)[..., 0]
-            self._pending_logp = picked.sum(axis=-1)
-        return levels
+        return sample_categorical(log_softmax(out.reshape(len(obs), self.k, self.levels)), self.rng)
 
     def horizon(self) -> int:
         return self.buffer.capacity - len(self.buffer)
 
     def observe(self, obs: np.ndarray, levels: np.ndarray, rewards: np.ndarray) -> None:
-        self.buffer.push(obs, levels, self._pending_logp, rewards)
+        self.buffer.push(obs, levels, rewards)
         self.t += len(rewards)
         if len(self.buffer) == self.buffer.capacity:
             self._update(*self.buffer.rows())
@@ -164,5 +157,5 @@ class DpgAgent(RolloutAgent):
         self.batch_size = batch_size
         self.lr = lr
 
-    def _update(self, obs: np.ndarray, levels: np.ndarray, logp: np.ndarray, rewards: np.ndarray) -> None:
+    def _update(self, obs: np.ndarray, levels: np.ndarray, rewards: np.ndarray) -> None:
         dpg_update(self.net, obs, levels, rewards, self.opt, self.entropy_coef, self.levels)

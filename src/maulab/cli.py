@@ -179,7 +179,9 @@ def cmd_report(args) -> int:
         au = _parse_auction_rows(au_path)
         declared = None
         if snapshot.is_file():
-            declared = int(json.loads(snapshot.read_text(encoding="utf-8"))["scenario"]["episodes"])
+            declared = json.loads(snapshot.read_text(encoding="utf-8"))["scenario"]["episodes"]
+            if type(declared) is not int:
+                raise ValueError(f"config.json: episodes must be an integer, got {declared!r}")
         if not ep["episode"].size or not au["episode"].size:
             raise ValueError("empty logs")
         if not np.array_equal(np.unique(ep["episode"]), np.unique(au["episode"])):

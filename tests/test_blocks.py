@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from maulab import harness
+from maulab.agents import actor_critic
 from maulab.agents.actor_critic import A2cAgent, PpoAgent
 from maulab.agents.base import make_agent
 from maulab.agents.policy import DpgAgent
@@ -191,22 +192,22 @@ def test_block_sampling_matches_categorical(algo):
     assert _same_state(agent.rng, draws)
 
 
-@pytest.mark.parametrize("algo", ["dpn", "a2c", "ppo"])
-def test_exploring_act_keeps_the_log_probability(algo):
-    agent = make_agent(algo, ScenarioConfig(), np.random.default_rng(4))
+def test_ppo_update_gets_the_log_probability_each_row_was_drawn_with(monkeypatch):
+    agent = make_agent("ppo", ScenarioConfig(), np.random.default_rng(4), rollout=8, epochs=1, minibatch=4)
     draws = copy.deepcopy(agent.rng)
-    obs = _obs()[:4]  # fewer rows than a2c observes before an update
+    obs = _obs()[:8]
     levels = agent.act(obs, explore=True)
     want = []
     for o, row in zip(obs, levels):
-        out, _ = forward(agent.net if algo == "dpn" else agent.actor, o)
+        out, _ = forward(agent.actor, o)
         dist = Categorical(out.reshape(2, 21))
         assert row.tolist() == dist.sample(draws).tolist()
         want.append(float(dist.log_prob(row).sum()))
-    assert agent._pending_logp.tolist() == want
+    got = []
+    update = actor_critic.ppo_update
+    monkeypatch.setattr(actor_critic, "ppo_update", lambda *a: got.append(a[4].tolist()) or update(*a))
     agent.observe(obs, levels, np.zeros(len(obs)))
-    logp = agent.buffer.rows()[2]
-    assert logp.tolist() == want and len(agent.buffer) == len(want)
+    assert got == [want]
 
 
 def test_stacked_forward_is_bit_equal_to_single_rows():
@@ -320,13 +321,11 @@ def test_exploring_act_on_a_block_matches_single_rows(algo):
             agent.table[...] = np.random.default_rng(3).integers(0, 3, size=agent.table.shape)
     obs = _obs()
     block = a.act(obs, explore=True)
-    rows, logp = [], []
+    rows = []
     for j, o in enumerate(obs):
         b.t = a.t + j  # the row's episode comes j observes after the block's first
         rows.append(b.act(o[None], explore=True))
-        logp += getattr(b, "_pending_logp", np.empty(0)).tolist()
     assert np.array_equal(block, np.concatenate(rows))
-    assert getattr(a, "_pending_logp", np.empty(0)).tolist() == logp
     assert _same_state(a.rng, b.rng)
 
 
@@ -369,3 +368,22 @@ def test_observing_a_run_equals_observing_its_rows(algo):
         assert _same_state(a.rng, b.rng)
         assert len(a.buffer) == len(b.buffer)
         assert meta_a["train_steps" if algo == "dqn" else "opt_step" if algo == "dpn" else "opt_actor_step"] > 0
+
+
+@pytest.mark.parametrize("algo", ["dpn", "a2c", "ppo"])
+def test_observe_needs_no_act_before_it(algo):
+    # a copy that never acts, given the run's levels and the acting agent's
+    # stream, ends a full rollout where the acting agent does
+    config, obs = ScenarioConfig(episodes=100), _obs()[:8]
+    rewards = np.random.default_rng(6).normal(size=8)
+    agent, twin = (make_agent(algo, config, np.random.default_rng(5), hidden=(8, 8), **RUN_OVERRIDES[algo])
+                   for _ in range(2))
+    levels = agent.act(obs)
+    twin.rng.bit_generator.state = agent.rng.bit_generator.state
+    for a in (agent, twin):
+        a.observe(obs, levels, rewards)
+    (meta_a, arrays_a), (meta_b, arrays_b) = agent.checkpoint_payload(), twin.checkpoint_payload()
+    assert meta_a == meta_b and meta_a["opt_step" if algo == "dpn" else "opt_actor_step"] > 0
+    assert arrays_a.keys() == arrays_b.keys()
+    assert all(np.array_equal(arrays_a[name], arrays_b[name]) for name in arrays_a)
+    assert _same_state(agent.rng, twin.rng)

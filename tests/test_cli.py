@@ -211,6 +211,9 @@ def test_unknown_hyperparameter_exits_2(tmp_path, capsys, algo, key):
 @pytest.mark.parametrize("algo, overrides, key", [
     ("ppo", {"rollout": "64"}, "rollout"),
     ("dqn", {"batch_size": 0, "warmup": 0}, "batch_size"),
+    ("dpn", {"lr": float("inf"), "batch_size": 4}, "lr"),
+    ("ql", {"alpha": float("nan")}, "alpha"),
+    ("ql", {"alpha": -1.0}, "alpha"),
 ])
 def test_hyperparameter_type_and_range_exit_2(tmp_path, capsys, algo, overrides, key):
     cfg = tmp_path / "exp.json"
@@ -265,7 +268,8 @@ def test_config_file_values_checked_like_flags(tmp_path, capsys, key, value):
 def test_report_corrupt_config_snapshot_exits_5(tmp_path, capsys):
     assert _pretrain(tmp_path, episodes=5) == 0
     run = tmp_path / "dp_4_ql_1"
-    for text in ("{not json", '{"scenario": {}}', '["a list"]'):
+    for text in ("{not json", '{"scenario": {}}', '["a list"]', '{"scenario": {"episodes": Infinity}}',
+                 '{"scenario": {"episodes": 1.5}}'):
         (run / "config.json").write_text(text)
         assert main(["report", "--run", str(run), "--out", str(tmp_path / "rep")]) == 5
         assert "corrupt run directory" in capsys.readouterr().err
@@ -304,24 +308,40 @@ def test_checkpoint_from_other_grid_exits_5(tmp_path, capsys, grid_checkpoints, 
     assert not any((tmp_path / "bad").glob("*/episodes.csv"))
 
 
-@pytest.mark.parametrize("drop", ["array", "counter"])
-def test_checkpoint_missing_state_exits_5(tmp_path, capsys, grid_checkpoints, drop):
+# How each case spoils a five-episode checkpoint: its learner, the edit of
+# its meta and arrays, and what the error names.
+SPOILED = {
+    "array": ("ppo", lambda meta, arrays: arrays.pop("opt_critic.v2"), "'opt_critic.v2'"),
+    "counter": ("ppo", lambda meta, arrays: meta.pop("t"), "'t'"),
+    "nan": ("ppo", lambda meta, arrays: np.put(arrays["actor.w0"], 0, np.nan), "'actor.w0'"),
+    "t_infinite": ("ppo", lambda meta, arrays: meta.update(t=float("inf")), "'t'"),
+    "t_negative": ("ppo", lambda meta, arrays: meta.update(t=-5), "'t'"),
+    "step_real": ("ppo", lambda meta, arrays: meta.update(opt_actor_step=2.7), "'opt_actor_step'"),
+    "step_text": ("ppo", lambda meta, arrays: meta.update(opt_actor_step="7"), "'opt_actor_step'"),
+    "ql_t_negative": ("ql", lambda meta, arrays: meta.update(t=-5), "'t'"),
+}
+
+
+@pytest.mark.parametrize("case", list(SPOILED))
+def test_checkpoint_missing_state_exits_5(tmp_path, capsys, grid_checkpoints, case):
     from maulab.checkpoint import load_checkpoint, save_checkpoint
 
-    kind, meta, arrays = load_checkpoint(grid_checkpoints("ppo"))
-    if drop == "array":
-        del arrays["opt_critic.v2"]
-    else:
-        del meta["t"]
-    bad = tmp_path / "ppo.ckpt"
+    algo, spoil, named = SPOILED[case]
+    kind, meta, arrays = load_checkpoint(grid_checkpoints(algo))
+    spoil(meta, arrays)
+    bad = tmp_path / f"{algo}.ckpt"
     save_checkpoint(bad, kind, meta, arrays)
-    code = main([
-        "tournament", "--auction", "dp", "--items", "4", "--episodes", "5", "--all-ppo",
-        "--ckpt", f"ppo={bad}", "--out", str(tmp_path),
-    ])
+    if algo == "ppo":
+        seats = ["--all-ppo", "--ckpt", f"ppo={bad}"]
+    else:  # a learning ql seat explores from its first episode
+        ckpts = {**{a: grid_checkpoints(a) for a in ("ppo", "a2c", "dqn", "dpn", "vpg")}, algo: bad}
+        seats = [x for a, path in ckpts.items() for x in ("--ckpt", f"{a}={path}")]
+    out = tmp_path / "runs"
+    code = main(["tournament", "--auction", "dp", "--items", "4", "--episodes", "5", *seats, "--out", str(out)])
     assert code == 5
     err = capsys.readouterr().err
-    assert str(bad) in err and ("'opt_critic.v2'" if drop == "array" else "'t'") in err
+    assert str(bad) in err and named in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_report_logs_covering_different_episodes_exit_5(tmp_path, capsys):
