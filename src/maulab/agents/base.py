@@ -267,9 +267,11 @@ def hyperparameter_names(cls: type[Agent]) -> tuple[str, ...]:
     return tuple(p for p in inspect.signature(cls).parameters if p not in ("config", "rng"))
 
 
-# Hyperparameters that count something (as do the `hidden` widths), and learning rates.
+# Hyperparameters that count something (as do the `hidden` widths), learning rates, and
+# those that lie in [0, 1] (epsilon_at raises decay_rate to the episode count).
 COUNTS = ("batch_size", "rollout", "epochs", "minibatch", "buffer_capacity", "value_bins")
 LEARNING_RATES = ("lr", "actor_lr", "critic_lr")
+UNIT_INTERVAL = ("eps_max", "decay_rate")
 _KINDS = {int: "an integer", float: "a number", type(None): "a number or null", tuple: "a list of integers"}
 
 
@@ -288,7 +290,8 @@ def _fits(value, default) -> bool:
 def check_overrides(algo: str, overrides: dict) -> None:
     """Raise ConfigError unless every key names a hyperparameter of algo's agent
     and every value has its default's type, every real is finite, every count
-    is >= 1, every learning rate is > 0 and `alpha` is >= 0."""
+    is >= 1, every learning rate is > 0, `alpha` is >= 0, and `eps_max` and
+    `decay_rate` lie in [0, 1] (a `decay_rate` of None stays valid)."""
     cls = agent_class(algo)
     params = hyperparameter_names(cls)
     unknown = sorted(set(overrides) - set(params))
@@ -308,6 +311,8 @@ def check_overrides(algo: str, overrides: dict) -> None:
             raise ConfigError(f"{algo} hyperparameter {name!r} is a learning rate and must be > 0, got {value!r}")
         if name == "alpha" and value < 0:
             raise ConfigError(f"{algo} hyperparameter 'alpha' is a step size and must be >= 0, got {value!r}")
+        if name in UNIT_INTERVAL and value is not None and not 0 <= value <= 1:
+            raise ConfigError(f"{algo} hyperparameter {name!r} must be in [0, 1], got {value!r}")
 
 
 def make_agent(algo: str, config: ScenarioConfig, rng: np.random.Generator, **overrides) -> Agent:

@@ -1,11 +1,11 @@
 """Sealed-bid multi-unit auction clearing: bid ranking and the three payment rules.
 
-All functions are pure given an explicit tie-break random stream and work on
-a block of B auctions. Bids arrive as a (B, n_bidders, k) array; each row is
-canonicalized weakly decreasing before ranking (row order within a bidder
-never affects the outcome). A clearing returns the winning canonical slots
-(bidder * k + slot) in rank order (B, K), their payments (B, K) and the
-revenues (B,).
+Clearing is pure: it draws nothing, and its outcome is a function of the bids
+and a given tie order. All functions work on a block of B auctions. Bids
+arrive as a (B, n_bidders, k) array; each row is canonicalized weakly
+decreasing before ranking (row order within a bidder never affects the
+outcome). A clearing returns the winning canonical slots (bidder * k + slot)
+in rank order (B, K), their payments (B, K) and the revenues (B,).
 """
 
 from __future__ import annotations
@@ -27,20 +27,19 @@ def slot_sum(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def _rank(b: np.ndarray, K: int, tie_rng: np.random.Generator) -> np.ndarray:
+def _rank(b: np.ndarray, K: int, ties: np.ndarray) -> np.ndarray:
     """Flat indices of each auction's canonical bids `b` (B, n, k) by bid
-    descending; ties broken by a uniform random permutation per auction drawn
-    from tie_rng (the draws of B successive `permutation(n * k)` calls)."""
+    descending; equal bids in the order of `ties` (B, n * k), one slot
+    permutation per auction."""
     B, n, k = b.shape
     if K > n * k:
         raise ValueError(f"K={K} exceeds {n * k} submitted bids")
-    perm = tie_rng.permuted(np.tile(np.arange(n * k), (B, 1)), axis=1)
     # lexsort: last key is primary. Sort by bid descending, then by the
-    # random permutation position for equal bids.
-    return np.lexsort((perm, -b.reshape(B, n * k)), axis=-1)
+    # tie permutation's position for equal bids.
+    return np.lexsort((ties, -b.reshape(B, n * k)), axis=-1)
 
 
-def _clear(rule: str, bids: np.ndarray, K: int, tie_rng: np.random.Generator):
+def _clear(rule: str, bids: np.ndarray, K: int, ties: np.ndarray):
     """Rank once, then pay per rule: dp its own bid, up the (K+1)-th bid, gsp
     the next ranked bid of a different bidder (0 if none exists). Bids that are
     already canonical (as AuctionEnv.step passes them) are not sorted again."""
@@ -48,7 +47,7 @@ def _clear(rule: str, bids: np.ndarray, K: int, tie_rng: np.random.Generator):
     if not (b[..., :-1] >= b[..., 1:]).all():
         b = canonicalize(b)
     B, n, k = b.shape
-    order = _rank(b, K, tie_rng)
+    order = _rank(b, K, ties)
     ranked = b.reshape(B, n * k)[np.arange(B)[:, None], order]
     if rule == "dp":
         pay = ranked[:, :K]
@@ -66,28 +65,29 @@ def _clear(rule: str, bids: np.ndarray, K: int, tie_rng: np.random.Generator):
     return order[:, :K], pay, slot_sum(pay)
 
 
-def clear_dp(bids: np.ndarray, K: int, tie_rng: np.random.Generator):
+def clear_dp(bids: np.ndarray, K: int, ties: np.ndarray):
     """Discriminatory (pay-as-bid): each winning slot pays its own bid."""
-    return _clear("dp", bids, K, tie_rng)
+    return _clear("dp", bids, K, ties)
 
 
-def clear_gsp(bids: np.ndarray, K: int, tie_rng: np.random.Generator):
+def clear_gsp(bids: np.ndarray, K: int, ties: np.ndarray):
     """Generalized second-price: each winning slot pays the highest bid ranked
     below it that belongs to a different bidder (0 if none exists)."""
-    return _clear("gsp", bids, K, tie_rng)
+    return _clear("gsp", bids, K, ties)
 
 
-def clear_up(bids: np.ndarray, K: int, tie_rng: np.random.Generator):
+def clear_up(bids: np.ndarray, K: int, ties: np.ndarray):
     """Uniform-price: every winner pays the highest losing ((K+1)-th) bid."""
-    return _clear("up", bids, K, tie_rng)
+    return _clear("up", bids, K, ties)
 
 
 _CLEAR = {"dp": clear_dp, "gsp": clear_gsp, "up": clear_up}
 
 
-def clear(rule: str, bids: np.ndarray, K: int, tie_rng: np.random.Generator):
-    """(winners, payment, revenue) of a block of auctions under `rule`."""
-    return _CLEAR[rule](bids, K, tie_rng)
+def clear(rule: str, bids: np.ndarray, K: int, ties: np.ndarray):
+    """(winners, payment, revenue) of a block of auctions under `rule`, equal
+    bids ranked by `ties`."""
+    return _CLEAR[rule](bids, K, ties)
 
 
 def _allocated_and_best(valuations: np.ndarray, winners: np.ndarray, K: int):

@@ -1,8 +1,8 @@
 """Single-step multi-agent auction episode environment.
 
 One episode: draw private values -> collect one row of bid levels per agent ->
-clear the auction -> pay out per-slot rewards. A reset draws the values of a
-block of B independent episodes; each step clears the next episodes of it.
+clear the auction -> pay out per-slot rewards. A reset draws the values and tie
+orders of a block of B independent episodes; a step clears any rows of it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ def reward(won, payoff, value):
 
 
 class AuctionEnv:
-    """Holds the scenario, value stream and tie-break stream for one session."""
+    """Holds the scenario, value and tie-break streams, and the last reset's block."""
 
     def __init__(
         self,
@@ -35,24 +35,27 @@ class AuctionEnv:
         self._value_rng = value_rng
         self._tie_rng = tie_rng
         self._values: np.ndarray | None = None
+        self._ties: np.ndarray | None = None
 
     def reset(self, episodes: int = 1) -> np.ndarray:
         """Draw one value per agent per episode (shared across its unit slots)
-        and return the (B, n, k) observations: [b, i] is agent i's normalized
-        value in episode b, repeated per slot."""
+        and one tie order per episode (the slot permutations that B successive
+        `permutation(n * k)` calls draw); return the (B, n, k) observations:
+        [b, i] is agent i's normalized value in episode b, repeated per slot."""
         c = self.config
         self._values = self._value_rng.uniform(c.value_lo, c.value_hi, size=(episodes, c.n_bidders))
+        self._ties = self._tie_rng.permuted(np.tile(np.arange(c.n_bidders * c.units_per_bidder), (episodes, 1)), axis=1)
         return np.repeat(self._values[:, :, None] / c.value_hi, c.units_per_bidder, axis=2)
 
     def valuations(self) -> np.ndarray:
-        """Per-episode, per-bidder marginal values (B, n, k) of the episodes not
-        yet stepped, equal across the k slots here."""
+        """Per-episode, per-bidder marginal values (B, n, k) of the block,
+        equal across the k slots here."""
         return np.repeat(self._values[:, :, None], self.config.units_per_bidder, axis=2)
 
-    def step(self, levels) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple]:
-        """Clear the next b episodes of the block: a (b, n, k) block of bid
-        levels, [e, i] being agent i's in episode e. After the last episode of
-        the block, step needs another reset.
+    def step(self, rows: slice, levels) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple]:
+        """Clear rows `rows` (a slice) of the block given their (b, n, k) bid
+        levels, [e, i] being agent i's in the rows' episode e. A step draws
+        nothing and changes nothing on the env: any rows clear, in any order.
 
         Returns (reward, won, payment, bids, outcome): each agent's episode
         reward (b, n), whether each canonical slot won and what it pays
@@ -65,21 +68,17 @@ class AuctionEnv:
             levels = np.asarray(levels)
         except ValueError:
             raise ConfigError("every agent must submit the same number of bids") from None
-        shape, per_episode = levels.shape, (c.n_bidders, c.units_per_bidder)
-        if levels.ndim != 3 or shape[1:] != per_episode or not 0 < shape[0] <= len(self._values):
-            raise ConfigError(
-                f"expected levels of shape (episodes, agents, bids): 1 to {len(self._values)} "
-                f"episodes of {per_episode}, got {shape}"
-            )
+        values, ties = self._values[rows, :, None], self._ties[rows]
+        shape, expected = levels.shape, (len(values), c.n_bidders, c.units_per_bidder)
+        if shape != expected or not len(values):
+            raise ConfigError(f"expected levels of shape (episodes, agents, bids) {expected}, at least one row, "
+                              f"for rows {rows.start}:{rows.stop} of a block of {len(self._values)}; got {shape}")
         bids = canonicalize(self.grid.decode(levels))  # raises ConfigError on out-of-grid levels
 
-        winners, pay, _ = outcome = clear(c.rule, bids, c.supply, self._tie_rng)
+        winners, pay, _ = outcome = clear(c.rule, bids, c.supply, ties)
         won, payment = np.zeros(shape, dtype=bool), np.zeros(shape)
-        rows = np.arange(len(bids))[:, None]
-        won.reshape(len(bids), -1)[rows, winners] = True  # views: one row of n * k slots per episode
-        payment.reshape(len(bids), -1)[rows, winners] = pay
-        value = self._values[: len(bids), :, None]
-        total = slot_sum(reward(won, value - payment, value))
-
-        self._values = self._values[len(bids) :] if len(bids) < len(self._values) else None
+        episode = np.arange(len(bids))[:, None]
+        won.reshape(len(bids), -1)[episode, winners] = True  # views: one row of n * k slots per episode
+        payment.reshape(len(bids), -1)[episode, winners] = pay
+        total = slot_sum(reward(won, values - payment, values))
         return total, won, payment, bids, outcome

@@ -41,12 +41,12 @@ def run_episode(env: AuctionEnv, agents: list[Agent], train, out) -> None:
     """Play one block of episodes into `out`, the block's rows of the session's
     reward, won, payment, bids, winners, revenue and valuations arrays.
 
-    `train` holds one flag per agent. The reset draws the block's values, and
-    each agent that does not train acts on the whole block, greedily. The block
-    then clears in runs of episodes: a run spans the smallest `horizon()` of the
-    training agents (the whole block when none trains). Each training agent acts
-    on the run (exploring), one step clears it, and each observes the whole run
-    in one call. That is exact: learners share no state, and none updates before
+    `train` holds one flag per agent. The reset draws the block's values and
+    tie orders, and each agent that does not train acts on the whole block,
+    greedily. The block then clears in runs of episodes: a run spans the
+    smallest `horizon()` of the training agents (the whole block when none
+    trains). Each training agent acts on the run (exploring), one step clears
+    it, and each observes the whole run in one call. That is exact: learners share no state, and none updates before
     the end of a run."""
     reward, won, payment, bids, winners, revenue, valuations = out
     observations = env.reset(len(reward))
@@ -62,7 +62,7 @@ def run_episode(env: AuctionEnv, agents: list[Agent], train, out) -> None:
         rows = slice(start, min([len(reward), *(start + agents[i].horizon() for i in learners)]))
         for i in learners:
             levels[rows, i] = agents[i].act(seats[i, rows], explore=True)
-        reward[rows], won[rows], payment[rows], bids[rows], (winners[rows], _, revenue[rows]) = env.step(levels[rows])
+        reward[rows], won[rows], payment[rows], bids[rows], (winners[rows], _, revenue[rows]) = env.step(rows, levels[rows])
         for i in learners:
             agents[i].observe(seats[i, rows], levels[rows, i], reward[rows, i])
         start = rows.stop

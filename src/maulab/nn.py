@@ -46,6 +46,10 @@ class MlpParams:
     def copy(self) -> "MlpParams":
         return MlpParams(self.layout, self.vec.copy())
 
+    def __deepcopy__(self, memo) -> "MlpParams":
+        # numpy would deep-copy each view on its own, apart from the copied `vec`.
+        return self.copy()
+
 
 def mlp_init(layout, seed_or_rng) -> MlpParams:
     """Scaled-uniform fan-in init: W ~ U(-sqrt(3/fan_in), sqrt(3/fan_in)) so

@@ -1,6 +1,7 @@
 """The agent-state codec: every constructor hyperparameter and counter and
 every learned array survive a checkpoint, and a checkpoint resumes a run."""
 
+import copy
 import tempfile
 from operator import attrgetter
 from pathlib import Path
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from maulab.agents.base import agent_class, hyperparameter_names, make_agent
 from maulab.config import LEARNERS, TOURNAMENT_IDS, ScenarioConfig
 from maulab.harness import load_agent, pretrain, run, run_session, save_agent, start, tournament
+from maulab.nn import MlpParams
 
 _frac = st.floats(0.0, 1.0)
 _lr = st.floats(1e-6, 0.1)
@@ -143,3 +145,35 @@ def test_overrides_survive_checkpoints_and_drive_learning_tournament(tmp_path, a
     out = load_agent(run_dir / f"{algo}_{TOURNAMENT_IDS[algo]}.ckpt", ScenarioConfig(), np.random.default_rng(0))
     assert {k: out.hyperparameters()[k] for k in overrides} == overrides
     assert _counters(out)[counter] == steps
+
+
+# Small enough that an 8-episode run ends in an update.
+SMALL = {
+    "dqn": {"warmup": 4, "batch_size": 4},
+    "dpn": {"batch_size": 8},
+    "a2c": {"batch_size": 8},
+    "ppo": {"rollout": 8, "minibatch": 4},
+}
+
+
+@pytest.mark.parametrize("algo", sorted(SMALL))
+def test_deep_copy_of_an_agent_learns_as_the_agent_does(algo):
+    config = ScenarioConfig(episodes=100)
+    obs = np.repeat(np.random.default_rng(6).uniform(0, 1, size=(8, 1)), 2, axis=1)
+    rewards = np.random.default_rng(7).normal(size=8)
+    agent = make_agent(algo, config, np.random.default_rng(5), hidden=(8, 8), **SMALL[algo])
+    twin = copy.deepcopy(agent)
+    levels = agent.act(obs)
+    twin.rng.bit_generator.state = agent.rng.bit_generator.state
+    for a in (agent, twin):
+        a.observe(obs, levels, rewards)
+    (meta_a, arrays_a), (meta_b, arrays_b) = agent.checkpoint_payload(), twin.checkpoint_payload()
+    assert meta_a == meta_b
+    assert meta_a["train_steps" if algo == "dqn" else "opt_step" if algo == "dpn" else "opt_actor_step"] > 0
+    assert arrays_a.keys() == arrays_b.keys()
+    assert all(np.array_equal(arrays_a[name], arrays_b[name]) for name in arrays_a)
+    nets = [net for net in vars(twin).values() if isinstance(net, MlpParams)]
+    assert nets
+    for net in nets:
+        net.weights[0][0, 0] = 123.0
+        assert 123.0 in net.vec

@@ -16,11 +16,13 @@ from maulab.auction import (
     efficiency_gap,
     efficiency_ratio,
 )
+from maulab.config import ScenarioConfig
+from maulab.env import AuctionEnv
 
 
 # --- independent oracle ------------------------------------------------------
-# Shares only the tie permutation with production; ranking and payments are
-# re-derived from the rule prose with plain sorted().
+# Shares only the tie permutation with production (the same one is passed to
+# both); ranking and payments are re-derived from the rule prose with plain sorted().
 
 def oracle_rank(bids, perm):
     rows = [sorted(r, reverse=True) for r in np.asarray(bids, dtype=float).tolist()]
@@ -53,19 +55,16 @@ def oracle_clear(rule, bids, K, perm):
     return winners, pays, float(sum(pays))
 
 
-def _tie_perm(seed, n_slots):
-    return np.random.default_rng(seed).permutation(n_slots)
-
-
 # One auction read back from a block of one: its winners in rank order.
 Winner = namedtuple("Winner", "bidder_id unit_slot winning_bid payment")
 Outcome = namedtuple("Outcome", "winners clearing_price revenue")
 
 
-def one(rule, bids, K, tie_rng):
-    """Clear `bids` (n, k) as a block of one auction and read the arrays back."""
+def one(rule, bids, K, perm):
+    """Clear `bids` (n, k) as a block of one auction, equal bids ordered by the
+    slot permutation `perm` (n * k,), and read the arrays back."""
     bids = np.asarray(bids, dtype=float)
-    winners, pay, revenue = clear(rule, bids[None], K, tie_rng)
+    winners, pay, revenue = clear(rule, bids[None], K, np.asarray(perm)[None])
     k = bids.shape[1]
     canonical = canonicalize(bids).ravel()
     rows = tuple(Winner(int(w // k), int(w % k), float(canonical[w]), float(p)) for w, p in zip(winners[0], pay[0]))
@@ -84,9 +83,9 @@ def test_oracle_equivalence_random_instances(rule):
         k = 2
         K = int(rng.integers(1, min(5, n * k) + 1))
         bids = rng.integers(0, 11, size=(n, k)).astype(float)
-        seed = int(rng.integers(1 << 30))
-        out = one(rule, bids, K, np.random.default_rng(seed))
-        winners, pays, rev = oracle_clear(rule, bids, K, _tie_perm(seed, n * k))
+        perm = np.random.default_rng(int(rng.integers(1 << 30))).permutation(n * k)
+        out = one(rule, bids, K, perm)
+        winners, pays, rev = oracle_clear(rule, bids, K, perm)
         assert _summary(out) == sorted(
             (i, b, p) for (i, _, b), p in zip(winners, pays)
         )
@@ -95,13 +94,13 @@ def test_oracle_equivalence_random_instances(rule):
 
 def test_rank_example():
     bids = np.array([[9.0, 7.0], [8.0, 2.0], [5.0, 1.0]])
-    out = one("dp", bids, 4, np.random.default_rng(0))
+    out = one("dp", bids, 4, np.random.default_rng(0).permutation(6))
     assert [(w.bidder_id, w.unit_slot) for w in out.winners] == [(0, 0), (1, 0), (0, 1), (2, 0)]
 
 
 def test_dp_example():
     bids = np.array([[9.0, 7.0], [8.0, 2.0], [5.0, 1.0]])
-    out = one("dp", bids, 4, np.random.default_rng(0))
+    out = one("dp", bids, 4, np.random.default_rng(0).permutation(6))
     per_bidder = {}
     for w in out.winners:
         per_bidder[w.bidder_id] = per_bidder.get(w.bidder_id, 0.0) + w.payment
@@ -112,19 +111,19 @@ def test_dp_example():
 
 def test_dp_single_effective_bidder():
     bids = np.array([[3.0, 2.0], [0.0, 0.0], [0.0, 0.0]])
-    out = one("dp", bids, 2, np.random.default_rng(1))
+    out = one("dp", bids, 2, np.random.default_rng(1).permutation(6))
     assert out.revenue == 5.0
 
 
 def test_all_zero_bids_zero_revenue():
     bids = np.zeros((3, 2))
     for fn in (clear_dp, clear_gsp, clear_up):
-        assert fn(bids[None], 4, np.random.default_rng(2))[2][0] == 0.0
+        assert fn(bids[None], 4, np.random.default_rng(2).permutation(6)[None])[2][0] == 0.0
 
 
 def test_gsp_example():
     bids = np.array([[9.0, 7.0], [8.0, 2.0], [5.0, 1.0]])
-    out = one("gsp", bids, 4, np.random.default_rng(0))
+    out = one("gsp", bids, 4, np.random.default_rng(0).permutation(6))
     pay_by_bid = {w.winning_bid: w.payment for w in out.winners}
     assert pay_by_bid == {9.0: 8.0, 8.0: 7.0, 7.0: 5.0, 5.0: 2.0}
     assert out.revenue == 22.0
@@ -132,13 +131,13 @@ def test_gsp_example():
 
 def test_gsp_excludes_own_bids():
     bids = np.array([[9.0, 8.0], [0.0, 0.0], [0.0, 0.0]])
-    out = one("gsp", bids, 2, np.random.default_rng(3))
+    out = one("gsp", bids, 2, np.random.default_rng(3).permutation(6))
     assert all(w.bidder_id == 0 and w.payment == 0.0 for w in out.winners)
 
 
 def test_up_example():
     bids = np.array([[9.0, 7.0], [8.0, 2.0], [5.0, 1.0]])
-    out = one("up", bids, 4, np.random.default_rng(0))
+    out = one("up", bids, 4, np.random.default_rng(0).permutation(6))
     assert out.clearing_price == 2.0
     assert out.revenue == 8.0
     assert all(w.payment == 2.0 for w in out.winners)
@@ -146,7 +145,7 @@ def test_up_example():
 
 def test_up_no_losing_bid():
     bids = np.array([[9.0, 7.0], [8.0, 2.0], [5.0, 1.0]])
-    out = one("up", bids, 6, np.random.default_rng(0))
+    out = one("up", bids, 6, np.random.default_rng(0).permutation(6))
     assert out.clearing_price == 0.0
     assert out.revenue == 0.0
 
@@ -154,27 +153,25 @@ def test_up_no_losing_bid():
 def test_up_symmetric_truthful_zero_payoff():
     v = 6.0
     bids = np.full((3, 2), v)
-    out = one("up", bids, 4, np.random.default_rng(5))
+    out = one("up", bids, 4, np.random.default_rng(5).permutation(6))
     assert out.clearing_price == v
     assert all(w.winning_bid - w.payment == 0.0 for w in out.winners)
 
 
 def test_tie_break_deterministic_replay():
     bids = np.array([[9.0, 9.0], [9.0, 0.0]])
-    a = one("dp", bids, 2, np.random.default_rng(7))
-    b = one("dp", bids, 2, np.random.default_rng(7))
+    a = one("dp", bids, 2, np.random.default_rng(7).permutation(4))
+    b = one("dp", bids, 2, np.random.default_rng(7).permutation(4))
     assert a == b
 
 
 def test_tie_break_uniform_over_slots():
-    bids = np.zeros((3, 2))
-    rng = np.random.default_rng(11)
-    counts = np.zeros(6)
+    """The tie orders a reset draws make every slot of an all-tied block win alike."""
+    env = AuctionEnv(ScenarioConfig(n_bidders=3, supply=4), np.random.default_rng(10), np.random.default_rng(11))
     trials = 3000
-    for _ in range(trials):
-        out = one("dp", bids, 4, rng)
-        for w in out.winners:
-            counts[w.bidder_id * 2 + w.unit_slot] += 1
+    env.reset(trials)
+    *_, (winners, _, _) = env.step(slice(0, trials), np.zeros((trials, 3, 2), dtype=int))  # all bids 0
+    counts = np.bincount(winners.ravel(), minlength=6)
     expected = trials * 4 / 6
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < 20.5  # chi-square(5) at alpha ~ 0.001
@@ -187,8 +184,8 @@ def test_row_permutation_invariance():
         swapped = bids[:, ::-1].copy()
         seed = int(rng.integers(1 << 30))
         for rule in ("dp", "gsp", "up"):
-            a = one(rule, bids, 3, np.random.default_rng(seed))
-            b = one(rule, swapped, 3, np.random.default_rng(seed))
+            a = one(rule, bids, 3, np.random.default_rng(seed).permutation(8))
+            b = one(rule, swapped, 3, np.random.default_rng(seed).permutation(8))
             assert a == b
 
 
@@ -200,9 +197,9 @@ def test_revenue_dominance_no_ties():
         K = int(rng.integers(1, min(5, n * 2) + 1))
         bids = rng.uniform(0, 10, size=(n, 2))
         seed = int(rng.integers(1 << 30))
-        dp = one("dp", bids, K, np.random.default_rng(seed))
-        gsp = one("gsp", bids, K, np.random.default_rng(seed))
-        up = one("up", bids, K, np.random.default_rng(seed))
+        dp = one("dp", bids, K, np.random.default_rng(seed).permutation(n * 2))
+        gsp = one("gsp", bids, K, np.random.default_rng(seed).permutation(n * 2))
+        up = one("up", bids, K, np.random.default_rng(seed).permutation(n * 2))
         assert dp.revenue >= gsp.revenue - 1e-9
         # the GSP >= UP leg only holds when the price-setting bid is not a
         # winner's own losing bid; skip instances where it is
@@ -222,7 +219,7 @@ def test_revenue_dominance_no_ties():
 
 def test_rank_rejects_oversized_k():
     with pytest.raises(ValueError):
-        clear_dp(np.zeros((1, 2, 2)), 5, np.random.default_rng(0))
+        clear_dp(np.zeros((1, 2, 2)), 5, np.arange(4)[None])
 
 
 def test_efficiency_examples():
@@ -261,7 +258,7 @@ def test_clearing_properties(data, n, rule, seed):
             )
         )
     )
-    out = one(rule, bids, K, np.random.default_rng(seed))
+    out = one(rule, bids, K, np.random.default_rng(seed).permutation(n * 2))
     assert len(out.winners) == K
     assert all(w.payment >= 0.0 for w in out.winners)
     assert out.revenue == sum(w.payment for w in out.winners)

@@ -21,7 +21,7 @@ from maulab.agents.base import make_agent
 from maulab.agents.policy import DpgAgent
 from maulab.agents.qlearn import DqnAgent
 from maulab.auction import _allocated_and_best, canonicalize, clear, efficiency_gap, efficiency_ratio, slot_sum
-from maulab.config import ScenarioConfig, Seat, Session
+from maulab.config import ConfigError, ScenarioConfig, Seat, Session
 from maulab.env import AuctionEnv
 from maulab.nn import Categorical, forward, mlp_init
 
@@ -63,26 +63,29 @@ def _oracle(rule, bids, K, perm):
 def test_block_clearer_matches_oracle_and_single_auctions(rule, K):
     rng = np.random.default_rng(K)
     bids = rng.integers(0, 5, size=(B, 6, 2)) * 0.5  # few levels: many ties
-    winners, pay, revenue = clear(rule, bids, K, np.random.default_rng(1))
     perms = np.random.default_rng(1)
+    ties = np.stack([perms.permutation(12) for _ in range(B)])
+    kept = ties.copy()
+    winners, pay, revenue = clear(rule, bids, K, ties)
     canonical = canonicalize(bids)
     for b in range(B):
-        want_slots, want_pay, want_revenue = _oracle(rule, bids[b], K, perms.permutation(12))
+        want_slots, want_pay, want_revenue = _oracle(rule, bids[b], K, ties[b])
         assert [(w // 2, w % 2) for w in winners[b].tolist()] == want_slots
         assert pay[b].tolist() == want_pay
         assert revenue[b] == want_revenue
         assert canonical[b].ravel()[winners[b]].tolist() == sorted(canonical[b].ravel().tolist(), reverse=True)[:K]
-    one_by_one = np.random.default_rng(1)
-    got = _rows(lambda x: clear(rule, x, K, one_by_one), bids)
+    got = _rows(lambda x, t: clear(rule, x, K, t), bids, ties)
     for block, rows in zip((winners, pay, revenue), got):
         assert np.array_equal(block, rows)
-    assert _same_state(perms, one_by_one)
+    assert np.array_equal(ties, kept)  # clearing draws nothing and writes nothing
 
 
 def test_block_tie_draws_are_successive_permutations():
     a, b = np.random.default_rng(5), np.random.default_rng(5)
-    bids = np.zeros((B, 6, 2))  # all tied: the ranking is the tie permutation's order
-    winners, _, _ = clear("dp", bids, 8, a)
+    env = AuctionEnv(ScenarioConfig(supply=8), np.random.default_rng(4), a)
+    env.reset(B)
+    levels = np.zeros((B, 6, 2), dtype=int)  # all tied: the ranking is the tie permutation's order
+    *_, (winners, _, _) = env.step(slice(0, B), levels)
     for row in winners:
         assert row.tolist() == np.argsort(b.permutation(12))[:8].tolist()
     assert _same_state(a, b)
@@ -114,15 +117,15 @@ def test_env_block_matches_single_episodes():
     envs = [AuctionEnv(config, np.random.default_rng(10), np.random.default_rng(11)) for _ in range(3)]
     levels = np.random.default_rng(12).integers(0, 21, size=(B, 6, 2))
     obs = envs[0].reset(B)
-    block = envs[0].step(levels)
+    block = envs[0].step(slice(0, B), levels)
     rows, stepped = [], []
     assert np.array_equal(envs[2].reset(B), obs)
     for b in range(B):
         assert np.array_equal(envs[1].reset(1), obs[b : b + 1])
-        rows.append(envs[1].step(levels[b : b + 1]))
-        stepped.append(envs[2].step(levels[b : b + 1]))  # a block's episodes stepped one at a time
-    with pytest.raises(RuntimeError):
-        envs[2].step(levels[:1])
+        rows.append(envs[1].step(slice(0, 1), levels[b : b + 1]))
+        stepped.append(envs[2].step(slice(b, b + 1), levels[b : b + 1]))  # a block's episodes stepped one at a time
+    with pytest.raises(ConfigError):
+        envs[2].step(slice(B, B + 1), levels[:1])  # past the block's last episode
     reward, won, payment, bids, (winners, pay, revenue) = block
     for parts in (rows, stepped):
         for got, want in zip((reward, won, payment, bids, winners, pay, revenue),
@@ -256,7 +259,7 @@ def _play(make_session):
     session = make_session()
     env, agents = harness.start(session)
     steps, step = [], env.step
-    env.step = lambda levels: steps.append(len(levels)) or step(levels)
+    env.step = lambda rows, levels: steps.append(len(levels)) or step(rows, levels)
     columns = harness.run_session(session, env, agents, session.scenario.episodes)
     return columns, env, agents, steps
 

@@ -214,6 +214,9 @@ def test_unknown_hyperparameter_exits_2(tmp_path, capsys, algo, key):
     ("dpn", {"lr": float("inf"), "batch_size": 4}, "lr"),
     ("ql", {"alpha": float("nan")}, "alpha"),
     ("ql", {"alpha": -1.0}, "alpha"),
+    ("ql", {"decay_rate": 2.0}, "decay_rate"),
+    ("dqn", {"decay_rate": -0.5}, "decay_rate"),
+    ("ql", {"eps_max": 1.5}, "eps_max"),
 ])
 def test_hyperparameter_type_and_range_exit_2(tmp_path, capsys, algo, overrides, key):
     cfg = tmp_path / "exp.json"
@@ -319,6 +322,7 @@ SPOILED = {
     "step_real": ("ppo", lambda meta, arrays: meta.update(opt_actor_step=2.7), "'opt_actor_step'"),
     "step_text": ("ppo", lambda meta, arrays: meta.update(opt_actor_step="7"), "'opt_actor_step'"),
     "ql_t_negative": ("ql", lambda meta, arrays: meta.update(t=-5), "'t'"),
+    "ql_decay_above_1": ("ql", lambda meta, arrays: meta.update(decay_rate=2.0), "'decay_rate'"),
 }
 
 

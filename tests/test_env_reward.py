@@ -102,35 +102,41 @@ def test_valuations_matrix():
 def test_step_before_reset_raises():
     env = _env()
     with pytest.raises(RuntimeError):
-        env.step([[(0, 0)] * 6])
+        env.step(slice(0, 1), [[(0, 0)] * 6])
 
 
 def test_step_wrong_action_count():
     env = _env()
     env.reset()
     with pytest.raises(ConfigError):
-        env.step([[(0, 0)] * 5])
+        env.step(slice(0, 1), [[(0, 0)] * 5])
     with pytest.raises(ConfigError):
-        env.step([[(0, 0)] * 5 + [(0,)]])
+        env.step(slice(0, 1), [[(0, 0)] * 5 + [(0,)]])
     with pytest.raises(ConfigError):
-        env.step([[(0, 0, 0)] * 6])
+        env.step(slice(0, 1), [[(0, 0, 0)] * 6])
     with pytest.raises(ConfigError):
-        env.step([[(0, 0)] * 6] * 2)  # two episodes' levels for a block of one
+        env.step(slice(0, 2), [[(0, 0)] * 6] * 2)  # two episodes' levels for a block of one
+    with pytest.raises(ConfigError):
+        env.step(slice(0, 1), [[(0, 0)] * 6] * 2)  # two episodes' levels for one row
+    with pytest.raises(ConfigError):
+        env.step(slice(1, 2), [[(0, 0)] * 6])  # a row past the block's end
+    with pytest.raises(ConfigError):
+        env.step(slice(0, 0), np.zeros((0, 6, 2), dtype=int))  # no row
 
 
 def test_step_out_of_grid_level():
     env = _env()
     env.reset()
     with pytest.raises(ConfigError):
-        env.step([[(99, 0)] + [(0, 0)] * 5])
+        env.step(slice(0, 1), [[(99, 0)] + [(0, 0)] * 5])
     with pytest.raises(ConfigError):
-        env.step([[(-1, 0)] + [(0, 0)] * 5])
+        env.step(slice(0, 1), [[(-1, 0)] + [(0, 0)] * 5])
 
 
 def test_step_canonicalizes_levels():
     env = _env()
     env.reset()
-    *_, bids, _ = env.step([[(2, 5), (5, 2)] + [(0, 0)] * 4])
+    *_, bids, _ = env.step(slice(0, 1), [[(2, 5), (5, 2)] + [(0, 0)] * 4])
     assert bids[0, 0].tolist() == [2.5, 1.0]
     assert bids[0, 1].tolist() == [2.5, 1.0]
 
@@ -140,7 +146,7 @@ def test_step_transitions_consistent():
     env.reset()
     values = env.valuations()[0, :, 0].copy()
     levels = [(20, 10)] * 3 + [(4, 2)] * 3
-    rewards, won, payment, bids, (winners, pay, revenue) = env.step([levels])
+    rewards, won, payment, bids, (winners, pay, revenue) = env.step(slice(0, 1), [levels])
     assert rewards.shape == (1, 6)
     assert won.shape == payment.shape == bids.shape == (1, 6, 2)
     rewards, won, payment = rewards[0], won[0], payment[0]
@@ -158,12 +164,18 @@ def test_step_transitions_consistent():
     assert {(w // 2, w % 2) for w in winners[0].tolist()} == set(zip(*np.nonzero(won)))
 
 
-def test_step_consumes_values():
-    env = _env()
-    env.reset()
-    env.step([[(0, 0)] * 6])
-    with pytest.raises(RuntimeError):
-        env.step([[(0, 0)] * 6])
+def test_step_clears_any_rows_and_draws_nothing():
+    env = _env(rule="gsp", supply=6, seed=3)
+    env.reset(8)
+    levels = np.random.default_rng(4).integers(0, 3, size=(8, 6, 2))  # few levels: many ties
+    states = [rng.bit_generator.state for rng in (env._value_rng, env._tie_rng)]
+    outs = []
+    for rows in (slice(0, 8), slice(4, 8), slice(0, 4), slice(0, 4)):  # the block, its second half, first, first
+        outs.append([*(out := env.step(rows, levels[rows]))[:4], *out[4]])
+        assert [rng.bit_generator.state for rng in (env._value_rng, env._tie_rng)] == states
+    for whole, late, early, again in zip(*outs):
+        assert np.array_equal(early, again)
+        assert np.array_equal(whole, np.concatenate([early, late]))
 
 
 def test_value_distribution_uniform():

@@ -14,10 +14,13 @@ since warnings name source lines. The two trees run side by side.
 
 The fixed set: pretrains of all six learners under dp K=4, gsp K=6 and up K=8
 (1,100 episodes, longer than a 512-episode block); a 2,048-episode dqn
-pretrain across its warm-up; up K=8 pretrains of dpn, dqn, a2c and ppo with
-small batches, warm-up and rollout from a config file; `pretrain --all` at
-40 episodes with that file; learning, `--freeze` and `--all-ppo` tournaments
-from the dp K=4 checkpoints; a missing-checkpoint (exit 4) and a
+pretrain across its warm-up; a 5,000-episode gsp K=6 ql pretrain (ten blocks
+cleared an episode a step, so the tie orders of many resets are used); up
+K=8 pretrains of dpn, dqn, a2c and ppo with small batches, warm-up and
+rollout from a config file; `pretrain --all` at 40 episodes with that file;
+learning, `--freeze` and `--all-ppo` tournaments from the dp K=4
+checkpoints, and a 5,000-episode `--freeze` gsp K=6 tournament from them
+(ten blocks, each cleared whole); a missing-checkpoint (exit 4) and a
 wrong-algorithm (exit 5) tournament; six commands that fail before any session
 runs (a pretrain without --algo, two malformed --ckpt, a tournament config
 file with hyperparameters, an --all-ppo tournament without a checkpoint and a
@@ -64,6 +67,7 @@ def session_commands() -> list[list[str]]:
         for a in LEARNERS
     ]
     cmds.append(["pretrain", "--algo", "dqn", "--auction", "gsp", "--items", "6", "--episodes", "2048", "--seed", "5"])
+    cmds.append(["pretrain", "--algo", "ql", "--auction", "gsp", "--items", "6", "--episodes", "5000", "--seed", "9"])
     cmds += [
         ["pretrain", "--config", "hyper.json", "--algo", a, "--auction", "up", "--items", "8", "--episodes", "700",
          "--seed", "4"]
@@ -73,6 +77,8 @@ def session_commands() -> list[list[str]]:
     cmds += [
         ["tournament", "--auction", "gsp", "--items", "6", "--episodes", "1300", "--seed", "7", *_ckpts()],
         ["tournament", "--freeze", "--auction", "up", "--items", "8", "--episodes", "600", "--seed", "7", *_ckpts()],
+        ["tournament", "--freeze", "--auction", "gsp", "--items", "6", "--episodes", "5000", "--seed", "9",
+         *_ckpts()],
         ["tournament", "--all-ppo", "--auction", "dp", "--items", "4", "--episodes", "1100", "--seed", "7",
          *_ckpts(("ppo",))],
         ["tournament", "--auction", "dp", "--items", "4", "--episodes", "10", "--seed", "8", *_ckpts(("ppo",))],
