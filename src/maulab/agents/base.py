@@ -104,9 +104,12 @@ class Agent:
     """Base bidder agent. Subclasses implement act() and learning in observe().
 
     `act` maps a block of observations, one (k,) row per episode, to a row of k
-    levels per episode. A seat that trains acts (exploring) on a run of the
-    next `horizon()` episodes or fewer at once, then observes that run in one
-    call: an exploring act on m rows draws what m one-row acts would.
+    levels per episode. A seat that trains acts (exploring) on the episodes
+    from the next one it will observe, and observes a run of them in one call:
+    an exploring act on m rows draws what m one-row acts would. A seat acts on
+    the next `horizon()` episodes or fewer, once per episode, and no act leaves
+    state behind, except for a table learner (`TableAgent`), which acts ahead
+    on runs and keeps each row's draws until the row is observed.
 
     The checkpoint codec: a checkpoint's meta holds every constructor
     hyperparameter, read back from the attribute of the same name, and the
@@ -138,10 +141,10 @@ class Agent:
         raise NotImplementedError
 
     def observe(self, obs: np.ndarray, levels: np.ndarray, rewards: np.ndarray) -> None:
-        """Deliver a run of m <= horizon() episodes that the agent's current
-        policy acted on: its (m, k) observations, the (m, k) levels act
-        returned and the (m,) episode rewards. Act leaves no state behind, so
-        the run need not be the last act's. Called only for a seat that trains."""
+        """Deliver a run of m <= horizon() episodes (any m for a table learner)
+        that the agent's current policy acted on: its (m, k) observations, the
+        (m, k) levels act returned and the (m,) episode rewards. Called only
+        for a seat that trains."""
 
     def horizon(self) -> int:
         """How many upcoming episodes (at least 1) this agent's policy stays
@@ -197,8 +200,18 @@ class RandomAgent(Agent):
 
 class TableAgent(Agent):
     """A learner with one table row per value bin and one column per
-    canonical joint bid. It observes a run row by row, in episode order,
-    through the subclass's `update(table, s, a, r, alpha)`."""
+    canonical joint bid, updated row by row, in episode order, through the
+    subclass's `update(table, s, a, r, alpha)`.
+
+    A seat that trains acts ahead, on a run of episodes, with the table it has
+    at the run's start; what it draws does not depend on the table. So an
+    exploring act keeps each row's draws in `_pending`, a queue that starts at
+    the next episode to observe: on rows that already hold kept draws it
+    re-derives their actions from them with the current table, and it draws
+    (`_draw`) only for the rows past them. `speculate` finds how many leading
+    rows of an acted run keep their action once the rows before them are
+    observed, and `observe` drains the rows it is given from the queue. Acts
+    with `explore=False` keep nothing."""
 
     counters = ("t",)
 
@@ -209,14 +222,46 @@ class TableAgent(Agent):
         self.actions, self.action_index = action_table(config.grid_levels, self.k)
         self.table = np.zeros((value_bins, len(self.actions)))
         self.t = 0
+        self._pending: list = []
+        self._speculation: tuple[int, np.ndarray] | None = None  # rows kept, and the table after them
 
     def _bin(self, obs: np.ndarray) -> int:
         return bin_value(self.value_of(obs), self.config.value_lo, self.config.value_hi, self.value_bins)
 
+    def _kept(self, m: int) -> list:
+        """The kept draws of the next m episodes, drawing for those that have none."""
+        self._pending += self._draw(range(len(self._pending), m))
+        return self._pending[:m]
+
+    def speculate(self, obs: np.ndarray, levels: np.ndarray, rewards: np.ndarray) -> int:
+        """How many leading rows of a run that this agent acted on (exploring)
+        keep their action once the rows before them are observed: at least 1,
+        since the first row's table is the one it acted with. A later row can
+        change only if an earlier row of the run updated its bin; it is
+        re-derived (`_action`) from its kept draws with the table updated so
+        far. The updates are made on a copy of the table, which `observe` takes
+        when it is next given exactly the rows kept."""
+        table, updated, n = self.table.copy(), set(), 0
+        rows = zip(self._bin(obs).tolist(), action_indices(self.action_index, levels), rewards.tolist(), self._pending)
+        for s, a, r, kept in rows:
+            if s in updated and self._action(table, s, kept) != a:
+                break
+            self.update(table, s, a, r, self.alpha)
+            updated.add(s)
+            n += 1
+        self._speculation = n, table
+        return n
+
     def observe(self, obs: np.ndarray, levels: np.ndarray, rewards: np.ndarray) -> None:
-        for s, a, r in zip(self._bin(obs).tolist(), action_indices(self.action_index, levels), rewards.tolist()):
-            self.update(self.table, s, a, r, self.alpha)
-        self.t += len(rewards)
+        n, speculation = len(rewards), self._speculation
+        self._speculation = None
+        if speculation is not None and speculation[0] == n:
+            self.table[...] = speculation[1]
+        else:
+            for s, a, r in zip(self._bin(obs).tolist(), action_indices(self.action_index, levels), rewards.tolist()):
+                self.update(self.table, s, a, r, self.alpha)
+        self.t += n
+        del self._pending[:n]
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {"table": self.table}
@@ -316,6 +361,10 @@ def check_overrides(algo: str, overrides: dict) -> None:
 
 
 def make_agent(algo: str, config: ScenarioConfig, rng: np.random.Generator, **overrides) -> Agent:
-    """Construct a fresh agent by algorithm tag."""
+    """Construct a fresh agent by algorithm tag. Arrays that cannot be
+    allocated raise ConfigError, naming the overrides."""
     check_overrides(algo, overrides)
-    return agent_class(algo)(config, rng, **overrides)
+    try:
+        return agent_class(algo)(config, rng, **overrides)
+    except MemoryError as e:
+        raise ConfigError(f"{algo} hyperparameters {overrides}: the agent's arrays do not fit in memory ({e})") from None

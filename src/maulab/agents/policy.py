@@ -8,7 +8,7 @@ import numpy as np
 from maulab.agents.base import NetAgent, ReplayBuffer, TableAgent
 from maulab.config import ScenarioConfig
 from maulab.nn import Categorical, OptimState, adam_step_params, backward, forward, mlp_init, softmax
-from maulab.nn import log_softmax, sample_categorical
+from maulab.nn import categorical_cdf, log_softmax, sample_categorical
 
 
 def vpg_update(table: np.ndarray, s: int, a: int, r: float, alpha: float) -> None:
@@ -37,8 +37,20 @@ class VpgAgent(TableAgent):
     ):
         super().__init__(config, rng, value_bins, alpha)
 
+    def _draw(self, rows: range) -> list[float]:
+        return self.rng.random(len(rows)).tolist()
+
+    def _action(self, table: np.ndarray, s: int, kept: float) -> int:
+        return int((kept > categorical_cdf(log_softmax(table[s]))).sum())
+
     def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
-        return self.actions[sample_categorical(log_softmax(self.table[self._bin(obs)]), self.rng)]
+        """A sample of the policy by inverse CDF from one uniform per row,
+        which an exploring act keeps; it takes each bin's CDF once."""
+        bins = self._bin(obs)
+        if not explore:
+            return self.actions[sample_categorical(log_softmax(self.table[bins]), self.rng)]
+        u = np.array(self._kept(len(obs)))[:, None]
+        return self.actions[(u > categorical_cdf(log_softmax(self.table))[bins]).sum(axis=-1)]
 
 
 # --- factored two-head categorical machinery (shared with actor-critic) ----

@@ -23,23 +23,25 @@ def q_update(table: np.ndarray, s: int, a: int, r: float, alpha: float) -> None:
     table[s, a] += alpha * (r - table[s, a])
 
 
-def _epsilon_greedy(agent, obs: np.ndarray, explore: bool, greedy) -> np.ndarray:
-    """Greedy's action index per row of obs. An exploring act instead takes, for
-    each row j in order, a uniform random index with probability epsilon(t + j):
-    row j is observed j episodes after the first. A non-exploring agent draws
-    nothing, and greedy sees only the rows that do not explore."""
-    if not explore:
-        return greedy(obs)
-    index, greedy_rows = np.empty(len(obs), dtype=int), []
-    for j in range(len(obs)):
+def epsilon_draws(agent, rows: range) -> list[int]:
+    """For each row j of `rows`, in order: with probability epsilon(t + j) a
+    uniform random action index, else -1 (greedy); row j is observed j
+    episodes after the next one. Nothing is drawn where epsilon is 0."""
+    draws = []
+    for j in rows:
         eps = epsilon_at(agent.eps_max, agent.decay_rate, agent.t + j)
-        if eps > 0.0 and agent.rng.random() < eps:
-            index[j] = agent.rng.integers(len(agent.actions))
-        else:
-            greedy_rows.append(j)
-    if len(greedy_rows) == len(obs):
+        draws.append(int(agent.rng.integers(len(agent.actions))) if eps > 0.0 and agent.rng.random() < eps else -1)
+    return draws
+
+
+def _epsilon_greedy(draws: list[int], obs: np.ndarray, greedy) -> np.ndarray:
+    """Each row's action index: its drawn one, or greedy's where it drew -1
+    (greedy sees only those rows)."""
+    index = np.array(draws)
+    greedy_rows = index < 0
+    if greedy_rows.all():
         return greedy(obs)
-    if greedy_rows:
+    if greedy_rows.any():
         index[greedy_rows] = greedy(obs[greedy_rows])
     return index
 
@@ -68,8 +70,17 @@ class QLearningAgent(TableAgent):
     def _greedy(self, obs: np.ndarray) -> np.ndarray:
         return self.table.argmax(axis=1)[self._bin(obs)]  # ties -> lowest index
 
+    def _draw(self, rows: range) -> list[int]:
+        return epsilon_draws(self, rows)
+
+    def _action(self, table: np.ndarray, s: int, kept: int) -> int:
+        return kept if kept >= 0 else int(table[s].argmax())
+
     def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
-        return self.actions[_epsilon_greedy(self, obs, explore, self._greedy)]
+        """Greedy unless exploring; an exploring act keeps each row's draw."""
+        if not explore:
+            return self.actions[self._greedy(obs)]
+        return self.actions[_epsilon_greedy(self._kept(len(obs)), obs, self._greedy)]
 
 
 def dqn_train_step(
@@ -134,7 +145,9 @@ class DqnAgent(NetAgent):
         return q[:, 0].argmax(axis=1)  # ties -> lowest index
 
     def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
-        return self.actions[_epsilon_greedy(self, obs, explore, self._greedy)]
+        if not explore:
+            return self.actions[self._greedy(obs)]
+        return self.actions[_epsilon_greedy(epsilon_draws(self, range(len(obs))), obs, self._greedy)]
 
     def horizon(self) -> int:
         """The episodes left until the buffer is warm, then 1 (an update per episode)."""

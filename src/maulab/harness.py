@@ -15,15 +15,16 @@ from pathlib import Path
 
 import numpy as np
 
-from maulab.agents.base import Agent, agent_class, check_overrides, hyperparameter_names, make_agent
+from maulab.agents.base import Agent, TableAgent, agent_class, check_overrides, hyperparameter_names, make_agent
 from maulab.auction import efficiency_gap, efficiency_ratio, slot_sum
 from maulab.checkpoint import CheckpointError, MissingCheckpointError, load_checkpoint, save_checkpoint
-from maulab.config import ALGOS, LEARNERS, RULES, TOURNAMENT_IDS, ScenarioConfig, Seat, Session
+from maulab.config import ALGOS, LEARNERS, RULES, TOURNAMENT_IDS, ConfigError, ScenarioConfig, Seat, Session
 from maulab.env import AuctionEnv
 from maulab.metrics import AUCTION_LOG_FIELDS, EPISODE_LOG_FIELDS, atomic_open, bid_ratio, learning_ratio, write_csv
 
 SUPPLIES = (4, 6, 8)
 BLOCK = 512  # episodes per block; a training seat splits a block at its horizon
+RUN_CAP = 16  # the most episodes a table learner acts on ahead of its updates
 
 
 def make_streams(master_seed: int, n_agents: int):
@@ -43,41 +44,75 @@ def run_episode(env: AuctionEnv, agents: list[Agent], train, out) -> None:
 
     `train` holds one flag per agent. The reset draws the block's values and
     tie orders, and each agent that does not train acts on the whole block,
-    greedily. The block then clears in runs of episodes: a run spans the
-    smallest `horizon()` of the training agents (the whole block when none
-    trains). Each training agent acts on the run (exploring), one step clears
-    it, and each observes the whole run in one call. That is exact: learners share no state, and none updates before
-    the end of a run."""
+    greedily. The block then clears in runs of episodes, each one `env.step`.
+
+    A training seat other than a table learner acts (exploring) once its
+    earlier rows are all observed, on the episodes up to its next update
+    (`horizon()`) within the block, and keeps an "acted up to" row; a run ends
+    at the first such row. A table learner acts on each run, up to `RUN_CAP`
+    episodes, with the table it has at the run's start, and the run is then
+    cut at the first row whose action an update of an earlier row of the run
+    changes (`TableAgent.speculate`). Each learner observes the rows before the
+    cut in one call; the rows past it are re-derived from the table learners'
+    kept draws and cleared again by the next run. That is exact: learners
+    share no state, no other learner updates before the end of a run, and no
+    table learner's draw depends on its table."""
     reward, won, payment, bids, winners, revenue, valuations = out
-    observations = env.reset(len(reward))
+    end = len(reward)
+    observations = env.reset(end)
     valuations[...] = env.valuations()
     seats = observations.transpose(1, 0, 2)  # [i]: agent i's (B, k) observations
     levels = np.empty(observations.shape, dtype=int)
     learners = [i for i, t in enumerate(train) if t]
+    tables = [i for i in learners if isinstance(agents[i], TableAgent)]
+    acted = {i: 0 for i in learners if i not in tables}  # the other learners have acted on the rows before acted[i]
     for i, agent in enumerate(agents):
         if i not in learners:
             levels[:, i] = agent.act(seats[i], explore=False)
     start = 0
-    while start < len(reward):
-        rows = slice(start, min([len(reward), *(start + agents[i].horizon() for i in learners)]))
-        for i in learners:
+    while start < end:
+        for i in acted:
+            if acted[i] == start:
+                acted[i] = min(end, start + agents[i].horizon())
+                levels[start : acted[i], i] = agents[i].act(seats[i, start : acted[i]], explore=True)
+        rows = slice(start, min(end, start + RUN_CAP if tables else end, *acted.values()))
+        for i in tables:
             levels[rows, i] = agents[i].act(seats[i, rows], explore=True)
         reward[rows], won[rows], payment[rows], bids[rows], (winners[rows], _, revenue[rows]) = env.step(rows, levels[rows])
+        cut = min([rows.stop, *(start + agents[i].speculate(seats[i, rows], levels[rows, i], reward[rows, i])
+                                for i in tables)])
+        rows = slice(start, cut)
         for i in learners:
             agents[i].observe(seats[i, rows], levels[rows, i], reward[rows, i])
-        start = rows.stop
+        start = cut
 
 
-def run_session(session: Session, env: AuctionEnv, agents: list[Agent], episodes: int) -> tuple[dict, dict]:
+def session_arrays(session: Session, episodes: int) -> tuple[np.ndarray, ...]:
+    """The per-episode arrays that `run_session` fills: reward, won, payment,
+    bids, winners, revenue, valuations and the two efficiency scores. Raises
+    ConfigError, naming the episode count, when they cannot be allocated."""
+    n, k, K = len(session.roster), session.scenario.units_per_bidder, session.scenario.supply
+    try:
+        return (
+            np.empty((episodes, n)), np.empty((episodes, n, k), dtype=bool), np.empty((episodes, n, k)),
+            np.empty((episodes, n, k)), np.empty((episodes, K), dtype=int), np.empty(episodes),
+            np.empty((episodes, n, k)), np.empty(episodes), np.empty(episodes),
+        )
+    except MemoryError as e:
+        raise ConfigError(f"episodes {episodes}: the session's columns do not fit in memory ({e})") from None
+
+
+def run_session(
+    session: Session, env: AuctionEnv, agents: list[Agent], episodes: int, arrays: tuple | None = None
+) -> tuple[dict, dict]:
     """Run `episodes` auctions in blocks of BLOCK, returning the columns of the
     episode log (one row per agent per episode) and of the auction log (one row
-    per episode). Efficiency is scored a block a call."""
+    per episode). Efficiency is scored a block a call. `arrays` are the
+    session's `session_arrays`, allocated here when not given."""
     config, train = session.scenario, [seat.train for seat in session.roster]
     n, k, K = len(agents), config.units_per_bidder, config.supply
-    reward, revenue = np.empty((episodes, n)), np.empty(episodes)
-    valuations, bids, payment = (np.empty((episodes, n, k)) for _ in range(3))
-    won, winners = np.empty((episodes, n, k), dtype=bool), np.empty((episodes, K), dtype=int)
-    eff_ratio, eff_gap = np.empty(episodes), np.empty(episodes)
+    arrays = session_arrays(session, episodes) if arrays is None else arrays
+    reward, won, payment, bids, winners, revenue, valuations, eff_ratio, eff_gap = arrays
     for a in range(0, episodes, BLOCK):
         rows = slice(a, a + BLOCK)
         run_episode(env, agents, train, [x[rows] for x in (reward, won, payment, bids, winners, revenue, valuations)])
@@ -143,7 +178,7 @@ def load_agent(path, config: ScenarioConfig, rng: np.random.Generator) -> Agent:
         check_overrides(algo, saved)
         agent = cls(config, rng, **saved)
         agent.load_payload(meta, arrays)
-    except (CheckpointError, TypeError, ValueError) as e:
+    except (CheckpointError, TypeError, ValueError, MemoryError) as e:
         raise CheckpointError(f"{path}: {e}") from None
     return agent
 
@@ -230,15 +265,18 @@ def run(session: Session, out) -> Path:
     under `out` (label: the learner for a pretrain, "ppo6" for six PPO seats,
     else "tournament"). The logs come first, then the checkpoint of every seat
     that is not random, then config.json, last: the session spec and
-    `out_dir`. Nothing is written unless every agent could be built."""
+    `out_dir`. Nothing is written unless every agent and the session's
+    arrays could be built."""
     env, agents = start(session)
     s = session.scenario
     algos = {seat.algo for seat in session.roster}
     label = session.roster[0].algo if session.mode == "pretrain" else "ppo6" if algos == {"ppo"} else "tournament"
     run_dir = Path(out) / f"{s.rule}_{s.supply}_{label}_{s.master_seed}"
+    arrays = session_arrays(session, s.episodes)
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.json").unlink(missing_ok=True)
-    episode_columns, auction_columns = run_session(session, env, agents, s.episodes)
+    episode_columns, auction_columns = run_session(session, env, agents, s.episodes, arrays)
+    del arrays  # the columns keep what they use of them; the rest is freed before the logs are written
     write_csv(episode_columns, run_dir / "episodes.csv", EPISODE_LOG_FIELDS)
     write_csv(auction_columns, run_dir / "auctions.csv", AUCTION_LOG_FIELDS)
     for seat, agent in zip(session.roster, agents):

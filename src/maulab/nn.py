@@ -160,11 +160,19 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 def sample_categorical(log_probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One index per row of `log_probs` (over the last axis) by inverse CDF,
-    from one uniform draw per row in row order."""
-    cdf = np.exp(log_probs)
-    np.cumsum(cdf, axis=-1, out=cdf)
+    from one uniform draw per row in row order: the count of the row's CDF
+    values below its uniform."""
+    cdf = categorical_cdf(log_probs)
     u = rng.random(cdf.shape[:-1] + (1,))
     return (u > cdf).sum(axis=-1)
+
+
+def categorical_cdf(log_probs: np.ndarray) -> np.ndarray:
+    """The CDF of each row of `log_probs` (over the last axis), the same bits
+    whatever the other rows."""
+    cdf = np.exp(log_probs)
+    np.cumsum(cdf, axis=-1, out=cdf)
+    return cdf
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -214,10 +214,9 @@ def test_frozen_tabular_agent_is_pure():
 def test_full_exploration_covers_action_space():
     config = _config(episodes=100)
     agent = make_agent("ql", config, np.random.default_rng(6), decay_rate=1.0)
-    seen = set()
-    obs = np.full(2, 0.5)
-    for _ in range(20_000):
-        seen.add(tuple(agent.act(obs[None])[0].tolist()))
+    # one exploring act on the next 20,000 episodes: acting again on episodes
+    # not yet observed re-derives their actions from the same kept draws
+    seen = {tuple(row) for row in agent.act(np.full((20_000, 2), 0.5)).tolist()}
     assert len(seen) == 231
 
 

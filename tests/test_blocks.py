@@ -3,10 +3,12 @@
 A session plays blocks of up to `harness.BLOCK` episodes. Seats that do not
 train act on a whole block per call; a frozen session also clears it at once,
 while one with a training seat clears it in runs up to the seats' next update
-(`horizon()`). Each test here runs one layer on a block and on its rows one by
-one (blocks of one), or a session with other block sizes and with every
-horizon forced to 1, from the same seeded streams, and asserts equal results,
-bit for bit, and equal stream states afterwards.
+(`horizon()`), and a table learner's runs (ql, vpg) of up to `harness.RUN_CAP`
+episodes are cut at the first row an update of the run changes. Each test here
+runs one layer on a block and on its rows one by one (blocks of one), or a
+session with other block sizes, with every horizon forced to 1 or with other
+run caps, from the same seeded streams, and asserts equal results, bit for
+bit, and equal stream states afterwards.
 """
 
 import copy
@@ -182,17 +184,18 @@ def test_block_sampling_matches_categorical(algo):
     agent = make_agent(algo, ScenarioConfig(), np.random.default_rng(9))
     if algo == "vpg":
         agent.table[...] = np.random.default_rng(1).normal(size=agent.table.shape)
-    draws = copy.deepcopy(agent.rng)
     obs = _obs()
-    block = agent.act(obs, explore=False)
-    for o, row in zip(obs, block.tolist()):
-        if algo == "vpg":
-            want = agent.actions[Categorical(agent.table[agent._bin(o)]).sample(draws)].tolist()
-        else:
-            out, _ = forward(agent.net if algo == "dpn" else agent.actor, o)
-            want = Categorical(out.reshape(2, 21)).sample(draws).tolist()
-        assert row == want
-    assert _same_state(agent.rng, draws)
+    for explore in (False, True):  # an exploring vpg takes each bin's CDF once
+        draws = copy.deepcopy(agent.rng)
+        block = agent.act(obs, explore=explore)
+        for o, row in zip(obs, block.tolist()):
+            if algo == "vpg":
+                want = agent.actions[Categorical(agent.table[agent._bin(o)]).sample(draws)].tolist()
+            else:
+                out, _ = forward(agent.net if algo == "dpn" else agent.actor, o)
+                want = Categorical(out.reshape(2, 21)).sample(draws).tolist()
+            assert row == want
+        assert _same_state(agent.rng, draws)
 
 
 def test_ppo_update_gets_the_log_probability_each_row_was_drawn_with(monkeypatch):
@@ -249,7 +252,7 @@ LEARNING_SESSIONS = {
     "dpn": (lambda: harness.pretrain("dpn", "gsp", 6, 300, 3, overrides={"batch_size": 16}), 16),
     "ppo": (lambda: harness.pretrain("ppo", "up", 8, 600, 3), 512),
     "dqn": (lambda: harness.pretrain("dqn", "dp", 4, 300, 3, overrides={"warmup": 64}), 64),
-    "tournament": (lambda: harness.tournament("gsp", 6, {}, 300, 3), 1),  # ql and vpg update every episode
+    "tournament": (lambda: harness.tournament("gsp", 6, {}, 300, 3), 5),  # a2c's batch; ql and vpg act on runs
     "ppo6": (lambda: harness.tournament("dp", 4, {}, 600, 3, all_ppo=True), 512),
 }
 
@@ -275,7 +278,10 @@ def test_learning_sessions_do_not_depend_on_horizons_or_block_size(name, monkeyp
     for block in (1, 7, 4096):
         monkeypatch.setattr(harness, "BLOCK", block)
         columns, env, agents, steps = _play(make_session)
-        assert sum(steps) == sum(want_steps)
+        if name == "tournament":
+            assert sum(steps) >= sum(want_steps)  # ql's and vpg's rows past a cut are stepped again
+        else:
+            assert sum(steps) == sum(want_steps)
         assert max(steps) == min(block, longest)
         for w, g in zip(want_columns, columns):
             assert w.keys() == g.keys()
@@ -313,21 +319,24 @@ def test_horizons_count_the_episodes_to_the_next_update():
         assert make_agent(algo, config, np.random.default_rng(1)).horizon() == 1
 
 
-@pytest.mark.parametrize("algo", ["ql", "dqn", "a2c", "ppo"])
+@pytest.mark.parametrize("algo", ["ql", "vpg", "dqn", "a2c", "ppo"])
 def test_exploring_act_on_a_block_matches_single_rows(algo):
     config = ScenarioConfig(episodes=100)
     a, b = make_agent(algo, config, np.random.default_rng(2)), make_agent(algo, config, np.random.default_rng(2))
     for agent in (a, b):
         if algo in ("ql", "dqn"):
             agent.t, agent.decay_rate = 40, 0.99  # epsilon 0.67 at the first row, 0.012 at the last
-        if algo == "ql":
+        if algo in ("ql", "vpg"):
             agent.table[...] = np.random.default_rng(3).integers(0, 3, size=agent.table.shape)
     obs = _obs()
     block = a.act(obs, explore=True)
     rows = []
+    b.alpha = 0.0  # ql, vpg: observing drains a row's kept draw and leaves the table as it is
     for j, o in enumerate(obs):
         b.t = a.t + j  # the row's episode comes j observes after the block's first
         rows.append(b.act(o[None], explore=True))
+        if algo in ("ql", "vpg"):
+            b.observe(o[None], rows[-1], np.zeros(1))
     assert np.array_equal(block, np.concatenate(rows))
     assert _same_state(a.rng, b.rng)
 
@@ -390,3 +399,101 @@ def test_observe_needs_no_act_before_it(algo):
     assert arrays_a.keys() == arrays_b.keys()
     assert all(np.array_equal(arrays_a[name], arrays_b[name]) for name in arrays_a)
     assert _same_state(agent.rng, twin.rng)
+
+
+# --- table learners: runs of up to RUN_CAP episodes, cut at the first changed row
+
+CAP_SESSIONS = {
+    "ql": lambda: harness.pretrain("ql", "dp", 4, 700, 3),
+    "vpg": lambda: harness.pretrain("vpg", "up", 8, 700, 3),
+    "tournament": lambda: harness.tournament("gsp", 6, {}, 300, 3),  # beside a2c, ppo, dpn and a warming dqn
+}
+
+
+def _play_counting_acts(make_session):
+    """_play, with the rows each seat acted on (exploring) counted per seat."""
+    acted = {}
+
+    def counting(act):
+        def wrapper(self, obs, explore=True):
+            if explore:
+                acted[id(self)] = acted.get(id(self), 0) + len(obs)
+            return act(self, obs, explore)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as m:
+        for cls in (A2cAgent, PpoAgent, DpgAgent, DqnAgent):
+            m.setattr(cls, "act", counting(cls.act))
+        columns, env, agents, steps = _play(make_session)
+    return columns, env, agents, steps, [acted.get(id(a), 0) for a in agents]
+
+
+@pytest.mark.parametrize("name", list(CAP_SESSIONS))
+def test_sessions_do_not_depend_on_the_run_cap(name, monkeypatch):
+    runs = {}
+    for cap in (1, 7, 512):
+        monkeypatch.setattr(harness, "RUN_CAP", cap)
+        runs[cap] = _play_counting_acts(CAP_SESSIONS[name])
+    want_columns, want_env, want_agents, want_steps, want_acted = runs[1]
+    episodes = CAP_SESSIONS[name]().scenario.episodes
+    assert sum(want_steps) == episodes  # at a cap of 1 each step clears the next episode once
+    for cap in (7, 512):
+        columns, env, agents, steps, acted = runs[cap]
+        assert max(steps) > 1 and sum(steps) >= episodes
+        assert acted == want_acted  # the other learners act on each episode once
+        for w, g in zip(want_columns, columns):
+            assert all(np.array_equal(w[key], g[key]) for key in w)
+        for want, got in zip(want_agents, agents):
+            (want_meta, want_arrays), (meta, arrays) = want.checkpoint_payload(), got.checkpoint_payload()
+            assert meta == want_meta
+            assert all(np.array_equal(arrays[key], want_arrays[key]) for key in arrays)
+            assert _same_state(want.rng, got.rng)
+            assert getattr(got, "_pending", []) == []  # each block ends with every kept draw observed
+        assert all(_same_state(getattr(want_env, s), getattr(env, s)) for s in ("_value_rng", "_tie_rng"))
+    if name == "tournament":
+        assert [a for a, agent in zip(want_acted, want_agents) if agent.algo in ("a2c", "ppo", "dpn", "dqn")] == [
+            episodes] * 4
+
+
+def _planted(algo, table_row, kept):
+    """A table learner whose bin-5 row is `table_row`, with one kept draw per
+    row of an 8-row run in bin 5, and the run's observations."""
+    overrides = {"eps_max": 0.0} if algo == "ql" else {}  # ql: every row greedy
+    agent = make_agent(algo, ScenarioConfig(episodes=100), np.random.default_rng(0), **overrides)
+    agent.table[5] = table_row
+    agent._pending = list(kept)
+    obs = np.full((8, 2), 0.5)  # value 5.0: bin 5 of 11
+    assert (agent._bin(obs) == 5).all()
+    return agent, obs
+
+
+@pytest.mark.parametrize("algo", ["ql", "vpg"])
+def test_a_run_is_cut_at_the_first_row_an_update_changes(algo):
+    # ql: actions 3 and 7 lead bin 5 by a margin of 0.01; row 3's reward of 0
+    # drops action 3 below action 7, so the greedy row 4 is the first to change.
+    # vpg: actions 3 and 7 share bin 5's probability, and every kept uniform is
+    # 0.3 (action 3); row 3's reward of -20 moves action 3's CDF value below
+    # 0.3, so row 4 is the first to fall in another interval.
+    row = np.full(231, -30.0)
+    row[[3, 7]] = (1.0, 0.99) if algo == "ql" else (0.0, 0.0)
+    kept = [-1] * 8 if algo == "ql" else [0.3] * 8
+    rewards = np.where(np.arange(8) == 3, 0.0 if algo == "ql" else -20.0, 1.0 if algo == "ql" else 0.0)
+    agent, obs = _planted(algo, row, kept)
+    twin, _ = _planted(algo, row, kept)
+    levels = agent.act(obs)
+    assert np.array_equal(levels, np.tile(agent.actions[3], (8, 1)))
+    assert agent.speculate(obs, levels, rewards) == 4
+    agent.observe(obs[:4], levels[:4], rewards[:4])
+    for e in range(4):  # the same rows observed one at a time
+        twin.act(obs[e : e + 1])
+        twin.observe(obs[e : e + 1], levels[e : e + 1], rewards[e : e + 1])
+    assert np.array_equal(agent.table, twin.table) and agent.t == twin.t == 4
+    redone = agent.act(obs[4:])  # the rows past the cut, re-derived from their kept draws
+    assert redone[0].tolist() == agent.actions[7].tolist()
+    assert agent._pending == kept[4:]
+    assert _same_state(agent.rng, np.random.default_rng(0))  # the planted draws were all it used
+
+
+def test_a_ql_pretrain_clears_runs_of_episodes():
+    steps = _play(lambda: harness.pretrain("ql", "dp", 4, 2048, 3))[3]
+    assert sum(steps) >= 2048 and len(steps) < 1024

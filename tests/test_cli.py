@@ -626,3 +626,37 @@ def test_each_cli_failure_is_one_stderr_line_and_its_exit_code(tmp_path, capsys,
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert err.startswith("corrupt run directory" if argv[0] == "report" else "error:")
     assert not out.exists()
+
+
+# Sizes in the TiB range: numpy refuses them at once, so nothing is allocated.
+@pytest.mark.parametrize("case", ["episodes", "buffer_capacity", "value_bins"])
+def test_an_allocation_that_cannot_be_made_exits_2_and_writes_nothing(tmp_path, capsys, case):
+    out = tmp_path / "out"
+    if case == "episodes":
+        argv = ["pretrain", "--algo", "ql", "--auction", "dp", "--items", "4", "--episodes", "1000000000000"]
+    else:
+        algo, value = ("dqn", 10_000_000_000_000) if case == "buffer_capacity" else ("ql", 100_000_000_000)
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({
+            "algo": algo, "auction": "dp", "items": 4, "episodes": 5, "hyperparameters": {algo: {case: value}},
+        }))
+        argv = ["pretrain", "--config", str(cfg)]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and case in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algo, key, value", [("dqn", "buffer_capacity", 10_000_000_000_000),
+                                             ("ql", "value_bins", 100_000_000_000)])
+def test_a_checkpoint_whose_arrays_cannot_be_allocated_exits_5(tmp_path, capsys, grid_checkpoints, algo, key, value):
+    from maulab.checkpoint import load_checkpoint, save_checkpoint
+
+    kind, meta, arrays = load_checkpoint(grid_checkpoints(algo))
+    bad = tmp_path / f"{algo}.ckpt"
+    save_checkpoint(bad, kind, dict(meta, **{key: value}), arrays)
+    ckpts = {**{a: grid_checkpoints(a) for a in ("ppo", "a2c", "dqn", "dpn", "ql", "vpg")}, algo: bad}
+    assert _frozen_tournament(tmp_path / "tour", ckpts) == 5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(bad) in err and "Traceback" not in err
+    assert not (tmp_path / "tour").exists()

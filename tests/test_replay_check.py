@@ -1,5 +1,6 @@
-"""The comparison at the heart of tools/replay_check.py. The full fixed set
-runs two trees for about 40 s, so it stays out of this suite."""
+"""The comparison at the heart of tools/replay_check.py, and what its fixed
+set holds. The full set runs two trees for about a minute, so it stays out of
+this suite."""
 
 import importlib.util
 from pathlib import Path
@@ -42,3 +43,11 @@ def test_session_commands_cover_every_learner_and_tournament_kind():
     tournaments = [c for c in cmds if c[0] == "tournament"]
     assert any("--freeze" in c for c in tournaments) and any("--all-ppo" in c for c in tournaments)
     assert all("--out" in c for c in cmds)
+
+
+def test_session_commands_hold_the_long_table_learner_pretrains():
+    # ql and vpg act on their longest runs late in a long session
+    cmds = replay_check.session_commands()
+    for algo in ("ql", "vpg"):
+        assert ["pretrain", "--algo", algo, "--auction", "dp", "--items", "4", "--episodes", "100000", "--seed", "11",
+                "--out", "runs"] in cmds

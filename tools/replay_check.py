@@ -15,8 +15,9 @@ since warnings name source lines. The two trees run side by side.
 The fixed set: pretrains of all six learners under dp K=4, gsp K=6 and up K=8
 (1,100 episodes, longer than a 512-episode block); a 2,048-episode dqn
 pretrain across its warm-up; a 5,000-episode gsp K=6 ql pretrain (ten blocks
-cleared an episode a step, so the tie orders of many resets are used); up
-K=8 pretrains of dpn, dqn, a2c and ppo with small batches, warm-up and
+cleared in runs, so the tie orders of many resets are used); 100,000-episode
+dp K=4 pretrains of ql and vpg, whose runs are longest, so that runs reach the
+run cap and rows past a cut are cleared again; up K=8 pretrains of dpn, dqn, a2c and ppo with small batches, warm-up and
 rollout from a config file; `pretrain --all` at 40 episodes with that file;
 learning, `--freeze` and `--all-ppo` tournaments from the dp K=4
 checkpoints, and a 5,000-episode `--freeze` gsp K=6 tournament from them
@@ -68,6 +69,8 @@ def session_commands() -> list[list[str]]:
     ]
     cmds.append(["pretrain", "--algo", "dqn", "--auction", "gsp", "--items", "6", "--episodes", "2048", "--seed", "5"])
     cmds.append(["pretrain", "--algo", "ql", "--auction", "gsp", "--items", "6", "--episodes", "5000", "--seed", "9"])
+    cmds += [["pretrain", "--algo", a, "--auction", "dp", "--items", "4", "--episodes", "100000", "--seed", "11"]
+             for a in ("ql", "vpg")]
     cmds += [
         ["pretrain", "--config", "hyper.json", "--algo", a, "--auction", "up", "--items", "8", "--episodes", "700",
          "--seed", "4"]
