@@ -210,8 +210,9 @@ class TableAgent(Agent):
     re-derives their actions from them with the current table, and it draws
     (`_draw`) only for the rows past them. `speculate` finds how many leading
     rows of an acted run keep their action once the rows before them are
-    observed, and `observe` drains the rows it is given from the queue. Acts
-    with `explore=False` keep nothing."""
+    observed, and applies their updates; `observe` drains the rows it is given
+    from the queue, first undoing the updates of kept rows it is not given.
+    Acts with `explore=False` keep nothing."""
 
     counters = ("t",)
 
@@ -223,7 +224,7 @@ class TableAgent(Agent):
         self.table = np.zeros((value_bins, len(self.actions)))
         self.t = 0
         self._pending: list = []
-        self._speculation: tuple[int, np.ndarray] | None = None  # rows kept, and the table after them
+        self._speculation: tuple[int, dict] = 0, {}  # rows the last speculate kept, and their bins' rows before them
 
     def _bin(self, obs: np.ndarray) -> int:
         return bin_value(self.value_of(obs), self.config.value_lo, self.config.value_hi, self.value_bins)
@@ -239,25 +240,32 @@ class TableAgent(Agent):
         since the first row's table is the one it acted with. A later row can
         change only if an earlier row of the run updated its bin; it is
         re-derived (`_action`) from its kept draws with the table updated so
-        far. The updates are made on a copy of the table, which `observe` takes
-        when it is next given exactly the rows kept."""
-        table, updated, n = self.table.copy(), set(), 0
-        rows = zip(self._bin(obs).tolist(), action_indices(self.action_index, levels), rewards.tolist(), self._pending)
-        for s, a, r, kept in rows:
-            if s in updated and self._action(table, s, kept) != a:
+        far. The kept rows update the table, each bin's row saved before its
+        first update, and the next `observe` keeps them only if it is given
+        as many rows."""
+        saved, n = {}, 0
+        for s, a, r, kept in zip(self._bin(obs).tolist(), action_indices(self.action_index, levels), rewards.tolist(),
+                                 self._pending):
+            if s not in saved:
+                saved[s] = self.table[s].copy()
+            elif self._action(self.table, s, kept) != a:
                 break
-            self.update(table, s, a, r, self.alpha)
-            updated.add(s)
+            self.update(self.table, s, a, r, self.alpha)
             n += 1
-        self._speculation = n, table
+        self._speculation = n, saved
         return n
 
     def observe(self, obs: np.ndarray, levels: np.ndarray, rewards: np.ndarray) -> None:
-        n, speculation = len(rewards), self._speculation
-        self._speculation = None
-        if speculation is not None and speculation[0] == n:
-            self.table[...] = speculation[1]
-        else:
+        """Observe a run in episode order. Right after `speculate`, the run
+        must be the leading rows of the one speculated on: those are the
+        pending rows, which `observe` drains in order. Given fewer rows than
+        `speculate` kept, it restores the saved table rows and updates from
+        them."""
+        n, (kept, saved) = len(rewards), self._speculation
+        self._speculation = 0, {}
+        if kept != n:
+            for s, row in saved.items():
+                self.table[s] = row
             for s, a, r in zip(self._bin(obs).tolist(), action_indices(self.action_index, levels), rewards.tolist()):
                 self.update(self.table, s, a, r, self.alpha)
         self.t += n

@@ -45,12 +45,9 @@ class VpgAgent(TableAgent):
 
     def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
         """A sample of the policy by inverse CDF from one uniform per row,
-        which an exploring act keeps; it takes each bin's CDF once."""
-        bins = self._bin(obs)
-        if not explore:
-            return self.actions[sample_categorical(log_softmax(self.table[bins]), self.rng)]
-        u = np.array(self._kept(len(obs)))[:, None]
-        return self.actions[(u > categorical_cdf(log_softmax(self.table))[bins]).sum(axis=-1)]
+        which an exploring act keeps."""
+        u = np.array(self._kept(len(obs))) if explore else self.rng.random(len(obs))
+        return self.actions[(u[:, None] > categorical_cdf(log_softmax(self.table[self._bin(obs)]))).sum(axis=-1)]
 
 
 # --- factored two-head categorical machinery (shared with actor-critic) ----

@@ -96,8 +96,6 @@ def cmd_pretrain(args) -> int:
     hyper = o.get("hyperparameters", {})
     if args.all:
         sessions = pretrain_grid(o["episodes"], o["seed"], o["grid_levels"], hyper)
-        out.mkdir(parents=True, exist_ok=True)
-        write_json(out / "manifest.json", [session.to_dict() for session in sessions])
     elif o["algo"] is None or o["auction"] is None or o["items"] is None:
         raise ConfigError("pretrain requires --algo, --auction and --items (or --all)")
     else:
@@ -106,6 +104,8 @@ def cmd_pretrain(args) -> int:
         )]
     for session in sessions:
         print(run(session, out) / checkpoint_name(session, session.roster[0]))
+    if args.all:
+        write_json(out / "manifest.json", [session.to_dict() for session in sessions])
     return 0
 
 

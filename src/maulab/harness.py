@@ -79,40 +79,30 @@ def run_episode(env: AuctionEnv, agents: list[Agent], train, out) -> None:
         for i in tables:
             levels[rows, i] = agents[i].act(seats[i, rows], explore=True)
         reward[rows], won[rows], payment[rows], bids[rows], (winners[rows], _, revenue[rows]) = env.step(rows, levels[rows])
-        cut = min([rows.stop, *(start + agents[i].speculate(seats[i, rows], levels[rows, i], reward[rows, i])
-                                for i in tables)])
+        cut = rows.stop
+        if cut - start > 1:  # a run's first row always keeps its action
+            cut = min([cut, *(start + agents[i].speculate(seats[i, rows], levels[rows, i], reward[rows, i])
+                              for i in tables)])
         rows = slice(start, cut)
         for i in learners:
             agents[i].observe(seats[i, rows], levels[rows, i], reward[rows, i])
         start = cut
 
 
-def session_arrays(session: Session, episodes: int) -> tuple[np.ndarray, ...]:
-    """The per-episode arrays that `run_session` fills: reward, won, payment,
-    bids, winners, revenue, valuations and the two efficiency scores. Raises
-    ConfigError, naming the episode count, when they cannot be allocated."""
-    n, k, K = len(session.roster), session.scenario.units_per_bidder, session.scenario.supply
-    try:
-        return (
-            np.empty((episodes, n)), np.empty((episodes, n, k), dtype=bool), np.empty((episodes, n, k)),
-            np.empty((episodes, n, k)), np.empty((episodes, K), dtype=int), np.empty(episodes),
-            np.empty((episodes, n, k)), np.empty(episodes), np.empty(episodes),
-        )
-    except MemoryError as e:
-        raise ConfigError(f"episodes {episodes}: the session's columns do not fit in memory ({e})") from None
-
-
-def run_session(
-    session: Session, env: AuctionEnv, agents: list[Agent], episodes: int, arrays: tuple | None = None
-) -> tuple[dict, dict]:
+def run_session(session: Session, env: AuctionEnv, agents: list[Agent], episodes: int) -> tuple[dict, dict]:
     """Run `episodes` auctions in blocks of BLOCK, returning the columns of the
     episode log (one row per agent per episode) and of the auction log (one row
-    per episode). Efficiency is scored a block a call. `arrays` are the
-    session's `session_arrays`, allocated here when not given."""
+    per episode). Efficiency is scored a block a call. Raises ConfigError,
+    naming the episode count, when its arrays cannot be allocated."""
     config, train = session.scenario, [seat.train for seat in session.roster]
     n, k, K = len(agents), config.units_per_bidder, config.supply
-    arrays = session_arrays(session, episodes) if arrays is None else arrays
-    reward, won, payment, bids, winners, revenue, valuations, eff_ratio, eff_gap = arrays
+    try:
+        reward, revenue = np.empty((episodes, n)), np.empty(episodes)
+        valuations, bids, payment = (np.empty((episodes, n, k)) for _ in range(3))
+        won, winners = np.empty((episodes, n, k), dtype=bool), np.empty((episodes, K), dtype=int)
+        eff_ratio, eff_gap = np.empty(episodes), np.empty(episodes)
+    except MemoryError as e:
+        raise ConfigError(f"episodes {episodes}: the session's arrays do not fit in memory ({e})") from None
     for a in range(0, episodes, BLOCK):
         rows = slice(a, a + BLOCK)
         run_episode(env, agents, train, [x[rows] for x in (reward, won, payment, bids, winners, revenue, valuations)])
@@ -265,18 +255,15 @@ def run(session: Session, out) -> Path:
     under `out` (label: the learner for a pretrain, "ppo6" for six PPO seats,
     else "tournament"). The logs come first, then the checkpoint of every seat
     that is not random, then config.json, last: the session spec and
-    `out_dir`. Nothing is written unless every agent and the session's
-    arrays could be built."""
+    `out_dir`. Nothing is written before the session has been played."""
     env, agents = start(session)
     s = session.scenario
     algos = {seat.algo for seat in session.roster}
     label = session.roster[0].algo if session.mode == "pretrain" else "ppo6" if algos == {"ppo"} else "tournament"
     run_dir = Path(out) / f"{s.rule}_{s.supply}_{label}_{s.master_seed}"
-    arrays = session_arrays(session, s.episodes)
+    episode_columns, auction_columns = run_session(session, env, agents, s.episodes)
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.json").unlink(missing_ok=True)
-    episode_columns, auction_columns = run_session(session, env, agents, s.episodes, arrays)
-    del arrays  # the columns keep what they use of them; the rest is freed before the logs are written
     write_csv(episode_columns, run_dir / "episodes.csv", EPISODE_LOG_FIELDS)
     write_csv(auction_columns, run_dir / "auctions.csv", AUCTION_LOG_FIELDS)
     for seat, agent in zip(session.roster, agents):

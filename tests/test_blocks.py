@@ -494,6 +494,24 @@ def test_a_run_is_cut_at_the_first_row_an_update_changes(algo):
     assert _same_state(agent.rng, np.random.default_rng(0))  # the planted draws were all it used
 
 
+@pytest.mark.parametrize("algo", ["ql", "vpg"])
+def test_observing_fewer_rows_than_kept_applies_only_their_updates(algo):
+    # Another table learner can cut the run earlier than this one's speculation.
+    # Rewards that favour action 3 keep every row of the run.
+    row = np.full(231, -30.0)
+    row[[3, 7]] = (1.0, 0.99) if algo == "ql" else (0.0, 0.0)
+    kept = [-1] * 8 if algo == "ql" else [0.3] * 8
+    rewards = 2.0 + 0.1 * np.arange(8)
+    agent, obs = _planted(algo, row, kept)
+    twin, _ = _planted(algo, row, kept)
+    levels = agent.act(obs)
+    assert agent.speculate(obs, levels, rewards) == 8
+    agent.observe(obs[:2], levels[:2], rewards[:2])
+    twin.observe(obs[:2], levels[:2], rewards[:2])
+    assert np.array_equal(agent.table, twin.table) and agent.t == twin.t == 2
+    assert agent._pending == kept[2:]
+
+
 def test_a_ql_pretrain_clears_runs_of_episodes():
     steps = _play(lambda: harness.pretrain("ql", "dp", 4, 2048, 3))[3]
     assert sum(steps) >= 2048 and len(steps) < 1024

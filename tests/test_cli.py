@@ -629,11 +629,12 @@ def test_each_cli_failure_is_one_stderr_line_and_its_exit_code(tmp_path, capsys,
 
 
 # Sizes in the TiB range: numpy refuses them at once, so nothing is allocated.
-@pytest.mark.parametrize("case", ["episodes", "buffer_capacity", "value_bins"])
+@pytest.mark.parametrize("case", ["episodes", "all", "buffer_capacity", "value_bins"])
 def test_an_allocation_that_cannot_be_made_exits_2_and_writes_nothing(tmp_path, capsys, case):
     out = tmp_path / "out"
-    if case == "episodes":
-        argv = ["pretrain", "--algo", "ql", "--auction", "dp", "--items", "4", "--episodes", "1000000000000"]
+    if case in ("episodes", "all"):  # --all: not even manifest.json
+        sessions = ["--all"] if case == "all" else ["--algo", "ql", "--auction", "dp", "--items", "4"]
+        argv, case = ["pretrain", *sessions, "--episodes", "1000000000000"], "episodes"
     else:
         algo, value = ("dqn", 10_000_000_000_000) if case == "buffer_capacity" else ("ql", 100_000_000_000)
         cfg = tmp_path / "exp.json"
