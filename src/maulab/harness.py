@@ -11,6 +11,9 @@ session replays exactly.
 from __future__ import annotations
 
 import json
+import shutil
+from contextlib import suppress
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +21,11 @@ import numpy as np
 from maulab.agents.base import Agent, TableAgent, agent_class, check_overrides, hyperparameter_names, make_agent
 from maulab.auction import efficiency_gap, efficiency_ratio, slot_sum
 from maulab.checkpoint import CheckpointError, MissingCheckpointError, load_checkpoint, save_checkpoint
-from maulab.config import ALGOS, LEARNERS, RULES, TOURNAMENT_IDS, ConfigError, ScenarioConfig, Seat, Session
+from maulab.config import ALGOS, LEARNERS, RULES, TOURNAMENT_IDS, ScenarioConfig, Seat, Session
 from maulab.env import AuctionEnv
-from maulab.metrics import AUCTION_LOG_FIELDS, EPISODE_LOG_FIELDS, atomic_open, bid_ratio, learning_ratio, write_csv
+from maulab.metrics import (
+    AUCTION_LOG_FIELDS, EPISODE_LOG_FIELDS, atomic_open, bid_ratio, csv_log, learning_ratio, write_csv,
+)
 
 SUPPLIES = (4, 6, 8)
 BLOCK = 512  # episodes per block; a training seat splits a block at its horizon
@@ -89,53 +94,49 @@ def run_episode(env: AuctionEnv, agents: list[Agent], train, out) -> None:
         start = cut
 
 
-def run_session(session: Session, env: AuctionEnv, agents: list[Agent], episodes: int) -> tuple[dict, dict]:
-    """Run `episodes` auctions in blocks of BLOCK, returning the columns of the
+def run_session(session: Session, env: AuctionEnv, agents: list[Agent], episodes: int, sink) -> None:
+    """Run `episodes` auctions in blocks of BLOCK, handing each block's columns
+    to `sink(episode_columns, auction_columns)` as the block ends: those of the
     episode log (one row per agent per episode) and of the auction log (one row
-    per episode). Efficiency is scored a block a call. Raises ConfigError,
-    naming the episode count, when its arrays cannot be allocated."""
+    per episode). Only one block's arrays are alive at a time, and efficiency
+    is scored a block a call."""
     config, train = session.scenario, [seat.train for seat in session.roster]
     n, k, K = len(agents), config.units_per_bidder, config.supply
-    try:
-        reward, revenue = np.empty((episodes, n)), np.empty(episodes)
-        valuations, bids, payment = (np.empty((episodes, n, k)) for _ in range(3))
-        won, winners = np.empty((episodes, n, k), dtype=bool), np.empty((episodes, K), dtype=int)
-        eff_ratio, eff_gap = np.empty(episodes), np.empty(episodes)
-    except MemoryError as e:
-        raise ConfigError(f"episodes {episodes}: the session's arrays do not fit in memory ({e})") from None
+    ids = np.asarray([seat.id for seat in session.roster], dtype=np.int64)
+    algos = np.array([agent.algo for agent in agents])
     for a in range(0, episodes, BLOCK):
-        rows = slice(a, a + BLOCK)
-        run_episode(env, agents, train, [x[rows] for x in (reward, won, payment, bids, winners, revenue, valuations)])
-        v, w = valuations[rows], winners[rows]
-        eff_ratio[rows], eff_gap[rows] = efficiency_ratio(v, w, K), efficiency_gap(v, w, K)
-    value, units = valuations[:, :, 0].ravel(), won.sum(axis=2).ravel()
-    bids, won, payment = (a.reshape(episodes * n, k) for a in (bids, won, payment))
-    bid1, bid2 = bids[:, 0], bids[:, min(1, k - 1)]  # a one-slot bidder logs its bid twice
-    episode_columns = {
-        "episode": np.repeat(np.arange(episodes), n),
-        "agent_id": np.tile(np.asarray([seat.id for seat in session.roster], dtype=np.int64), episodes),
-        "algo": np.tile([agent.algo for agent in agents], episodes),
-        "value": value,
-        "bid1": bid1,
-        "bid2": bid2,
-        "units_won": units,
-        "payment_total": slot_sum(payment),
-        "payoff_total": slot_sum(np.where(won, value[:, None] - payment, 0.0)),
-        "reward_total": reward.ravel(),
-        "learning_ratio1": learning_ratio(value, bid1),
-        "learning_ratio2": learning_ratio(value, bid2),
-        "bid_ratio1": bid_ratio(value, bid1),
-        "bid_ratio2": bid_ratio(value, bid2),
-    }
-    auction_columns = {
-        "episode": np.arange(episodes),
-        "rule": np.full(episodes, config.rule),
-        "K": np.full(episodes, K),
-        "revenue": revenue,
-        "efficiency_ratio": eff_ratio,
-        "efficiency_gap": eff_gap,
-    }
-    return episode_columns, auction_columns
+        b = min(BLOCK, episodes - a)
+        reward, revenue = np.empty((b, n)), np.empty(b)
+        valuations, bids, payment = (np.empty((b, n, k)) for _ in range(3))
+        won, winners = np.empty((b, n, k), dtype=bool), np.empty((b, K), dtype=int)
+        run_episode(env, agents, train, [reward, won, payment, bids, winners, revenue, valuations])
+        episode = np.arange(a, a + b)
+        value, units = valuations[:, :, 0].ravel(), won.sum(axis=2).ravel()
+        bids, won, payment = (x.reshape(b * n, k) for x in (bids, won, payment))
+        bid1, bid2 = bids[:, 0], bids[:, min(1, k - 1)]  # a one-slot bidder logs its bid twice
+        sink({
+            "episode": np.repeat(episode, n),
+            "agent_id": np.tile(ids, b),
+            "algo": np.tile(algos, b),
+            "value": value,
+            "bid1": bid1,
+            "bid2": bid2,
+            "units_won": units,
+            "payment_total": slot_sum(payment),
+            "payoff_total": slot_sum(np.where(won, value[:, None] - payment, 0.0)),
+            "reward_total": reward.ravel(),
+            "learning_ratio1": learning_ratio(value, bid1),
+            "learning_ratio2": learning_ratio(value, bid2),
+            "bid_ratio1": bid_ratio(value, bid1),
+            "bid_ratio2": bid_ratio(value, bid2),
+        }, {
+            "episode": episode,
+            "rule": np.full(b, config.rule),
+            "K": np.full(b, K),
+            "revenue": revenue,
+            "efficiency_ratio": efficiency_ratio(valuations, winners, K),
+            "efficiency_gap": efficiency_gap(valuations, winners, K),
+        })
 
 
 # --- checkpoint lifecycle ---------------------------------------------------
@@ -253,21 +254,40 @@ def write_json(path, data) -> None:
 def run(session: Session, out) -> Path:
     """Play a session and write its run directory {rule}_{K}_{label}_{seed}
     under `out` (label: the learner for a pretrain, "ppo6" for six PPO seats,
-    else "tournament"). The logs come first, then the checkpoint of every seat
-    that is not random, then config.json, last: the session spec and
-    `out_dir`. Nothing is written before the session has been played."""
+    else "tournament").
+
+    The directory is made first and any config.json in it removed. Each
+    block's rows are appended to the logs' .part files as the block ends, and
+    the logs replace them when the session ends. Then come the checkpoint of
+    every seat that is not random and config.json, last: the session spec and
+    `out_dir`. A session that fails leaves no log, no .part file and no
+    directory that it made."""
     env, agents = start(session)
     s = session.scenario
     algos = {seat.algo for seat in session.roster}
     label = session.roster[0].algo if session.mode == "pretrain" else "ppo6" if algos == {"ppo"} else "tournament"
     run_dir = Path(out) / f"{s.rule}_{s.supply}_{label}_{s.master_seed}"
-    episode_columns, auction_columns = run_session(session, env, agents, s.episodes)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.json").unlink(missing_ok=True)
-    write_csv(episode_columns, run_dir / "episodes.csv", EPISODE_LOG_FIELDS)
-    write_csv(auction_columns, run_dir / "auctions.csv", AUCTION_LOG_FIELDS)
-    for seat, agent in zip(session.roster, agents):
-        if seat.algo != "random":
-            save_agent(agent, run_dir / checkpoint_name(session, seat))
-    write_json(run_dir / "config.json", {**session.to_dict(), "out_dir": str(run_dir)})
+    made = list(takewhile(lambda p: not p.exists(), (run_dir, *run_dir.parents)))  # deepest first
+    try:
+        run_dir.mkdir(parents=True, exist_ok=True)
+        (run_dir / "config.json").unlink(missing_ok=True)
+        with csv_log(run_dir / "episodes.csv", EPISODE_LOG_FIELDS) as ep, \
+                csv_log(run_dir / "auctions.csv", AUCTION_LOG_FIELDS) as au:
+
+            def write_block(episode_columns, auction_columns):
+                write_csv(episode_columns, ep, EPISODE_LOG_FIELDS)
+                write_csv(auction_columns, au, AUCTION_LOG_FIELDS)
+
+            run_session(session, env, agents, s.episodes, write_block)
+        for seat, agent in zip(session.roster, agents):
+            if seat.algo != "random":
+                save_agent(agent, run_dir / checkpoint_name(session, seat))
+        write_json(run_dir / "config.json", {**session.to_dict(), "out_dir": str(run_dir)})
+    except BaseException:
+        if made:  # the run directory is this run's own
+            shutil.rmtree(run_dir, ignore_errors=True)
+        for parent in made[1:]:  # only when empty: another run may have written there since
+            with suppress(OSError):
+                parent.rmdir()
+        raise
     return run_dir

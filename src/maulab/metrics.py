@@ -9,14 +9,14 @@ files.
 from __future__ import annotations
 
 import os
+import warnings
 from contextlib import contextmanager
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-# Rows formatted or parsed per call: bounds the memory a long log needs.
-BLOCK_ROWS = 8192
+# Rows formatted at a time: bounds the memory that writing a log needs.
+BLOCK_ROWS = 1024
 
 
 def learning_ratio(value, bid):
@@ -79,17 +79,28 @@ def atomic_open(path, mode: str = "w"):
         part.unlink(missing_ok=True)
 
 
-def write_csv(columns: dict, path, fieldnames) -> None:
-    """CSV of the named columns, in fieldnames order: LF endings, reals with
-    six decimals, everything else as str() writes it."""
-    cols = [np.asarray(columns[f]) for f in fieldnames]
-    fmt = ",".join("%.6f" if c.dtype.kind == "f" else "%s" for c in cols) + "\n"
-    n = len(cols[0]) if cols else 0
+@contextmanager
+def csv_log(path, fieldnames):
+    """A CSV file written through atomic_open, its header line already in
+    place: write_csv appends rows to the open file this yields."""
     with atomic_open(path) as fh:
         fh.write(",".join(fieldnames) + "\n")
-        for lo in range(0, n, BLOCK_ROWS):
-            block = (c[lo : lo + BLOCK_ROWS].tolist() for c in cols)
-            fh.writelines(map(fmt.__mod__, zip(*block)))
+        yield fh
+
+
+def write_csv(columns: dict, out, fieldnames) -> None:
+    """CSV rows of the named columns, in fieldnames order: LF endings, reals
+    with six decimals, everything else as str() writes it. `out` is either a
+    text file open for writing, which gets the rows only, or a path, which
+    gets a header line and the rows through csv_log."""
+    if not hasattr(out, "write"):
+        with csv_log(out, fieldnames) as fh:
+            return write_csv(columns, fh, fieldnames)
+    cols = [np.asarray(columns[f]) for f in fieldnames]
+    fmt = ",".join("%.6f" if c.dtype.kind == "f" else "%s" for c in cols) + "\n"
+    for lo in range(0, len(cols[0]) if cols else 0, BLOCK_ROWS):
+        block = (c[lo : lo + BLOCK_ROWS].tolist() for c in cols)
+        out.writelines(map(fmt.__mod__, zip(*block)))
 
 
 def read_csv(path) -> dict:
@@ -103,12 +114,13 @@ def read_csv(path) -> dict:
         unknown = [n for n in names if n not in EPISODE_LOG_FIELDS + AUCTION_LOG_FIELDS]
         if unknown:
             raise ValueError(f"{path}: unknown log columns {unknown}")
-        dtype = np.dtype([(n, _LOG_TYPES.get(n, "f8")) for n in names])
-        blocks = [
-            np.loadtxt(lines, delimiter=",", dtype=dtype, comments=None, quotechar=None, ndmin=1)
-            for lines in iter(lambda: list(islice(fh, BLOCK_ROWS)), [])
-        ] or [np.empty(0, dtype)]
-    columns = {n: np.concatenate([b[n] for b in blocks]) for n in names}
+    dtype = np.dtype([(n, _LOG_TYPES.get(n, "f8")) for n in names])
+    with warnings.catch_warnings():  # a log with a header only is a valid empty log
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        # given a path, numpy reads the file in large chunks; an open file it reads line by line
+        rows = np.loadtxt(path, delimiter=",", dtype=dtype, comments=None, quotechar=None, ndmin=1, skiprows=1,
+                          encoding="utf-8")
+    columns = {n: rows[n] for n in names}
     non_finite = [n for n in names if columns[n].dtype.kind == "f" and not np.isfinite(columns[n]).all()]
     if non_finite:
         raise ValueError(f"{path}: non-finite values in columns {non_finite}")

@@ -12,10 +12,12 @@ import pytest
 from maulab.auction import canonicalize, clear, clear_dp, efficiency_ratio
 from maulab.config import ScenarioConfig, Seat, Session
 from maulab.env import reward
-from maulab.harness import pretrain, run, run_session, start, tournament
+from maulab.harness import pretrain, run, start, tournament
 from maulab.metrics import read_csv, rolling_mean
 from maulab.nn import backward, finite_diff_check, forward, mlp_init, softmax
 from maulab.agents.policy import head_logits, heads_stats, score_entropy_logits_grad
+
+from columns import session_columns
 
 
 def _verdict(num: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -307,7 +309,7 @@ def _random_baseline(seed, episodes):
     config = ScenarioConfig(rule="dp", supply=4, episodes=episodes, master_seed=seed)
     session = Session("tournament", config, tuple(Seat(i, "random", False) for i in range(1, 7)))
     env, agents = start(session)
-    ep, _ = run_session(session, env, agents, episodes)
+    ep, _ = session_columns(session, env, agents, episodes)
     pay = ep["payoff_total"][ep["agent_id"] == 1]
     return float(pay[-1000:].mean())
 
@@ -359,7 +361,7 @@ def test_criterion_6_accounting_invariants():
         algos = ["ql", "vpg"] + ["random"] * 4
         session = Session("tournament", config, tuple(Seat(i, a, a != "random") for i, a in enumerate(algos, 1)))
         env, agents = start(session)
-        ep, au = run_session(session, env, agents, 300)
+        ep, au = session_columns(session, env, agents, 300)
         for e, revenue, eff in zip(au["episode"], au["revenue"], au["efficiency_ratio"]):
             rows = ep["episode"] == e
             paid = sum(ep["payment_total"][rows].tolist())

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from maulab.agents.base import agent_class, hyperparameter_names, make_agent
 from maulab.config import LEARNERS, TOURNAMENT_IDS, ScenarioConfig
-from maulab.harness import load_agent, pretrain, run, run_session, save_agent, start, tournament
+from maulab.harness import load_agent, pretrain, run, save_agent, start, tournament
 from maulab.nn import MlpParams
+
+from columns import session_columns
 
 _frac = st.floats(0.0, 1.0)
 _lr = st.floats(1e-6, 0.1)
@@ -104,15 +106,15 @@ def test_resume_at_update_boundary_equals_uninterrupted_run(tmp_path, algo):
         return list(zip(*(ep[c].tolist() for c in ("agent_id", "bid1", "bid2", "reward_total"))))
 
     env, agents = start(session)
-    whole = bids(run_session(session, env, agents, n + m)[0])
+    whole = bids(session_columns(session, env, agents, n + m)[0])
 
     env, resumed = start(session)
-    head = bids(run_session(session, env, resumed, n)[0])
+    head = bids(session_columns(session, env, resumed, n)[0])
     save_agent(resumed[0], tmp_path / "mid.ckpt")
     learner = load_agent(tmp_path / "mid.ckpt", config, np.random.default_rng())
     learner.rng.bit_generator.state = resumed[0].rng.bit_generator.state
     resumed[0] = learner
-    tail = bids(run_session(session, env, resumed, m)[0])
+    tail = bids(session_columns(session, env, resumed, m)[0])
 
     assert head + tail == whole
     assert resumed[0].hyperparameters() == agents[0].hyperparameters()

@@ -27,6 +27,8 @@ from maulab.config import ConfigError, ScenarioConfig, Seat, Session
 from maulab.env import AuctionEnv
 from maulab.nn import Categorical, forward, mlp_init
 
+from columns import session_columns
+
 B = 400
 
 
@@ -233,10 +235,10 @@ def test_session_columns_do_not_depend_on_the_block_size(block, train, tmp_path,
     roster = (Seat(1, "ql", train, str(pretrained)), *(Seat(i, "random", False) for i in range(2, 7)))
     session = Session("tournament", config, roster)
     env, agents = harness.start(session)
-    want = harness.run_session(session, env, agents, 300)
+    want = session_columns(session, env, agents, 300)
     monkeypatch.setattr(harness, "BLOCK", block)
     env, blocked = harness.start(session)
-    got = harness.run_session(session, env, blocked, 300)
+    got = session_columns(session, env, blocked, 300)
     for w, g in zip(want, got):
         assert w.keys() == g.keys()
         assert all(np.array_equal(w[key], g[key]) for key in w)
@@ -263,7 +265,7 @@ def _play(make_session):
     env, agents = harness.start(session)
     steps, step = [], env.step
     env.step = lambda rows, levels: steps.append(len(levels)) or step(rows, levels)
-    columns = harness.run_session(session, env, agents, session.scenario.episodes)
+    columns = session_columns(session, env, agents, session.scenario.episodes)
     return columns, env, agents, steps
 
 

@@ -16,8 +16,10 @@ import pytest
 
 from maulab.agents.base import make_agent
 from maulab.config import ScenarioConfig, Seat, Session
-from maulab.harness import pretrain, run, run_session, save_agent, start
+from maulab.harness import pretrain, run, save_agent, start
 from maulab.metrics import AUCTION_LOG_FIELDS, EPISODE_LOG_FIELDS, write_csv
+
+from columns import session_columns
 
 SEED = 17
 
@@ -57,7 +59,7 @@ def test_random_session_bytes_pinned(rule, K, tmp_path):
     config = ScenarioConfig(rule=rule, supply=K, episodes=200, master_seed=SEED)
     session = Session("tournament", config, tuple(Seat(i, "random", False) for i in range(1, 7)))
     env, agents = start(session)
-    ep_rows, au_rows = run_session(session, env, agents, 200)
+    ep_rows, au_rows = session_columns(session, env, agents, 200)
     write_csv(ep_rows, tmp_path / "episodes.csv", EPISODE_LOG_FIELDS)
     write_csv(au_rows, tmp_path / "auctions.csv", AUCTION_LOG_FIELDS)
     got = (_sha256(tmp_path / "episodes.csv"), _sha256(tmp_path / "auctions.csv"))

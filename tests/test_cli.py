@@ -629,23 +629,58 @@ def test_each_cli_failure_is_one_stderr_line_and_its_exit_code(tmp_path, capsys,
 
 
 # Sizes in the TiB range: numpy refuses them at once, so nothing is allocated.
-@pytest.mark.parametrize("case", ["episodes", "all", "buffer_capacity", "value_bins"])
+@pytest.mark.parametrize("case", ["buffer_capacity", "value_bins"])
 def test_an_allocation_that_cannot_be_made_exits_2_and_writes_nothing(tmp_path, capsys, case):
     out = tmp_path / "out"
-    if case in ("episodes", "all"):  # --all: not even manifest.json
-        sessions = ["--all"] if case == "all" else ["--algo", "ql", "--auction", "dp", "--items", "4"]
-        argv, case = ["pretrain", *sessions, "--episodes", "1000000000000"], "episodes"
-    else:
-        algo, value = ("dqn", 10_000_000_000_000) if case == "buffer_capacity" else ("ql", 100_000_000_000)
-        cfg = tmp_path / "exp.json"
-        cfg.write_text(json.dumps({
-            "algo": algo, "auction": "dp", "items": 4, "episodes": 5, "hyperparameters": {algo: {case: value}},
-        }))
-        argv = ["pretrain", "--config", str(cfg)]
-    assert main([*argv, "--out", str(out)]) == 2
+    algo, value = ("dqn", 10_000_000_000_000) if case == "buffer_capacity" else ("ql", 100_000_000_000)
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "algo": algo, "auction": "dp", "items": 4, "episodes": 5, "hyperparameters": {algo: {case: value}},
+    }))
+    assert main(["pretrain", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and case in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sessions", [["--algo", "ql", "--auction", "dp", "--items", "4"], ["--all"]],
+                         ids=["one", "all"])
+def test_a_session_failing_after_its_first_block_exits_3_and_leaves_nothing(tmp_path, capsys, monkeypatch, sessions):
+    import maulab.harness
+
+    monkeypatch.setattr(maulab.harness, "BLOCK", 4)
+    write_csv, failed = maulab.harness.write_csv, []
+
+    def disk_full_after_the_first_block(columns, out, fieldnames):
+        if columns["episode"][0] > 0:
+            failed.append((out.name, out.tell()))
+            raise OSError(28, "No space left on device")
+        write_csv(columns, out, fieldnames)
+
+    monkeypatch.setattr(maulab.harness, "write_csv", disk_full_after_the_first_block)
+    out = tmp_path / "out"
+    assert main(["pretrain", *sessions, "--episodes", "10", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "No space left" in err
+    (part, size), = failed  # the first session failed on its second block ...
+    assert part.endswith("episodes.csv.part") and size > len(_EPISODE_HEADER)  # ... with its first block written
+    assert not list(tmp_path.rglob("*.part")) and not list(tmp_path.rglob("manifest.json"))
+    assert not out.exists()  # neither the run directory nor the --out this run made
+
+
+def test_an_out_below_a_regular_file_exits_3_before_any_episode(tmp_path, capsys, monkeypatch):
+    import maulab.harness
+
+    played = []
+    monkeypatch.setattr(maulab.harness, "run_episode", lambda *args: played.append(args))
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+    argv = ["pretrain", "--algo", "ql", "--auction", "dp", "--items", "4", "--episodes", "2000"]
+    assert main([*argv, "--out", str(afile / "runs")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert played == []
+    assert list(tmp_path.iterdir()) == [afile] and afile.read_text() == "not a directory\n"
 
 
 @pytest.mark.parametrize("algo, key, value", [("dqn", "buffer_capacity", 10_000_000_000_000),

@@ -9,18 +9,20 @@ from maulab.agents.base import make_agent
 from maulab.checkpoint import CheckpointError, MissingCheckpointError, save_checkpoint
 from maulab.config import LEARNERS, ConfigError, ScenarioConfig, Seat, Session
 from maulab.harness import (
+    BLOCK,
     load_agent,
     make_streams,
     pretrain,
     pretrain_grid,
     run,
     run_episode,
-    run_session,
     save_agent,
     start,
     tournament,
 )
 from maulab.metrics import read_csv
+
+from columns import session_columns
 
 TOURNAMENT_ROSTER = [(1, "ppo"), (2, "a2c"), (3, "dqn"), (4, "dpn"), (5, "ql"), (6, "vpg")]
 
@@ -61,7 +63,7 @@ def test_run_episode_allocates_full_supply():
 
 def test_run_session_payments_match_revenue():
     session, env, agents = _random_session(5, 50, rule="gsp")
-    ep, au = run_session(session, env, agents, 50)
+    ep, au = session_columns(session, env, agents, 50)
     assert au["episode"].size == 50
     assert ep["episode"].size == 300
     for e, revenue, eff in zip(au["episode"], au["revenue"], au["efficiency_ratio"]):
@@ -69,6 +71,25 @@ def test_run_session_payments_match_revenue():
         assert sum(ep["payment_total"][rows].tolist()) == pytest.approx(revenue, abs=1e-9)
         assert int(ep["units_won"][rows].sum()) == 4
         assert 0.0 <= eff <= 1.0
+
+
+def test_a_session_peak_does_not_grow_with_its_episodes(tmp_path):
+    """Each block's rows go to the logs as the block ends, so a 16-block
+    session holds no more than a 2-block one. tracemalloc sees numpy's
+    buffers as well as Python objects."""
+    import tracemalloc
+
+    def traced_peak(blocks):
+        tracemalloc.start()
+        try:
+            run(pretrain("ql", "dp", 4, blocks * BLOCK, 5), tmp_path / str(blocks))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(1)  # warm-up: what the first session allocates once (imports, caches) is not per episode
+    two, sixteen = traced_peak(2), traced_peak(16)
+    assert sixteen - two < 0.25 * 2 ** 20, (two, sixteen)
 
 
 def test_identical_seeds_replay_identically(tmp_path):
@@ -215,7 +236,8 @@ def test_config_json_is_the_session_spec(tmp_path, pretrained, build):
 
 def test_config_json_is_written_last(tmp_path, monkeypatch):
     """A run that fails after its logs leaves no config.json, not even the one
-    an earlier complete run in the same directory wrote."""
+    an earlier complete run in the same directory wrote; a run that made its
+    directory removes it, logs and all."""
     import maulab.harness
 
     session = pretrain("ql", "dp", 4, 5, 1)
@@ -230,3 +252,6 @@ def test_config_json_is_written_last(tmp_path, monkeypatch):
         run(session, tmp_path)
     assert (run_dir / "episodes.csv").is_file()
     assert not (run_dir / "config.json").exists()
+    with pytest.raises(OSError):
+        run(session, tmp_path / "fresh" / "runs")
+    assert not (tmp_path / "fresh").exists()
