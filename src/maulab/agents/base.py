@@ -13,8 +13,7 @@ from operator import attrgetter
 import numpy as np
 
 from maulab.checkpoint import CheckpointError
-from maulab.config import ConfigError, ScenarioConfig
-from maulab.grid import BidGrid, level_edges
+from maulab.config import ConfigError, ScenarioConfig, level_edges
 from maulab.nn import layer_views
 
 
@@ -123,7 +122,6 @@ class Agent:
 
     def __init__(self, config: ScenarioConfig, rng: np.random.Generator):
         self.config = config
-        self.grid = BidGrid(config.grid_levels, config.value_lo, config.value_hi)
         self.rng = rng
 
     @property
@@ -194,7 +192,7 @@ class RandomAgent(Agent):
     kind = "random"
 
     def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
-        cap = self.grid.highest_level_at_most(self.value_of(obs))
+        cap = self.config.highest_level_at_most(self.value_of(obs))
         return self.rng.integers(0, cap[:, None], size=(len(obs), self.k), endpoint=True)
 
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from maulab.agents.base import check_overrides
 from maulab.checkpoint import CheckpointError, MissingCheckpointError
-from maulab.config import ALGOS, LEARNERS, RULES, ConfigError, ScenarioConfig
-from maulab.harness import SUPPLIES, checkpoint_name, pretrain, pretrain_grid, run, tournament, write_json
+from maulab.config import ALGOS, LEARNERS, RULES, SUPPLIES, ConfigError, ScenarioConfig
+from maulab.harness import checkpoint_name, pretrain, pretrain_grid, run, tournament, write_json
 from maulab.metrics import (
     AUCTION_FIELDS,
     AUCTION_LOG_FIELDS,

@@ -11,7 +11,6 @@ import numpy as np
 
 from maulab.auction import canonicalize, clear, slot_sum
 from maulab.config import ConfigError, ScenarioConfig
-from maulab.grid import BidGrid
 
 
 def reward(won, payoff, value):
@@ -31,7 +30,6 @@ class AuctionEnv:
         tie_rng: np.random.Generator,
     ):
         self.config = config
-        self.grid = BidGrid(config.grid_levels, config.value_lo, config.value_hi)
         self._value_rng = value_rng
         self._tie_rng = tie_rng
         self._values: np.ndarray | None = None
@@ -73,7 +71,7 @@ class AuctionEnv:
         if shape != expected or not len(values):
             raise ConfigError(f"expected levels of shape (episodes, agents, bids) {expected}, at least one row, "
                               f"for rows {rows.start}:{rows.stop} of a block of {len(self._values)}; got {shape}")
-        bids = canonicalize(self.grid.decode(levels))  # raises ConfigError on out-of-grid levels
+        bids = canonicalize(c.decode(levels))  # raises ConfigError on out-of-grid levels
 
         winners, pay, _ = outcome = clear(c.rule, bids, c.supply, ties)
         won, payment = np.zeros(shape, dtype=bool), np.zeros(shape)

@@ -21,13 +21,12 @@ import numpy as np
 from maulab.agents.base import Agent, TableAgent, agent_class, check_overrides, hyperparameter_names, make_agent
 from maulab.auction import efficiency_gap, efficiency_ratio, slot_sum
 from maulab.checkpoint import CheckpointError, MissingCheckpointError, load_checkpoint, save_checkpoint
-from maulab.config import ALGOS, LEARNERS, RULES, TOURNAMENT_IDS, ScenarioConfig, Seat, Session
+from maulab.config import ALGOS, LEARNERS, RULES, SUPPLIES, TOURNAMENT_IDS, ScenarioConfig, Seat, Session
 from maulab.env import AuctionEnv
 from maulab.metrics import (
     AUCTION_LOG_FIELDS, EPISODE_LOG_FIELDS, atomic_open, bid_ratio, csv_log, learning_ratio, write_csv,
 )
 
-SUPPLIES = (4, 6, 8)
 BLOCK = 512  # episodes per block; a training seat splits a block at its horizon
 RUN_CAP = 16  # the most episodes a table learner acts on ahead of its updates
 
@@ -113,7 +112,7 @@ def run_session(session: Session, env: AuctionEnv, agents: list[Agent], episodes
         episode = np.arange(a, a + b)
         value, units = valuations[:, :, 0].ravel(), won.sum(axis=2).ravel()
         bids, won, payment = (x.reshape(b * n, k) for x in (bids, won, payment))
-        bid1, bid2 = bids[:, 0], bids[:, min(1, k - 1)]  # a one-slot bidder logs its bid twice
+        bid1, bid2 = bids[:, 0], bids[:, 1]
         sink({
             "episode": np.repeat(episode, n),
             "agent_id": np.tile(ids, b),

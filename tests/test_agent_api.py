@@ -14,7 +14,6 @@ from maulab.agents.base import (
     make_agent,
 )
 from maulab.config import ConfigError, ScenarioConfig
-from maulab.grid import BidGrid
 
 
 def _config(**kw):
@@ -139,7 +138,7 @@ def test_rollout_reads_whole_in_push_order_and_clears():
 
 
 def test_grid_decode_examples():
-    grid = BidGrid(21, 0.0, 10.0)
+    grid = ScenarioConfig()
     assert grid.step == 0.5
     assert grid.decode(0) == 0.0
     assert grid.decode(7) == 3.5
@@ -151,7 +150,7 @@ def test_grid_decode_examples():
 
 
 def test_grid_highest_level_at_most():
-    grid = BidGrid(21, 0.0, 10.0)
+    grid = ScenarioConfig()
     assert grid.highest_level_at_most(3.49) == 6
     assert grid.highest_level_at_most(3.5) == 7
     assert grid.highest_level_at_most(-1.0) == 0
@@ -160,9 +159,7 @@ def test_grid_highest_level_at_most():
 
 def test_grid_validation():
     with pytest.raises(ConfigError):
-        BidGrid(1, 0.0, 10.0)
-    with pytest.raises(ConfigError):
-        BidGrid(5, 3.0, 3.0)
+        ScenarioConfig(grid_levels=1)
 
 
 def test_joint_action_space_size_and_order():
@@ -190,7 +187,7 @@ def test_value_of_checks_length():
 
 def test_random_agent_bids_at_most_value():
     agent = make_agent("random", _config(), np.random.default_rng(1))
-    grid = agent.grid
+    grid = agent.config
     rng = np.random.default_rng(2)
     for _ in range(500):
         v = float(rng.uniform(0, 10))

@@ -1,5 +1,6 @@
 """Session orchestration tests: streams, logging, checkpoint lifecycle."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -147,6 +148,19 @@ def test_tournament_roster_ids():
 def test_session_needs_one_seat_per_bidder():
     with pytest.raises(ConfigError):
         Session("tournament", ScenarioConfig(), (Seat(1, "random", False),))
+
+
+FIXED = {"n_bidders": 6, "units_per_bidder": 2, "value_lo": 0.0, "value_hi": 10.0}
+
+
+@pytest.mark.parametrize("name", FIXED)
+def test_fixed_scenario_constants_are_not_arguments_but_are_recorded(name):
+    with pytest.raises(TypeError):
+        ScenarioConfig(**{name: FIXED[name]})
+    with pytest.raises(ValueError):
+        dataclasses.replace(ScenarioConfig(), **{name: FIXED[name]})
+    scenario = pretrain("ql", "gsp", 6, 10, 0).to_dict()["scenario"]
+    assert scenario[name] == FIXED[name] and type(scenario[name]) is type(FIXED[name])
 
 
 def test_tournament_fresh_agents_zero_episodes(tmp_path):
