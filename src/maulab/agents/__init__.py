@@ -3,7 +3,6 @@ from maulab.agents.base import (
     RandomAgent,
     ReplayBuffer,
     epsilon_at,
-    joint_action_space,
     make_agent,
 )
 from maulab.agents.qlearn import DqnAgent, QLearningAgent, q_update
@@ -15,7 +14,6 @@ __all__ = [
     "RandomAgent",
     "ReplayBuffer",
     "epsilon_at",
-    "joint_action_space",
     "make_agent",
     "QLearningAgent",
     "DqnAgent",

@@ -74,17 +74,12 @@ class ReplayBuffer:
         return tuple(column[idx] for column in self._columns)
 
 
-def joint_action_space(grid_levels: int, k: int) -> list[tuple[int, ...]]:
-    """All canonical (weakly decreasing) k-tuples of grid levels.
-
-    For k=2 this is the b1 >= b2 half of the product grid: L(L+1)/2 entries."""
-    combos = itertools.combinations_with_replacement(range(grid_levels), k)
-    return [tuple(sorted(c, reverse=True)) for c in combos]
-
-
 def action_table(grid_levels: int, k: int) -> tuple[np.ndarray, dict]:
-    """The canonical joint actions as an (A, k) level array, and the index of each tuple."""
-    actions = joint_action_space(grid_levels, k)
+    """The canonical (weakly decreasing) k-tuples of grid levels as an (A, k)
+    level array, and the index of each tuple. For k=2 this is the b1 >= b2
+    half of the product grid: L(L+1)/2 entries."""
+    combos = itertools.combinations_with_replacement(range(grid_levels), k)
+    actions = [tuple(sorted(c, reverse=True)) for c in combos]
     return np.array(actions), {a: i for i, a in enumerate(actions)}
 
 
@@ -114,11 +109,18 @@ class Agent:
     hyperparameter, read back from the attribute of the same name, and the
     integer `counters` (attribute paths, saved with "." written as "_"); its
     arrays are those of `state_arrays()`. Loading builds the agent from the
-    saved hyperparameters, then `load_payload` restores the rest."""
+    saved hyperparameters, then `load_payload` restores the rest.
+
+    `nets` lists the (network attribute, optimizer attribute) pairs of the
+    agent's MLPs with their Adam states. The attribute names double as the
+    checkpoint's array prefixes: every network's w/b arrays come first, then
+    every optimizer's m/v arrays (one per weight, then one per bias). Each
+    array is a view of its network's or moment's one vector."""
 
     algo = "?"
     kind = "none"
     counters: tuple[str, ...] = ()
+    nets: tuple[tuple[str, str], ...] = ()
 
     def __init__(self, config: ScenarioConfig, rng: np.random.Generator):
         self.config = config
@@ -154,7 +156,14 @@ class Agent:
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """The learned arrays by checkpoint name; loading writes into them in place."""
-        return {}
+        arrays, moments = {}, {}
+        for net_attr, opt_attr in self.nets:
+            net, opt = getattr(self, net_attr), getattr(self, opt_attr)
+            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+                arrays[f"{net_attr}.w{i}"], arrays[f"{net_attr}.b{i}"] = w, b
+            for i, (m, v) in enumerate(zip(layer_views(net.layout, opt.m), layer_views(net.layout, opt.v))):
+                moments[f"{opt_attr}.m{i}"], moments[f"{opt_attr}.v{i}"] = m, v
+        return {**arrays, **moments}
 
     def checkpoint_payload(self) -> tuple[dict, dict[str, np.ndarray]]:
         counters = {path.replace(".", "_"): attrgetter(path)(self) for path in self.counters}
@@ -273,41 +282,12 @@ class TableAgent(Agent):
         return {"table": self.table}
 
 
-class NetAgent(Agent):
-    """An agent whose state includes MLPs with their Adam states.
-
-    `nets` lists (network attribute, optimizer attribute) pairs. The attribute
-    names double as the checkpoint's array prefixes: every network's w/b arrays
-    come first, then every optimizer's m/v arrays (one per weight, then one per
-    bias). Each array is a view of its network's or moment's one vector."""
-
-    nets: tuple[tuple[str, str], ...] = ()
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        arrays, moments = {}, {}
-        for net_attr, opt_attr in self.nets:
-            net, opt = getattr(self, net_attr), getattr(self, opt_attr)
-            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-                arrays[f"{net_attr}.w{i}"], arrays[f"{net_attr}.b{i}"] = w, b
-            for i, (m, v) in enumerate(zip(layer_views(net.layout, opt.m), layer_views(net.layout, opt.v))):
-                moments[f"{opt_attr}.m{i}"], moments[f"{opt_attr}.v{i}"] = m, v
-        return {**arrays, **moments}
-
-
 def agent_class(algo: str) -> type[Agent]:
     from maulab.agents.actor_critic import A2cAgent, PpoAgent
     from maulab.agents.policy import DpgAgent, VpgAgent
     from maulab.agents.qlearn import DqnAgent, QLearningAgent
 
-    classes = {
-        "random": RandomAgent,
-        "ql": QLearningAgent,
-        "dqn": DqnAgent,
-        "vpg": VpgAgent,
-        "dpn": DpgAgent,
-        "a2c": A2cAgent,
-        "ppo": PpoAgent,
-    }
+    classes = {cls.algo: cls for cls in (RandomAgent, QLearningAgent, DqnAgent, VpgAgent, DpgAgent, A2cAgent, PpoAgent)}
     if algo not in classes:
         raise ConfigError(f"unknown algorithm {algo!r}; expected one of {sorted(classes)}")
     return classes[algo]

@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from maulab.agents.base import NetAgent, ReplayBuffer, TableAgent
+from maulab.agents.base import Agent, ReplayBuffer, TableAgent
 from maulab.config import ScenarioConfig
 from maulab.nn import Categorical, OptimState, adam_step_params, backward, forward, mlp_init, softmax
-from maulab.nn import categorical_cdf, log_softmax, sample_categorical
+from maulab.nn import log_softmax, sample_categorical
 
 
 def vpg_update(table: np.ndarray, s: int, a: int, r: float, alpha: float) -> None:
@@ -41,13 +41,13 @@ class VpgAgent(TableAgent):
         return self.rng.random(len(rows)).tolist()
 
     def _action(self, table: np.ndarray, s: int, kept: float) -> int:
-        return int((kept > categorical_cdf(log_softmax(table[s]))).sum())
+        return int(sample_categorical(log_softmax(table[s]), kept))
 
     def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
         """A sample of the policy by inverse CDF from one uniform per row,
         which an exploring act keeps."""
         u = np.array(self._kept(len(obs))) if explore else self.rng.random(len(obs))
-        return self.actions[(u[:, None] > categorical_cdf(log_softmax(self.table[self._bin(obs)]))).sum(axis=-1)]
+        return self.actions[sample_categorical(log_softmax(self.table[self._bin(obs)]), u)]
 
 
 # --- factored two-head categorical machinery (shared with actor-critic) ----
@@ -101,7 +101,7 @@ def dpg_update(
     return loss
 
 
-class RolloutAgent(NetAgent):
+class RolloutAgent(Agent):
     """A factored categorical `policy`, one head per unit, learning from
     rollouts of `rows` episodes (observation, levels, reward): a full rollout
     goes to the subclass's `_update(obs, levels, rewards)`, then is cleared.
@@ -131,7 +131,8 @@ class RolloutAgent(NetAgent):
     def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
         """One level per head, in head order."""
         out, _ = forward(self.policy, obs[:, None, :])
-        return sample_categorical(log_softmax(out.reshape(len(obs), self.k, self.levels)), self.rng)
+        logp = log_softmax(out.reshape(len(obs), self.k, self.levels))
+        return sample_categorical(logp, self.rng.random((len(obs), self.k)))
 
     def horizon(self) -> int:
         return self.buffer.capacity - len(self.buffer)

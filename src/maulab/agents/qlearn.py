@@ -4,15 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from maulab.agents.base import (
-    NetAgent,
-    ReplayBuffer,
-    TableAgent,
-    action_indices,
-    action_table,
-    decay_for,
-    epsilon_at,
-)
+from maulab.agents.base import Agent, ReplayBuffer, TableAgent, action_indices, action_table, decay_for, epsilon_at
 from maulab.config import ConfigError, ScenarioConfig
 from maulab.nn import OptimState, adam_step_params, backward, forward, mlp_init
 
@@ -103,7 +95,7 @@ def dqn_train_step(
     return loss
 
 
-class DqnAgent(NetAgent):
+class DqnAgent(Agent):
     """DQN over the canonical joint-bid action space with replay memory.
     Single-step targets have no bootstrap term, so there is no target network."""
 
@@ -125,8 +117,9 @@ class DqnAgent(NetAgent):
         decay_rate: float | None = None,
     ):
         super().__init__(config, rng)
-        if buffer_capacity < max(warmup, batch_size):
-            raise ConfigError(f"dqn buffer_capacity {buffer_capacity} < max(warmup, batch_size): it would never train")
+        self.warm = max(warmup, batch_size)  # the rows the buffer holds before the first update
+        if buffer_capacity < self.warm:
+            raise ConfigError(f"dqn buffer_capacity {buffer_capacity} < its warm-up {self.warm}: it would never train")
         self.hidden = tuple(hidden)
         self.actions, self.action_index = action_table(config.grid_levels, self.k)
         self.net = mlp_init((self.k, *self.hidden, len(self.actions)), rng)
@@ -151,13 +144,13 @@ class DqnAgent(NetAgent):
 
     def horizon(self) -> int:
         """The episodes left until the buffer is warm, then 1 (an update per episode)."""
-        return max(max(self.warmup, self.batch_size) - len(self.buffer), 1)
+        return max(self.warm - len(self.buffer), 1)
 
     def observe(self, obs: np.ndarray, levels: np.ndarray, rewards: np.ndarray) -> None:
         """Push the run; train once when the buffer is warm, which a run of at
         most horizon() rows reaches only at its last row."""
         self.buffer.push(obs, action_indices(self.action_index, levels), rewards)
         self.t += len(rewards)
-        if len(self.buffer) >= max(self.warmup, self.batch_size):
+        if len(self.buffer) >= self.warm:
             dqn_train_step(self.net, self.buffer, self.opt, self.batch_size, self.rng)
             self.train_steps += 1

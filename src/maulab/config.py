@@ -10,10 +10,7 @@ import numpy as np
 RULES = ("dp", "gsp", "up")
 SUPPLIES = (4, 6, 8)
 ALGOS = ("ppo", "a2c", "dqn", "dpn", "ql", "vpg", "random")
-LEARNERS = tuple(a for a in ALGOS if a != "random")
-
-# Bidder IDs used in tournament mode rosters.
-TOURNAMENT_IDS = {"ppo": 1, "a2c": 2, "dqn": 3, "dpn": 4, "ql": 5, "vpg": 6}
+LEARNERS = tuple(a for a in ALGOS if a != "random")  # in tournament seat order, ids from 1
 
 
 class ConfigError(ValueError):

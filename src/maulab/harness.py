@@ -21,7 +21,7 @@ import numpy as np
 from maulab.agents.base import Agent, TableAgent, agent_class, check_overrides, hyperparameter_names, make_agent
 from maulab.auction import efficiency_gap, efficiency_ratio, slot_sum
 from maulab.checkpoint import CheckpointError, MissingCheckpointError, load_checkpoint, save_checkpoint
-from maulab.config import ALGOS, LEARNERS, RULES, SUPPLIES, TOURNAMENT_IDS, ScenarioConfig, Seat, Session
+from maulab.config import ALGOS, LEARNERS, RULES, SUPPLIES, ConfigError, ScenarioConfig, Seat, Session
 from maulab.env import AuctionEnv
 from maulab.metrics import (
     AUCTION_LOG_FIELDS, EPISODE_LOG_FIELDS, atomic_open, bid_ratio, csv_log, learning_ratio, write_csv,
@@ -141,7 +141,12 @@ def run_session(session: Session, env: AuctionEnv, agents: list[Agent], episodes
 # --- checkpoint lifecycle ---------------------------------------------------
 
 def save_agent(agent: Agent, path) -> None:
+    """Write the agent's checkpoint, or raise ConfigError when an array holds
+    a non-finite value (the learner diverged), which `load_payload` refuses."""
     meta, arrays = agent.checkpoint_payload()
+    for name, array in arrays.items():
+        if not np.isfinite(array).all():
+            raise ConfigError(f"{agent.algo} array {name!r} holds a non-finite value: the learner diverged")
     meta = dict(meta, algo=agent.algo)
     save_checkpoint(path, agent.kind, meta, arrays)
 
@@ -217,7 +222,7 @@ def tournament(
     Every seat trains unless freeze is set; schedules resume from the saved
     step counters."""
     scenario = ScenarioConfig(rule=rule, supply=K, episodes=episodes, master_seed=seed, grid_levels=grid_levels)
-    roster = [(i, "ppo") for i in range(1, 7)] if all_ppo else sorted((i, a) for a, i in TOURNAMENT_IDS.items())
+    roster = enumerate(("ppo",) * scenario.n_bidders if all_ppo else LEARNERS, start=1)
     paths = {algo: str(path) for algo, path in checkpoints.items()}
     return Session("tournament", scenario, tuple(Seat(i, algo, not freeze, paths.get(algo)) for i, algo in roster))
 

@@ -149,22 +149,21 @@ def adam_step_params(params: MlpParams, grads: MlpParams, opt: OptimState) -> No
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log-probabilities over the last axis; raises ValueError on non-finite logits."""
+    """Log-probabilities over the last axis; raises ConfigError on non-finite
+    logits, which a policy diverged by too large a learning rate or step size has."""
     logits = np.asarray(logits, dtype=float)
     if not np.all(np.isfinite(logits)):
-        raise ValueError("non-finite logits")
+        raise ConfigError("non-finite logits: the policy diverged; try a smaller learning rate or step size")
     z = logits - logits.max(axis=-1, keepdims=True)
     z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
     return z
 
 
-def sample_categorical(log_probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One index per row of `log_probs` (over the last axis) by inverse CDF,
-    from one uniform draw per row in row order: the count of the row's CDF
-    values below its uniform."""
-    cdf = categorical_cdf(log_probs)
-    u = rng.random(cdf.shape[:-1] + (1,))
-    return (u > cdf).sum(axis=-1)
+def sample_categorical(log_probs: np.ndarray, u) -> np.ndarray:
+    """One index per row of `log_probs` (over the last axis) by inverse CDF
+    from `u`, one uniform per row: the count of the row's CDF values below
+    its uniform."""
+    return (np.asarray(u)[..., None] > categorical_cdf(log_probs)).sum(axis=-1)
 
 
 def categorical_cdf(log_probs: np.ndarray) -> np.ndarray:
@@ -190,7 +189,7 @@ class Categorical:
         self.probs = np.exp(self.log_probs)
 
     def sample(self, rng: np.random.Generator):
-        idx = sample_categorical(self.log_probs, rng)
+        idx = sample_categorical(self.log_probs, rng.random(self.log_probs.shape[:-1]))
         return int(idx) if idx.ndim == 0 else idx
 
     def log_prob(self, actions):

@@ -7,13 +7,14 @@ import pytest
 
 from maulab.agents.base import (
     ReplayBuffer,
+    action_table,
+    agent_class,
     bin_value,
     decay_for,
     epsilon_at,
-    joint_action_space,
     make_agent,
 )
-from maulab.config import ConfigError, ScenarioConfig
+from maulab.config import ALGOS, ConfigError, ScenarioConfig
 
 
 def _config(**kw):
@@ -163,11 +164,22 @@ def test_grid_validation():
 
 
 def test_joint_action_space_size_and_order():
-    actions = joint_action_space(21, 2)
-    assert len(actions) == 231
-    assert len(set(actions)) == 231
-    assert all(a[0] >= a[1] for a in actions)
-    assert len(joint_action_space(5, 2)) == 15
+    actions, index = action_table(21, 2)
+    assert actions.shape == (231, 2)
+    assert index == {a: i for i, a in enumerate(map(tuple, actions.tolist()))}
+    assert len(index) == 231
+    assert all(a[0] >= a[1] for a in index)
+    assert len(action_table(5, 2)[0]) == 15
+
+
+def test_agent_registry_is_config_algos():
+    """The registry is built from the classes' tags; config.ALGOS (which
+    cannot import the agents) must name the same tags."""
+    for algo in ALGOS:
+        assert agent_class(algo).algo == algo
+    with pytest.raises(ConfigError) as e:
+        agent_class("bogus")
+    assert str(e.value).endswith(f"expected one of {sorted(ALGOS)}")
 
 
 def test_bin_value_floor_and_clip():

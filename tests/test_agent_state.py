@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maulab.agents.base import agent_class, hyperparameter_names, make_agent
-from maulab.config import LEARNERS, TOURNAMENT_IDS, ScenarioConfig
+from maulab.config import LEARNERS, ScenarioConfig
 from maulab.harness import load_agent, pretrain, run, save_agent, start, tournament
 from maulab.nn import MlpParams
 
@@ -144,7 +144,7 @@ def test_overrides_survive_checkpoints_and_drive_learning_tournament(tmp_path, a
     assert {k: loaded.hyperparameters()[k] for k in overrides} == overrides
 
     run_dir = run(tournament("dp", 4, {algo: str(ckpt)}, 70, 2), tmp_path / "tour")
-    out = load_agent(run_dir / f"{algo}_{TOURNAMENT_IDS[algo]}.ckpt", ScenarioConfig(), np.random.default_rng(0))
+    out = load_agent(run_dir / f"{algo}_{LEARNERS.index(algo) + 1}.ckpt", ScenarioConfig(), np.random.default_rng(0))
     assert {k: out.hyperparameters()[k] for k in overrides} == overrides
     assert _counters(out)[counter] == steps
 

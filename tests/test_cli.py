@@ -643,6 +643,23 @@ def test_an_allocation_that_cannot_be_made_exits_2_and_writes_nothing(tmp_path, 
     assert not out.exists()
 
 
+# Step sizes so large that the learner's policy or table leaves the floats within 600 episodes.
+@pytest.mark.parametrize("algo, key, value", [
+    ("dpn", "lr", 1e307), ("a2c", "actor_lr", 1e307), ("ppo", "actor_lr", 1e307), ("vpg", "alpha", 1e308),
+    ("ql", "alpha", 1e308),
+])
+def test_a_learner_that_diverges_exits_2_and_writes_nothing(tmp_path, capsys, algo, key, value):
+    out = tmp_path / "out"
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "algo": algo, "auction": "dp", "items": 4, "episodes": 600, "hyperparameters": {algo: {key: value}},
+    }))
+    assert main(["pretrain", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "diverged" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sessions", [["--algo", "ql", "--auction", "dp", "--items", "4"], ["--all"]],
                          ids=["one", "all"])
 def test_a_session_failing_after_its_first_block_exits_3_and_leaves_nothing(tmp_path, capsys, monkeypatch, sessions):
