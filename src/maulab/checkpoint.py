@@ -14,18 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
+from maulab.config import CheckpointError, MissingCheckpointError  # noqa: F401 (re-exported)
 from maulab.metrics import atomic_open
 
 MAGIC = b"MAUL"
 VERSION = 1
-
-
-class CheckpointError(IOError):
-    """Raised on corrupt, truncated, or version-mismatched checkpoint files."""
-
-
-class MissingCheckpointError(FileNotFoundError):
-    """Raised when a checkpoint named for a run does not exist."""
 
 
 def save_checkpoint(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:

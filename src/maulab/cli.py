@@ -16,16 +16,19 @@ from pathlib import Path
 
 import numpy as np
 
-from maulab.agents.base import check_overrides
-from maulab.checkpoint import CheckpointError, MissingCheckpointError
-from maulab.config import ALGOS, LEARNERS, RULES, SUPPLIES, ConfigError, ScenarioConfig
-from maulab.harness import checkpoint_name, pretrain, pretrain_grid, run, tournament, write_json
+# Only what every command uses is imported here. The simulation (harness,
+# agents, nn, checkpoint) loads when pretrain or tournament runs, so that
+# report, run once per run directory, loads none of it.
+from maulab.config import (
+    ALGOS, LEARNERS, RULES, SUPPLIES, CheckpointError, ConfigError, MissingCheckpointError, ScenarioConfig,
+)
 from maulab.metrics import (
     AUCTION_FIELDS,
     AUCTION_LOG_FIELDS,
     BIDDER_FIELDS,
     EPISODE_LOG_FIELDS,
     bidder_groups,
+    distinct,
     emit_svg,
     format_table,
     read_csv,
@@ -75,6 +78,8 @@ def _load_config_file(path) -> dict:
     hyper = data.get("hyperparameters", {})
     if not isinstance(hyper, dict) or not all(isinstance(h, dict) for h in hyper.values()):
         raise ConfigError("hyperparameters must map algorithm names to objects")
+    from maulab.agents.base import check_overrides
+
     for algo, overrides in hyper.items():
         check_overrides(algo, overrides)
     return {k: _option_value(k, v) if k in OPTIONS else v for k, v in data.items()}
@@ -91,6 +96,8 @@ def _options(args) -> dict:
 
 
 def cmd_pretrain(args) -> int:
+    from maulab.harness import checkpoint_name, pretrain, pretrain_grid, run, write_json
+
     o = _options(args)
     out = Path(o["out"])
     hyper = o.get("hyperparameters", {})
@@ -110,6 +117,8 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_tournament(args) -> int:
+    from maulab.harness import run, tournament
+
     o = _options(args)
     if o["auction"] is None or o["items"] is None:
         raise ConfigError("tournament requires --auction and --items")
@@ -151,7 +160,7 @@ def _read_log(path: Path, fieldnames, column: str, allowed) -> dict:
         raise ValueError(f"{path.name} lacks columns {missing}")
     unknown = ~np.isin(columns[column], allowed)
     if unknown.any():
-        raise ValueError(f"{path.name}: unknown {column} values {np.unique(columns[column][unknown]).tolist()}")
+        raise ValueError(f"{path.name}: unknown {column} values {distinct(columns[column][unknown]).tolist()}")
     return columns
 
 
@@ -184,7 +193,7 @@ def cmd_report(args) -> int:
                 raise ValueError(f"config.json: episodes must be an integer, got {declared!r}")
         if not ep["episode"].size or not au["episode"].size:
             raise ValueError("empty logs")
-        if not np.array_equal(np.unique(ep["episode"]), np.unique(au["episode"])):
+        if not np.array_equal(distinct(ep["episode"]), distinct(au["episode"])):
             raise ValueError("the two logs cover different episodes")
     except (KeyError, TypeError, ValueError) as e:
         print(f"corrupt run directory {run_dir}: {e}", file=sys.stderr)
@@ -197,19 +206,22 @@ def cmd_report(args) -> int:
         )
 
     out.mkdir(parents=True, exist_ok=True)
-    bidder_table, auction_table = summary_tables(ep, au)
+    keys, codes = groups = bidder_groups(ep)
+    bidder_table, auction_table = summary_tables(ep, au, groups)
     write_csv(bidder_table, out / "table_bidders.csv", BIDDER_FIELDS)
     write_csv(auction_table, out / "table_auctions.csv", AUCTION_FIELDS)
     print(format_table(bidder_table, BIDDER_FIELDS))
     print(format_table(auction_table, AUCTION_FIELDS))
 
     window = args.window
+    # Each bidder's rows in log order, from one stable sort of the bidder index.
+    rows = np.split(np.argsort(codes, kind="stable"), np.bincount(codes, minlength=len(keys)).cumsum()[:-1])
     curves = {
         f"{algo} (id {aid})": {
-            "unit 1": rolling_mean(ep["learning_ratio1"][m], window),
-            "unit 2": rolling_mean(ep["learning_ratio2"][m], window),
+            "unit 1": rolling_mean(ep["learning_ratio1"][r], window),
+            "unit 2": rolling_mean(ep["learning_ratio2"][r], window),
         }
-        for aid, algo, m in bidder_groups(ep)
+        for (aid, algo), r in zip(keys, rows)
     }
     figures = {
         "fig_learning_ratio.svg": sorted(curves.items()),

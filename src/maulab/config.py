@@ -17,6 +17,14 @@ class ConfigError(ValueError):
     """Raised when a scenario or experiment configuration is invalid."""
 
 
+class CheckpointError(IOError):
+    """Raised on corrupt, truncated, or version-mismatched checkpoint files."""
+
+
+class MissingCheckpointError(FileNotFoundError):
+    """Raised when a checkpoint named for a run does not exist."""
+
+
 @cache
 def level_edges(levels: int) -> np.ndarray:
     """The read-only array 1..levels-1, built once per count: flooring x into

@@ -45,10 +45,14 @@ def rolling_mean(series, window: int) -> np.ndarray:
     return (c[hi] - c[lo]) / (hi - lo)
 
 
-def sequential_sum(x) -> float:
-    """Sum from 0.0 in index order, as a Python `+=` loop adds (signed zero
-    included); `x.sum()` adds pairwise and can differ in the last bits."""
-    return float(np.cumsum(np.concatenate(([0.0], x)))[-1])
+def distinct(a) -> np.ndarray:
+    """The sorted distinct values of a 1-D array, as np.unique gives them;
+    np.unique's first call imports numpy.ma, which a report would pay for on
+    every run."""
+    s = np.sort(a)
+    keep = np.ones(s.size, bool)
+    keep[1:] = s[1:] != s[:-1]
+    return s[keep]
 
 
 # Log columns, in file order (the summary-table columns are BIDDER_FIELDS and
@@ -127,18 +131,33 @@ def read_csv(path) -> dict:
     return columns
 
 
-def bidder_groups(ep: dict) -> list[tuple[int, str, np.ndarray]]:
-    """(agent_id, algo, row mask) per bidder of an episode log, by id then algo."""
-    aid, algo = ep["agent_id"], ep["algo"]
-    groups = []
-    for i in np.unique(aid).tolist():
-        rest = aid == i
-        while rest.any():
-            a = algo[rest.argmax()]
-            m = rest & (algo == a)
-            groups.append((i, str(a), m))
-            rest &= ~m
-    return sorted(groups, key=lambda g: g[:2])
+def bidder_groups(ep: dict) -> tuple[list[tuple[int, str]], np.ndarray]:
+    """The bidders of an episode log as (agent_id, algo) pairs, sorted, and
+    each row's bidder as an index into that list."""
+    keys, codes = _group(ep["agent_id"], ep["algo"])
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    rank = np.empty(len(keys), np.intp)
+    rank[order] = np.arange(len(keys))
+    return [keys[i] for i in order], rank[codes]
+
+
+def _group(aid, algo) -> tuple[list, np.ndarray]:
+    """(agent_id, algo) pairs and each row's index into them, unsorted. The
+    text column is compared once per algorithm an id logs, not per bidder:
+    rows whose algo differs from that of the row picked for their id are
+    grouped again."""
+    ids = distinct(aid)
+    codes = ids.searchsorted(aid)
+    pick = np.empty(ids.size, np.intp)
+    pick[codes] = np.arange(aid.size)  # some row of each id
+    head = algo[pick]
+    keys = list(zip(ids.tolist(), head.tolist()))
+    other = algo != head[codes]
+    if other.any():
+        more, more_codes = _group(aid[other], algo[other])
+        codes[other] = more_codes + len(keys)
+        keys += more
+    return keys, codes
 
 
 BIDDER_FIELDS = [
@@ -169,16 +188,22 @@ def _columns(rows: list[dict], fieldnames) -> dict:
     return {f: np.array([r[f] for r in rows]) for f in fieldnames}
 
 
-def summary_tables(ep: dict, au: dict) -> tuple[dict, dict]:
+def summary_tables(ep: dict, au: dict, groups) -> tuple[dict, dict]:
     """Bidder table (ranked by total payoff, ties by bidder id) and auction
-    revenue/efficiency table per (rule, K), both as columns."""
+    revenue/efficiency table per (rule, K), both as columns; `groups` is
+    bidder_groups(ep)."""
+    keys, codes = groups
+    n = len(keys)
+    units = ep["units_won"]
+    # bincount adds each bidder's rows in log order from +0.0, as a Python +=
+    # loop does (signed zero included); x.sum() adds pairwise and can differ.
+    payoffs = np.bincount(codes, ep["payoff_total"], n).tolist()
+    costs = np.bincount(codes, ep["payment_total"], n).tolist()
+    items_won = np.bincount(codes, units, n).astype(np.int64).tolist()
+    winning = np.bincount(codes[units > 0], minlength=n).tolist()
+    episodes = np.bincount(codes, minlength=n).tolist()
     bidders = []
-    for aid, algo, m in bidder_groups(ep):
-        units = ep["units_won"][m]
-        payoff = sequential_sum(ep["payoff_total"][m])
-        cost = sequential_sum(ep["payment_total"][m])
-        items = int(units.sum())
-        wins = int(np.count_nonzero(units > 0))
+    for (aid, algo), payoff, cost, items, wins, size in zip(keys, payoffs, costs, items_won, winning, episodes):
         bidders.append(
             {
                 "id": aid,
@@ -187,7 +212,7 @@ def summary_tables(ep: dict, au: dict) -> tuple[dict, dict]:
                 "payoff_mean": payoff / items if items else 0.0,
                 "cost_mean": cost / items if items else 0.0,
                 "items_won": items,
-                "payoff_mean_per_episode": payoff / units.size,
+                "payoff_mean_per_episode": payoff / size,
                 "payoff_mean_per_winning_episode": payoff / wins if wins else 0.0,
             }
         )
@@ -196,9 +221,9 @@ def summary_tables(ep: dict, au: dict) -> tuple[dict, dict]:
         b["rank"] = rank
 
     auctions = []
-    for rule in np.unique(au["rule"]).tolist():
+    for rule in distinct(au["rule"]).tolist():
         of_rule = au["rule"] == rule
-        for K in np.unique(au["K"][of_rule]).tolist():
+        for K in distinct(au["K"][of_rule]).tolist():
             m = of_rule & (au["K"] == K)
             rev, eff = au["revenue"][m], au["efficiency_ratio"][m]
             stats = (rev.sum(), rev.mean(), rev.min(), rev.max(), eff.mean(), eff.min(), eff.max())
@@ -253,7 +278,7 @@ def _pane_svg(x0: float, y0: float, w: float, h: float, title: str, series: dict
         idx = np.linspace(0, arr.size - 1, min(arr.size, MAX_POLYLINE_POINTS)).round().astype(np.intp)
         xs = px + pw * (idx / max(arr.size - 1, 1))
         ys = py + ph * (1.0 - (arr[idx] - lo) / (hi - lo))
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+        pts = " ".join(map("%.2f,%.2f".__mod__, zip(xs.tolist(), ys.tolist())))
         color = _COLORS[ci % len(_COLORS)]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1"/>')
         parts.append(

@@ -9,7 +9,6 @@ stay trivial and Adam updates the whole network in one pass.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -121,12 +120,11 @@ class OptimState:
 
 def adam_step_params(params: MlpParams, grads: MlpParams, opt: OptimState) -> None:
     """One bias-corrected adaptive-moment descent step on the whole parameter
-    vector, in place. When any gradient is non-finite, emits a RuntimeWarning
-    at the caller's line and skips the step."""
+    vector, in place; raises ConfigError, before any change, when a gradient
+    is non-finite, which a learner diverged by too large a step size has."""
     g = grads.vec
     if not np.isfinite(g).all():
-        warnings.warn("non-finite gradient: update skipped", RuntimeWarning, stacklevel=2)
-        return
+        raise ConfigError("non-finite gradient: the learner diverged; try a smaller learning rate")
     opt.step += 1
     b1c = 1.0 - BETA1**opt.step
     b2c = 1.0 - BETA2**opt.step

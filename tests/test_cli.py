@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -384,12 +388,12 @@ def test_documented_exit_codes(tmp_path, capsys, code):
 
 
 def test_missing_file_other_than_a_checkpoint_exits_3(tmp_path, capsys, monkeypatch):
-    import maulab.cli
+    import maulab.harness
 
     def vanish(*args, **kwargs):
         raise FileNotFoundError(2, "No such file or directory", str(tmp_path / "gone"))
 
-    monkeypatch.setattr(maulab.cli, "pretrain", vanish)
+    monkeypatch.setattr(maulab.harness, "pretrain", vanish)
     assert main(_exit_case(0, tmp_path)) == 3
     assert "gone" in capsys.readouterr().err
 
@@ -643,16 +647,18 @@ def test_an_allocation_that_cannot_be_made_exits_2_and_writes_nothing(tmp_path, 
     assert not out.exists()
 
 
-# Step sizes so large that the learner's policy or table leaves the floats within 600 episodes.
+# Step sizes so large that the learner's policy, table or gradient leaves the floats within 600
+# episodes; dqn trains only after its warm-up, so it gets a short one.
 @pytest.mark.parametrize("algo, key, value", [
     ("dpn", "lr", 1e307), ("a2c", "actor_lr", 1e307), ("ppo", "actor_lr", 1e307), ("vpg", "alpha", 1e308),
-    ("ql", "alpha", 1e308),
+    ("ql", "alpha", 1e308), ("dqn", "lr", 1e307),
 ])
 def test_a_learner_that_diverges_exits_2_and_writes_nothing(tmp_path, capsys, algo, key, value):
     out = tmp_path / "out"
     cfg = tmp_path / "exp.json"
+    hyper = {key: value, **({"warmup": 64} if algo == "dqn" else {})}
     cfg.write_text(json.dumps({
-        "algo": algo, "auction": "dp", "items": 4, "episodes": 600, "hyperparameters": {algo: {key: value}},
+        "algo": algo, "auction": "dp", "items": 4, "episodes": 600, "hyperparameters": {algo: hyper},
     }))
     assert main(["pretrain", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -713,3 +719,34 @@ def test_a_checkpoint_whose_arrays_cannot_be_allocated_exits_5(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(bad) in err and "Traceback" not in err
     assert not (tmp_path / "tour").exists()
+
+
+# Run a command in a fresh interpreter; print which of these modules it loaded.
+_LOADED = """
+import json, sys
+from maulab.cli import main
+code = main(sys.argv[1:])
+names = ("maulab.harness", "maulab.agents", "maulab.nn", "maulab.checkpoint", "numpy.ma", "hashlib")
+print(json.dumps([m for m in sys.modules if any(m == n or m.startswith(n + ".") for n in names)]))
+sys.exit(code)
+"""
+
+
+def _modules_loaded_by(argv, cwd):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv], env=env, cwd=cwd, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_report_loads_no_simulation_code(tmp_path):
+    # report reads logs and writes tables and figures: no learner, network,
+    # checkpoint or harness module, and not numpy.ma, which np.unique imports.
+    assert _pretrain(tmp_path, episodes=5) == 0
+    loaded = _modules_loaded_by(["report", "--run", "dp_4_ql_1", "--out", "rep", "--window", "2"], tmp_path)
+    assert loaded == set()
+    assert (tmp_path / "rep" / "fig_learning_ratio.svg").is_file()
+    loaded = _modules_loaded_by(["pretrain", "--algo", "vpg", "--auction", "dp", "--items", "4", "--episodes", "3",
+                                 "--out", "more"], tmp_path)
+    assert {"maulab.harness", "maulab.agents.policy", "maulab.checkpoint", "hashlib"} <= loaded

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from maulab.cli import main
 from maulab.metrics import (
     AUCTION_FIELDS,
     AUCTION_LOG_FIELDS,
@@ -15,12 +16,12 @@ from maulab.metrics import (
     EPISODE_LOG_FIELDS,
     MAX_POLYLINE_POINTS,
     bid_ratio,
+    bidder_groups,
     emit_svg,
     format_table,
     learning_ratio,
     read_csv,
     rolling_mean,
-    sequential_sum,
     summary_tables,
     write_csv,
 )
@@ -93,7 +94,7 @@ def test_summary_tables_ranking_and_means():
         (1, 3, "vpg", 0.0, 0, 0.0),
     ])
     au = _auction_log([(0, "dp", 4, 9.0, 0.9, 1.0), (1, "dp", 4, 3.0, 1.0, 0.0)])
-    bidders, auctions = summary_tables(ep, au)
+    bidders, auctions = summary_tables(ep, au, bidder_groups(ep))
     # payoff ties between ids 1 and 3 resolve by lower id first
     assert bidders["id"].tolist() == [1, 3, 2]
     assert bidders["rank"].tolist() == [1, 2, 3]
@@ -118,7 +119,7 @@ def test_summary_tables_ranking_and_means():
 def test_summary_tables_zero_items_bidder():
     ep = _episode_log([(0, 1, "ql", 0.0, 0, 0.0)])
     au = _auction_log([(0, "dp", 4, 0.0, 1.0, 0.0)])
-    bidders, _ = summary_tables(ep, au)
+    bidders, _ = summary_tables(ep, au, bidder_groups(ep))
     assert bidders["payoff_mean"][0] == 0.0
     assert bidders["payoff_mean_per_winning_episode"][0] == 0.0
 
@@ -129,7 +130,7 @@ def test_summary_tables_add_in_log_order():
     assert sum(payoffs) != np.array(payoffs).sum()
     ep = _episode_log([(i, 1, "ppo", p, 1, p) for i, p in enumerate(payoffs)])
     au = _auction_log([(i, "dp", 4, 1.0, 1.0, 0.0) for i in range(len(payoffs))])
-    bidders, _ = summary_tables(ep, au)
+    bidders, _ = summary_tables(ep, au, bidder_groups(ep))
     acc = 0.0
     for p in payoffs:
         acc += p
@@ -137,13 +138,110 @@ def test_summary_tables_add_in_log_order():
     assert bidders["cost_mean"][0] == acc / len(payoffs)
 
 
-def test_sequential_sum_keeps_signed_zero():
-    for x in ([], [-0.0], [-0.0, -0.0], [0.0, -0.0], [1e-300, -1e-300]):
+def test_bidder_totals_keep_signed_zero():
+    for x in ([-0.0], [-0.0, -0.0], [0.0, -0.0], [1e-300, -1e-300]):
         acc = 0.0
         for v in x:
             acc += v
-        got = sequential_sum(np.array(x, dtype=float))
+        ep = _episode_log([(i, 1, "ql", v, 0, v) for i, v in enumerate(x)])
+        au = _auction_log([(i, "dp", 4, 0.0, 1.0, 0.0) for i in range(len(x))])
+        bidders, _ = summary_tables(ep, au, bidder_groups(ep))
+        got = bidders["payoff_total"][0]
         assert got == acc and np.signbit(got) == np.signbit(acc)
+    got = np.bincount(np.zeros(0, np.intp), np.zeros(0), 1)[0]  # the total of no rows, as summary_tables adds
+    assert got == 0.0 and not np.signbit(got)
+
+
+def _reference_groups(ep):
+    """(agent_id, algo, row mask) per bidder, by id then algo, one mask per bidder."""
+    aid, algo = ep["agent_id"], ep["algo"]
+    groups = []
+    for i in sorted(set(aid.tolist())):
+        rest = aid == i
+        while rest.any():
+            a = algo[rest.argmax()]
+            m = rest & (algo == a)
+            groups.append((i, str(a), m))
+            rest &= ~m
+    return sorted(groups, key=lambda g: g[:2])
+
+
+def _in_order_sum(x):
+    acc = 0.0
+    for v in x.tolist():
+        acc += v
+    return acc
+
+
+def test_grouping_matches_per_mask_reference():
+    # Bidders interleave irregularly, id 2 logs two algorithms, and payoffs
+    # hold -0.0 and a series whose in-order sum differs from x.sum().
+    rng = np.random.default_rng(7)
+    bidders = [(3, "dqn"), (1, "ppo"), (2, "ql"), (2, "a2c"), (7, "random")]
+    who = rng.integers(0, len(bidders), 400)
+    spread = [1e16, 1.0, -1e16, 1.0, 0.1, -0.0]
+    rows = [(t, *bidders[b], spread[t % 6] if b == 1 else -0.0 if b == 4 else float(rng.normal()),
+             int(rng.integers(0, 3)), float(rng.uniform(0, 5))) for t, b in enumerate(who)]
+    ep = _episode_log(rows)
+    au = _auction_log([(t, "gsp", 6, 1.0, 1.0, 0.0) for t in range(len(rows))])
+    payoff_1 = ep["payoff_total"][ep["agent_id"] == 1]
+    assert _in_order_sum(payoff_1) != payoff_1.sum()
+
+    ref = _reference_groups(ep)
+    keys, codes = groups = bidder_groups(ep)
+    assert keys == [(aid, algo) for aid, algo, _ in ref]
+    for c, (_, _, m) in enumerate(ref):
+        assert np.array_equal(codes == c, m)
+
+    table, _ = summary_tables(ep, au, groups)
+    expect = []
+    for aid, algo, m in ref:
+        units = ep["units_won"][m]
+        payoff, cost = _in_order_sum(ep["payoff_total"][m]), _in_order_sum(ep["payment_total"][m])
+        items, wins = int(units.sum()), int(np.count_nonzero(units > 0))
+        expect.append({
+            "id": aid, "type": algo, "payoff_total": payoff,
+            "payoff_mean": payoff / items if items else 0.0, "cost_mean": cost / items if items else 0.0,
+            "items_won": items, "payoff_mean_per_episode": payoff / units.size,
+            "payoff_mean_per_winning_episode": payoff / wins if wins else 0.0,
+        })
+    expect.sort(key=lambda b: (-b["payoff_total"], b["id"]))
+    for rank, b in enumerate(expect, start=1):
+        b["rank"] = rank
+    for field in BIDDER_FIELDS:  # repr tells -0.0 from 0.0 and shows every bit of a float
+        assert list(map(repr, table[field].tolist())) == [repr(b[field]) for b in expect], field
+    # id 7 logs -0.0 only, and an in-order sum from 0.0 gives +0.0
+    assert repr(table["payoff_total"][table["id"].tolist().index(7)]) == "np.float64(0.0)"
+
+
+def test_report_curves_match_per_mask_reference(tmp_path):
+    # The report's per-bidder learning-ratio figure equals one drawn from the
+    # masks of the reference grouping, on a log where bidders interleave and
+    # id 2 logs two algorithms.
+    rng = np.random.default_rng(8)
+    bidders = [(2, "ql"), (1, "ppo"), (2, "a2c"), (5, "vpg")]
+    who = rng.integers(0, len(bidders), 300)
+    ep = _episode_log([(t, *bidders[b], 1.0, 1, 0.5) for t, b in enumerate(who)])
+    ep["learning_ratio1"] = rng.normal(size=who.size)
+    ep["learning_ratio2"] = rng.normal(size=who.size)
+    au = _auction_log([(t, "dp", 4, 1.0, 1.0, 0.0) for t in range(who.size)])
+    run = tmp_path / "run"
+    run.mkdir()
+    write_csv(ep, run / "episodes.csv", EPISODE_LOG_FIELDS)
+    write_csv(au, run / "auctions.csv", AUCTION_LOG_FIELDS)
+    assert main(["report", "--run", str(run), "--out", str(tmp_path / "rep"), "--window", "7"]) == 0
+    logged = read_csv(run / "episodes.csv")
+    curves = {
+        f"{algo} (id {aid})": {
+            "unit 1": rolling_mean(logged["learning_ratio1"][m], 7),
+            "unit 2": rolling_mean(logged["learning_ratio2"][m], 7),
+        }
+        for aid, algo, m in _reference_groups(logged)
+    }
+    emit_svg(sorted(curves.items()), tmp_path / "want.svg")
+    got = (tmp_path / "rep" / "fig_learning_ratio.svg").read_bytes()
+    assert got == (tmp_path / "want.svg").read_bytes()
+    assert got.count(b"<polyline") == 2 * len(bidders)
 
 
 def test_write_csv_fixed_point_and_lf(tmp_path):
@@ -296,7 +394,7 @@ def test_emit_svg_empty_and_constant_series(tmp_path):
 def test_field_lists_match_tables():
     ep = _episode_log([(0, 1, "ppo", 1.0, 1, 0.0)])
     au = _auction_log([(0, "dp", 4, 1.0, 1.0, 0.0)])
-    bidders, auctions = summary_tables(ep, au)
+    bidders, auctions = summary_tables(ep, au, bidder_groups(ep))
     assert list(bidders) == BIDDER_FIELDS
     assert list(auctions) == AUCTION_FIELDS
 

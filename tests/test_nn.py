@@ -148,23 +148,23 @@ def test_adam_zero_gradient_is_noop():
     assert np.array_equal(params.vec, [1.0, 2.0, 3.0])
 
 
-def test_adam_skips_nonfinite_gradients():
+def test_adam_raises_on_nonfinite_gradients():
     params = MlpParams((1, 1), np.array([1.0, 2.0]))
     opt = OptimState(params, lr=0.1)
-    with pytest.warns(RuntimeWarning) as caught:
+    with pytest.raises(ConfigError, match="diverged"):
         adam_step_params(params, _grads(params, [np.nan, 1.0]), opt)
-    assert caught[0].filename == __file__  # the warning names the caller's line
     assert np.array_equal(params.vec, [1.0, 2.0])
-    assert opt.step == 0
-    # through an agent's update it names that update, not the optimizer
+    assert opt.step == 0 and not opt.m.any() and not opt.v.any()
+    # through an agent's update: a DQN whose Q errors overflow
     net = mlp_init((2, 4, 3), 0)
     net.biases[-1][...] = 1e308  # Q errors of 1e308 double to an infinite gradient
+    before = net.vec.copy()
     buf = ReplayBuffer(4, obs=(float, (2,)), action=int, reward=float)
     buf.push(np.full((4, 2), 0.5), np.arange(4) % 3, np.zeros(4))
     opt = OptimState(net, lr=0.1)
-    with pytest.warns(RuntimeWarning) as caught:
+    with pytest.raises(ConfigError, match="diverged"), np.errstate(over="ignore", invalid="ignore"):
         dqn_train_step(net, buf, opt, 4, np.random.default_rng(0))
-    assert caught[0].filename.endswith("qlearn.py")
+    assert np.array_equal(net.vec, before)
     assert opt.step == 0
 
 
