@@ -348,9 +348,12 @@ def check_overrides(algo: str, overrides: dict) -> None:
 
 def make_agent(algo: str, config: ScenarioConfig, rng: np.random.Generator, **overrides) -> Agent:
     """Construct a fresh agent by algorithm tag. Arrays that cannot be
-    allocated raise ConfigError, naming the overrides."""
+    allocated, or whose sizes numpy cannot hold, raise ConfigError, naming
+    the overrides."""
     check_overrides(algo, overrides)
     try:
         return agent_class(algo)(config, rng, **overrides)
-    except MemoryError as e:
+    except ConfigError:
+        raise
+    except (MemoryError, ValueError) as e:
         raise ConfigError(f"{algo} hyperparameters {overrides}: the agent's arrays do not fit in memory ({e})") from None

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -72,12 +73,13 @@ def load_checkpoint(path) -> tuple[str, dict, dict[str, np.ndarray]]:
     arrays = {}
     for spec in header["arrays"]:
         shape = tuple(spec["shape"])
-        nbytes = int(np.prod(shape, dtype=int)) * 8
+        nbytes = math.prod(shape) * 8
         if off + nbytes > len(payload):
             raise CheckpointError(f"{path}: truncated array payload")
-        arrays[spec["name"]] = (
-            np.frombuffer(payload[off : off + nbytes], dtype="<f8").reshape(shape).copy()
-        )
+        try:
+            arrays[spec["name"]] = np.frombuffer(payload[off : off + nbytes], dtype="<f8").reshape(shape).copy()
+        except ValueError as e:  # an empty shape with a dimension numpy cannot hold
+            raise CheckpointError(f"{path}: array {spec['name']!r} of shape {list(shape)}: {e}") from None
         off += nbytes
     if off != len(payload):
         raise CheckpointError(f"{path}: trailing bytes in payload")

@@ -98,51 +98,59 @@ def run_session(session: Session, env: AuctionEnv, agents: list[Agent], episodes
     to `sink(episode_columns, auction_columns)` as the block ends: those of the
     episode log (one row per agent per episode) and of the auction log (one row
     per episode). Only one block's arrays are alive at a time, and efficiency
-    is scored a block a call."""
+    is scored a block a call.
+
+    The blocks play with numpy's overflow, invalid and divide errors raised: a
+    learner that diverges meets one, as a ConfigError naming the operation."""
     config, train = session.scenario, [seat.train for seat in session.roster]
     n, k, K = len(agents), config.units_per_bidder, config.supply
     ids = np.asarray([seat.id for seat in session.roster], dtype=np.int64)
     algos = np.array([agent.algo for agent in agents])
-    for a in range(0, episodes, BLOCK):
-        b = min(BLOCK, episodes - a)
-        reward, revenue = np.empty((b, n)), np.empty(b)
-        valuations, bids, payment = (np.empty((b, n, k)) for _ in range(3))
-        won, winners = np.empty((b, n, k), dtype=bool), np.empty((b, K), dtype=int)
-        run_episode(env, agents, train, [reward, won, payment, bids, winners, revenue, valuations])
-        episode = np.arange(a, a + b)
-        value, units = valuations[:, :, 0].ravel(), won.sum(axis=2).ravel()
-        bids, won, payment = (x.reshape(b * n, k) for x in (bids, won, payment))
-        bid1, bid2 = bids[:, 0], bids[:, 1]
-        sink({
-            "episode": np.repeat(episode, n),
-            "agent_id": np.tile(ids, b),
-            "algo": np.tile(algos, b),
-            "value": value,
-            "bid1": bid1,
-            "bid2": bid2,
-            "units_won": units,
-            "payment_total": slot_sum(payment),
-            "payoff_total": slot_sum(np.where(won, value[:, None] - payment, 0.0)),
-            "reward_total": reward.ravel(),
-            "learning_ratio1": learning_ratio(value, bid1),
-            "learning_ratio2": learning_ratio(value, bid2),
-            "bid_ratio1": bid_ratio(value, bid1),
-            "bid_ratio2": bid_ratio(value, bid2),
-        }, {
-            "episode": episode,
-            "rule": np.full(b, config.rule),
-            "K": np.full(b, K),
-            "revenue": revenue,
-            "efficiency_ratio": efficiency_ratio(valuations, winners, K),
-            "efficiency_gap": efficiency_gap(valuations, winners, K),
-        })
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for a in range(0, episodes, BLOCK):
+                b = min(BLOCK, episodes - a)
+                reward, revenue = np.empty((b, n)), np.empty(b)
+                valuations, bids, payment = (np.empty((b, n, k)) for _ in range(3))
+                won, winners = np.empty((b, n, k), dtype=bool), np.empty((b, K), dtype=int)
+                run_episode(env, agents, train, [reward, won, payment, bids, winners, revenue, valuations])
+                episode = np.arange(a, a + b)
+                value, units = valuations[:, :, 0].ravel(), won.sum(axis=2).ravel()
+                bids, won, payment = (x.reshape(b * n, k) for x in (bids, won, payment))
+                bid1, bid2 = bids[:, 0], bids[:, 1]
+                sink({
+                    "episode": np.repeat(episode, n),
+                    "agent_id": np.tile(ids, b),
+                    "algo": np.tile(algos, b),
+                    "value": value,
+                    "bid1": bid1,
+                    "bid2": bid2,
+                    "units_won": units,
+                    "payment_total": slot_sum(payment),
+                    "payoff_total": slot_sum(np.where(won, value[:, None] - payment, 0.0)),
+                    "reward_total": reward.ravel(),
+                    "learning_ratio1": learning_ratio(value, bid1),
+                    "learning_ratio2": learning_ratio(value, bid2),
+                    "bid_ratio1": bid_ratio(value, bid1),
+                    "bid_ratio2": bid_ratio(value, bid2),
+                }, {
+                    "episode": episode,
+                    "rule": np.full(b, config.rule),
+                    "K": np.full(b, K),
+                    "revenue": revenue,
+                    "efficiency_ratio": efficiency_ratio(valuations, winners, K),
+                    "efficiency_gap": efficiency_gap(valuations, winners, K),
+                })
+    except FloatingPointError as e:
+        raise ConfigError(f"the learner diverged ({e}); try a smaller learning rate or step size") from None
 
 
 # --- checkpoint lifecycle ---------------------------------------------------
 
 def save_agent(agent: Agent, path) -> None:
     """Write the agent's checkpoint, or raise ConfigError when an array holds
-    a non-finite value (the learner diverged), which `load_payload` refuses."""
+    a non-finite value (the learner diverged), which `load_payload` refuses.
+    Python-float arithmetic sets no numpy error, so run_session can miss it."""
     meta, arrays = agent.checkpoint_payload()
     for name, array in arrays.items():
         if not np.isfinite(array).all():

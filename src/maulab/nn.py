@@ -73,8 +73,6 @@ def forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list]:
     the bits of a call on it alone; (batch, in) may not."""
     squeeze = x.ndim == 1
     h = np.atleast_2d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(h)):
-        raise ValueError("non-finite network input")
     if h.shape[-1] != params.layout[0]:
         raise ConfigError(f"input width {h.shape[-1]} != layout input {params.layout[0]}")
     cache = []
@@ -120,11 +118,8 @@ class OptimState:
 
 def adam_step_params(params: MlpParams, grads: MlpParams, opt: OptimState) -> None:
     """One bias-corrected adaptive-moment descent step on the whole parameter
-    vector, in place; raises ConfigError, before any change, when a gradient
-    is non-finite, which a learner diverged by too large a step size has."""
+    vector, in place."""
     g = grads.vec
-    if not np.isfinite(g).all():
-        raise ConfigError("non-finite gradient: the learner diverged; try a smaller learning rate")
     opt.step += 1
     b1c = 1.0 - BETA1**opt.step
     b2c = 1.0 - BETA2**opt.step
@@ -147,11 +142,8 @@ def adam_step_params(params: MlpParams, grads: MlpParams, opt: OptimState) -> No
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log-probabilities over the last axis; raises ConfigError on non-finite
-    logits, which a policy diverged by too large a learning rate or step size has."""
+    """Log-probabilities over the last axis."""
     logits = np.asarray(logits, dtype=float)
-    if not np.all(np.isfinite(logits)):
-        raise ConfigError("non-finite logits: the policy diverged; try a smaller learning rate or step size")
     z = logits - logits.max(axis=-1, keepdims=True)
     z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
     return z
@@ -160,16 +152,10 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 def sample_categorical(log_probs: np.ndarray, u) -> np.ndarray:
     """One index per row of `log_probs` (over the last axis) by inverse CDF
     from `u`, one uniform per row: the count of the row's CDF values below
-    its uniform."""
-    return (np.asarray(u)[..., None] > categorical_cdf(log_probs)).sum(axis=-1)
-
-
-def categorical_cdf(log_probs: np.ndarray) -> np.ndarray:
-    """The CDF of each row of `log_probs` (over the last axis), the same bits
-    whatever the other rows."""
+    its uniform. A row's CDF has the same bits whatever the other rows."""
     cdf = np.exp(log_probs)
     np.cumsum(cdf, axis=-1, out=cdf)
-    return cdf
+    return (np.asarray(u)[..., None] > cdf).sum(axis=-1)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

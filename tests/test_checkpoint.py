@@ -97,6 +97,21 @@ def test_truncated_payload(tmp_path):
         load_checkpoint(path)
 
 
+# [2**62, 4] has 2**64 elements, which a fixed-width product wraps to 0; [0, 2**62] has none, but
+# numpy cannot build its shape.
+@pytest.mark.parametrize("shape", [[2**62, 4], [0, 2**62]])
+def test_a_shape_numpy_cannot_build_is_a_checkpoint_error(tmp_path, shape):
+    import hashlib
+    import json
+
+    hbytes = json.dumps({"kind": "qtable", "meta": {}, "arrays": [{"name": "table", "shape": shape}]}).encode()
+    body = MAGIC + struct.pack("<II", VERSION, len(hbytes)) + hbytes
+    path = tmp_path / "a.ckpt"
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    with pytest.raises(CheckpointError, match="a.ckpt"):
+        load_checkpoint(path)
+
+
 def test_empty_arrays_ok(tmp_path):
     path = tmp_path / "a.ckpt"
     save_checkpoint(path, "none", {"note": "no arrays"}, {})

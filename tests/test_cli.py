@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from maulab.cli import main
+from maulab.config import LEARNERS
 
 
 def _pretrain(tmp_path, **kw):
@@ -406,6 +407,18 @@ def _with_header(path, header, arrays=()):
     path.write_bytes(body + hashlib.sha256(body).digest())
 
 
+# Shapes whose element count wraps to 0 in a fixed-width product, and an empty shape with a dimension
+# that numpy cannot hold.
+@pytest.mark.parametrize("shape", [[2**62, 4], [0, 2**62]])
+def test_a_checkpoint_shape_numpy_cannot_build_exits_5(tmp_path, capsys, shape):
+    bad = tmp_path / "huge.ckpt"
+    _with_header(bad, {"kind": "qtable", "meta": {"algo": "ql"}, "arrays": [{"name": "table", "shape": shape}]})
+    assert _frozen_tournament(tmp_path / "out", {algo: bad for algo in LEARNERS}) == 5
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("damage", [
     "no arrays", "meta a list", "header a list", "kind a number", "spec a list", "negative dim", "bool dim",
     "int layout",
@@ -632,18 +645,29 @@ def test_each_cli_failure_is_one_stderr_line_and_its_exit_code(tmp_path, capsys,
     assert not out.exists()
 
 
-# Sizes in the TiB range: numpy refuses them at once, so nothing is allocated.
-@pytest.mark.parametrize("case", ["buffer_capacity", "value_bins"])
+# Sizes in the TiB range, which numpy refuses at once, so nothing is allocated, and counts of
+# 2**70, which no numpy dimension can hold.
+ALLOCATIONS = {
+    "buffer_capacity": ("dqn", "buffer_capacity", 10_000_000_000_000),
+    "value_bins": ("ql", "value_bins", 100_000_000_000),
+    "value_bins_2**70": ("ql", "value_bins", 2**70),
+    "buffer_capacity_2**70": ("dqn", "buffer_capacity", 2**70),
+    "rollout_2**70": ("ppo", "rollout", 2**70),
+    "hidden_2**70": ("dpn", "hidden", [64, 2**70]),
+}
+
+
+@pytest.mark.parametrize("case", ALLOCATIONS)
 def test_an_allocation_that_cannot_be_made_exits_2_and_writes_nothing(tmp_path, capsys, case):
     out = tmp_path / "out"
-    algo, value = ("dqn", 10_000_000_000_000) if case == "buffer_capacity" else ("ql", 100_000_000_000)
+    algo, key, value = ALLOCATIONS[case]
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps({
-        "algo": algo, "auction": "dp", "items": 4, "episodes": 5, "hyperparameters": {algo: {case: value}},
+        "algo": algo, "auction": "dp", "items": 4, "episodes": 5, "hyperparameters": {algo: {key: value}},
     }))
     assert main(["pretrain", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and case in err and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and key in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -662,7 +686,7 @@ def test_a_learner_that_diverges_exits_2_and_writes_nothing(tmp_path, capsys, al
     }))
     assert main(["pretrain", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "diverged" in err and "Traceback" not in err
+    assert err.startswith("error: the learner diverged (") and err.count("\n") == 1
     assert not out.exists()
 
 

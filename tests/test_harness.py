@@ -218,6 +218,28 @@ def test_save_agent_roundtrip_schedule_counters(tmp_path):
     assert clone.t == 77
 
 
+def test_save_agent_refuses_a_non_finite_table_and_writes_nothing(tmp_path):
+    # vpg's update multiplies by Python floats, which raise no numpy error, so
+    # only this check sees a table that overflows on a session's last update
+    agent = make_agent("vpg", ScenarioConfig(), np.random.default_rng(0))
+    agent.table[3, 5] = np.inf
+    with pytest.raises(ConfigError, match="'table'"):
+        save_agent(agent, tmp_path / "vpg.ckpt")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("alpha", [0.1, 1e308], ids=["returns", "diverges"])
+def test_the_divergence_guard_leaves_numpy_error_handling_as_it_was(tmp_path, alpha):
+    before = np.geterr()
+    session = pretrain("ql", "dp", 4, 600, 0, overrides={"alpha": alpha})
+    if alpha < 1:
+        run(session, tmp_path)
+    else:
+        with pytest.raises(ConfigError, match="diverged"):
+            run(session, tmp_path)
+    assert np.geterr() == before
+
+
 SEAT_KEYS = {"id", "algo", "train", "checkpoint", "overrides"}
 
 

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from maulab.config import ConfigError
-from maulab.agents.base import ReplayBuffer
-from maulab.agents.qlearn import dqn_train_step
 from maulab.nn import (
     Categorical,
     MlpParams,
@@ -77,12 +75,6 @@ def test_forward_pure():
     assert np.array_equal(params.vec, before)
 
 
-def test_forward_rejects_nonfinite():
-    params = mlp_init((2, 3), 0)
-    with pytest.raises(ValueError):
-        forward(params, np.array([np.nan, 0.0]))
-
-
 def test_forward_rejects_wrong_width():
     params = mlp_init((2, 3), 0)
     with pytest.raises(ConfigError):
@@ -146,26 +138,6 @@ def test_adam_zero_gradient_is_noop():
     opt = OptimState(params, lr=0.1)
     adam_step_params(params, _grads(params, np.zeros(3)), opt)
     assert np.array_equal(params.vec, [1.0, 2.0, 3.0])
-
-
-def test_adam_raises_on_nonfinite_gradients():
-    params = MlpParams((1, 1), np.array([1.0, 2.0]))
-    opt = OptimState(params, lr=0.1)
-    with pytest.raises(ConfigError, match="diverged"):
-        adam_step_params(params, _grads(params, [np.nan, 1.0]), opt)
-    assert np.array_equal(params.vec, [1.0, 2.0])
-    assert opt.step == 0 and not opt.m.any() and not opt.v.any()
-    # through an agent's update: a DQN whose Q errors overflow
-    net = mlp_init((2, 4, 3), 0)
-    net.biases[-1][...] = 1e308  # Q errors of 1e308 double to an infinite gradient
-    before = net.vec.copy()
-    buf = ReplayBuffer(4, obs=(float, (2,)), action=int, reward=float)
-    buf.push(np.full((4, 2), 0.5), np.arange(4) % 3, np.zeros(4))
-    opt = OptimState(net, lr=0.1)
-    with pytest.raises(ConfigError, match="diverged"), np.errstate(over="ignore", invalid="ignore"):
-        dqn_train_step(net, buf, opt, 4, np.random.default_rng(0))
-    assert np.array_equal(net.vec, before)
-    assert opt.step == 0
 
 
 def test_adam_first_step_size():
@@ -242,11 +214,6 @@ def test_categorical_log_prob_oracle():
             logits[a] - np.log(z), abs=1e-12
         )
     assert np.allclose(dist.probs.sum(), 1.0, atol=1e-12)
-
-
-def test_categorical_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        Categorical(np.array([np.inf, 0.0]))
 
 
 def test_categorical_sampling_deterministic_and_distributed():
