@@ -6,7 +6,7 @@ import numpy as np
 
 from maulab.agents.base import Agent, ReplayBuffer, TableAgent, action_indices, action_table, decay_for, epsilon_at
 from maulab.config import ConfigError, ScenarioConfig
-from maulab.nn import OptimState, adam_step_params, backward, forward, mlp_init
+from maulab.nn import MlpParams, OptimState, adam_step_params, forward, mlp_init, trunk_backward, trunk_forward
 
 
 def q_update(table: np.ndarray, s: int, a: int, r: float, alpha: float) -> None:
@@ -75,6 +75,33 @@ class QLearningAgent(TableAgent):
         return self.actions[_epsilon_greedy(self._kept(len(obs)), obs, self._greedy)]
 
 
+def dqn_loss_grads(net, obs: np.ndarray, act: np.ndarray, rew: np.ndarray) -> tuple[float, MlpParams]:
+    """The MSE of Q(s, a) against the terminal single-step target r (no
+    bootstrap) over a batch, and its gradient.
+
+    Only the sampled actions' head rows are used: a row's Q(s, a) is its last
+    hidden state dotted with its action's head row, plus that action's bias,
+    so the head's gradient is zero outside the distinct sampled actions."""
+    n = len(act)
+    cache = trunk_forward(net, obs)
+    h, w_act = cache[-1], net.weights[-1][act]
+    err = np.einsum("ij,ij->i", h, w_act)
+    err += net.biases[-1][act]
+    err -= rew
+    loss = float(np.mean(err**2))
+    g = 2.0 * err / n  # dloss / dQ(s_i, a_i)
+    cols, col_of_row = np.unique(act, return_inverse=True)
+    per_col = np.zeros((len(cols), n))
+    per_col[col_of_row, np.arange(n)] = g
+    grads = MlpParams(net.layout, np.empty_like(net.vec))
+    head_w, head_b = grads.weights[-1], grads.biases[-1]
+    head_w.fill(0.0)
+    head_b.fill(0.0)
+    head_w[cols] = per_col @ h
+    head_b[cols] = np.bincount(col_of_row, weights=g)
+    return loss, trunk_backward(net, cache, g[:, None] * w_act, grads)
+
+
 def dqn_train_step(
     net,
     buffer: ReplayBuffer,
@@ -82,16 +109,9 @@ def dqn_train_step(
     batch_size: int,
     rng: np.random.Generator,
 ) -> float:
-    """One DQN update: sample a batch, regress Q(s, a) onto the terminal
-    single-step target r (no bootstrap), return the MSE loss."""
-    obs, act, rew = buffer.sample(batch_size, rng)
-    q, cache = forward(net, obs)
-    pred = q[np.arange(batch_size), act]
-    err = pred - rew
-    loss = float(np.mean(err**2))
-    grad_out = np.zeros_like(q)
-    grad_out[np.arange(batch_size), act] = 2.0 * err / batch_size
-    adam_step_params(net, backward(net, cache, grad_out), opt)
+    """One DQN update on a sampled batch; returns its MSE loss."""
+    loss, grads = dqn_loss_grads(net, *buffer.sample(batch_size, rng))
+    adam_step_params(net, grads, opt)
     return loss
 
 

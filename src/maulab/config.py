@@ -11,6 +11,9 @@ RULES = ("dp", "gsp", "up")
 SUPPLIES = (4, 6, 8)
 ALGOS = ("ppo", "a2c", "dqn", "dpn", "ql", "vpg", "random")
 LEARNERS = tuple(a for a in ALGOS if a != "random")  # in tournament seat order, ids from 1
+# The finest bid grid (step 0.1 on [0, 10]): its 5,151 canonical joint bids
+# keep a Q-table and DQN's 64-wide head at a few MB.
+MAX_GRID_LEVELS = 101
 
 
 class ConfigError(ValueError):
@@ -58,8 +61,8 @@ class ScenarioConfig:
             raise ConfigError("supply must be > 2")
         if self.n_bidders * self.units_per_bidder <= self.supply:
             raise ConfigError("total demand must exceed supply")
-        if self.grid_levels < 2:
-            raise ConfigError("grid_levels must be >= 2")
+        if not 2 <= self.grid_levels <= MAX_GRID_LEVELS:
+            raise ConfigError(f"grid_levels must be in [2, {MAX_GRID_LEVELS}], got {self.grid_levels}")
         if self.episodes < 0:
             raise ConfigError("episodes must be >= 0")
         if self.master_seed < 0:

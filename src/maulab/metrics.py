@@ -104,7 +104,7 @@ def write_csv(columns: dict, out, fieldnames) -> None:
     fmt = ",".join("%.6f" if c.dtype.kind == "f" else "%s" for c in cols) + "\n"
     for lo in range(0, len(cols[0]) if cols else 0, BLOCK_ROWS):
         block = (c[lo : lo + BLOCK_ROWS].tolist() for c in cols)
-        out.writelines(map(fmt.__mod__, zip(*block)))
+        out.write("".join(map(fmt.__mod__, zip(*block))))
 
 
 def read_csv(path) -> dict:

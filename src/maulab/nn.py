@@ -67,41 +67,55 @@ def mlp_init(layout, seed_or_rng) -> MlpParams:
     return params
 
 
+def trunk_forward(params: MlpParams, x: np.ndarray) -> list:
+    """The hidden layers' pass over x, (batch, in) or (in,): the input of every
+    layer as a 2-D or stacked array, the head's (the last hidden state) last."""
+    h = np.atleast_2d(np.asarray(x, dtype=float))
+    if h.shape[-1] != params.layout[0]:
+        raise ConfigError(f"input width {h.shape[-1]} != layout input {params.layout[0]}")
+    cache = [h]
+    for W, b in zip(params.weights[:-1], params.biases[:-1]):
+        z = h @ W.T
+        z += b  # in place: one block-sized array fewer
+        h = np.tanh(z)
+        cache.append(h)
+    return cache
+
+
 def forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list]:
     """Batch forward pass. x is (batch, in) or (in,); returns (output, cache), where
     the cache holds each layer's input. A stack of rows (batch, 1, in) gives each row
     the bits of a call on it alone; (batch, in) may not."""
-    squeeze = x.ndim == 1
-    h = np.atleast_2d(np.asarray(x, dtype=float))
-    if h.shape[-1] != params.layout[0]:
-        raise ConfigError(f"input width {h.shape[-1]} != layout input {params.layout[0]}")
-    cache = []
-    last = len(params.weights) - 1
-    for li, (W, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ W.T
-        z += b  # in place: one block-sized array fewer
-        cache.append(h)
-        h = np.tanh(z) if li < last else z
-    out = h[0] if squeeze else h
-    return out, cache
+    cache = trunk_forward(params, x)
+    out = cache[-1] @ params.weights[-1].T
+    out += params.biases[-1]
+    return (out[0] if x.ndim == 1 else out), cache
+
+
+def trunk_backward(params: MlpParams, cache: list, g: np.ndarray, grads: MlpParams) -> MlpParams:
+    """Backprop through the hidden layers from g, the batch's gradient at the
+    last hidden state, writing their gradients into `grads`; returns `grads`."""
+    for li in range(len(params.weights) - 2, -1, -1):
+        g = g * (1.0 - cache[li + 1] ** 2)  # tanh'(z) from tanh(z), the next layer's input
+        np.matmul(g.T, cache[li], out=grads.weights[li])
+        g.sum(axis=0, out=grads.biases[li])
+        if li:
+            g = g @ params.weights[li]
+    return grads
 
 
 def backward(params: MlpParams, cache: list, grad_out: np.ndarray) -> MlpParams:
     """Exact reverse-mode gradients for the forward pass above, summed over
     the batch, written into a fresh vector of the network's layout."""
     g = np.atleast_2d(np.asarray(grad_out, dtype=float))
+    h = cache[-1]
+    if g.shape != (len(h), params.layout[-1]):
+        raise ConfigError(f"gradient shape {g.shape} != layer output {(len(h), params.layout[-1])}")
     grads = MlpParams(params.layout, np.empty_like(params.vec))
-    last = len(params.weights) - 1
-    for li in range(last, -1, -1):
-        h_in, out_shape = cache[li], (len(cache[li]), params.layout[li + 1])
-        if li < last:
-            g = g * (1.0 - cache[li + 1] ** 2)  # tanh'(z) from tanh(z), the next layer's input
-        if g.shape != out_shape:
-            raise ConfigError(f"gradient shape {g.shape} != layer output {out_shape}")
-        np.matmul(g.T, h_in, out=grads.weights[li])
-        g.sum(axis=0, out=grads.biases[li])
-        if li:
-            g = g @ params.weights[li]
+    np.matmul(g.T, h, out=grads.weights[-1])
+    g.sum(axis=0, out=grads.biases[-1])
+    if len(params.weights) > 1:
+        trunk_backward(params, cache, g @ params.weights[-1], grads)
     return grads
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from maulab.cli import main
-from maulab.config import LEARNERS
+from maulab.config import LEARNERS, MAX_GRID_LEVELS
 
 
 def _pretrain(tmp_path, **kw):
@@ -271,6 +271,20 @@ def test_config_file_values_checked_like_flags(tmp_path, capsys, key, value):
     path.write_text(json.dumps(cfg))
     assert main(["pretrain", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("levels", [MAX_GRID_LEVELS + 1, 10**11, 2**70])
+@pytest.mark.parametrize("by_file", [False, True])
+def test_grid_levels_above_the_maximum_exit_2_before_any_run(tmp_path, capsys, levels, by_file):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"grid_levels": levels}))
+    given = ["--config", str(cfg)] if by_file else ["--grid-levels", str(levels)]
+    out = tmp_path / "out"
+    argv = ["pretrain", "--algo", "ql", "--auction", "dp", "--items", "4", "--episodes", "5", *given]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: grid_levels must be in [2, {MAX_GRID_LEVELS}], got {levels}\n"
+    assert not out.exists()
 
 
 def test_report_corrupt_config_snapshot_exits_5(tmp_path, capsys):

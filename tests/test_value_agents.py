@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from maulab.agents.base import ReplayBuffer, make_agent
-from maulab.agents.qlearn import dqn_train_step, q_update
+from maulab.agents.qlearn import dqn_loss_grads, dqn_train_step, q_update
 from maulab.config import ScenarioConfig
 from maulab.nn import OptimState, backward, finite_diff_check, forward, mlp_init
 
@@ -109,23 +109,67 @@ def test_dqn_trains_every_episode_after_warmup():
     assert not np.array_equal(agent.net.vec, initial)
 
 
+def _dense_loss_grads(net, obs, act, rew):
+    """dqn_loss_grads through the whole head: a one-hot gradient on every output."""
+    rows = np.arange(len(act))
+    q, cache = forward(net, obs)
+    err = q[rows, act] - rew
+    grad_out = np.zeros_like(q)
+    grad_out[rows, act] = 2.0 * err / len(act)
+    return float(np.mean(err**2)), backward(net, cache, grad_out)
+
+
 def test_dqn_loss_gradient_finite_difference():
+    """The dense reference that the tests below compare dqn_loss_grads with."""
     rng = np.random.default_rng(5)
     net = mlp_init((2, 8, 6), rng)
     obs = rng.random((5, 2))
     act = rng.integers(0, 6, size=5)
     rew = rng.normal(size=5)
-
-    def loss_fn(p):
-        q, _ = forward(p, obs)
-        return float(np.mean((q[np.arange(5), act] - rew) ** 2))
-
-    q, cache = forward(net, obs)
-    err = q[np.arange(5), act] - rew
-    grad_out = np.zeros_like(q)
-    grad_out[np.arange(5), act] = 2.0 * err / 5
-    grads = backward(net, cache, grad_out)
+    _, grads = _dense_loss_grads(net, obs, act, rew)
+    loss_fn = lambda p: _dense_loss_grads(p, obs, act, rew)[0]
     assert finite_diff_check(net, loss_fn, grads, rng, n_samples=40) < 1e-5
+
+
+# Batches of 5 over 6 actions: shared actions, one action for every row, all distinct.
+SAMPLED_ACTIONS = [[3, 0, 3, 5, 3], [4, 4, 4, 4, 4], [5, 1, 0, 2, 4]]
+
+
+@pytest.mark.parametrize("hidden", [(8,), (8, 7)])
+@pytest.mark.parametrize("act", SAMPLED_ACTIONS)
+def test_dqn_loss_grads_match_the_dense_head(hidden, act):
+    rng = np.random.default_rng(8)
+    net = mlp_init((2, *hidden, 6), rng)
+    net.vec += rng.normal(scale=0.1, size=net.vec.size)  # nonzero biases
+    obs, act, rew = rng.random((5, 2)), np.array(act), rng.normal(size=5)
+    loss, grads = dqn_loss_grads(net, obs, act, rew)
+    dense_loss, dense = _dense_loss_grads(net, obs, act, rew)
+    assert np.isclose(loss, dense_loss, rtol=1e-12, atol=0.0)
+    assert np.allclose(grads.vec, dense.vec, rtol=1e-10, atol=1e-14)
+    unsampled = np.setdiff1d(np.arange(6), act)
+    assert not grads.weights[-1][unsampled].any() and not grads.biases[-1][unsampled].any()
+
+
+@pytest.mark.parametrize("hidden", [(8,), (8, 7)])
+@pytest.mark.parametrize("act", SAMPLED_ACTIONS)
+def test_dqn_loss_grads_finite_difference(hidden, act):
+    rng = np.random.default_rng(9)
+    net = mlp_init((2, *hidden, 6), rng)
+    obs, act, rew = rng.random((5, 2)), np.array(act), rng.normal(size=5)
+    _, grads = dqn_loss_grads(net, obs, act, rew)
+    loss_fn = lambda p: dqn_loss_grads(p, obs, act, rew)[0]
+    assert finite_diff_check(net, loss_fn, grads, rng, n_samples=40) < 1e-5
+
+
+def test_dqn_loss_grads_match_the_dense_head_at_the_default_layout():
+    rng = np.random.default_rng(10)
+    net = mlp_init((2, 64, 64, 231), rng)
+    obs, act, rew = rng.random((64, 2)), rng.integers(0, 231, size=64), rng.normal(size=64)
+    loss, grads = dqn_loss_grads(net, obs, act, rew)
+    dense_loss, dense = _dense_loss_grads(net, obs, act, rew)
+    assert len(np.unique(act)) < 64  # some rows share an action
+    assert np.isclose(loss, dense_loss, rtol=1e-12, atol=0.0)
+    assert np.allclose(grads.vec, dense.vec, rtol=1e-10, atol=1e-14)
 
 
 def test_dqn_train_step_reduces_loss():
