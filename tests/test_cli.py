@@ -1,5 +1,6 @@
 """Command-line interface tests: flags, exit codes, artifacts."""
 
+import gc
 import hashlib
 import json
 import os
@@ -605,6 +606,36 @@ def test_tournament_config_file_hyperparameters_exit_2(tmp_path, capsys, grid_ch
     assert not (tmp_path / "out").exists()
 
 
+# pretrain --all runs every algorithm, rule and supply, and a tournament seats every learner, so a setting
+# that picks one is not read; giving it, by flag or by config file, is an error.
+UNREAD = {  # case: (argv, config file or None, how the error names the setting)
+    "all_algo_flag": (["pretrain", "--all", "--algo", "ql"], None, "--algo"),
+    "all_auction_flag": (["pretrain", "--all", "--auction", "up"], None, "--auction"),
+    "all_items_flag": (["pretrain", "--all", "--items", "8"], None, "--items"),
+    "all_algo_key": (["pretrain", "--all"], {"algo": "ql"}, "config key 'algo'"),
+    "all_auction_key": (["pretrain", "--all"], {"auction": "up"}, "config key 'auction'"),
+    "all_items_key": (["pretrain", "--all"], {"items": 8}, "config key 'items'"),
+    "tournament_algo_key": (["tournament", "--all-ppo"], {"algo": "dqn", "auction": "up", "items": 8},
+                            "config key 'algo'"),
+}
+
+
+@pytest.mark.parametrize("case", UNREAD)
+def test_a_setting_the_command_does_not_read_exits_2_before_any_run(tmp_path, capsys, grid_checkpoints, case):
+    argv, config, named = UNREAD[case]
+    if config is not None:
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg)]
+    if argv[0] == "tournament":
+        argv = [*argv, "--ckpt", f"ppo={grid_checkpoints('ppo')}"]
+    out = tmp_path / "out"
+    assert main([*argv, "--episodes", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named} ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 _EPISODE_HEADER = (
     "episode,agent_id,algo,value,bid1,bid2,units_won,payment_total,"
     "payoff_total,reward_total,learning_ratio1,learning_ratio2,bid_ratio1,bid_ratio2\n"
@@ -704,9 +735,9 @@ def test_a_learner_that_diverges_exits_2_and_writes_nothing(tmp_path, capsys, al
     assert not out.exists()
 
 
-@pytest.mark.parametrize("sessions", [["--algo", "ql", "--auction", "dp", "--items", "4"], ["--all"]],
-                         ids=["one", "all"])
-def test_a_session_failing_after_its_first_block_exits_3_and_leaves_nothing(tmp_path, capsys, monkeypatch, sessions):
+def _disk_full_after_the_first_block(monkeypatch) -> list:
+    """Four-episode blocks, and a log write that fails on any block but the
+    first; returns the list of (file name, size) at each failure."""
     import maulab.harness
 
     monkeypatch.setattr(maulab.harness, "BLOCK", 4)
@@ -719,6 +750,13 @@ def test_a_session_failing_after_its_first_block_exits_3_and_leaves_nothing(tmp_
         write_csv(columns, out, fieldnames)
 
     monkeypatch.setattr(maulab.harness, "write_csv", disk_full_after_the_first_block)
+    return failed
+
+
+@pytest.mark.parametrize("sessions", [["--algo", "ql", "--auction", "dp", "--items", "4"], ["--all"]],
+                         ids=["one", "all"])
+def test_a_session_failing_after_its_first_block_exits_3_and_leaves_nothing(tmp_path, capsys, monkeypatch, sessions):
+    failed = _disk_full_after_the_first_block(monkeypatch)
     out = tmp_path / "out"
     assert main(["pretrain", *sessions, "--episodes", "10", "--out", str(out)]) == 3
     err = capsys.readouterr().err
@@ -727,6 +765,53 @@ def test_a_session_failing_after_its_first_block_exits_3_and_leaves_nothing(tmp_
     assert part.endswith("episodes.csv.part") and size > len(_EPISODE_HEADER)  # ... with its first block written
     assert not list(tmp_path.rglob("*.part")) and not list(tmp_path.rglob("manifest.json"))
     assert not out.exists()  # neither the run directory nor the --out this run made
+
+
+# Every exit: a plain return (0, and 5 from report), an error (2, 3, 4) and argparse's own exit.
+@pytest.mark.parametrize("case", [0, 2, 3, 4, "corrupt_log", "unknown_flag"])
+def test_main_freezes_the_collector_once_on_every_exit_path(tmp_path, capsys, monkeypatch, case):
+    freezes = []
+    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(1))
+    if case == "unknown_flag":
+        with pytest.raises(SystemExit) as e:
+            main(["pretrain", "--no-such-flag"])
+        assert e.value.code == 2
+    elif case == "corrupt_log":
+        assert main(_logs(tmp_path / "corrupt", "not,a,log\n1,2,3\n", _AUCTION_HEADER)) == 5
+    else:
+        assert main(_exit_case(case, tmp_path)) == case
+    assert freezes == [1]
+
+
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+# Objects that are garbage when main freezes the collector are never finalized, so a file a command left
+# open would never be flushed or closed. Every command closes all it opens before it returns.
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("case, code", [
+    ("pretrain", 0), ("learning_tournament", 0), ("frozen_tournament", 0), ("report", 0), ("disk_full", 3),
+])
+def test_no_command_leaves_a_file_open(tmp_path, capsys, monkeypatch, grid_checkpoints, case, code):
+    ckpts = [x for algo in LEARNERS for x in ("--ckpt", f"{algo}={grid_checkpoints(algo)}")]
+    tour = ["tournament", "--auction", "gsp", "--items", "6", "--episodes", "5", *ckpts, "--out", str(tmp_path)]
+    if case == "report":
+        assert _pretrain(tmp_path, episodes=5) == 0
+    if case == "disk_full":
+        _disk_full_after_the_first_block(monkeypatch)
+    argv = {
+        "pretrain": ["pretrain", "--algo", "ppo", "--auction", "dp", "--items", "4", "--episodes", "5",
+                     "--out", str(tmp_path)],
+        "learning_tournament": tour,
+        "frozen_tournament": [*tour, "--freeze"],
+        "report": ["report", "--run", str(tmp_path / "dp_4_ql_1"), "--window", "2"],
+        "disk_full": ["pretrain", "--algo", "ql", "--auction", "dp", "--items", "4", "--episodes", "10",
+                      "--out", str(tmp_path / "out")],
+    }[case]
+    before = _open_fds()
+    assert main(argv) == code
+    assert _open_fds() == before
 
 
 def test_an_out_below_a_regular_file_exits_3_before_any_episode(tmp_path, capsys, monkeypatch):
