@@ -3,7 +3,9 @@
 Logs and tables are columns: dicts mapping a column name to a 1-D numpy
 array. Every writer is deterministic (fixed column order, 6-decimal
 fixed-point reals, LF line endings) so identical runs produce byte-identical
-files.
+files. A CSV cell is `"%.6f" % float(v)` for a real and `str(v)` for any
+other value, to the byte; write_csv renders most cells from digit tables and
+leaves the rest to the `%` operator (see its docstring).
 """
 
 from __future__ import annotations
@@ -93,18 +95,146 @@ def csv_log(path, fieldnames):
 
 
 def write_csv(columns: dict, out, fieldnames) -> None:
-    """CSV rows of the named columns, in fieldnames order: LF endings, reals
-    with six decimals, everything else as str() writes it. `out` is either a
-    text file open for writing, which gets the rows only, or a path, which
-    gets a header line and the rows through csv_log."""
+    """CSV rows of the named columns, in fieldnames order, LF endings. Each
+    cell is exactly what `"%.6f" % float(v)` gives for a real column and what
+    `str(v)` gives for any other, v being the cell's `.tolist()` value. `out`
+    is either a text file open for writing, which gets the rows only, or a
+    path, which gets a header line and the rows through csv_log.
+
+    Rows are rendered BLOCK_ROWS at a time from digit tables (_rows_text).
+    A row is formatted by the `%` operator instead when it holds a cell the
+    tables do not cover: a real that is not finite, is 2**52 / 1e6 or more
+    in magnitude, or whose |x| * 1e6 in float64 ends in exactly .5; a text
+    cell that is not ASCII or holds a NUL before its last character; or any
+    cell of a column that is not real, integer or text (bool and object
+    columns, say)."""
     if not hasattr(out, "write"):
         with csv_log(out, fieldnames) as fh:
             return write_csv(columns, fh, fieldnames)
     cols = [np.asarray(columns[f]) for f in fieldnames]
     fmt = ",".join("%.6f" if c.dtype.kind == "f" else "%s" for c in cols) + "\n"
     for lo in range(0, len(cols[0]) if cols else 0, BLOCK_ROWS):
-        block = (c[lo : lo + BLOCK_ROWS].tolist() for c in cols)
-        out.write("".join(map(fmt.__mod__, zip(*block))))
+        out.write(_rows_text([c[lo : lo + BLOCK_ROWS] for c in cols], fmt))
+
+
+def _digit_tables():
+    """4-byte words of ASCII digits padded with NUL bytes, indexed by a 3-digit
+    group g. GROUP[g], GROUP[1000 + g] and GROUP[2000 + g] are g with no
+    leading zeros, the same after a '-' (both empty for 0), and g's three
+    digits. LAST is GROUP with 0 written "0" and "-0". DOT[g] is "." and g's
+    digits, END[g] g's digits and ",", and COMMA "," alone: a comma is the
+    last byte of its word."""
+    ddd = np.zeros((10, 10, 10, 4), np.uint8)
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    ddd[..., 1], ddd[..., 2], ddd[..., 3] = digit[:, None, None], digit[:, None], digit
+    ddd = ddd.reshape(1000, 4)  # "\0ddd"
+    pos = ddd.copy()  # g with no leading zeros
+    pos[:100, 1], pos[:10, 2] = 0, 0
+    neg = pos.copy()  # and a '-' before it
+    neg[100:, 0], neg[10:100, 1], neg[:10, 2] = ord("-"), ord("-"), ord("-")
+    dot, end = ddd.copy(), np.zeros_like(ddd)
+    dot[:, 0], end[:, :3], end[:, 3] = ord("."), ddd[:, 1:], ord(",")
+    last = np.concatenate([pos, neg, ddd]).view(np.uint32).ravel()
+    group = last.copy()
+    group[[0, 1000]] = 0
+    comma = np.array([0, 0, 0, ord(",")], np.uint8).view(np.uint32)[0]
+    return group, last, dot.view(np.uint32).ravel(), end.view(np.uint32).ravel(), comma
+
+
+_GROUP, _LAST, _DOT, _END, _COMMA = _digit_tables()
+# Below this magnitude y = |x| * 1e6 is below 2**52, where every k + 1/2 is a
+# float64. Rounding to float64 is monotone, so y lies on the same side of each
+# k + 1/2 as the exact product |x| * 10**6 does, unless y is k + 1/2 itself:
+# rint(y) is the exact product's nearest integer whenever y's fraction is
+# not 1/2.
+_REAL_LIMIT = 2.0**52 / 1e6
+
+
+def _groups(v, n: int) -> list:
+    """The n 3-digit groups of each 64-bit integer v >= 0, most significant
+    first, as int64 indices; v is below 1000**n."""
+    low = []
+    for _ in range(n - 1):
+        high = v // 1000
+        low.append((v - high * 1000).view(np.int64))
+        v = high
+    return [v.view(np.int64), *reversed(low)]
+
+
+def _ngroups(top: int) -> int:
+    return -(-len(str(top)) // 3)
+
+
+def _sign_and_groups(groups: list, neg) -> list:
+    """Words of integer parts: groups above the first nonzero one print
+    nothing, and the first nonzero one (or the last) prints after the sign."""
+    base = neg * 1000  # 2000 once a group has printed
+    words = []
+    for g in groups[:-1]:
+        words.append(_GROUP[g + base])
+        base = np.where(g != 0, 2000, base)
+    return words + [_LAST[groups[-1] + base]]
+
+
+def _rows_text(cols: list, fmt: str) -> str:
+    """The CSV text of one chunk of rows, equal to `fmt % row` for each row.
+    Every cell is written as 4-byte words from the digit tables, a cell's
+    words one after another, into a matrix with a column per row; its
+    transpose's bytes with the NUL bytes dropped are the text. Rows holding a
+    cell that the tables do not cover (see write_csv) are formatted by `fmt`
+    and put in their place."""
+    n = cols[0].size
+    kinds = ["i" if c.dtype.kind == "u" else c.dtype.kind for c in cols]
+    if not set(kinds) <= {"f", "i", "U"}:
+        return "".join(map(fmt.__mod__, zip(*(c.tolist() for c in cols))))
+    by_kind = {kind: [c for c, k in zip(cols, kinds) if k == kind] for kind in set(kinds)}
+    bad = np.zeros(n, bool)
+    cells = {}  # per kind, each column's words: a list of (n,) arrays, its top groups' empty words left out
+    comma = np.full(n, _COMMA)
+    if "f" in by_kind:
+        x = np.stack(by_kind["f"], dtype=np.float64)
+        a = np.abs(x)
+        fast = a < _REAL_LIMIT  # False for nan and inf too
+        a[~fast] = 0.0  # before the scaling: 1e303 * 1e6 overflows
+        y = a * 1e6
+        r = np.rint(y)
+        fast &= np.abs(y - r) != 0.5  # see _REAL_LIMIT
+        bad |= ~fast.all(0)
+        v = r.astype(np.int64)
+        width = [_ngroups(top // 10**6) for top in v.max(1).tolist()]  # each column's integer-part groups
+        *whole, f1, f2 = _groups(v, max(width) + 2)
+        words = [*_sign_and_groups(whole, np.signbit(x)), _DOT[f1], _END[f2]]
+        cells["f"] = [[w[j] for w in words[len(whole) - g :]] for j, g in enumerate(width)]
+    if "i" in by_kind:
+        u = np.stack(by_kind["i"], dtype=np.uint64, casting="unsafe")  # two's complement
+        neg = (u >= 2**63) & np.array([[c.dtype.kind == "i"] for c in by_kind["i"]])
+        u = np.where(neg, -u, u)
+        width = [_ngroups(top) for top in u.max(1).tolist()]
+        words = _sign_and_groups(_groups(u, max(width)), neg)
+        cells["i"] = [[w[j] for w in words[len(words) - g :]] + [comma] for j, g in enumerate(width)]
+    if "U" in by_kind:
+        code = np.stack(by_kind["U"])
+        code = code.view(np.uint32).reshape(*code.shape, -1)  # code points: (columns, rows, characters)
+        odd = code >= 128
+        odd[..., :-1] |= (code[..., :-1] == 0) & (code[..., 1:] != 0)  # a NUL that str() keeps
+        bad |= odd.any((0, 2))
+        chars = np.zeros((*code.shape[:2], -(-code.shape[2] // 4) * 4), np.uint8)
+        chars[..., : code.shape[2]] = code
+        words = chars.view(np.uint32)
+        cells["U"] = [[*words[j].T, comma] for j in range(len(words))]
+    column = {kind: iter(c) for kind, c in cells.items()}
+    table = np.stack([w for kind in kinds for w in next(column[kind])])  # a row per word, a column per row
+    table[-1].view(np.uint8)[3::4] = ord("\n")  # the last cell's comma
+    where = np.flatnonzero(bad)
+    table[:, where] = 0
+    text = table.T.tobytes().translate(None, b"\0").decode("ascii")
+    if not where.size:
+        return text
+    ends = np.cumsum(np.count_nonzero(table.view(np.uint8).reshape(len(table), n, 4), (0, 2)))
+    cuts = [0, *ends[where].tolist(), len(text)]
+    pieces = [text[a:b] for a, b in zip(cuts, cuts[1:])]
+    lines = map(fmt.__mod__, zip(*(c[where].tolist() for c in cols)))
+    return "".join(p for pair in zip(pieces, lines) for p in pair) + pieces[-1]
 
 
 def read_csv(path) -> dict:

@@ -1,11 +1,15 @@
 """Metric formulas, log serialization, summary tables, and figures."""
 
+import io
 import re
 import time
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from maulab.cli import main
 from maulab.metrics import (
@@ -254,11 +258,16 @@ def test_write_csv_fixed_point_and_lf(tmp_path):
 
 
 # Rounding edge cases: signed zeros, values either side of half a unit in the
-# sixth decimal, exact binary halves and large magnitudes.
+# sixth decimal, exact binary halves, large magnitudes, and values either side
+# of the largest magnitude write_csv renders from its digit tables
+# (2**52 / 1e6); write_csv writes the non-finite ones too.
+LIMIT = 2.0**52 / 1e6
 EDGE_REALS = [
     0.0, -0.0, 5e-7, -5e-7, 4.9999999e-7, 5.0000001e-7, 1e-7, -1e-7, 0.0000005, 0.0000015,
     0.0000025, 0.5, 2.5, 0.1234565, 0.1234575, 1.0000005, 2 ** -20, -(2 ** -21), 1e15, -1e15,
-    123456789.1234565, 1e300, 2.0 ** 70, 7.0, -3.25,
+    123456789.1234565, 1e300, 2.0 ** 70, 7.0, -3.25, 0.0078125, -0.0078125, 2.5e-6, 5e-324, -4e-7,
+    np.nextafter(LIMIT, 0), -np.nextafter(LIMIT, 0), LIMIT, np.nextafter(LIMIT, np.inf), 4294.9672955,
+    5432.1234565, -1e300, 1.7976931348623157e308, float("nan"), float("inf"), float("-inf"),
 ]
 
 
@@ -267,7 +276,7 @@ def test_write_csv_matches_per_cell_reference(tmp_path):
     columns = {
         "i": np.arange(n) - 3,
         "x": np.array(EDGE_REALS),
-        "s": np.array(["ppo", "random", "dp", "up", "gsp"] * 5),
+        "s": np.array((["ppo", "random", "dp", "up", "gsp"] * n)[:n]),
     }
     path = tmp_path / "edge.csv"
     write_csv(columns, path, ["s", "x", "i"])
@@ -276,6 +285,129 @@ def test_write_csv_matches_per_cell_reference(tmp_path):
     )
     assert path.read_text() == want
     assert "-0.000000" in want and "0.000001" in want  # the cases above really differ
+
+
+def _percent_rows(columns, fieldnames) -> str:
+    """The rows of write_csv as the `%` operator formats them, a row at a
+    time: the reference that write_csv's digit tables must equal."""
+    cols = [np.asarray(columns[f]) for f in fieldnames]
+    fmt = ",".join("%.6f" if c.dtype.kind == "f" else "%s" for c in cols) + "\n"
+    return "".join(fmt % row for row in zip(*(c.tolist() for c in cols)))
+
+
+def _written(columns, fieldnames) -> str:
+    """write_csv's rows, written with every numpy floating-point error raised
+    and every warning an error."""
+    out = io.StringIO()
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_csv(columns, out, fieldnames)
+    return out.getvalue()
+
+
+_REALS = st.one_of(
+    st.floats(),  # any float64: nan, inf, subnormals and huge values included
+    st.floats(-LIMIT * 4, LIMIT * 4),
+    st.floats(-20, 20),
+    st.integers(-(10**12), 10**12).map(lambda k: (k + 0.5) / 1e6),  # ties in the sixth decimal, or next to one
+    st.integers(-(2**40), 2**40).map(lambda k: k / 2**20),  # dyadic: exact binary halves
+)
+_COLUMNS = {
+    "f": lambda n: hnp.arrays(np.float64, n, elements=_REALS),
+    "i": lambda n: hnp.arrays(np.int64, n),
+    "U": lambda n: st.lists(st.text(st.characters(max_codepoint=127), max_size=9), min_size=n, max_size=n).map(
+        lambda cells: np.array(cells, dtype=str)
+    ),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_write_csv_equals_percent_formatting(data):
+    # Any float64, int64 and ASCII text columns, in any order.
+    n = data.draw(st.integers(1, 40))
+    kinds = data.draw(st.lists(st.sampled_from(sorted(_COLUMNS)), min_size=1, max_size=6))
+    columns = {f"c{j}": data.draw(_COLUMNS[k](n)) for j, k in enumerate(kinds)}
+    assert _written(columns, list(columns)) == _percent_rows(columns, list(columns))
+
+
+def test_write_csv_ties_signs_and_bounds_equal_percent_formatting():
+    ties = [(k + 0.5) / 1e6 for k in range(-3000, 3000)] + [k / 2**7 for k in range(-300, 300)]
+    near = [np.nextafter(LIMIT, 0) - k for k in range(5)] + [LIMIT * (1 + k * 1e-16) for k in range(5)]
+    near += [LIMIT * m + k * 1.7e-6 for m in (1.5, 2.5, 3.5) for k in range(20)]
+    signs = [-0.0, 0.0, -1e-7, -4.9e-7, -5e-7, -5.1e-7, -1e-300, -5e-324]
+    big = [1e15, -1e15, 1e300, -1e300, 2.0**63, np.nan, np.inf, -np.inf]
+    x = np.array(ties + near + signs + big)
+    x = np.concatenate([x, -x, x * 1000, x / 1000])
+    columns = {"x": x, "k": np.arange(x.size), "y": x[::-1].copy()}
+    text = _written(columns, ["k", "x", "y"])
+    assert text == _percent_rows(columns, ["k", "x", "y"])
+    assert "-0.000000" in text and ",0.007812," in text and ",0.023438," in text  # half-even: ...125 down, ...375 up
+
+
+@pytest.mark.parametrize("where", [
+    [0], [BLOCK_ROWS - 1], [BLOCK_ROWS], [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 2],
+])
+def test_write_csv_rows_that_fall_back_stay_in_place(where):
+    # Rows formatted by `%` as the first and last rows of BLOCK_ROWS chunks.
+    n = 2 * BLOCK_ROWS + 3
+    rng = np.random.default_rng(5)
+    columns = {"i": np.arange(n), "x": rng.normal(size=n), "s": np.array(["ql", "ppo", "random"] * n)[:n]}
+    columns["x"][where] = [np.nan, np.inf, 1e300, 0.0000025, -np.inf][: len(where)]
+    columns["s"][where[-1]] = "é"
+    assert _written(columns, ["i", "x", "s"]) == _percent_rows(columns, ["i", "x", "s"])
+
+
+def test_write_csv_column_types():
+    big = np.array([0, 1, 2**63 - 1, 2**63, 2**64 - 1, 999, 1000, 10**18], dtype=np.uint64)
+    n = big.size
+    columns = {
+        "f32": np.array([0.1, -2.675, 1e-7, 3.4e38, -0.0, 1.0000005, 0.3, 7], np.float32),
+        "f16": np.array([0.1, -2.5, 65504, 6e-8, -0.0, 1.5, 0.3, 7], np.float16),
+        "i32": np.array([0, -1, 2**31 - 1, -(2**31), 10, -999, 1000, -1000], np.int32),
+        "i8": np.array([0, -128, 127, -1, 5, -10, 100, -100], np.int8),
+        "u8": np.array([0, 255, 1, 9, 10, 99, 100, 254], np.uint8),
+        "u64": big,
+        "i64": np.array([-(2**63), 2**63 - 1, -1, 0, -1000, 1000, -999999, 10**15], np.int64),
+        "text": np.array(["", "a", "ppo", "random", "x,y", "a\x00b", "tab\t", "~"]),
+        "f128": np.arange(n, dtype=np.longdouble) / 3,  # written as float() rounds it, as `%` does
+    }
+    fields = list(columns)
+    text = _written(columns, fields)
+    assert text == _percent_rows(columns, fields)
+    rows = [line.split(",") for line in text.splitlines()]
+    assert [r[0] for r in rows] == ["%.6f" % float(v) for v in columns["f32"]]  # the float32's exact value
+    assert [r[5] for r in rows] == [str(int(v)) for v in big]
+    assert rows[0][7] == "" and "\x00" in text
+
+    # Columns the tables do not cover, and non-ASCII text, are formatted by `%`.
+    other = {
+        "b": np.array([True, False] * 4),
+        "o": np.array([1, "two", 3.5, None, (), 6, 7, 8], dtype=object),
+        "u": np.array(["é", "ppo", "日本", "ql", "", "ñ", "a", "b"]),
+        "x": np.linspace(-1, 1, n),
+    }
+    for fields in (["b", "x"], ["x", "o"], ["u", "x"], list(other)):
+        assert _written(other, fields) == _percent_rows(other, fields), fields
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+def test_write_csv_block_sizes(n):
+    rng = np.random.default_rng(n)
+    columns = {"k": np.arange(n), "x": rng.normal(size=n) * 10.0 ** rng.integers(-7, 9, n), "a": np.full(n, "dqn")}
+    assert _written(columns, ["x", "k", "a"]) == _percent_rows(columns, ["x", "k", "a"])
+
+
+def test_report_tables_equal_percent_formatting():
+    rng = np.random.default_rng(9)
+    bidders = [(1, "ppo"), (2, "ql"), (2, "a2c"), (3, "random")]
+    who = rng.integers(0, len(bidders), 500)
+    ep = _episode_log([(t, *bidders[b], float(rng.normal() * 5), int(rng.integers(0, 3)), float(rng.uniform(0, 9)))
+                       for t, b in enumerate(who)])
+    au = _auction_log([(t, ("dp", "gsp", "up")[t % 3], 4 + t % 2, float(rng.uniform(0, 30)), float(rng.uniform()),
+                        float(rng.uniform(0, 5))) for t in range(who.size)])
+    for table, fields in zip(summary_tables(ep, au, bidder_groups(ep)), (BIDDER_FIELDS, AUCTION_FIELDS)):
+        assert _written(table, fields) == _percent_rows(table, fields)
 
 
 def test_write_csv_spans_blocks(tmp_path):
