@@ -13,19 +13,4 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THR
 if not any(name in os.environ for name in BLAS_THREAD_VARIABLES):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from maulab.config import ScenarioConfig, ConfigError
-from maulab.auction import clear_dp, clear_gsp, clear_up, efficiency_ratio
-from maulab.env import AuctionEnv, reward
-
-__all__ = [
-    "ScenarioConfig",
-    "ConfigError",
-    "clear_dp",
-    "clear_gsp",
-    "clear_up",
-    "efficiency_ratio",
-    "AuctionEnv",
-    "reward",
-]
-
 __version__ = "0.1.0"

@@ -1,27 +1,3 @@
-from maulab.agents.base import (
-    Agent,
-    RandomAgent,
-    ReplayBuffer,
-    epsilon_at,
-    make_agent,
-)
-from maulab.agents.qlearn import DqnAgent, QLearningAgent, q_update
-from maulab.agents.policy import DpgAgent, VpgAgent, vpg_update
-from maulab.agents.actor_critic import A2cAgent, PpoAgent, ppo_clip_objective
-
-__all__ = [
-    "Agent",
-    "RandomAgent",
-    "ReplayBuffer",
-    "epsilon_at",
-    "make_agent",
-    "QLearningAgent",
-    "DqnAgent",
-    "q_update",
-    "VpgAgent",
-    "DpgAgent",
-    "vpg_update",
-    "A2cAgent",
-    "PpoAgent",
-    "ppo_clip_objective",
-]
+# Importing the package loads every learner module, so that a profiler that imports
+# it finds every agent class; `agent_class` otherwise imports them on first use.
+from maulab.agents import actor_critic, policy, qlearn  # noqa: F401

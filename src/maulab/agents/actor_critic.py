@@ -46,9 +46,9 @@ def a2c_update(
     adv = rewards - values  # constant w.r.t. actor params
 
     aout, acache = forward(actor, obs)
-    dist, logp, ent = heads_stats(head_logits(aout, k, levels), actions)
+    heads, logp, ent = heads_stats(head_logits(aout, k, levels), actions)
     policy_loss = float(-(logp * adv).sum() - entropy_coef * ent.sum())
-    g3 = score_entropy_logits_grad(dist, actions, adv, entropy_coef, 1.0)
+    g3 = score_entropy_logits_grad(heads, actions, adv, entropy_coef, 1.0)
     adam_step_params(actor, backward(actor, acache, g3.reshape(B, k * levels)), opt_actor)
 
     value_loss = float(0.5 * np.sum((rewards - values) ** 2))
@@ -90,7 +90,7 @@ def ppo_update(
             mb = order[start : start + minibatch]
             m = len(mb)
             aout, acache = forward(actor, obs[mb])
-            dist, logp, ent = heads_stats(head_logits(aout, k, levels), actions[mb])
+            heads, logp, ent = heads_stats(head_logits(aout, k, levels), actions[mb])
             ratio = np.exp(logp - old_logp[mb])
             unclipped = ratio * adv[mb]
             obj = ppo_clip_objective(ratio, adv[mb], eps_clip)
@@ -99,7 +99,7 @@ def ppo_update(
             # d obj / d logp is ratio*adv where the unclipped branch is active,
             # 0 on the clipped-flat region.
             gw = np.where(obj == unclipped, unclipped, 0.0)
-            g3 = score_entropy_logits_grad(dist, actions[mb], gw, entropy_coef, 1.0 / m)
+            g3 = score_entropy_logits_grad(heads, actions[mb], gw, entropy_coef, 1.0 / m)
             adam_step_params(actor, backward(actor, acache, g3.reshape(m, k * levels)), opt_actor)
 
             vmb, vcache = forward(critic, obs[mb])

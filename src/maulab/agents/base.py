@@ -95,15 +95,17 @@ def bin_value(value, lo: float, hi: float, bins: int):
 
 
 class Agent:
-    """Base bidder agent. Subclasses implement act() and learning in observe().
-
-    `act` maps a block of observations, one (k,) row per episode, to a row of k
-    levels per episode. A seat that trains acts (exploring) on the episodes
-    from the next one it will observe, and observes a run of them in one call:
-    an exploring act on m rows draws what m one-row acts would. A seat acts on
-    the next `horizon()` episodes or fewer, once per episode, and no act leaves
-    state behind, except for a table learner (`TableAgent`), which acts ahead
-    on runs and keeps each row's draws until the row is observed.
+    """Base bidder agent. Each subclass defines `act(obs, explore=True)`: (B, k)
+    grid levels, any order per row, for a (B, k) block of observations, one row
+    per episode. A learner also defines `observe(obs, levels, rewards)`, called
+    only for a seat that trains, with a run of m episodes its current policy
+    acted on: their (m, k) observations, the levels act returned and the (m,)
+    rewards. Such a seat acts (exploring) on the episodes from the next one it
+    will observe; an exploring act on m rows draws what m one-row acts would.
+    A table learner (`TableAgent`) acts ahead on runs, keeping each row's draws
+    until it is observed. Every other learner defines `horizon()`, the episodes
+    (at least 1) before its next update: it acts on at most that many at once,
+    once per episode, observes at most that many, and no act leaves state behind.
 
     The checkpoint codec: a checkpoint's meta holds every constructor
     hyperparameter, read back from the attribute of the same name, and the
@@ -135,21 +137,6 @@ class Agent:
         if obs.shape[-1] != self.k:
             raise ConfigError(f"observation length {obs.shape[-1]} != k={self.k}")
         return obs[..., 0] * self.config.value_hi
-
-    def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
-        """(B, k) grid levels for a (B, k) block of observations, any order per row; the env canonicalizes."""
-        raise NotImplementedError
-
-    def observe(self, obs: np.ndarray, levels: np.ndarray, rewards: np.ndarray) -> None:
-        """Deliver a run of m <= horizon() episodes (any m for a table learner)
-        that the agent's current policy acted on: its (m, k) observations, the
-        (m, k) levels act returned and the (m,) episode rewards. Called only
-        for a seat that trains."""
-
-    def horizon(self) -> int:
-        """How many upcoming episodes (at least 1) this agent's policy stays
-        fixed over: the episodes before its next update."""
-        return 1
 
     def hyperparameters(self) -> dict:
         return {name: getattr(self, name) for name in hyperparameter_names(type(self))}

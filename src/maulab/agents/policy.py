@@ -7,7 +7,7 @@ import numpy as np
 
 from maulab.agents.base import Agent, ReplayBuffer, TableAgent
 from maulab.config import ScenarioConfig
-from maulab.nn import Categorical, OptimState, adam_step_params, backward, forward, mlp_init, softmax
+from maulab.nn import OptimState, adam_step_params, backward, forward, mlp_init, softmax
 from maulab.nn import log_softmax, sample_categorical
 
 
@@ -58,25 +58,29 @@ def head_logits(flat_logits: np.ndarray, k: int, levels: int) -> np.ndarray:
 
 
 def heads_stats(logits3: np.ndarray, actions: np.ndarray):
-    """Joint log-prob (heads add) and summed entropy for per-head actions."""
-    dist = Categorical(logits3)
-    logp = dist.log_prob(actions).sum(axis=-1)
-    ent = dist.entropy().sum(axis=-1)
-    return dist, logp, ent
+    """Each head's log-probabilities and probabilities (B, k, L) and entropy
+    (B, k), then the joint log-prob (heads add) and summed entropy of the
+    per-head actions (B, k)."""
+    log_probs = log_softmax(logits3)
+    probs = np.exp(log_probs)
+    entropy = -(probs * log_probs).sum(axis=-1)
+    logp = np.take_along_axis(log_probs, np.asarray(actions, dtype=int)[..., None], axis=-1)[..., 0].sum(axis=-1)
+    return (log_probs, probs, entropy), logp, entropy.sum(axis=-1)
 
 
 def score_entropy_logits_grad(
-    dist: Categorical, actions: np.ndarray, weights: np.ndarray, entropy_coef: float, scale: float
+    heads: tuple, actions: np.ndarray, weights: np.ndarray, entropy_coef: float, scale: float
 ) -> np.ndarray:
     """Gradient w.r.t. head logits of
-    loss = -scale * sum_b [ weights_b * logp_b + entropy_coef * entropy_b ]."""
-    B, k, L = dist.probs.shape
+    loss = -scale * sum_b [ weights_b * logp_b + entropy_coef * entropy_b ],
+    from heads_stats's per-head arrays."""
+    log_probs, probs, entropy = heads
+    B, k, L = probs.shape
     onehot = np.zeros((B, k, L))
     np.put_along_axis(onehot, np.asarray(actions)[..., None], 1.0, axis=-1)
-    g = -weights[:, None, None] * (onehot - dist.probs)
+    g = -weights[:, None, None] * (onehot - probs)
     if entropy_coef != 0.0:
-        h = dist.entropy()[..., None]  # per-head entropy (B, k, 1)
-        g += entropy_coef * dist.probs * (dist.log_probs + h)
+        g += entropy_coef * probs * (log_probs + entropy[..., None])
     return scale * g
 
 
@@ -93,10 +97,10 @@ def dpg_update(
     entropy bonus. Returns the loss value."""
     B, k = actions.shape
     out, cache = forward(net, obs)
-    dist, logp, ent = heads_stats(head_logits(out, k, levels), actions)
+    heads, logp, ent = heads_stats(head_logits(out, k, levels), actions)
     adv = rewards - rewards.mean()
     loss = float(-(logp * adv).mean() - entropy_coef * ent.mean())
-    g3 = score_entropy_logits_grad(dist, actions, adv, entropy_coef, 1.0 / B)
+    g3 = score_entropy_logits_grad(heads, actions, adv, entropy_coef, 1.0 / B)
     adam_step_params(net, backward(net, cache, g3.reshape(B, k * levels)), opt)
     return loss
 

@@ -149,6 +149,8 @@ def cmd_tournament(args) -> int:
         algo, _, path = spec.partition("=")
         if algo not in LEARNERS:
             raise ConfigError(f"unknown algorithm {algo!r} in --ckpt")
+        if args.all_ppo and algo != "ppo":
+            raise ConfigError(f"--ckpt {spec} does not apply to tournament --all-ppo, which seats only ppo")
         checkpoints[algo] = path
 
     needed = ("ppo",) if args.all_ppo else LEARNERS

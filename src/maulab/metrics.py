@@ -102,7 +102,7 @@ def write_csv(columns: dict, out, fieldnames) -> None:
     path, which gets a header line and the rows through csv_log.
 
     Rows are rendered BLOCK_ROWS at a time from digit tables (_rows_text).
-    A row is formatted by the `%` operator instead when it holds a cell the
+    A chunk is formatted by the `%` operator instead when it holds a cell the
     tables do not cover: a real that is not finite, is 2**52 / 1e6 or more
     in magnitude, or whose |x| * 1e6 in float64 ends in exactly .5; a text
     cell that is not ASCII or holds a NUL before its last character; or any
@@ -180,15 +180,13 @@ def _rows_text(cols: list, fmt: str) -> str:
     """The CSV text of one chunk of rows, equal to `fmt % row` for each row.
     Every cell is written as 4-byte words from the digit tables, a cell's
     words one after another, into a matrix with a column per row; its
-    transpose's bytes with the NUL bytes dropped are the text. Rows holding a
-    cell that the tables do not cover (see write_csv) are formatted by `fmt`
-    and put in their place."""
+    transpose's bytes with the NUL bytes dropped are the text. A chunk holding
+    a cell that the tables do not cover (see write_csv) is formatted by `fmt`
+    row by row instead."""
     n = cols[0].size
     kinds = ["i" if c.dtype.kind == "u" else c.dtype.kind for c in cols]
-    if not set(kinds) <= {"f", "i", "U"}:
-        return "".join(map(fmt.__mod__, zip(*(c.tolist() for c in cols))))
     by_kind = {kind: [c for c, k in zip(cols, kinds) if k == kind] for kind in set(kinds)}
-    bad = np.zeros(n, bool)
+    bad = not set(kinds) <= {"f", "i", "U"}  # a bool or object column, say
     cells = {}  # per kind, each column's words: a list of (n,) arrays, its top groups' empty words left out
     comma = np.full(n, _COMMA)
     if "f" in by_kind:
@@ -199,7 +197,7 @@ def _rows_text(cols: list, fmt: str) -> str:
         y = a * 1e6
         r = np.rint(y)
         fast &= np.abs(y - r) != 0.5  # see _REAL_LIMIT
-        bad |= ~fast.all(0)
+        bad |= not fast.all()
         v = r.astype(np.int64)
         width = [_ngroups(top // 10**6) for top in v.max(1).tolist()]  # each column's integer-part groups
         *whole, f1, f2 = _groups(v, max(width) + 2)
@@ -217,24 +215,17 @@ def _rows_text(cols: list, fmt: str) -> str:
         code = code.view(np.uint32).reshape(*code.shape, -1)  # code points: (columns, rows, characters)
         odd = code >= 128
         odd[..., :-1] |= (code[..., :-1] == 0) & (code[..., 1:] != 0)  # a NUL that str() keeps
-        bad |= odd.any((0, 2))
+        bad |= odd.any()
         chars = np.zeros((*code.shape[:2], -(-code.shape[2] // 4) * 4), np.uint8)
         chars[..., : code.shape[2]] = code
         words = chars.view(np.uint32)
         cells["U"] = [[*words[j].T, comma] for j in range(len(words))]
+    if bad:
+        return "".join(map(fmt.__mod__, zip(*(c.tolist() for c in cols))))
     column = {kind: iter(c) for kind, c in cells.items()}
     table = np.stack([w for kind in kinds for w in next(column[kind])])  # a row per word, a column per row
     table[-1].view(np.uint8)[3::4] = ord("\n")  # the last cell's comma
-    where = np.flatnonzero(bad)
-    table[:, where] = 0
-    text = table.T.tobytes().translate(None, b"\0").decode("ascii")
-    if not where.size:
-        return text
-    ends = np.cumsum(np.count_nonzero(table.view(np.uint8).reshape(len(table), n, 4), (0, 2)))
-    cuts = [0, *ends[where].tolist(), len(text)]
-    pieces = [text[a:b] for a, b in zip(cuts, cuts[1:])]
-    lines = map(fmt.__mod__, zip(*(c[where].tolist() for c in cols)))
-    return "".join(p for pair in zip(pieces, lines) for p in pair) + pieces[-1]
+    return table.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def read_csv(path) -> dict:

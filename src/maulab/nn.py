@@ -1,5 +1,5 @@
 """Minimal dense-network machinery: MLP forward/backward, adaptive-moment
-optimizer, categorical distributions, and a finite-difference gradient check.
+optimizer, softmax and its sampling, and a finite-difference gradient check.
 
 Everything is double precision. Each network lives in one float64 vector, and
 its per-layer arrays are views of it, so checkpointing and bit-exact replay
@@ -177,25 +177,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-class Categorical:
-    """Categorical distribution over the last axis of a logits array."""
-
-    def __init__(self, logits: np.ndarray):
-        self.log_probs = log_softmax(logits)
-        self.probs = np.exp(self.log_probs)
-
-    def sample(self, rng: np.random.Generator):
-        idx = sample_categorical(self.log_probs, rng.random(self.log_probs.shape[:-1]))
-        return int(idx) if idx.ndim == 0 else idx
-
-    def log_prob(self, actions):
-        a = np.asarray(actions, dtype=int)
-        return np.take_along_axis(self.log_probs, a[..., None], axis=-1)[..., 0]
-
-    def entropy(self):
-        return -(self.probs * self.log_probs).sum(axis=-1)
 
 
 def finite_diff_check(

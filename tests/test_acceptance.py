@@ -170,8 +170,8 @@ def _fd_dpg(rng):
         return float(-(logp * adv).mean() - ent * H.mean())
 
     out, cache = forward(net, obs)
-    dist, _, _ = heads_stats(head_logits(out, k, L), actions)
-    g3 = score_entropy_logits_grad(dist, actions, adv, ent, 1.0 / B)
+    heads, _, _ = heads_stats(head_logits(out, k, L), actions)
+    g3 = score_entropy_logits_grad(heads, actions, adv, ent, 1.0 / B)
     return finite_diff_check(net, loss_fn, backward(net, cache, g3.reshape(B, k * L)), rng, n_samples=20)
 
 
@@ -192,8 +192,8 @@ def _fd_a2c(rng):
         return float(-(logp * adv).sum() - ent * H.sum())
 
     out, cache = forward(actor, obs)
-    dist, _, _ = heads_stats(head_logits(out, k, L), actions)
-    g3 = score_entropy_logits_grad(dist, actions, adv, ent, 1.0)
+    heads, _, _ = heads_stats(head_logits(out, k, L), actions)
+    g3 = score_entropy_logits_grad(heads, actions, adv, ent, 1.0)
     err_a = finite_diff_check(actor, actor_loss, backward(actor, cache, g3.reshape(B, k * L)), rng, n_samples=20)
 
     def critic_loss(p):
@@ -226,12 +226,12 @@ def _fd_ppo(rng):
         return float(-obj.mean() - ent * H.mean())
 
     out, cache = forward(actor, obs)
-    dist, logp, _ = heads_stats(head_logits(out, k, L), actions)
+    heads, logp, _ = heads_stats(head_logits(out, k, L), actions)
     ratio = np.exp(logp - old_logp)
     unclipped = ratio * adv
     clipped = np.clip(ratio, 1 - eps, 1 + eps) * adv
     gw = np.where(unclipped <= clipped, ratio * adv, 0.0)
-    g3 = score_entropy_logits_grad(dist, actions, gw, ent, 1.0 / B)
+    g3 = score_entropy_logits_grad(heads, actions, gw, ent, 1.0 / B)
     return finite_diff_check(actor, loss_fn, backward(actor, cache, g3.reshape(B, k * L)), rng, n_samples=20)
 
 

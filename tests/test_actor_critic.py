@@ -68,8 +68,8 @@ def test_a2c_actor_gradient_finite_difference():
         return float(-(logp * adv).sum() - ent_coef * ent.sum())
 
     out, cache = forward(actor, obs)
-    dist, _, _ = heads_stats(head_logits(out, k, levels), actions)
-    g3 = score_entropy_logits_grad(dist, actions, adv, ent_coef, 1.0)
+    heads, _, _ = heads_stats(head_logits(out, k, levels), actions)
+    g3 = score_entropy_logits_grad(heads, actions, adv, ent_coef, 1.0)
     grads = backward(actor, cache, g3.reshape(len(obs), k * levels))
     assert finite_diff_check(actor, loss_fn, grads, rng, n_samples=40) < 1e-5
 
@@ -108,11 +108,11 @@ def test_a2c_update_moves_policy_toward_high_advantage():
     rewards = np.full(16, 5.0)  # large positive advantage initially
     oa, oc = OptimState(actor, lr=5e-3), OptimState(critic, lr=1e-4)
     out, _ = forward(actor, obs)
-    p_before = heads_stats(head_logits(out, k, levels), actions)[0].probs[0, 0, 2]
+    p_before = heads_stats(head_logits(out, k, levels), actions)[0][1][0, 0, 2]
     for _ in range(50):
         a2c_update(actor, critic, obs, actions, rewards, oa, oc, 0.0, levels)
     out, _ = forward(actor, obs)
-    p_after = heads_stats(head_logits(out, k, levels), actions)[0].probs[0, 0, 2]
+    p_after = heads_stats(head_logits(out, k, levels), actions)[0][1][0, 0, 2]
     assert p_after > p_before
 
 
@@ -138,13 +138,13 @@ def test_ppo_actor_gradient_finite_difference_with_clipping():
         return float(-obj.mean() - ent_coef * ent.mean())
 
     out, cache = forward(actor, obs)
-    dist, logp, _ = heads_stats(head_logits(out, k, levels), actions)
+    heads, logp, _ = heads_stats(head_logits(out, k, levels), actions)
     ratio = np.exp(logp - old_logp)
     unclipped = ratio * adv
     clipped = np.clip(ratio, 1 - eps_clip, 1 + eps_clip) * adv
     assert np.any(unclipped > clipped), "test setup must exercise the flat region"
     gw = np.where(unclipped <= clipped, ratio * adv, 0.0)
-    g3 = score_entropy_logits_grad(dist, actions, gw, ent_coef, 1.0 / B)
+    g3 = score_entropy_logits_grad(heads, actions, gw, ent_coef, 1.0 / B)
     grads = backward(actor, cache, g3.reshape(B, k * levels))
     assert finite_diff_check(actor, loss_fn, grads, rng, n_samples=40) < 1e-4
 
@@ -157,14 +157,14 @@ def test_ppo_fully_clipped_batch_gives_zero_actor_gradient():
     actions = rng.integers(0, levels, size=(B, k))
     adv = np.ones(B)  # positive advantages
     out, _ = forward(actor, obs)
-    dist, logp, _ = heads_stats(head_logits(out, k, levels), actions)
+    heads, logp, _ = heads_stats(head_logits(out, k, levels), actions)
     old_logp = logp - 1.0  # ratio = e > 1.2 everywhere
     ratio = np.exp(logp - old_logp)
     unclipped = ratio * adv
     clipped = np.clip(ratio, 0.8, 1.2) * adv
     assert np.all(unclipped > clipped)
     gw = np.where(unclipped <= clipped, ratio * adv, 0.0)
-    g3 = score_entropy_logits_grad(dist, actions, gw, 0.0, 1.0 / B)
+    g3 = score_entropy_logits_grad(heads, actions, gw, 0.0, 1.0 / B)
     grads = backward(actor, _cache_of(actor, obs), g3.reshape(B, k * levels))
     assert all(np.allclose(g, 0.0) for g in grads.weights)
     assert all(np.allclose(g, 0.0) for g in grads.biases)
@@ -207,7 +207,7 @@ def test_ppo_agent_solves_fixed_target_bandit():
         levels = agent.act(obs[None])
         agent.observe(obs[None], levels, np.array([1.0 if levels[0, 0] == 3 else 0.0]))
     out, _ = forward(agent.actor, obs)
-    probs = heads_stats(head_logits(out, 2, 21), np.array([[3, 0]]))[0].probs
+    probs = heads_stats(head_logits(out, 2, 21), np.array([[3, 0]]))[0][1]
     assert probs[0, 0, 3] > 0.5
 
 

@@ -25,7 +25,8 @@ from maulab.agents.qlearn import DqnAgent
 from maulab.auction import _allocated_and_best, canonicalize, clear, efficiency_gap, efficiency_ratio, slot_sum
 from maulab.config import ConfigError, ScenarioConfig, Seat, Session
 from maulab.env import AuctionEnv
-from maulab.nn import Categorical, forward, mlp_init
+from maulab.agents.policy import heads_stats
+from maulab.nn import forward, log_softmax, mlp_init, sample_categorical
 
 from columns import session_columns
 
@@ -192,10 +193,11 @@ def test_block_sampling_matches_categorical(algo):
         block = agent.act(obs, explore=explore)
         for o, row in zip(obs, block.tolist()):
             if algo == "vpg":
-                want = agent.actions[Categorical(agent.table[agent._bin(o)]).sample(draws)].tolist()
+                logp = log_softmax(agent.table[agent._bin(o)])
+                want = agent.actions[sample_categorical(logp, draws.random())].tolist()
             else:
                 out, _ = forward(agent.net if algo == "dpn" else agent.actor, o)
-                want = Categorical(out.reshape(2, 21)).sample(draws).tolist()
+                want = sample_categorical(log_softmax(out.reshape(2, 21)), draws.random(2)).tolist()
             assert row == want
         assert _same_state(agent.rng, draws)
 
@@ -208,9 +210,9 @@ def test_ppo_update_gets_the_log_probability_each_row_was_drawn_with(monkeypatch
     want = []
     for o, row in zip(obs, levels):
         out, _ = forward(agent.actor, o)
-        dist = Categorical(out.reshape(2, 21))
-        assert row.tolist() == dist.sample(draws).tolist()
-        want.append(float(dist.log_prob(row).sum()))
+        (log_probs, _, _), logp, _ = heads_stats(out.reshape(1, 2, 21), row[None])
+        assert row.tolist() == sample_categorical(log_probs[0], draws.random(2)).tolist()
+        want.append(float(logp[0]))
     got = []
     update = actor_critic.ppo_update
     monkeypatch.setattr(actor_critic, "ppo_update", lambda *a: got.append(a[4].tolist()) or update(*a))
@@ -317,8 +319,6 @@ def test_horizons_count_the_episodes_to_the_next_update():
             dqn.observe(obs[e : e + 1], dqn.act(obs[e : e + 1]), np.full(1, 0.5))
         assert seen == [warm - e for e in range(warm)] + [1] * 4
         assert dqn.train_steps == 5
-    for algo in ("ql", "vpg", "random"):
-        assert make_agent(algo, config, np.random.default_rng(1)).horizon() == 1
 
 
 @pytest.mark.parametrize("algo", ["ql", "vpg", "dqn", "a2c", "ppo"])
@@ -355,8 +355,8 @@ RUN_OVERRIDES = {
 @pytest.mark.parametrize("algo", ["ql", "vpg", "dqn", "dpn", "a2c", "ppo"])
 def test_observing_a_run_equals_observing_its_rows(algo):
     # a learner acting and observing in runs of horizon() episodes ends where
-    # one acting and observing an episode at a time does; ql and vpg, whose
-    # horizon is 1, observe a longer run of given levels row by row
+    # one acting and observing an episode at a time does; ql and vpg, which
+    # have no horizon, observe a longer run of given levels row by row
     config, obs = ScenarioConfig(episodes=100), _obs()[:24]
     rewards = np.random.default_rng(6).normal(size=24)
     overrides = {"hidden": (8, 8), **RUN_OVERRIDES[algo]} if algo in RUN_OVERRIDES else {}

@@ -617,6 +617,8 @@ UNREAD = {  # case: (argv, config file or None, how the error names the setting)
     "all_items_key": (["pretrain", "--all"], {"items": 8}, "config key 'items'"),
     "tournament_algo_key": (["tournament", "--all-ppo"], {"algo": "dqn", "auction": "up", "items": 8},
                             "config key 'algo'"),
+    "all_ppo_other_ckpt": (["tournament", "--all-ppo", "--auction", "up", "--items", "8",
+                            "--ckpt", "a2c=nowhere.ckpt"], None, "--ckpt a2c=nowhere.ckpt"),
 }
 
 
@@ -849,7 +851,8 @@ _LOADED = """
 import json, sys
 from maulab.cli import main
 code = main(sys.argv[1:])
-names = ("maulab.harness", "maulab.agents", "maulab.nn", "maulab.checkpoint", "numpy.ma", "hashlib")
+names = ("maulab.harness", "maulab.agents", "maulab.nn", "maulab.checkpoint", "maulab.auction", "maulab.env",
+         "numpy.ma", "hashlib")
 print(json.dumps([m for m in sys.modules if any(m == n or m.startswith(n + ".") for n in names)]))
 sys.exit(code)
 """
@@ -865,11 +868,13 @@ def _modules_loaded_by(argv, cwd):
 
 def test_report_loads_no_simulation_code(tmp_path):
     # report reads logs and writes tables and figures: no learner, network,
-    # checkpoint or harness module, and not numpy.ma, which np.unique imports.
+    # checkpoint, harness, clearing or env module, and not numpy.ma, which
+    # np.unique imports.
     assert _pretrain(tmp_path, episodes=5) == 0
     loaded = _modules_loaded_by(["report", "--run", "dp_4_ql_1", "--out", "rep", "--window", "2"], tmp_path)
     assert loaded == set()
     assert (tmp_path / "rep" / "fig_learning_ratio.svg").is_file()
     loaded = _modules_loaded_by(["pretrain", "--algo", "vpg", "--auction", "dp", "--items", "4", "--episodes", "3",
                                  "--out", "more"], tmp_path)
-    assert {"maulab.harness", "maulab.agents.policy", "maulab.checkpoint", "hashlib"} <= loaded
+    assert {"maulab.harness", "maulab.agents.policy", "maulab.checkpoint", "maulab.auction", "maulab.env",
+            "hashlib"} <= loaded

@@ -3,16 +3,18 @@
 import numpy as np
 import pytest
 
+from maulab.agents.policy import heads_stats
 from maulab.config import ConfigError
 from maulab.nn import (
-    Categorical,
     MlpParams,
     OptimState,
     adam_step_params,
     backward,
     finite_diff_check,
     forward,
+    log_softmax,
     mlp_init,
+    sample_categorical,
     softmax,
 )
 
@@ -198,43 +200,45 @@ def test_softmax_shift_invariance_and_normalization():
     assert np.allclose(p1.sum(axis=-1), 1.0, atol=1e-12)
 
 
+def _head(logits, action=0):
+    """heads_stats of one head over `logits` taking `action`: (log-probs, probs, entropy), joint log-prob."""
+    heads, logp, _ = heads_stats(np.reshape(logits, (1, 1, -1)), np.full((1, 1), action))
+    return [a[0, 0] for a in heads], float(logp[0])
+
+
 def test_categorical_entropy_uniform_and_degenerate():
-    uni = Categorical(np.zeros(21))
-    assert float(uni.entropy()) == pytest.approx(np.log(21), abs=1e-12)
-    deg = Categorical(np.array([100.0, 0.0, 0.0]))
-    assert float(deg.entropy()) == pytest.approx(0.0, abs=1e-12)
+    (_, _, uni), _ = _head(np.zeros(21))
+    assert float(uni) == pytest.approx(np.log(21), abs=1e-12)
+    (_, _, deg), _ = _head(np.array([100.0, 0.0, 0.0]))
+    assert float(deg) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_categorical_log_prob_oracle():
     logits = np.array([0.3, -1.2, 2.0, 0.0])
-    dist = Categorical(logits)
     z = np.exp(logits).sum()
     for a in range(4):
-        assert float(dist.log_prob(a)) == pytest.approx(
-            logits[a] - np.log(z), abs=1e-12
-        )
-    assert np.allclose(dist.probs.sum(), 1.0, atol=1e-12)
+        assert _head(logits, a)[1] == pytest.approx(logits[a] - np.log(z), abs=1e-12)
+    (_, probs, _), _ = _head(logits)
+    assert np.allclose(probs.sum(), 1.0, atol=1e-12)
 
 
 def test_categorical_sampling_deterministic_and_distributed():
-    logits = np.log(np.array([0.5, 0.3, 0.2]))
-    dist = Categorical(logits)
-    a = [dist.sample(np.random.default_rng(9)) for _ in range(20)]
-    b = [dist.sample(np.random.default_rng(9)) for _ in range(20)]
+    log_probs = log_softmax(np.log(np.array([0.5, 0.3, 0.2])))
+    a = [int(sample_categorical(log_probs, np.random.default_rng(9).random())) for _ in range(20)]
+    b = [int(sample_categorical(log_probs, np.random.default_rng(9).random())) for _ in range(20)]
     assert a == b
-    rng = np.random.default_rng(10)
-    draws = np.array([dist.sample(rng) for _ in range(6000)])
+    draws = sample_categorical(log_probs, np.random.default_rng(10).random(6000))
     freq = np.bincount(draws, minlength=3) / draws.size
     assert np.allclose(freq, [0.5, 0.3, 0.2], atol=0.03)
 
 
 def test_categorical_batched_shapes():
     logits = np.random.default_rng(12).normal(size=(4, 2, 5))
-    dist = Categorical(logits)
     actions = np.zeros((4, 2), dtype=int)
-    assert dist.log_prob(actions).shape == (4, 2)
-    assert dist.entropy().shape == (4, 2)
-    samples = dist.sample(np.random.default_rng(0))
+    (log_probs, probs, entropy), logp, ent = heads_stats(logits, actions)
+    assert log_probs.shape == probs.shape == (4, 2, 5)
+    assert entropy.shape == (4, 2) and logp.shape == ent.shape == (4,)
+    samples = sample_categorical(log_probs, np.random.default_rng(0).random((4, 2)))
     assert np.asarray(samples).shape == (4, 2)
 
 

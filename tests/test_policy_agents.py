@@ -13,12 +13,13 @@ from maulab.agents.policy import (
 )
 from maulab.config import ScenarioConfig
 from maulab.nn import (
-    Categorical,
     OptimState,
     backward,
     finite_diff_check,
     forward,
+    log_softmax,
     mlp_init,
+    sample_categorical,
     softmax,
 )
 
@@ -89,7 +90,7 @@ def test_vpg_solves_three_action_bandit():
     rewards = np.array([0.0, 1.0, 0.2])
     rng = np.random.default_rng(4)
     for _ in range(5000):
-        a = Categorical(table[0]).sample(rng)
+        a = int(sample_categorical(log_softmax(table[0]), rng.random()))
         vpg_update(table, 0, a, float(rewards[a]), alpha=0.1)
     assert softmax(table[0])[1] > 0.95
 
@@ -117,13 +118,11 @@ def test_heads_stats_joint_logprob_adds():
     rng = np.random.default_rng(6)
     logits3 = rng.normal(size=(3, 2, 5))
     actions = rng.integers(0, 5, size=(3, 2))
-    dist, logp, ent = heads_stats(logits3, actions)
+    _, logp, ent = heads_stats(logits3, actions)
     for b in range(3):
-        manual = sum(
-            float(Categorical(logits3[b, h]).log_prob(actions[b, h])) for h in range(2)
-        )
+        manual = sum(float(log_softmax(logits3[b, h])[actions[b, h]]) for h in range(2))
         assert logp[b] == pytest.approx(manual, abs=1e-12)
-        manual_ent = sum(float(Categorical(logits3[b, h]).entropy()) for h in range(2))
+        manual_ent = sum(float(-(softmax(logits3[b, h]) * log_softmax(logits3[b, h])).sum()) for h in range(2))
         assert ent[b] == pytest.approx(manual_ent, abs=1e-12)
 
 
@@ -154,8 +153,8 @@ def test_dpg_loss_gradient_finite_difference():
         return float(-(logp * adv).mean() - ent_coef * ent.mean())
 
     out, cache = forward(net, obs)
-    dist, _, _ = heads_stats(head_logits(out, k, levels), actions)
-    g3 = score_entropy_logits_grad(dist, actions, adv, ent_coef, 1.0 / B)
+    heads, _, _ = heads_stats(head_logits(out, k, levels), actions)
+    g3 = score_entropy_logits_grad(heads, actions, adv, ent_coef, 1.0 / B)
     grads = backward(net, cache, g3.reshape(B, k * levels))
     assert finite_diff_check(net, loss_fn, grads, rng, n_samples=40) < 1e-5
 
