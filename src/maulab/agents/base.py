@@ -19,8 +19,6 @@ from maulab.nn import layer_views
 
 def epsilon_at(eps_max: float, decay_rate: float, t: int) -> float:
     """Exponentially decaying exploration rate: eps(t) = eps_max * decay_rate^t."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
     return eps_max * decay_rate**t
 
 
@@ -37,8 +35,6 @@ class ReplayBuffer:
     whole, in episode order, once a rollout fills it, then clear it."""
 
     def __init__(self, capacity: int, **columns):
-        if capacity < 1:
-            raise ConfigError("replay capacity must be >= 1")
         self.capacity = capacity
         self._columns = [np.empty(capacity, dtype=dtype) for dtype in columns.values()]
         self.clear()
@@ -53,8 +49,6 @@ class ReplayBuffer:
         """Write a run of m <= capacity rows, one array per column in column
         order, over the oldest rows; at most two slices per column."""
         m = len(runs[0])
-        if m > self.capacity:
-            raise ValueError(f"a run of {m} rows exceeds the capacity {self.capacity}")
         i = self._cursor
         head = min(m, self.capacity - i)
         for column, run in zip(self._columns, runs, strict=True):
@@ -68,8 +62,6 @@ class ReplayBuffer:
         return tuple(column[: self._size] for column in self._columns)
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-        if self._size < batch_size:
-            raise ValueError(f"replay buffer holds {self._size} < batch {batch_size}")
         idx = rng.integers(0, self._size, size=batch_size)
         return tuple(column[idx] for column in self._columns)
 
@@ -134,8 +126,6 @@ class Agent:
 
     def value_of(self, obs: np.ndarray):
         """The value behind an observation row (k,), or one per row of a (B, k) block."""
-        if obs.shape[-1] != self.k:
-            raise ConfigError(f"observation length {obs.shape[-1]} != k={self.k}")
         return obs[..., 0] * self.config.value_hi
 
     def hyperparameters(self) -> dict:

@@ -27,18 +27,6 @@ def slot_sum(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def _rank(b: np.ndarray, K: int, ties: np.ndarray) -> np.ndarray:
-    """Flat indices of each auction's canonical bids `b` (B, n, k) by bid
-    descending; equal bids in the order of `ties` (B, n * k), one slot
-    permutation per auction."""
-    B, n, k = b.shape
-    if K > n * k:
-        raise ValueError(f"K={K} exceeds {n * k} submitted bids")
-    # lexsort: last key is primary. Sort by bid descending, then by the
-    # tie permutation's position for equal bids.
-    return np.lexsort((ties, -b.reshape(B, n * k)), axis=-1)
-
-
 def _clear(rule: str, bids: np.ndarray, K: int, ties: np.ndarray):
     """Rank once, then pay per rule: dp its own bid, up the (K+1)-th bid, gsp
     the next ranked bid of a different bidder (0 if none exists). Bids that are
@@ -47,8 +35,11 @@ def _clear(rule: str, bids: np.ndarray, K: int, ties: np.ndarray):
     if not (b[..., :-1] >= b[..., 1:]).all():
         b = canonicalize(b)
     B, n, k = b.shape
-    order = _rank(b, K, ties)
-    ranked = b.reshape(B, n * k)[np.arange(B)[:, None], order]
+    # The flat slot indices by bid descending, equal bids in the order of
+    # `ties` (lexsort's last key is primary).
+    flat = b.reshape(B, n * k)
+    order = np.lexsort((ties, -flat), axis=-1)
+    ranked = flat[np.arange(B)[:, None], order]
     if rule == "dp":
         pay = ranked[:, :K]
     elif rule == "up":

@@ -143,6 +143,7 @@ def cmd_tournament(args) -> int:
             p = Path(args.ckpt_dir) / f"{algo}.ckpt"
             if p.is_file():
                 checkpoints[algo] = str(p)
+    given: dict[str, str] = {}  # learner -> its --ckpt spec
     for spec in args.ckpt or []:
         if "=" not in spec:
             raise ConfigError(f"--ckpt expects ALGO=PATH, got {spec!r}")
@@ -151,6 +152,9 @@ def cmd_tournament(args) -> int:
             raise ConfigError(f"unknown algorithm {algo!r} in --ckpt")
         if args.all_ppo and algo != "ppo":
             raise ConfigError(f"--ckpt {spec} does not apply to tournament --all-ppo, which seats only ppo")
+        if algo in given:
+            raise ConfigError(f"--ckpt {given[algo]} is given again by --ckpt {spec}; name one checkpoint per learner")
+        given[algo] = spec
         checkpoints[algo] = path
 
     needed = ("ppo",) if args.all_ppo else LEARNERS

@@ -74,10 +74,7 @@ class ScenarioConfig:
 
     def decode(self, levels) -> np.ndarray:
         """Grid indices (an array of any shape) -> bid amounts."""
-        levels = np.asarray(levels)
-        if levels.size and (levels.min() < 0 or levels.max() >= self.grid_levels):
-            raise ConfigError(f"bid level outside grid [0, {self.grid_levels - 1}]")
-        return self.value_lo + levels * self.step
+        return self.value_lo + np.asarray(levels) * self.step
 
     def highest_level_at_most(self, amount):
         """Largest level whose bid does not exceed `amount` (tolerance 1e-9), elementwise:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from maulab.auction import canonicalize, clear, slot_sum
-from maulab.config import ConfigError, ScenarioConfig
+from maulab.config import ScenarioConfig
 
 
 def reward(won, payoff, value):
@@ -51,30 +51,22 @@ class AuctionEnv:
         return np.repeat(self._values[:, :, None], self.config.units_per_bidder, axis=2)
 
     def step(self, rows: slice, levels) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple]:
-        """Clear rows `rows` (a slice) of the block given their (b, n, k) bid
-        levels, [e, i] being agent i's in the rows' episode e. A step draws
-        nothing and changes nothing on the env: any rows clear, in any order.
+        """Clear rows `rows` (a non-empty slice) of the last reset's block given
+        their (b, n, k) in-grid bid levels, [e, i] being agent i's in the rows'
+        episode e; nothing checks either. A step draws nothing and changes
+        nothing on the env: any rows clear, in any order.
 
         Returns (reward, won, payment, bids, outcome): each agent's episode
         reward (b, n), whether each canonical slot won and what it pays
         (b, n, k), the canonical (weakly decreasing) bid amounts (b, n, k),
         and the clearing's (winners, payment, revenue) arrays."""
         c = self.config
-        if self._values is None:
-            raise RuntimeError("step called before reset")
-        try:
-            levels = np.asarray(levels)
-        except ValueError:
-            raise ConfigError("every agent must submit the same number of bids") from None
+        levels = np.asarray(levels)
         values, ties = self._values[rows, :, None], self._ties[rows]
-        shape, expected = levels.shape, (len(values), c.n_bidders, c.units_per_bidder)
-        if shape != expected or not len(values):
-            raise ConfigError(f"expected levels of shape (episodes, agents, bids) {expected}, at least one row, "
-                              f"for rows {rows.start}:{rows.stop} of a block of {len(self._values)}; got {shape}")
-        bids = canonicalize(c.decode(levels))  # raises ConfigError on out-of-grid levels
+        bids = canonicalize(c.decode(levels))
 
         winners, pay, _ = outcome = clear(c.rule, bids, c.supply, ties)
-        won, payment = np.zeros(shape, dtype=bool), np.zeros(shape)
+        won, payment = np.zeros(levels.shape, dtype=bool), np.zeros(levels.shape)
         episode = np.arange(len(bids))[:, None]
         won.reshape(len(bids), -1)[episode, winners] = True  # views: one row of n * k slots per episode
         payment.reshape(len(bids), -1)[episode, winners] = pay

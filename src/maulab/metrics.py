@@ -10,6 +10,7 @@ leaves the rest to the `%` operator (see its docstring).
 
 from __future__ import annotations
 
+import io
 import os
 import warnings
 from contextlib import contextmanager
@@ -35,8 +36,6 @@ def bid_ratio(value, bid):
 def rolling_mean(series, window: int) -> np.ndarray:
     """Trailing-window mean; partial windows average over available points,
     so any window at least the series' length gives the running mean."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
     x = np.asarray(series, dtype=float)
     if x.size == 0:
         return x
@@ -305,41 +304,28 @@ AUCTION_FIELDS = [
 ]
 
 
-def _columns(rows: list[dict], fieldnames) -> dict:
-    return {f: np.array([r[f] for r in rows]) for f in fieldnames}
-
-
 def summary_tables(ep: dict, au: dict, groups) -> tuple[dict, dict]:
-    """Bidder table (ranked by total payoff, ties by bidder id) and auction
-    revenue/efficiency table per (rule, K), both as columns; `groups` is
-    bidder_groups(ep)."""
+    """Bidder table (ranked by total payoff, ties in bidder_groups order: by
+    bidder id) and auction revenue/efficiency table per (rule, K), both as
+    columns; `groups` is bidder_groups(ep)."""
     keys, codes = groups
     n = len(keys)
     units = ep["units_won"]
     # bincount adds each bidder's rows in log order from +0.0, as a Python +=
     # loop does (signed zero included); x.sum() adds pairwise and can differ.
-    payoffs = np.bincount(codes, ep["payoff_total"], n).tolist()
-    costs = np.bincount(codes, ep["payment_total"], n).tolist()
-    items_won = np.bincount(codes, units, n).astype(np.int64).tolist()
-    winning = np.bincount(codes[units > 0], minlength=n).tolist()
-    episodes = np.bincount(codes, minlength=n).tolist()
-    bidders = []
-    for (aid, algo), payoff, cost, items, wins, size in zip(keys, payoffs, costs, items_won, winning, episodes):
-        bidders.append(
-            {
-                "id": aid,
-                "type": algo,
-                "payoff_total": payoff,
-                "payoff_mean": payoff / items if items else 0.0,
-                "cost_mean": cost / items if items else 0.0,
-                "items_won": items,
-                "payoff_mean_per_episode": payoff / size,
-                "payoff_mean_per_winning_episode": payoff / wins if wins else 0.0,
-            }
-        )
-    bidders.sort(key=lambda b: (-b["payoff_total"], b["id"]))
-    for rank, b in enumerate(bidders, start=1):
-        b["rank"] = rank
+    payoff = np.bincount(codes, ep["payoff_total"], n)
+    cost = np.bincount(codes, ep["payment_total"], n)
+    items = np.bincount(codes, units, n).astype(np.int64)
+    wins = np.bincount(codes[units > 0], minlength=n)
+
+    def mean(total, count):  # 0.0 where count is 0
+        return np.divide(total, count, out=np.zeros(n), where=count > 0)
+
+    ids = np.array([aid for aid, _ in keys], np.int64)
+    columns = (ids, np.array([algo for _, algo in keys]), payoff, mean(payoff, items), mean(cost, items), items,
+               payoff / np.bincount(codes, minlength=n), mean(payoff, wins))
+    order = np.lexsort((ids, -payoff))  # stable: equal keys keep bidder_groups order
+    bidders = {"rank": np.arange(1, n + 1), **{f: c[order] for f, c in zip(BIDDER_FIELDS[1:], columns)}}
 
     auctions = []
     for rule in distinct(au["rule"]).tolist():
@@ -347,19 +333,17 @@ def summary_tables(ep: dict, au: dict, groups) -> tuple[dict, dict]:
         for K in distinct(au["K"][of_rule]).tolist():
             m = of_rule & (au["K"] == K)
             rev, eff = au["revenue"][m], au["efficiency_ratio"][m]
-            stats = (rev.sum(), rev.mean(), rev.min(), rev.max(), eff.mean(), eff.min(), eff.max())
-            auctions.append(dict(zip(AUCTION_FIELDS, (rule, K, *map(float, stats)))))
-    return _columns(bidders, BIDDER_FIELDS), _columns(auctions, AUCTION_FIELDS)
-
-
-def _fmt(v) -> str:
-    return f"{v:.6f}" if isinstance(v, float) else str(v)
+            auctions.append((rule, K, rev.sum(), rev.mean(), rev.min(), rev.max(), eff.mean(), eff.min(), eff.max()))
+    table = np.array(auctions, [(f, _LOG_TYPES.get(f, "f8")) for f in AUCTION_FIELDS])
+    return bidders, {f: table[f] for f in AUCTION_FIELDS}
 
 
 def format_table(columns: dict, fieldnames) -> str:
-    """Aligned plain-text table of the named columns."""
-    rows = zip(*(np.asarray(columns[f]).tolist() for f in fieldnames))
-    cells = [[_fmt(v) for v in row] for row in rows]
+    """Aligned plain-text table of the named columns, each cell as write_csv
+    writes it (no text cell holds a comma)."""
+    text = io.StringIO()
+    write_csv(columns, text, fieldnames)
+    cells = [line.split(",") for line in text.getvalue().splitlines()]
     widths = [max(len(f), *(len(c[i]) for c in cells)) if cells else len(f) for i, f in enumerate(fieldnames)]
     lines = ["  ".join(f.ljust(w) for f, w in zip(fieldnames, widths))]
     lines.append("  ".join("-" * w for w in widths))

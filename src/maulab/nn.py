@@ -12,8 +12,6 @@ import math
 
 import numpy as np
 
-from maulab.config import ConfigError
-
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -54,10 +52,6 @@ def mlp_init(layout, seed_or_rng) -> MlpParams:
     """Scaled-uniform fan-in init: W ~ U(-sqrt(3/fan_in), sqrt(3/fan_in)) so
     Var(W) = 1/fan_in; biases start at 0."""
     layout = tuple(int(w) for w in layout)
-    if len(layout) < 2:
-        raise ConfigError("MLP layout needs at least input and output widths")
-    if any(w <= 0 for w in layout):
-        raise ConfigError("MLP layer widths must be positive")
     rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else np.random.default_rng(seed_or_rng)
     size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(layout[:-1], layout[1:]))
     params = MlpParams(layout, np.zeros(size))
@@ -71,8 +65,6 @@ def trunk_forward(params: MlpParams, x: np.ndarray) -> list:
     """The hidden layers' pass over x, (batch, in) or (in,): the input of every
     layer as a 2-D or stacked array, the head's (the last hidden state) last."""
     h = np.atleast_2d(np.asarray(x, dtype=float))
-    if h.shape[-1] != params.layout[0]:
-        raise ConfigError(f"input width {h.shape[-1]} != layout input {params.layout[0]}")
     cache = [h]
     for W, b in zip(params.weights[:-1], params.biases[:-1]):
         z = h @ W.T
@@ -109,8 +101,6 @@ def backward(params: MlpParams, cache: list, grad_out: np.ndarray) -> MlpParams:
     the batch, written into a fresh vector of the network's layout."""
     g = np.atleast_2d(np.asarray(grad_out, dtype=float))
     h = cache[-1]
-    if g.shape != (len(h), params.layout[-1]):
-        raise ConfigError(f"gradient shape {g.shape} != layer output {(len(h), params.layout[-1])}")
     grads = MlpParams(params.layout, np.empty_like(params.vec))
     np.matmul(g.T, h, out=grads.weights[-1])
     g.sum(axis=0, out=grads.biases[-1])
@@ -166,10 +156,12 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 def sample_categorical(log_probs: np.ndarray, u) -> np.ndarray:
     """One index per row of `log_probs` (over the last axis) by inverse CDF
     from `u`, one uniform per row: the count of the row's CDF values below
-    its uniform. A row's CDF has the same bits whatever the other rows."""
+    its uniform, the last left out, so that a float CDF ending below 1 still
+    gives an index under the row length. A row's CDF has the same bits
+    whatever the other rows."""
     cdf = np.exp(log_probs)
     np.cumsum(cdf, axis=-1, out=cdf)
-    return (np.asarray(u)[..., None] > cdf).sum(axis=-1)
+    return (np.asarray(u)[..., None] > cdf[..., :-1]).sum(axis=-1)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

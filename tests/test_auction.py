@@ -217,11 +217,6 @@ def test_revenue_dominance_no_ties():
     assert checked > 500
 
 
-def test_rank_rejects_oversized_k():
-    with pytest.raises(ValueError):
-        clear_dp(np.zeros((1, 2, 2)), 5, np.arange(4)[None])
-
-
 def test_efficiency_examples():
     vals = np.array([[[10.0, 10.0], [1.0, 1.0], [1.0, 1.0]]])
     # misallocation: one unit to a value-1 slot (winners are bidder * k + slot)

@@ -607,7 +607,8 @@ def test_tournament_config_file_hyperparameters_exit_2(tmp_path, capsys, grid_ch
 
 
 # pretrain --all runs every algorithm, rule and supply, and a tournament seats every learner, so a setting
-# that picks one is not read; giving it, by flag or by config file, is an error.
+# that picks one is not read; giving it, by flag or by config file, is an error. So is an earlier --ckpt
+# for a learner that a later one names again.
 UNREAD = {  # case: (argv, config file or None, how the error names the setting)
     "all_algo_flag": (["pretrain", "--all", "--algo", "ql"], None, "--algo"),
     "all_auction_flag": (["pretrain", "--all", "--auction", "up"], None, "--auction"),
@@ -619,6 +620,8 @@ UNREAD = {  # case: (argv, config file or None, how the error names the setting)
                             "config key 'algo'"),
     "all_ppo_other_ckpt": (["tournament", "--all-ppo", "--auction", "up", "--items", "8",
                             "--ckpt", "a2c=nowhere.ckpt"], None, "--ckpt a2c=nowhere.ckpt"),
+    "second_ckpt_same_learner": (["tournament", "--all-ppo", "--auction", "up", "--items", "8",
+                                  "--ckpt", "ppo=nowhere.ckpt"], None, "--ckpt ppo=nowhere.ckpt"),
 }
 
 

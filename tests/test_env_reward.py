@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maulab.config import ConfigError, ScenarioConfig
+from maulab.config import ScenarioConfig
 from maulab.env import AuctionEnv, reward, slot_sum
 
 
@@ -97,40 +97,6 @@ def test_valuations_matrix():
     v = env.valuations()
     assert v.shape == (1, 6, 2)
     assert np.all(v[..., 0] == v[..., 1])
-
-
-def test_step_before_reset_raises():
-    env = _env()
-    with pytest.raises(RuntimeError):
-        env.step(slice(0, 1), [[(0, 0)] * 6])
-
-
-def test_step_wrong_action_count():
-    env = _env()
-    env.reset()
-    with pytest.raises(ConfigError):
-        env.step(slice(0, 1), [[(0, 0)] * 5])
-    with pytest.raises(ConfigError):
-        env.step(slice(0, 1), [[(0, 0)] * 5 + [(0,)]])
-    with pytest.raises(ConfigError):
-        env.step(slice(0, 1), [[(0, 0, 0)] * 6])
-    with pytest.raises(ConfigError):
-        env.step(slice(0, 2), [[(0, 0)] * 6] * 2)  # two episodes' levels for a block of one
-    with pytest.raises(ConfigError):
-        env.step(slice(0, 1), [[(0, 0)] * 6] * 2)  # two episodes' levels for one row
-    with pytest.raises(ConfigError):
-        env.step(slice(1, 2), [[(0, 0)] * 6])  # a row past the block's end
-    with pytest.raises(ConfigError):
-        env.step(slice(0, 0), np.zeros((0, 6, 2), dtype=int))  # no row
-
-
-def test_step_out_of_grid_level():
-    env = _env()
-    env.reset()
-    with pytest.raises(ConfigError):
-        env.step(slice(0, 1), [[(99, 0)] + [(0, 0)] * 5])
-    with pytest.raises(ConfigError):
-        env.step(slice(0, 1), [[(-1, 0)] + [(0, 0)] * 5])
 
 
 def test_step_canonicalizes_levels():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from maulab.agents.policy import heads_stats
-from maulab.config import ConfigError
 from maulab.nn import (
     MlpParams,
     OptimState,
@@ -34,13 +33,6 @@ def test_init_variance_scaling():
     # Var(U(-b, b)) = b^2/3 = 1/fan_in
     assert np.var(w) == pytest.approx(1.0 / 200, rel=0.1)
     assert np.abs(w).max() <= np.sqrt(3.0 / 200)
-
-
-def test_init_validation():
-    with pytest.raises(ConfigError):
-        mlp_init((4,), 0)
-    with pytest.raises(ConfigError):
-        mlp_init((4, 0, 2), 0)
 
 
 def test_forward_identity_linear_layer():
@@ -75,12 +67,6 @@ def test_forward_pure():
     before = params.vec.copy()
     forward(params, np.array([[0.3, 0.7], [0.1, 0.2]]))
     assert np.array_equal(params.vec, before)
-
-
-def test_forward_rejects_wrong_width():
-    params = mlp_init((2, 3), 0)
-    with pytest.raises(ConfigError):
-        forward(params, np.array([1.0, 2.0, 3.0]))
 
 
 def test_backward_linear_weight_gradient():
@@ -230,6 +216,15 @@ def test_categorical_sampling_deterministic_and_distributed():
     draws = sample_categorical(log_probs, np.random.default_rng(10).random(6000))
     freq = np.bincount(draws, minlength=3) / draws.size
     assert np.allclose(freq, [0.5, 0.3, 0.2], atol=0.03)
+
+
+def test_categorical_sample_stays_on_a_row_whose_cdf_ends_below_one():
+    # A float CDF can end below the largest uniform Generator.random() returns;
+    # that uniform must still give an index of the row, at most L - 1.
+    u = np.nextafter(1.0, 0.0)
+    log_probs = log_softmax(np.random.default_rng(0).normal(0, 3, size=(50, 231)))
+    assert (np.cumsum(np.exp(log_probs), axis=-1)[:, -1] < u).any()
+    assert sample_categorical(log_probs, np.full(50, u)).max() == 230
 
 
 def test_categorical_batched_shapes():
