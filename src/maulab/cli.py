@@ -169,26 +169,33 @@ def cmd_tournament(args) -> int:
     return 0
 
 
-def _read_log(path: Path, fieldnames, column: str, allowed) -> dict:
+def _read_log(path: Path, fieldnames) -> dict:
     """A log's columns; raises ValueError unless it holds every column of
-    fieldnames and every text cell of `column` is one of `allowed`."""
+    fieldnames."""
     columns = read_csv(path)
     missing = [f for f in fieldnames if f not in columns]
     if missing:
         raise ValueError(f"{path.name} lacks columns {missing}")
-    unknown = ~np.isin(columns[column], allowed)
-    if unknown.any():
-        raise ValueError(f"{path.name}: unknown {column} values {distinct(columns[column][unknown]).tolist()}")
     return columns
+
+
+def _check_known(path: Path, column: str, values, allowed) -> None:
+    """Raises ValueError unless every text cell in the array `values`, taken
+    from `column`, is one of `allowed`."""
+    unknown = ~np.isin(values, allowed)
+    if unknown.any():
+        raise ValueError(f"{path.name}: unknown {column} values {distinct(values[unknown]).tolist()}")
 
 
 # Named per log so that a profiler can time the reading of each.
 def _parse_episode_rows(path: Path) -> dict:
-    return _read_log(path, EPISODE_LOG_FIELDS, "algo", ALGOS)
+    return _read_log(path, EPISODE_LOG_FIELDS)
 
 
 def _parse_auction_rows(path: Path) -> dict:
-    return _read_log(path, AUCTION_LOG_FIELDS, "rule", RULES)
+    au = _read_log(path, AUCTION_LOG_FIELDS)
+    _check_known(path, "rule", au["rule"], RULES)
+    return au
 
 
 def cmd_report(args) -> int:
@@ -203,6 +210,8 @@ def cmd_report(args) -> int:
         if not ep_path.is_file() or not au_path.is_file():
             raise ValueError("no logs found")
         ep = _parse_episode_rows(ep_path)
+        keys, codes = groups = bidder_groups(ep)  # its keys hold every algo cell once
+        _check_known(ep_path, "algo", np.array([algo for _, algo in keys], "U"), ALGOS)
         au = _parse_auction_rows(au_path)
         declared = None
         if snapshot.is_file():
@@ -224,7 +233,6 @@ def cmd_report(args) -> int:
         )
 
     out.mkdir(parents=True, exist_ok=True)
-    keys, codes = groups = bidder_groups(ep)
     bidder_table, auction_table = summary_tables(ep, au, groups)
     write_csv(bidder_table, out / "table_bidders.csv", BIDDER_FIELDS)
     write_csv(auction_table, out / "table_auctions.csv", AUCTION_FIELDS)

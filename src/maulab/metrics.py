@@ -5,7 +5,8 @@ array. Every writer is deterministic (fixed column order, 6-decimal
 fixed-point reals, LF line endings) so identical runs produce byte-identical
 files. A CSV cell is `"%.6f" % float(v)` for a real and `str(v)` for any
 other value, to the byte; write_csv renders most cells from digit tables and
-leaves the rest to the `%` operator (see its docstring).
+leaves the rest to the `%` operator (see its docstring). A figure point is
+`"%.2f,%.2f" % (x, y)`, rendered the same way (_points_text).
 """
 
 from __future__ import annotations
@@ -141,12 +142,22 @@ def _digit_tables():
 
 
 _GROUP, _LAST, _DOT, _END, _COMMA = _digit_tables()
-# Below this magnitude y = |x| * 1e6 is below 2**52, where every k + 1/2 is a
-# float64. Rounding to float64 is monotone, so y lies on the same side of each
-# k + 1/2 as the exact product |x| * 10**6 does, unless y is k + 1/2 itself:
-# rint(y) is the exact product's nearest integer whenever y's fraction is
-# not 1/2.
-_REAL_LIMIT = 2.0**52 / 1e6
+
+
+def _scaled(x, scale: float) -> tuple[np.ndarray, bool]:
+    """rint(|x| * scale) as int64, and whether that is the exact product's
+    nearest integer for every x, as the `%` operator rounds it. Below
+    2**52 / scale, y = |x| * scale is below 2**52, where every k + 1/2 is a
+    float64. Rounding to float64 is monotone, so y lies on the same side of
+    each k + 1/2 as the exact product does, unless y is k + 1/2 itself. The
+    flag is False when some x is not finite, is 2**52 / scale or more in
+    magnitude, or has such a y."""
+    a = np.abs(x)
+    fast = a < 2.0**52 / scale  # False for nan and inf too
+    a[~fast] = 0.0  # before the scaling: 1e303 * 1e6 overflows
+    y = a * scale
+    r = np.rint(y)
+    return r.astype(np.int64), bool((fast & (np.abs(y - r) != 0.5)).all())
 
 
 def _groups(v, n: int) -> list:
@@ -190,14 +201,8 @@ def _rows_text(cols: list, fmt: str) -> str:
     comma = np.full(n, _COMMA)
     if "f" in by_kind:
         x = np.stack(by_kind["f"], dtype=np.float64)
-        a = np.abs(x)
-        fast = a < _REAL_LIMIT  # False for nan and inf too
-        a[~fast] = 0.0  # before the scaling: 1e303 * 1e6 overflows
-        y = a * 1e6
-        r = np.rint(y)
-        fast &= np.abs(y - r) != 0.5  # see _REAL_LIMIT
-        bad |= not fast.all()
-        v = r.astype(np.int64)
+        v, exact = _scaled(x, 1e6)
+        bad |= not exact
         width = [_ngroups(top // 10**6) for top in v.max(1).tolist()]  # each column's integer-part groups
         *whole, f1, f2 = _groups(v, max(width) + 2)
         words = [*_sign_and_groups(whole, np.signbit(x)), _DOT[f1], _END[f2]]
@@ -359,6 +364,23 @@ MAX_POLYLINE_POINTS = 2000
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
 
 
+def _points_text(xs, ys) -> str:
+    """`" ".join("%.2f,%.2f" % p for p in zip(xs, ys))`, rendered from the
+    digit tables as _rows_text renders a real: a coordinate's integer-part
+    words and the ".ddd" word of ten times its hundredths, whose last digit
+    (a 0) becomes the "," or " " after it. Every point goes to `%` instead
+    when some coordinate is one that _scaled does not cover."""
+    xy = np.stack([xs, ys])
+    v, exact = _scaled(xy, 100.0)
+    if not exact:
+        return " ".join(map("%.2f,%.2f".__mod__, zip(xs.tolist(), ys.tolist())))
+    *whole, cents = _groups(v * 10, _ngroups(int(v.max(initial=0)) // 100) + 1)
+    words = np.stack([*_sign_and_groups(whole, np.signbit(xy)), _DOT[cents]], 1)  # (x and y, words, points)
+    words[0, -1].view(np.uint8)[3::4] = ord(",")
+    words[1, -1].view(np.uint8)[3::4] = ord(" ")
+    return words.transpose(2, 0, 1).tobytes().translate(None, b"\0").decode("ascii")[:-1]
+
+
 def _pane_svg(x0: float, y0: float, w: float, h: float, title: str, series: dict) -> list[str]:
     pad = 34.0
     px, py = x0 + pad, y0 + pad * 0.7
@@ -383,7 +405,7 @@ def _pane_svg(x0: float, y0: float, w: float, h: float, title: str, series: dict
         idx = np.linspace(0, arr.size - 1, min(arr.size, MAX_POLYLINE_POINTS)).round().astype(np.intp)
         xs = px + pw * (idx / max(arr.size - 1, 1))
         ys = py + ph * (1.0 - (arr[idx] - lo) / (hi - lo))
-        pts = " ".join(map("%.2f,%.2f".__mod__, zip(xs.tolist(), ys.tolist())))
+        pts = _points_text(xs, ys)
         color = _COLORS[ci % len(_COLORS)]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1"/>')
         parts.append(

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from maulab import metrics
 from maulab.cli import main
 from maulab.metrics import (
     AUCTION_FIELDS,
@@ -553,6 +554,79 @@ def test_emit_svg_long_series_thinned(tmp_path):
     assert xs == sorted(xs)
     assert ">9.00</text>" in text and ">-1.00</text>" in text
     assert f">{n}</text>" in text
+
+
+def _percent_points(xs, ys) -> str:
+    """A polyline's points as the `%` operator formats them, one at a time:
+    the reference that the digit tables must equal."""
+    return " ".join("%.2f,%.2f" % p for p in zip(np.asarray(xs).tolist(), np.asarray(ys).tolist()))
+
+
+# Coordinates where rounding to hundredths is hardest: float ties, whose
+# |x| * 100 is exactly k + 1/2 (0.005; 0.125, an exact binary half; 2.675,
+# stored below its decimal tie), a ulp either side of each tie, values stored
+# below their decimal tie whose product is not one (1.005), signed zeros and
+# tiny negatives, roundings that carry into the next integer group (999.996
+# is 1000.00), several integer groups, and values either side of the largest
+# magnitude the tables render (2**52 / 100), with the non-finite ones.
+POINT_LIMIT = 2.0**52 / 100
+POINT_TIES = [0.005, 0.015, 0.125, 0.375, 1.125, 2.675, 1.115, 999.995, 1000.005, np.nextafter(POINT_LIMIT, 0)]
+POINT_NEXT = [np.nextafter(t, d) for t in POINT_TIES[:-1] for d in (-np.inf, np.inf)]
+POINT_TIES += [v for v in POINT_NEXT if abs(v) * 100 % 1 == 0.5]  # 2.675's next float up is a tie too
+POINT_EDGES = sorted({
+    *(v for v in POINT_NEXT if v not in POINT_TIES),
+    1.005, 0.285, 0.0, -0.0, -0.001, -0.004999, -0.0051, 5e-324, 34.0, 310.0, 0.996, 9.995001, 99.996,
+    999.996, 999.994, 9999.999, 99999.995001, 999999.996, 1234.5678, 1e6 + 0.25, 123456789.019625,
+    45035996273704.94, -45035996273704.94,  # below POINT_LIMIT, not ties
+}, key=repr)
+POINT_OUTSIDE = [*POINT_TIES, POINT_LIMIT, 1e300, np.nan, np.inf, -np.inf]
+
+
+def test_point_edges_are_rendered_from_the_tables():
+    # Otherwise the test below would compare `%` with itself.
+    assert metrics._scaled(np.array(POINT_EDGES), 100.0)[1]
+    assert not any(metrics._scaled(np.array([v]), 100.0)[1] for v in POINT_OUTSIDE)
+
+
+@pytest.mark.parametrize("v", POINT_EDGES + POINT_OUTSIDE)
+def test_points_text_equals_percent_formatting(v):
+    for xs, ys in (([v], [34.0]), ([34.0], [v]), ([v, -v, 1.0], [2.0, v, -v])):
+        assert metrics._points_text(np.array(xs), np.array(ys)) == _percent_points(xs, ys)
+
+
+def test_points_text_many_points_one_and_none():
+    xs = np.array(POINT_EDGES)
+    assert metrics._points_text(xs, xs[::-1].copy()) == _percent_points(xs, xs[::-1])
+    assert metrics._points_text(np.array([999.996]), np.array([0.0])) == "1000.00,0.00"
+    assert metrics._points_text(np.array([0.005]), np.array([-0.0])) == "0.01,-0.00"
+    assert metrics._points_text(np.empty(0), np.empty(0)) == ""
+
+
+@settings(max_examples=100, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(1, 30), elements=st.one_of(
+    st.floats(),
+    st.floats(-2e3, 2e5),
+    st.integers(-(10**8), 10**8).map(lambda k: (k + 0.5) / 100),  # ties in the second decimal, or next to one
+    st.integers(-(2**30), 2**30).map(lambda k: k / 2**10),  # dyadic: exact binary halves
+)))
+def test_points_text_equals_percent_formatting_anywhere(x):
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert metrics._points_text(x, x[::-1].copy()) == _percent_points(x, x[::-1])
+
+
+def test_emit_svg_points_equal_percent_formatting(tmp_path, monkeypatch):
+    # 17 panes, so that y passes 1000; a one-point and an empty series too.
+    rng = np.random.default_rng(7)
+    panes = [(f"p{i}", {"a": rng.normal(size=3000), "b": np.cumsum(rng.normal(size=50))}) for i in range(16)]
+    panes.append(("last", {"one": [3.0], "none": [], "three": [0.005, 0.125, 2.675]}))
+    emit_svg(panes, tmp_path / "tables.svg")
+    monkeypatch.setattr(metrics, "_points_text", _percent_points)
+    emit_svg(panes, tmp_path / "percent.svg")
+    text = (tmp_path / "tables.svg").read_text()
+    assert text == (tmp_path / "percent.svg").read_text()
+    ys = [float(p.split(",")[1]) for points in _polyline_points(text) for p in points]
+    assert max(ys) > 1000 and text.count("<polyline") == 16 * 2 + 2
 
 
 class _Unwritable:
