@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maulab.agents.base import agent_class, hyperparameter_names, make_agent
+from maulab.agents.base import agent_class, check_overrides, decay_for, hyperparameter_names, make_agent
 from maulab.config import LEARNERS, ScenarioConfig
 from maulab.harness import load_agent, pretrain, run, save_agent, start, tournament
 from maulab.nn import MlpParams
@@ -179,3 +179,29 @@ def test_deep_copy_of_an_agent_learns_as_the_agent_does(algo):
     for net in nets:
         net.weights[0][0, 0] = 123.0
         assert 123.0 in net.vec
+
+
+# Every learner's default hyperparameters, by hand; decay_rate None resolves
+# to decay_for(episodes).
+DEFAULTS = {
+    "ql": {"value_bins": 11, "alpha": 0.1, "eps_max": 1.0, "decay_rate": None},
+    "vpg": {"value_bins": 11, "alpha": 0.2},
+    "dqn": {
+        "hidden": (64, 64), "buffer_capacity": 50_000, "batch_size": 64, "lr": 1e-4, "warmup": 1000,
+        "eps_max": 1.0, "decay_rate": None,
+    },
+    "dpn": {"hidden": (64, 64), "batch_size": 256, "lr": 3e-4, "entropy_coef": 0.01},
+    "a2c": {"hidden": (64, 64), "batch_size": 5, "actor_lr": 7e-4, "critic_lr": 7e-4, "entropy_coef": 0.01},
+    "ppo": {
+        "hidden": (64, 64), "rollout": 512, "epochs": 10, "minibatch": 64, "eps_clip": 0.2, "value_weight": 0.5,
+        "entropy_coef": 0.01, "actor_lr": 1e-3, "critic_lr": 1e-3,
+    },
+}
+
+
+@pytest.mark.parametrize("algo", LEARNERS)
+def test_default_hyperparameters_are_pinned(algo):
+    check_overrides(algo, DEFAULTS[algo])
+    agent = make_agent(algo, ScenarioConfig(episodes=2048), np.random.default_rng(0))
+    want = {name: decay_for(2048) if name == "decay_rate" else v for name, v in DEFAULTS[algo].items()}
+    assert agent.hyperparameters() == want
