@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from maulab.agents.policy import RolloutAgent, head_logits, heads_stats, score_entropy_logits_grad
-from maulab.config import ConfigError, ScenarioConfig
+from maulab.config import ScenarioConfig
 from maulab.nn import OptimState, adam_step_params, backward, forward, mlp_init
 
 
@@ -120,21 +120,12 @@ class _ActorCriticAgent(RolloutAgent):
 
     nets = (("actor", "opt_actor"), ("critic", "opt_critic"))
     counters = ("t", "opt_actor.step", "opt_critic.step")
+    lr_name = "actor_lr"
 
-    def __init__(
-        self,
-        config: ScenarioConfig,
-        rng: np.random.Generator,
-        hidden: tuple[int, int],
-        actor_lr: float,
-        critic_lr: float,
-        entropy_coef: float,
-        rows: int,
-    ):
-        super().__init__(config, rng, hidden, actor_lr, entropy_coef, rows)
+    def __init__(self, config: ScenarioConfig, rng: np.random.Generator, **given):
+        super().__init__(config, rng, **given)
         self.critic = mlp_init((self.k, *self.hidden, 1), rng)
-        self.actor_lr, self.critic_lr = actor_lr, critic_lr
-        self.opt_critic = OptimState(self.critic, critic_lr)
+        self.opt_critic = OptimState(self.critic, self.critic_lr)
 
 
 class A2cAgent(_ActorCriticAgent):
@@ -142,19 +133,7 @@ class A2cAgent(_ActorCriticAgent):
 
     algo = "a2c"
     kind = "a2c"
-
-    def __init__(
-        self,
-        config: ScenarioConfig,
-        rng: np.random.Generator,
-        hidden: tuple[int, int] = (64, 64),
-        batch_size: int = 5,
-        actor_lr: float = 7e-4,
-        critic_lr: float = 7e-4,
-        entropy_coef: float = 0.01,
-    ):
-        super().__init__(config, rng, hidden, actor_lr, critic_lr, entropy_coef, batch_size)
-        self.batch_size = batch_size
+    defaults = {"hidden": (64, 64), "batch_size": 5, "actor_lr": 7e-4, "critic_lr": 7e-4, "entropy_coef": 0.01}
 
     def _update(self, obs: np.ndarray, levels: np.ndarray, rewards: np.ndarray) -> None:
         a2c_update(self.actor, self.critic, obs, levels, rewards, self.opt_actor, self.opt_critic,
@@ -166,37 +145,18 @@ class PpoAgent(_ActorCriticAgent):
 
     algo = "ppo"
     kind = "ppo"
-
-    def __init__(
-        self,
-        config: ScenarioConfig,
-        rng: np.random.Generator,
-        hidden: tuple[int, int] = (64, 64),
-        rollout: int = 512,
-        epochs: int = 10,
-        minibatch: int = 64,
-        eps_clip: float = 0.2,
-        value_weight: float = 0.5,
-        entropy_coef: float = 0.01,
-        actor_lr: float = 1e-3,
-        critic_lr: float = 1e-3,
-    ):
-        super().__init__(config, rng, hidden, actor_lr, critic_lr, entropy_coef, rollout)
-        if not 0.0 < eps_clip < 1.0:
-            raise ConfigError("eps_clip must be in (0, 1)")
-        self.rollout = rollout
-        self.epochs = epochs
-        self.minibatch = minibatch
-        self.eps_clip = eps_clip
-        self.value_weight = value_weight
-        self.last_diag: dict = {}
+    defaults = {
+        "hidden": (64, 64), "rollout": 512, "epochs": 10, "minibatch": 64, "eps_clip": 0.2, "value_weight": 0.5,
+        "entropy_coef": 0.01, "actor_lr": 1e-3, "critic_lr": 1e-3,
+    }
+    rows_name = "rollout"
 
     def _update(self, obs: np.ndarray, levels: np.ndarray, rewards: np.ndarray) -> None:
         # The actor that acted on the rollout is unchanged until now, so its
         # stacked forward gives each row the log-probability its act had.
         out, _ = forward(self.actor, obs[:, None, :])
         _, old_logp, _ = heads_stats(head_logits(out, self.k, self.levels), levels)
-        self.last_diag = ppo_update(
+        ppo_update(
             self.actor, self.critic, obs, levels, old_logp, rewards, self.opt_actor, self.opt_critic, self.rng,
             self.eps_clip, self.epochs, self.minibatch, self.value_weight, self.entropy_coef, self.levels,
         )

@@ -4,7 +4,6 @@ learner, the agent factory and its hyperparameter checks."""
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import math
 import numbers
@@ -99,11 +98,15 @@ class Agent:
     (at least 1) before its next update: it acts on at most that many at once,
     once per episode, observes at most that many, and no act leaves state behind.
 
-    The checkpoint codec: a checkpoint's meta holds every constructor
-    hyperparameter, read back from the attribute of the same name, and the
-    integer `counters` (attribute paths, saved with "." written as "_"); its
-    arrays are those of `state_arrays()`. Loading builds the agent from the
-    saved hyperparameters, then `load_payload` restores the rest.
+    `defaults` maps each hyperparameter to its default. The constructor takes
+    them by keyword only, rejects any other name with a TypeError and sets
+    each as an attribute (a list given for a tuple default becomes a tuple).
+
+    The checkpoint codec: a checkpoint's meta holds every entry of `defaults`,
+    read back from the attribute of the same name, and the integer `counters`
+    (attribute paths, saved with "." written as "_"); its arrays are those of
+    `state_arrays()`. Loading builds the agent from the saved
+    hyperparameters, then `load_payload` restores the rest.
 
     `nets` lists the (network attribute, optimizer attribute) pairs of the
     agent's MLPs with their Adam states. The attribute names double as the
@@ -113,12 +116,19 @@ class Agent:
 
     algo = "?"
     kind = "none"
+    defaults: dict = {}
     counters: tuple[str, ...] = ()
     nets: tuple[tuple[str, str], ...] = ()
 
-    def __init__(self, config: ScenarioConfig, rng: np.random.Generator):
+    def __init__(self, config: ScenarioConfig, rng: np.random.Generator, **given):
+        unknown = sorted(set(given) - set(self.defaults))
+        if unknown:
+            raise TypeError(f"{type(self).__name__} has no hyperparameters {unknown}")
         self.config = config
         self.rng = rng
+        for name, default in self.defaults.items():
+            value = given.get(name, default)
+            setattr(self, name, tuple(value) if isinstance(default, tuple) else value)
 
     @property
     def k(self) -> int:
@@ -129,7 +139,7 @@ class Agent:
         return obs[..., 0] * self.config.value_hi
 
     def hyperparameters(self) -> dict:
-        return {name: getattr(self, name) for name in hyperparameter_names(type(self))}
+        return {name: getattr(self, name) for name in self.defaults}
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """The learned arrays by checkpoint name; loading writes into them in place."""
@@ -200,12 +210,10 @@ class TableAgent(Agent):
 
     counters = ("t",)
 
-    def __init__(self, config: ScenarioConfig, rng: np.random.Generator, value_bins: int, alpha: float):
-        super().__init__(config, rng)
-        self.value_bins = value_bins
-        self.alpha = alpha
+    def __init__(self, config: ScenarioConfig, rng: np.random.Generator, **given):
+        super().__init__(config, rng, **given)
         self.actions, self.action_index = action_table(config.grid_levels, self.k)
-        self.table = np.zeros((value_bins, len(self.actions)))
+        self.table = np.zeros((self.value_bins, len(self.actions)))
         self.t = 0
         self._pending: list = []
         self._speculation: tuple[int, dict] = 0, {}  # rows the last speculate kept, and their bins' rows before them
@@ -270,11 +278,6 @@ def agent_class(algo: str) -> type[Agent]:
     return classes[algo]
 
 
-def hyperparameter_names(cls: type[Agent]) -> tuple[str, ...]:
-    """The constructor parameters of an agent class other than config and rng."""
-    return tuple(p for p in inspect.signature(cls).parameters if p not in ("config", "rng"))
-
-
 # Hyperparameters that count something (as do the `hidden` widths), learning rates, and
 # those that lie in [0, 1] (epsilon_at raises decay_rate to the episode count).
 COUNTS = ("batch_size", "rollout", "epochs", "minibatch", "buffer_capacity", "value_bins")
@@ -284,7 +287,7 @@ _KINDS = {int: "an integer", float: "a number", type(None): "a number or null", 
 
 
 def _fits(value, default) -> bool:
-    """Whether `value` has the type of the constructor default: an int passes
+    """Whether `value` has the type of the hyperparameter's default: an int passes
     for a float (also for one that defaults to None), a list for a tuple of ints."""
     if isinstance(default, tuple):
         return isinstance(value, (list, tuple)) and all(_fits(w, 0) for w in value)
@@ -298,16 +301,16 @@ def _fits(value, default) -> bool:
 def check_overrides(algo: str, overrides: dict) -> None:
     """Raise ConfigError unless every key names a hyperparameter of algo's agent
     and every value has its default's type, every real is finite, every count
-    is >= 1, every learning rate is > 0, `alpha` is >= 0, and `eps_max` and
-    `decay_rate` lie in [0, 1] (a `decay_rate` of None stays valid)."""
-    cls = agent_class(algo)
-    params = hyperparameter_names(cls)
-    unknown = sorted(set(overrides) - set(params))
+    is >= 1, every learning rate is > 0, `alpha` is >= 0, `eps_max` and
+    `decay_rate` lie in [0, 1] (a `decay_rate` of None stays valid) and
+    `eps_clip` in (0, 1); and unless DQN's buffer holds its warm-up, with the
+    defaults standing in for the keys not given."""
+    defaults = agent_class(algo).defaults
+    unknown = sorted(set(overrides) - set(defaults))
     if unknown:
-        raise ConfigError(f"unknown hyperparameters for {algo}: {unknown}; expected some of {sorted(params)}")
-    signature = inspect.signature(cls).parameters
+        raise ConfigError(f"unknown hyperparameters for {algo}: {unknown}; expected some of {sorted(defaults)}")
     for name, value in overrides.items():
-        default = signature[name].default
+        default = defaults[name]
         if not _fits(value, default):
             raise ConfigError(f"{algo} hyperparameter {name!r} must be {_KINDS[type(default)]}, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
@@ -321,6 +324,11 @@ def check_overrides(algo: str, overrides: dict) -> None:
             raise ConfigError(f"{algo} hyperparameter 'alpha' is a step size and must be >= 0, got {value!r}")
         if name in UNIT_INTERVAL and value is not None and not 0 <= value <= 1:
             raise ConfigError(f"{algo} hyperparameter {name!r} must be in [0, 1], got {value!r}")
+        if name == "eps_clip" and not 0 < value < 1:
+            raise ConfigError(f"{algo} hyperparameter 'eps_clip' must be in (0, 1), got {value!r}")
+    given = {**defaults, **overrides}
+    if algo == "dqn" and given["buffer_capacity"] < (warm := max(given["warmup"], given["batch_size"])):
+        raise ConfigError(f"dqn buffer_capacity {given['buffer_capacity']} < its warm-up {warm}: it would never train")
 
 
 def make_agent(algo: str, config: ScenarioConfig, rng: np.random.Generator, **overrides) -> Agent:
@@ -330,7 +338,5 @@ def make_agent(algo: str, config: ScenarioConfig, rng: np.random.Generator, **ov
     check_overrides(algo, overrides)
     try:
         return agent_class(algo)(config, rng, **overrides)
-    except ConfigError:
-        raise
     except (MemoryError, ValueError) as e:
         raise ConfigError(f"{algo} hyperparameters {overrides}: the agent's arrays do not fit in memory ({e})") from None

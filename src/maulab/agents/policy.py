@@ -27,15 +27,7 @@ class VpgAgent(TableAgent):
     algo = "vpg"
     kind = "logits_table"
     update = staticmethod(vpg_update)
-
-    def __init__(
-        self,
-        config: ScenarioConfig,
-        rng: np.random.Generator,
-        value_bins: int = 11,
-        alpha: float = 0.2,
-    ):
-        super().__init__(config, rng, value_bins, alpha)
+    defaults = {"value_bins": 11, "alpha": 0.2}
 
     def _draw(self, rows: range) -> list[float]:
         return self.rng.random(len(rows)).tolist()
@@ -107,28 +99,23 @@ def dpg_update(
 
 class RolloutAgent(Agent):
     """A factored categorical `policy`, one head per unit, learning from
-    rollouts of `rows` episodes (observation, levels, reward): a full rollout
-    goes to the subclass's `_update(obs, levels, rewards)`, then is cleared.
-    The first pair in `nets` gives the policy's and its optimizer's attribute
-    and checkpoint names."""
+    rollouts of episodes (observation, levels, reward): a full rollout goes to
+    the subclass's `_update(obs, levels, rewards)`, then is cleared. The
+    hyperparameters named by `lr_name` and `rows_name` give the policy's
+    learning rate and the rollout's length. The first pair in `nets` gives the
+    policy's and its optimizer's attribute and checkpoint names."""
 
-    def __init__(
-        self,
-        config: ScenarioConfig,
-        rng: np.random.Generator,
-        hidden: tuple[int, int],
-        lr: float,
-        entropy_coef: float,
-        rows: int,
-    ):
-        super().__init__(config, rng)
-        self.hidden = tuple(hidden)
+    lr_name = "lr"
+    rows_name = "batch_size"
+
+    def __init__(self, config: ScenarioConfig, rng: np.random.Generator, **given):
+        super().__init__(config, rng, **given)
         self.levels = config.grid_levels
         self.policy = mlp_init((self.k, *self.hidden, self.k * self.levels), rng)
         net_attr, opt_attr = self.nets[0]
         setattr(self, net_attr, self.policy)
-        setattr(self, opt_attr, OptimState(self.policy, lr))
-        self.entropy_coef = entropy_coef
+        setattr(self, opt_attr, OptimState(self.policy, getattr(self, self.lr_name)))
+        rows = getattr(self, self.rows_name)
         self.buffer = ReplayBuffer(rows, obs=(float, (self.k,)), levels=(int, (self.k,)), reward=float)
         self.t = 0
 
@@ -157,19 +144,7 @@ class DpgAgent(RolloutAgent):
     kind = "dpg"
     nets = (("net", "opt"),)
     counters = ("t", "opt.step")
-
-    def __init__(
-        self,
-        config: ScenarioConfig,
-        rng: np.random.Generator,
-        hidden: tuple[int, int] = (64, 64),
-        batch_size: int = 256,
-        lr: float = 3e-4,
-        entropy_coef: float = 0.01,
-    ):
-        super().__init__(config, rng, hidden, lr, entropy_coef, batch_size)
-        self.batch_size = batch_size
-        self.lr = lr
+    defaults = {"hidden": (64, 64), "batch_size": 256, "lr": 3e-4, "entropy_coef": 0.01}
 
     def _update(self, obs: np.ndarray, levels: np.ndarray, rewards: np.ndarray) -> None:
         dpg_update(self.net, obs, levels, rewards, self.opt, self.entropy_coef, self.levels)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from maulab.agents.base import Agent, ReplayBuffer, TableAgent, action_indices, action_table, decay_for, epsilon_at
-from maulab.config import ConfigError, ScenarioConfig
+from maulab.config import ScenarioConfig
 from maulab.nn import MlpParams, OptimState, adam_step_params, forward, mlp_init, trunk_backward, trunk_forward
 
 
@@ -45,19 +45,12 @@ class QLearningAgent(TableAgent):
     algo = "ql"
     kind = "qtable"
     update = staticmethod(q_update)
+    defaults = {"value_bins": 11, "alpha": 0.1, "eps_max": 1.0, "decay_rate": None}
 
-    def __init__(
-        self,
-        config: ScenarioConfig,
-        rng: np.random.Generator,
-        value_bins: int = 11,
-        alpha: float = 0.1,
-        eps_max: float = 1.0,
-        decay_rate: float | None = None,
-    ):
-        super().__init__(config, rng, value_bins, alpha)
-        self.eps_max = eps_max
-        self.decay_rate = decay_for(config.episodes) if decay_rate is None else decay_rate
+    def __init__(self, config: ScenarioConfig, rng: np.random.Generator, **given):
+        super().__init__(config, rng, **given)
+        if self.decay_rate is None:
+            self.decay_rate = decay_for(config.episodes)
 
     def _greedy(self, obs: np.ndarray) -> np.ndarray:
         return self.table.argmax(axis=1)[self._bin(obs)]  # ties -> lowest index
@@ -123,34 +116,20 @@ class DqnAgent(Agent):
     kind = "dqn"
     nets = (("net", "opt"),)
     counters = ("t", "train_steps", "opt.step")
+    defaults = {
+        "hidden": (64, 64), "buffer_capacity": 50_000, "batch_size": 64, "lr": 1e-4, "warmup": 1000,
+        "eps_max": 1.0, "decay_rate": None,
+    }
 
-    def __init__(
-        self,
-        config: ScenarioConfig,
-        rng: np.random.Generator,
-        hidden: tuple[int, int] = (64, 64),
-        buffer_capacity: int = 50_000,
-        batch_size: int = 64,
-        lr: float = 1e-4,
-        warmup: int = 1000,
-        eps_max: float = 1.0,
-        decay_rate: float | None = None,
-    ):
-        super().__init__(config, rng)
-        self.warm = max(warmup, batch_size)  # the rows the buffer holds before the first update
-        if buffer_capacity < self.warm:
-            raise ConfigError(f"dqn buffer_capacity {buffer_capacity} < its warm-up {self.warm}: it would never train")
-        self.hidden = tuple(hidden)
+    def __init__(self, config: ScenarioConfig, rng: np.random.Generator, **given):
+        super().__init__(config, rng, **given)
+        self.warm = max(self.warmup, self.batch_size)  # the rows the buffer holds before the first update
         self.actions, self.action_index = action_table(config.grid_levels, self.k)
         self.net = mlp_init((self.k, *self.hidden, len(self.actions)), rng)
-        self.buffer_capacity = buffer_capacity
-        self.buffer = ReplayBuffer(buffer_capacity, obs=(float, (self.k,)), action=int, reward=float)
-        self.batch_size = batch_size
-        self.lr = lr
-        self.opt = OptimState(self.net, lr)
-        self.warmup = warmup
-        self.eps_max = eps_max
-        self.decay_rate = decay_for(config.episodes) if decay_rate is None else decay_rate
+        self.buffer = ReplayBuffer(self.buffer_capacity, obs=(float, (self.k,)), action=int, reward=float)
+        self.opt = OptimState(self.net, self.lr)
+        if self.decay_rate is None:
+            self.decay_rate = decay_for(config.episodes)
         self.t = self.train_steps = 0
 
     def _greedy(self, obs: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from maulab.agents.base import Agent, TableAgent, agent_class, check_overrides, hyperparameter_names, make_agent
+from maulab.agents.base import Agent, TableAgent, agent_class, check_overrides, make_agent
 from maulab.auction import efficiency_gap, efficiency_ratio, slot_sum
 from maulab.checkpoint import CheckpointError, MissingCheckpointError, load_checkpoint, save_checkpoint
 from maulab.config import ALGOS, LEARNERS, RULES, SUPPLIES, ConfigError, ScenarioConfig, Seat, Session
@@ -163,8 +163,8 @@ def load_agent(path, config: ScenarioConfig, rng: np.random.Generator) -> Agent:
     """Build the saved agent from its saved hyperparameters and the scenario,
     then restore its arrays and counters. Meta keys that are not
     hyperparameters or counters (earlier layouts) are ignored; a hyperparameter
-    the file lacks takes the constructor default, and the saved ones are
-    checked by type and range as a config file's are."""
+    the file lacks takes its default, and the saved ones are checked by type
+    and range as a config file's are."""
     kind, meta, arrays = load_checkpoint(path)
     algo = meta.get("algo")
     if algo not in ALGOS:
@@ -172,11 +172,10 @@ def load_agent(path, config: ScenarioConfig, rng: np.random.Generator) -> Agent:
     cls = agent_class(algo)
     if cls.kind != kind:
         raise CheckpointError(f"{path}: kind {kind!r} does not match algorithm {algo!r}")
-    names = hyperparameter_names(cls)
-    saved = {name: meta[name] for name in names if name in meta}
+    saved = {name: meta[name] for name in cls.defaults if name in meta}
     layout = meta.get("layout", meta.get("layout_actor"))  # earlier layouts: widths, no `hidden`
     try:
-        if "hidden" in names and "hidden" not in saved and layout is not None:
+        if "hidden" in cls.defaults and "hidden" not in saved and layout is not None:
             saved["hidden"] = layout[1:-1]
         check_overrides(algo, saved)
         agent = cls(config, rng, **saved)

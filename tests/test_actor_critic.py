@@ -12,7 +12,7 @@ from maulab.agents.actor_critic import (
     ppo_clip_objective,
     ppo_update,
 )
-from maulab.agents.base import make_agent
+from maulab.agents.base import check_overrides, make_agent
 from maulab.agents.policy import head_logits, heads_stats, score_entropy_logits_grad
 from maulab.config import ConfigError, ScenarioConfig
 from maulab.nn import OptimState, backward, finite_diff_check, forward, mlp_init
@@ -215,6 +215,12 @@ def test_ppo_rejects_bad_eps_clip():
     config = ScenarioConfig()
     with pytest.raises(ConfigError):
         make_agent("ppo", config, np.random.default_rng(0), eps_clip=1.5)
+
+
+@pytest.mark.parametrize("eps_clip", [0, 0.0, 1, 1.5, -0.2])
+def test_bad_eps_clip_message_names_ppo_and_the_key(eps_clip):
+    with pytest.raises(ConfigError, match=r"^ppo hyperparameter 'eps_clip' must be in \(0, 1\)"):
+        check_overrides("ppo", {"eps_clip": eps_clip})
 
 
 def test_actor_critic_checkpoint_roundtrip(tmp_path):

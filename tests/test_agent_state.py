@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maulab.agents.base import agent_class, check_overrides, decay_for, hyperparameter_names, make_agent
+from maulab.agents.base import agent_class, check_overrides, decay_for, make_agent
 from maulab.config import LEARNERS, ScenarioConfig
 from maulab.harness import load_agent, pretrain, run, save_agent, start, tournament
 from maulab.nn import MlpParams
@@ -54,7 +54,7 @@ def _counters(agent) -> dict:
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_checkpoint_round_trip(algo, data):
-    assert set(HYPERPARAMETERS[algo]) == set(hyperparameter_names(agent_class(algo)))
+    assert set(HYPERPARAMETERS[algo]) == set(agent_class(algo).defaults)
     overrides = {}
     for name, s in HYPERPARAMETERS[algo].items():
         overrides[name] = data.draw(s(overrides) if callable(s) else s, label=name)
@@ -205,3 +205,20 @@ def test_default_hyperparameters_are_pinned(algo):
     agent = make_agent(algo, ScenarioConfig(episodes=2048), np.random.default_rng(0))
     want = {name: decay_for(2048) if name == "decay_rate" else v for name, v in DEFAULTS[algo].items()}
     assert agent.hyperparameters() == want
+
+
+@pytest.mark.parametrize("algo", ("random", *LEARNERS))
+def test_an_unknown_hyperparameter_is_a_type_error_naming_it(algo):
+    with pytest.raises(TypeError, match="not_a_hyperparameter"):
+        agent_class(algo)(ScenarioConfig(), np.random.default_rng(0), not_a_hyperparameter=1)
+
+
+@pytest.mark.parametrize("algo", ("dqn", "dpn", "a2c", "ppo"))
+def test_a_hidden_list_is_kept_and_saved_as_its_tuple(tmp_path, algo):
+    """A config file gives `hidden` as a JSON list."""
+    agents = {type(h): make_agent(algo, ScenarioConfig(), np.random.default_rng(3), hidden=h) for h in ([8, 4], (8, 4))}
+    assert all(a.hidden == (8, 4) and type(a.hidden) is tuple for a in agents.values())
+    assert agents[list].checkpoint_payload()[0]["hidden"] == (8, 4)
+    for kind, agent in agents.items():
+        save_agent(agent, tmp_path / f"{kind.__name__}.ckpt")
+    assert (tmp_path / "list.ckpt").read_bytes() == (tmp_path / "tuple.ckpt").read_bytes()

@@ -261,6 +261,17 @@ def test_dqn_buffer_below_its_warm_up_exits_2_or_5(tmp_path, capsys, grid_checkp
     assert not (tmp_path / "tour").exists()
 
 
+def test_all_rejects_a_dqn_buffer_below_its_warm_up_before_any_session(tmp_path, capsys):
+    """The config file is checked whole before the first of the 54 sessions runs."""
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"episodes": 3, "hyperparameters": {"dqn": {"buffer_capacity": 10}}}))
+    out = tmp_path / "runs"
+    assert main(["pretrain", "--all", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "dqn" in err and "buffer_capacity" in err and "never train" in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("key, value", [
     ("items", "x"), ("items", 5), ("algo", "random"), ("auction", "fp"),
     ("episodes", 10.5), ("episodes", "ten"), ("seed", 1.5), ("grid_levels", "x"),

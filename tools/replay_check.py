@@ -17,16 +17,17 @@ The fixed set: pretrains of all six learners under dp K=4, gsp K=6 and up K=8
 pretrain across its warm-up; a 5,000-episode gsp K=6 ql pretrain (ten blocks
 cleared in runs, so the tie orders of many resets are used); 100,000-episode
 dp K=4 pretrains of ql and vpg, whose runs are longest, so that runs reach the
-run cap and rows past a cut are cleared again; up K=8 pretrains of dpn, dqn, a2c and ppo with small batches, warm-up and
-rollout from a config file; `pretrain --all` at 40 episodes with that file;
-learning, `--freeze` and `--all-ppo` tournaments from the dp K=4
-checkpoints, and a 5,000-episode `--freeze` gsp K=6 tournament from them
-(ten blocks, each cleared whole); a missing-checkpoint (exit 4) and a
-wrong-algorithm (exit 5) tournament; six commands that fail before any session
-runs (a pretrain without --algo, two malformed --ckpt, a tournament config
-file with hyperparameters, an --all-ppo tournament without a checkpoint and a
-report on a missing directory); and `report --window 100` on every run
-directory.
+run cap and rows past a cut are cleared again; up K=8 pretrains of dpn, dqn,
+a2c and ppo with small batches, warm-up and rollout, and of ql and vpg with
+other value bins, step sizes and exploration, from a config file;
+`pretrain --all` at 40 episodes with that file; learning, `--freeze` and
+`--all-ppo` tournaments from the dp K=4 checkpoints, and a 5,000-episode
+`--freeze` gsp K=6 tournament from them (ten blocks, each cleared whole); a
+missing-checkpoint (exit 4) and a wrong-algorithm (exit 5) tournament; six
+commands that fail before any session runs (a pretrain without --algo, two
+malformed --ckpt, a tournament config file with hyperparameters, an --all-ppo
+tournament without a checkpoint and a report on a missing directory); and
+`report --window 100` on every run directory.
 
 Exit status: 0 when nothing differs, 1 when something does, 2 when REV
 cannot be extracted.
@@ -53,6 +54,8 @@ HYPER = {"hyperparameters": {
     "dqn": {"warmup": 64},
     "a2c": {"batch_size": 3},
     "ppo": {"rollout": 64, "minibatch": 16},
+    "ql": {"value_bins": 7, "alpha": 0.3, "eps_max": 0.5},
+    "vpg": {"value_bins": 5, "alpha": 0.1},
 }}
 
 
