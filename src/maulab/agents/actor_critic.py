@@ -77,13 +77,13 @@ def ppo_update(
     """PPO epochs over shuffled minibatches of one rollout.
 
     Advantages are computed once against the pre-update critic and normalized
-    per rollout. Returns diagnostics (mean clip fraction and final losses)."""
+    per rollout. Returns diagnostics: the mean clip fraction, and the losses of
+    the last minibatch."""
     B, k = actions.shape
     vout, _ = forward(critic, obs)
     adv = normalize_advantages(rewards - vout[:, 0])
 
     clip_fracs = []
-    policy_loss = value_loss = 0.0
     for _ in range(epochs):
         order = rng.permutation(B)
         for start in range(0, B, minibatch):
@@ -94,7 +94,6 @@ def ppo_update(
             ratio = np.exp(logp - old_logp[mb])
             unclipped = ratio * adv[mb]
             obj = ppo_clip_objective(ratio, adv[mb], eps_clip)
-            policy_loss = float(-obj.mean() - entropy_coef * ent.mean())
             clip_fracs.append(float(np.mean(obj < unclipped)))
             # d obj / d logp is ratio*adv where the unclipped branch is active,
             # 0 on the clipped-flat region.
@@ -104,13 +103,12 @@ def ppo_update(
 
             vmb, vcache = forward(critic, obs[mb])
             verr = vmb[:, 0] - rewards[mb]
-            value_loss = float(value_weight * 0.5 * np.mean(verr**2))
             gv = (value_weight * verr / m)[:, None]
             adam_step_params(critic, backward(critic, vcache, gv), opt_critic)
     return {
         "clip_fraction": float(np.mean(clip_fracs)),
-        "policy_loss": policy_loss,
-        "value_loss": value_loss,
+        "policy_loss": float(-obj.mean() - entropy_coef * ent.mean()),
+        "value_loss": float(value_weight * 0.5 * np.mean(verr**2)),
     }
 
 

@@ -231,18 +231,19 @@ class TableAgent(Agent):
         keep their action once the rows before them are observed: at least 1,
         since the first row's table is the one it acted with. A later row can
         change only if an earlier row of the run updated its bin; it is
-        re-derived (`_action`) from its kept draws with the table updated so
-        far. The kept rows update the table, each bin's row saved before its
-        first update, and the next `observe` keeps them only if it is given
-        as many rows."""
+        re-derived from its kept draws with the table updated so far, and
+        updated only if it keeps its action (`_update_kept`). The kept rows
+        update the table, each bin's row saved before its first update, and
+        the next `observe` keeps them only if it is given as many rows."""
         saved, n = {}, 0
         for s, a, r, kept in zip(self._bin(obs).tolist(), action_indices(self.action_index, levels), rewards.tolist(),
                                  self._pending):
-            if s not in saved:
+            if s in saved:
+                if not self._update_kept(s, a, r, kept):
+                    break
+            else:
                 saved[s] = self.table[s].copy()
-            elif self._action(self.table, s, kept) != a:
-                break
-            self.update(self.table, s, a, r, self.alpha)
+                self.update(self.table, s, a, r, self.alpha)
             n += 1
         self._speculation = n, saved
         return n

@@ -7,17 +7,29 @@ import numpy as np
 
 from maulab.agents.base import Agent, ReplayBuffer, TableAgent
 from maulab.config import ScenarioConfig
-from maulab.nn import OptimState, adam_step_params, backward, forward, mlp_init, softmax
+from maulab.nn import OptimState, adam_step_params, backward, forward, mlp_init
 from maulab.nn import log_softmax, sample_categorical
 
 
-def vpg_update(table: np.ndarray, s: int, a: int, r: float, alpha: float) -> None:
+def vpg_update(table: np.ndarray, s: int, a: int, r: float, alpha: float, u: float | None = None) -> bool:
     """Exact score-function update for a softmax-table policy on a single-step
-    episode: logits(s,.) += alpha * r * (onehot(a) - pi(s,.))."""
-    probs = softmax(table[s])
-    onehot = np.zeros_like(probs)
+    episode: logits(s,.) += alpha * r * (onehot(a) - pi(s,.)). Given a kept
+    uniform u, it is made only if u still draws action a from the row as
+    `sample_categorical(log_softmax(...))` does; returns whether it was. The
+    draw and the update share the row's max, exp and sum, with the bits of
+    `log_softmax` and `softmax`."""
+    z = table[s] - table[s].max()
+    e = np.exp(z)
+    total = e.sum()
+    if u is not None:
+        cdf = np.exp(z - np.log(total))
+        np.cumsum(cdf, out=cdf)
+        if (u > cdf[:-1]).sum() != a:
+            return False
+    onehot = np.zeros_like(e)
     onehot[a] = 1.0
-    table[s] += alpha * r * (onehot - probs)
+    table[s] += alpha * r * (onehot - e / total)
+    return True
 
 
 class VpgAgent(TableAgent):
@@ -32,8 +44,8 @@ class VpgAgent(TableAgent):
     def _draw(self, rows: range) -> list[float]:
         return self.rng.random(len(rows)).tolist()
 
-    def _action(self, table: np.ndarray, s: int, kept: float) -> int:
-        return int(sample_categorical(log_softmax(table[s]), kept))
+    def _update_kept(self, s: int, a: int, r: float, kept: float) -> bool:
+        return vpg_update(self.table, s, a, r, self.alpha, kept)
 
     def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
         """A sample of the policy by inverse CDF from one uniform per row,

@@ -58,8 +58,12 @@ class QLearningAgent(TableAgent):
     def _draw(self, rows: range) -> list[int]:
         return epsilon_draws(self, rows)
 
-    def _action(self, table: np.ndarray, s: int, kept: int) -> int:
-        return kept if kept >= 0 else int(table[s].argmax())
+    def _update_kept(self, s: int, a: int, r: float, kept: int) -> bool:
+        """The row's update, made only if its kept draw still gives action a."""
+        if kept < 0 and int(self.table[s].argmax()) != a:
+            return False
+        q_update(self.table, s, a, r, self.alpha)
+        return True
 
     def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
         """Greedy unless exploring; an exploring act keeps each row's draw."""

@@ -47,8 +47,9 @@ def run_episode(env: AuctionEnv, agents: list[Agent], train, out) -> None:
     reward, won, payment, bids, winners, revenue and valuations arrays.
 
     `train` holds one flag per agent. The reset draws the block's values and
-    tie orders, and each agent that does not train acts on the whole block,
-    greedily. The block then clears in runs of episodes, each one `env.step`.
+    tie orders, and each agent that does not train acts on the whole block
+    without exploring (the policy learners still sample). The block then
+    clears in runs of episodes, each one `env.step`.
 
     A training seat other than a table learner acts (exploring) once its
     earlier rows are all observed, on the episodes up to its next update

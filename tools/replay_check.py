@@ -21,7 +21,9 @@ run cap and rows past a cut are cleared again; up K=8 pretrains of dpn, dqn,
 a2c and ppo with small batches, warm-up and rollout, and of ql and vpg with
 other value bins, step sizes and exploration, from a config file;
 `pretrain --all` at 40 episodes with that file; learning, `--freeze` and
-`--all-ppo` tournaments from the dp K=4 checkpoints, and a 5,000-episode
+`--all-ppo` tournaments from the dp K=4 checkpoints, a 4,000-episode dp K=4
+learning tournament from them (six learners train, so DQN trains past its
+warm-up and the table learners' runs are cut by one another), and a 5,000-episode
 `--freeze` gsp K=6 tournament from them (ten blocks, each cleared whole); a
 missing-checkpoint (exit 4) and a wrong-algorithm (exit 5) tournament; six
 commands that fail before any session runs (a pretrain without --algo, two
@@ -82,6 +84,7 @@ def session_commands() -> list[list[str]]:
     cmds.append(["pretrain", "--all", "--config", "hyper.json", "--episodes", "40", "--seed", "6", "--out", "grid"])
     cmds += [
         ["tournament", "--auction", "gsp", "--items", "6", "--episodes", "1300", "--seed", "7", *_ckpts()],
+        ["tournament", "--auction", "dp", "--items", "4", "--episodes", "4000", "--seed", "3", *_ckpts()],
         ["tournament", "--freeze", "--auction", "up", "--items", "8", "--episodes", "600", "--seed", "7", *_ckpts()],
         ["tournament", "--freeze", "--auction", "gsp", "--items", "6", "--episodes", "5000", "--seed", "9",
          *_ckpts()],
