@@ -60,9 +60,20 @@ class ReplayBuffer:
         """Every held row of each column, in push order until the ring wraps."""
         return tuple(column[: self._size] for column in self._columns)
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-        idx = rng.integers(0, self._size, size=batch_size)
+    def take(self, idx: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The rows at the indices `idx`, one array per column."""
         return tuple(column[idx] for column in self._columns)
+
+    def mark(self, m: int) -> tuple:
+        """The cursor, the size and the rows the next m pushed rows overwrite."""
+        slots = (self._cursor + np.arange(m)) % self.capacity
+        return self._cursor, self._size, slots, [column[slots] for column in self._columns]
+
+    def rewind(self, mark: tuple) -> None:
+        """Undo the pushes made since `mark`."""
+        self._cursor, self._size, slots, rows = mark
+        for column, saved in zip(self._columns, rows):
+            column[slots] = saved
 
 
 def action_table(grid_levels: int, k: int) -> tuple[np.ndarray, dict]:
@@ -88,15 +99,19 @@ def bin_value(value, lo: float, hi: float, bins: int):
 class Agent:
     """Base bidder agent. Each subclass defines `act(obs, explore=True)`: (B, k)
     grid levels, any order per row, for a (B, k) block of observations, one row
-    per episode. A learner also defines `observe(obs, levels, rewards)`, called
-    only for a seat that trains, with a run of m episodes its current policy
-    acted on: their (m, k) observations, the levels act returned and the (m,)
-    rewards. Such a seat acts (exploring) on the episodes from the next one it
-    will observe; an exploring act on m rows draws what m one-row acts would.
-    A table learner (`TableAgent`) acts ahead on runs, keeping each row's draws
-    until it is observed. Every other learner defines `horizon()`, the episodes
-    (at least 1) before its next update: it acts on at most that many at once,
-    once per episode, observes at most that many, and no act leaves state behind.
+    per episode. A seat that does not train acts with `explore=False`, and such
+    an act keeps nothing.
+
+    A learner (a seat that trains) acts, exploring, on a run of at most
+    `horizon(cap)` episodes from the next one it will observe, and keeps what
+    it needs to act on them again until they are observed: the levels it gave
+    since its policy last changed (`_acted`) and, if it acts past its updates,
+    each row's draws (`_pending`), so that m one-row acts draw what one act on
+    m rows does. `speculate(obs, levels, rewards)` then applies the cleared
+    run's rows in order while each keeps its action under the updates before
+    it, and returns that count (at least 1); `observe(obs, levels, rewards)`
+    gets that many leading rows or fewer, and keeps only their updates.
+    Learners speculate in `rank` order, the costlier updates on runs already cut.
 
     `defaults` maps each hyperparameter to its default. The constructor takes
     them by keyword only, rejects any other name with a TypeError and sets
@@ -116,6 +131,7 @@ class Agent:
 
     algo = "?"
     kind = "none"
+    rank = 0
     defaults: dict = {}
     counters: tuple[str, ...] = ()
     nets: tuple[tuple[str, str], ...] = ()
@@ -129,6 +145,9 @@ class Agent:
         for name, default in self.defaults.items():
             value = given.get(name, default)
             setattr(self, name, tuple(value) if isinstance(default, tuple) else value)
+        self._pending: list = []
+        self._acted = np.empty((0, self.k), dtype=int)
+        self._speculation = 0, None  # the rows the last speculate applied, and what it saved before them
 
     @property
     def k(self) -> int:
@@ -137,6 +156,36 @@ class Agent:
     def value_of(self, obs: np.ndarray):
         """The value behind an observation row (k,), or one per row of a (B, k) block."""
         return obs[..., 0] * self.config.value_hi
+
+    def _kept(self, m: int) -> list:
+        """The kept draws of the next m episodes, drawing for those that have none."""
+        self._pending += self._draw(range(len(self._pending), m))
+        return self._pending[:m]
+
+    def _ahead(self, obs: np.ndarray) -> np.ndarray:
+        """An exploring act: the levels of the next len(obs) episodes to
+        observe. Those given since the policy last changed are given again;
+        `_derive(obs, start)` gives the rest, from the row they start at."""
+        done = len(self._acted)
+        if done < len(obs):
+            self._acted = np.concatenate([self._acted, self._derive(obs[done:], done)])
+        return self._acted[: len(obs)]
+
+    def observe(self, obs: np.ndarray, levels: np.ndarray, rewards: np.ndarray) -> None:
+        """Learn from a run of m episodes in episode order: their (m, k)
+        observations, the levels `act` returned and the (m,) rewards. Given
+        fewer rows than `speculate` applied, restore what it saved first; then
+        apply (`_apply`) the rows it did not, and drop their draws and levels."""
+        n, (applied, saved) = len(rewards), self._speculation
+        self._speculation = 0, None
+        if n < applied:
+            self._restore(saved)
+            applied = 0
+        if n > applied:
+            self._apply(obs[applied:], levels[applied:], rewards[applied:], self._pending[applied:n])
+        self.t += n
+        del self._pending[:n]
+        self._acted = self._acted[n:]
 
     def hyperparameters(self) -> dict:
         return {name: getattr(self, name) for name in self.defaults}
@@ -195,18 +244,8 @@ class RandomAgent(Agent):
 class TableAgent(Agent):
     """A learner with one table row per value bin and one column per
     canonical joint bid, updated row by row, in episode order, through the
-    subclass's `update(table, s, a, r, alpha)`.
-
-    A seat that trains acts ahead, on a run of episodes, with the table it has
-    at the run's start; what it draws does not depend on the table. So an
-    exploring act keeps each row's draws in `_pending`, a queue that starts at
-    the next episode to observe: on rows that already hold kept draws it
-    re-derives their actions from them with the current table, and it draws
-    (`_draw`) only for the rows past them. `speculate` finds how many leading
-    rows of an acted run keep their action once the rows before them are
-    observed, and applies their updates; `observe` drains the rows it is given
-    from the queue, first undoing the updates of kept rows it is not given.
-    Acts with `explore=False` keep nothing."""
+    subclass's `update(table, s, a, r, alpha)`. What it draws does not depend
+    on the table, so it acts ahead on runs of up to `cap` episodes."""
 
     counters = ("t",)
 
@@ -215,26 +254,18 @@ class TableAgent(Agent):
         self.actions, self.action_index = action_table(config.grid_levels, self.k)
         self.table = np.zeros((self.value_bins, len(self.actions)))
         self.t = 0
-        self._pending: list = []
-        self._speculation: tuple[int, dict] = 0, {}  # rows the last speculate kept, and their bins' rows before them
 
     def _bin(self, obs: np.ndarray) -> int:
         return bin_value(self.value_of(obs), self.config.value_lo, self.config.value_hi, self.value_bins)
 
-    def _kept(self, m: int) -> list:
-        """The kept draws of the next m episodes, drawing for those that have none."""
-        self._pending += self._draw(range(len(self._pending), m))
-        return self._pending[:m]
+    def horizon(self, cap: int) -> int:
+        return cap
 
     def speculate(self, obs: np.ndarray, levels: np.ndarray, rewards: np.ndarray) -> int:
-        """How many leading rows of a run that this agent acted on (exploring)
-        keep their action once the rows before them are observed: at least 1,
-        since the first row's table is the one it acted with. A later row can
-        change only if an earlier row of the run updated its bin; it is
-        re-derived from its kept draws with the table updated so far, and
-        updated only if it keeps its action (`_update_kept`). The kept rows
-        update the table, each bin's row saved before its first update, and
-        the next `observe` keeps them only if it is given as many rows."""
+        """A later row of the run can change only if an earlier row updated
+        its bin; it is then re-derived from its kept draws with the table
+        updated so far, and updated only if it keeps its action
+        (`_update_kept`). Each bin's row is saved before its first update."""
         saved, n = {}, 0
         for s, a, r, kept in zip(self._bin(obs).tolist(), action_indices(self.action_index, levels), rewards.tolist(),
                                  self._pending):
@@ -248,21 +279,13 @@ class TableAgent(Agent):
         self._speculation = n, saved
         return n
 
-    def observe(self, obs: np.ndarray, levels: np.ndarray, rewards: np.ndarray) -> None:
-        """Observe a run in episode order. Right after `speculate`, the run
-        must be the leading rows of the one speculated on: those are the
-        pending rows, which `observe` drains in order. Given fewer rows than
-        `speculate` kept, it restores the saved table rows and updates from
-        them."""
-        n, (kept, saved) = len(rewards), self._speculation
-        self._speculation = 0, {}
-        if kept != n:
-            for s, row in saved.items():
-                self.table[s] = row
-            for s, a, r in zip(self._bin(obs).tolist(), action_indices(self.action_index, levels), rewards.tolist()):
-                self.update(self.table, s, a, r, self.alpha)
-        self.t += n
-        del self._pending[:n]
+    def _restore(self, saved: dict) -> None:
+        for s, row in saved.items():
+            self.table[s] = row
+
+    def _apply(self, obs: np.ndarray, levels: np.ndarray, rewards: np.ndarray, kept: list) -> None:
+        for s, a, r in zip(self._bin(obs).tolist(), action_indices(self.action_index, levels), rewards.tolist()):
+            self.update(self.table, s, a, r, self.alpha)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {"table": self.table}

@@ -115,7 +115,10 @@ class RolloutAgent(Agent):
     the subclass's `_update(obs, levels, rewards)`, then is cleared. The
     hyperparameters named by `lr_name` and `rows_name` give the policy's
     learning rate and the rollout's length. The first pair in `nets` gives the
-    policy's and its optimizer's attribute and checkpoint names."""
+    policy's and its optimizer's attribute and checkpoint names.
+
+    The learner acts up to its next update at most, so the levels an exploring
+    act gives stay its policy's until they are observed."""
 
     lr_name = "lr"
     rows_name = "batch_size"
@@ -133,16 +136,25 @@ class RolloutAgent(Agent):
 
     def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
         """One level per head, in head order."""
+        return self._ahead(obs) if explore else self._derive(obs, 0)
+
+    def _derive(self, obs: np.ndarray, start: int) -> np.ndarray:
+        """Sample the policy by inverse CDF from one uniform per row and head;
+        the stacked forward gives each row its own bits."""
         out, _ = forward(self.policy, obs[:, None, :])
         logp = log_softmax(out.reshape(len(obs), self.k, self.levels))
         return sample_categorical(logp, self.rng.random((len(obs), self.k)))
 
-    def horizon(self) -> int:
+    def horizon(self, cap: int) -> int:
+        """The episodes left until the next update."""
         return self.buffer.capacity - len(self.buffer)
 
-    def observe(self, obs: np.ndarray, levels: np.ndarray, rewards: np.ndarray) -> None:
+    def speculate(self, obs: np.ndarray, levels: np.ndarray, rewards: np.ndarray) -> int:
+        """A run ends at the next update at the latest, so every row keeps its action."""
+        return len(rewards)
+
+    def _apply(self, obs: np.ndarray, levels: np.ndarray, rewards: np.ndarray, kept: list) -> None:
         self.buffer.push(obs, levels, rewards)
-        self.t += len(rewards)
         if len(self.buffer) == self.buffer.capacity:
             self._update(*self.buffer.rows())
             self.buffer.clear()

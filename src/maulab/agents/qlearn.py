@@ -15,15 +15,11 @@ def q_update(table: np.ndarray, s: int, a: int, r: float, alpha: float) -> None:
     table[s, a] += alpha * (r - table[s, a])
 
 
-def epsilon_draws(agent, rows: range) -> list[int]:
-    """For each row j of `rows`, in order: with probability epsilon(t + j) a
-    uniform random action index, else -1 (greedy); row j is observed j
-    episodes after the next one. Nothing is drawn where epsilon is 0."""
-    draws = []
-    for j in rows:
-        eps = epsilon_at(agent.eps_max, agent.decay_rate, agent.t + j)
-        draws.append(int(agent.rng.integers(len(agent.actions))) if eps > 0.0 and agent.rng.random() < eps else -1)
-    return draws
+def epsilon_draw(agent, t: int) -> int:
+    """With probability epsilon(t) a uniform random action index, else -1
+    (greedy). Nothing is drawn where epsilon is 0."""
+    eps = epsilon_at(agent.eps_max, agent.decay_rate, t)
+    return int(agent.rng.integers(len(agent.actions))) if eps > 0.0 and agent.rng.random() < eps else -1
 
 
 def _epsilon_greedy(draws: list[int], obs: np.ndarray, greedy) -> np.ndarray:
@@ -56,7 +52,7 @@ class QLearningAgent(TableAgent):
         return self.table.argmax(axis=1)[self._bin(obs)]  # ties -> lowest index
 
     def _draw(self, rows: range) -> list[int]:
-        return epsilon_draws(self, rows)
+        return [epsilon_draw(self, self.t + j) for j in rows]  # row j is observed j episodes after the next one
 
     def _update_kept(self, s: int, a: int, r: float, kept: int) -> bool:
         """The row's update, made only if its kept draw still gives action a."""
@@ -99,15 +95,9 @@ def dqn_loss_grads(net, obs: np.ndarray, act: np.ndarray, rew: np.ndarray) -> tu
     return loss, trunk_backward(net, cache, g[:, None] * w_act, grads)
 
 
-def dqn_train_step(
-    net,
-    buffer: ReplayBuffer,
-    opt: OptimState,
-    batch_size: int,
-    rng: np.random.Generator,
-) -> float:
-    """One DQN update on a sampled batch; returns its MSE loss."""
-    loss, grads = dqn_loss_grads(net, *buffer.sample(batch_size, rng))
+def dqn_train_step(net, buffer: ReplayBuffer, opt: OptimState, idx: np.ndarray) -> float:
+    """One DQN update on the buffer's rows at `idx`; returns its MSE loss."""
+    loss, grads = dqn_loss_grads(net, *buffer.take(idx))
     adam_step_params(net, grads, opt)
     return loss
 
@@ -118,6 +108,7 @@ class DqnAgent(Agent):
 
     algo = "dqn"
     kind = "dqn"
+    rank = 1
     nets = (("net", "opt"),)
     counters = ("t", "train_steps", "opt.step")
     defaults = {
@@ -135,25 +126,78 @@ class DqnAgent(Agent):
         if self.decay_rate is None:
             self.decay_rate = decay_for(config.episodes)
         self.t = self.train_steps = 0
+        self._saved = [np.empty_like(self.net.vec) for _ in range(3)]  # speculate's copy of the net and moments
 
     def _greedy(self, obs: np.ndarray) -> np.ndarray:
         q, _ = forward(self.net, obs[:, None, :])
         return q[:, 0].argmax(axis=1)  # ties -> lowest index
 
-    def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
-        if not explore:
-            return self.actions[self._greedy(obs)]
-        return self.actions[_epsilon_greedy(epsilon_draws(self, range(len(obs))), obs, self._greedy)]
+    def _draw(self, rows: range) -> list[tuple]:
+        """For each row j (observed j episodes after the next one), in stream
+        order: its epsilon draw, then the replay indices of the update after
+        it, or None while the buffer, with the row, is below its warm-up. The
+        buffer's size then follows from the episode count alone."""
+        draws = []
+        for j in rows:
+            draw = epsilon_draw(self, self.t + j)
+            size = min(len(self.buffer) + j + 1, self.buffer_capacity)
+            draws.append((draw, self.rng.integers(0, size, size=self.batch_size) if size >= self.warm else None))
+        return draws
 
-    def horizon(self) -> int:
-        """The episodes left until the buffer is warm, then 1 (an update per episode)."""
-        return max(self.warm - len(self.buffer), 1)
+    def act(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
+        return self._ahead(obs) if explore else self.actions[self._greedy(obs)]
+
+    def _derive(self, obs: np.ndarray, start: int) -> np.ndarray:
+        draws = [draw for draw, _ in self._kept(start + len(obs))[start:]]
+        return self.actions[_epsilon_greedy(draws, obs, self._greedy)]
+
+    def horizon(self, cap: int) -> int:
+        """`cap`, or the episodes left until the buffer is warm if more."""
+        return max(cap, self.warm - len(self.buffer))
+
+    def speculate(self, obs: np.ndarray, levels: np.ndarray, rewards: np.ndarray) -> int:
+        """Train on the run's rows until the first greedy row whose action,
+        re-derived with a one-row forward (the bits of the stacked act), a
+        train on an earlier row of the run changed; exploring rows keep theirs."""
+        saved = self._snapshot(len(rewards))
+        n = self._apply(obs, levels, rewards, self._pending[: len(rewards)], check=True)
+        self._speculation = n, saved
+        return n
 
     def observe(self, obs: np.ndarray, levels: np.ndarray, rewards: np.ndarray) -> None:
-        """Push the run; train once when the buffer is warm, which a run of at
-        most horizon() rows reaches only at its last row."""
-        self.buffer.push(obs, action_indices(self.action_index, levels), rewards)
-        self.t += len(rewards)
-        if len(self.buffer) >= self.warm:
-            dqn_train_step(self.net, self.buffer, self.opt, self.batch_size, self.rng)
-            self.train_steps += 1
+        self._kept(len(rewards))  # rows observed without an act draw theirs now
+        super().observe(obs, levels, rewards)
+
+    def _apply(self, obs: np.ndarray, levels: np.ndarray, rewards: np.ndarray, kept: list, check: bool = False) -> int:
+        """Push the rows in order, training after each row that kept replay
+        indices, and return how many were applied: all, or with `check` those
+        before the first greedy row that a train on an earlier one changed."""
+        actions = action_indices(self.action_index, levels)
+        n, pushed, trained = len(kept), 0, False
+        for j, (draw, replay) in enumerate(kept):
+            if check and trained and draw < 0 and self._greedy(obs[j : j + 1])[0] != actions[j]:
+                n = j
+                break
+            if replay is not None:
+                self.buffer.push(obs[pushed : j + 1], actions[pushed : j + 1], rewards[pushed : j + 1])
+                pushed = j + 1
+                dqn_train_step(self.net, self.buffer, self.opt, replay)
+                self.train_steps += 1
+                trained = True
+        if n > pushed:
+            self.buffer.push(obs[pushed:n], actions[pushed:n], rewards[pushed:n])
+        if trained:
+            self._acted = self._acted[:0]
+        return n
+
+    def _snapshot(self, m: int) -> tuple:
+        """Save what training on the next m rows changes, for `_restore`."""
+        for copy, array in zip(self._saved, (self.net.vec, self.opt.m, self.opt.v)):
+            copy[...] = array
+        return self.opt.step, self.train_steps, self.buffer.mark(m)
+
+    def _restore(self, saved: tuple) -> None:
+        self.opt.step, self.train_steps, mark = saved
+        for copy, array in zip(self._saved, (self.net.vec, self.opt.m, self.opt.v)):
+            array[...] = copy
+        self.buffer.rewind(mark)  # the levels acted on stay: a speculate that trained dropped them

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from maulab.agents.base import Agent, TableAgent, agent_class, check_overrides, make_agent
+from maulab.agents.base import Agent, agent_class, check_overrides, make_agent
 from maulab.auction import efficiency_gap, efficiency_ratio, slot_sum
 from maulab.checkpoint import CheckpointError, MissingCheckpointError, load_checkpoint, save_checkpoint
 from maulab.config import ALGOS, LEARNERS, RULES, SUPPLIES, ConfigError, ScenarioConfig, Seat, Session
@@ -27,8 +27,8 @@ from maulab.metrics import (
     AUCTION_LOG_FIELDS, EPISODE_LOG_FIELDS, atomic_open, bid_ratio, csv_log, learning_ratio, write_csv,
 )
 
-BLOCK = 512  # episodes per block; a training seat splits a block at its horizon
-RUN_CAP = 16  # the most episodes a table learner acts on ahead of its updates
+BLOCK = 512  # episodes per block; a block with a training seat clears in runs
+RUN_CAP = 16  # the most episodes a learner acts on ahead where its updates may change its actions
 
 
 def make_streams(master_seed: int, n_agents: int):
@@ -51,43 +51,34 @@ def run_episode(env: AuctionEnv, agents: list[Agent], train, out) -> None:
     without exploring (the policy learners still sample). The block then
     clears in runs of episodes, each one `env.step`.
 
-    A training seat other than a table learner acts (exploring) once its
-    earlier rows are all observed, on the episodes up to its next update
-    (`horizon()`) within the block, and keeps an "acted up to" row; a run ends
-    at the first such row. A table learner acts on each run, up to `RUN_CAP`
-    episodes, with the table it has at the run's start, and the run is then
-    cut at the first row whose action an update of an earlier row of the run
-    changes (`TableAgent.speculate`). Each learner observes the rows before the
-    cut in one call; the rows past it are re-derived from the table learners'
-    kept draws and cleared again by the next run. That is exact: learners
-    share no state, no other learner updates before the end of a run, and no
-    table learner's draw depends on its table."""
+    Each training seat acts (exploring) on each run, which spans at most every
+    such seat's `horizon(RUN_CAP)` episodes. After the step the learners
+    speculate in `rank` order, each on the run up to the cut found so far:
+    the run is cut at the first row whose action an update of an earlier row
+    changes. Each learner observes the rows before the cut in one call, and
+    the next run acts on the rest again. That is exact: learners share no
+    state, their draws do not depend on their policies, and a row keeps its
+    action only where the updates before it leave it so."""
     reward, won, payment, bids, winners, revenue, valuations = out
     end = len(reward)
     observations = env.reset(end)
     valuations[...] = env.valuations()
     seats = observations.transpose(1, 0, 2)  # [i]: agent i's (B, k) observations
     levels = np.empty(observations.shape, dtype=int)
-    learners = [i for i, t in enumerate(train) if t]
-    tables = [i for i in learners if isinstance(agents[i], TableAgent)]
-    acted = {i: 0 for i in learners if i not in tables}  # the other learners have acted on the rows before acted[i]
+    learners = sorted((i for i, t in enumerate(train) if t), key=lambda i: agents[i].rank)
     for i, agent in enumerate(agents):
-        if i not in learners:
+        if not train[i]:
             levels[:, i] = agent.act(seats[i], explore=False)
     start = 0
     while start < end:
-        for i in acted:
-            if acted[i] == start:
-                acted[i] = min(end, start + agents[i].horizon())
-                levels[start : acted[i], i] = agents[i].act(seats[i, start : acted[i]], explore=True)
-        rows = slice(start, min(end, start + RUN_CAP if tables else end, *acted.values()))
-        for i in tables:
+        rows = slice(start, min([end, *(start + agents[i].horizon(RUN_CAP) for i in learners)]))
+        for i in learners:
             levels[rows, i] = agents[i].act(seats[i, rows], explore=True)
         reward[rows], won[rows], payment[rows], bids[rows], (winners[rows], _, revenue[rows]) = env.step(rows, levels[rows])
         cut = rows.stop
-        if cut - start > 1:  # a run's first row always keeps its action
-            cut = min([cut, *(start + agents[i].speculate(seats[i, rows], levels[rows, i], reward[rows, i])
-                              for i in tables)])
+        for i in learners:
+            if cut - start > 1:  # a run's first row always keeps its action
+                cut = start + agents[i].speculate(seats[i, start:cut], levels[start:cut, i], reward[start:cut, i])
         rows = slice(start, cut)
         for i in learners:
             agents[i].observe(seats[i, rows], levels[rows, i], reward[rows, i])

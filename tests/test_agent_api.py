@@ -57,7 +57,7 @@ def test_replay_ring_overwrites_oldest():
     for i in range(4):
         _push(buf, [float(i)], i, float(i))
     assert len(buf) == 3
-    obs, act, rew = buf.sample(3, np.random.default_rng(0))
+    obs, act, rew = buf.take(np.random.default_rng(0).integers(0, len(buf), size=3))
     assert 0 not in act
     assert set(act) <= {1, 2, 3}
 
@@ -66,8 +66,8 @@ def test_replay_sampling_uniform_and_deterministic():
     buf = _replay(1024)
     for i in range(1024):
         _push(buf, [float(i)], i % 8, 0.0)
-    _, a1, _ = buf.sample(1000, np.random.default_rng(42))
-    _, a2, _ = buf.sample(1000, np.random.default_rng(42))
+    _, a1, _ = buf.take(np.random.default_rng(42).integers(0, len(buf), size=1000))
+    _, a2, _ = buf.take(np.random.default_rng(42).integers(0, len(buf), size=1000))
     assert np.array_equal(a1, a2)
     counts = np.bincount(a1, minlength=8)
     expected = 1000 / 8
@@ -92,7 +92,7 @@ def test_replay_ring_matches_list_reference():
             cursor = (cursor + 1) % capacity
         assert len(buf) == len(ref)
         if len(ref) >= 3:
-            obs, act, rew = buf.sample(3, np.random.default_rng(i))
+            obs, act, rew = buf.take(np.random.default_rng(i).integers(0, len(buf), size=3))
             idx = np.random.default_rng(i).integers(0, len(ref), size=3)
             assert np.array_equal(obs, np.stack([ref[j][0] for j in idx]))
             assert np.array_equal(act, np.array([ref[j][1] for j in idx], dtype=int))

@@ -2,13 +2,14 @@
 
 A session plays blocks of up to `harness.BLOCK` episodes. Seats that do not
 train act on a whole block per call; a frozen session also clears it at once,
-while one with a training seat clears it in runs up to the seats' next update
-(`horizon()`), and a table learner's runs (ql, vpg) of up to `harness.RUN_CAP`
-episodes are cut at the first row an update of the run changes. Each test here
-runs one layer on a block and on its rows one by one (blocks of one), or a
-session with other block sizes, with every horizon forced to 1 or with other
-run caps, from the same seeded streams, and asserts equal results, bit for
-bit, and equal stream states afterwards.
+while one with a training seat clears it in runs of at most every learner's
+`horizon(RUN_CAP)` episodes: up to the next update for DPN, A2C and PPO, and
+up to `harness.RUN_CAP` episodes for ql, vpg and a warm DQN, which act past
+their updates and cut a run at the first row an update of the run changes.
+Each test here runs one layer on a block and on its rows one by one (blocks
+of one), or a session with other block sizes, with every horizon forced to 1
+or with other run caps, from the same seeded streams, and asserts equal
+results, bit for bit, and equal stream states afterwards.
 """
 
 import copy
@@ -274,14 +275,14 @@ def test_learning_sessions_do_not_depend_on_horizons_or_block_size(name, monkeyp
     make_session, longest = LEARNING_SESSIONS[name]
     with monkeypatch.context() as m:
         for cls in (A2cAgent, PpoAgent, DpgAgent, DqnAgent):
-            m.setattr(cls, "horizon", lambda self: 1)
+            m.setattr(cls, "horizon", lambda self, cap: 1)
         want_columns, want_env, want_agents, want_steps = _play(make_session)
     assert set(want_steps) == {1}
     for block in (1, 7, 4096):
         monkeypatch.setattr(harness, "BLOCK", block)
         columns, env, agents, steps = _play(make_session)
-        if name == "tournament":
-            assert sum(steps) >= sum(want_steps)  # ql's and vpg's rows past a cut are stepped again
+        if name in ("tournament", "dqn"):
+            assert sum(steps) >= sum(want_steps)  # rows past a cut are stepped again
         else:
             assert sum(steps) == sum(want_steps)
         assert max(steps) == min(block, longest)
@@ -304,7 +305,7 @@ def test_horizons_count_the_episodes_to_the_next_update():
         agent = make_agent(algo, config, np.random.default_rng(1), hidden=(8, 8), **overrides)
         seen = []
         for e in range(2 * period + 3):  # two updates, then part of a batch
-            seen.append(agent.horizon())
+            seen.append(agent.horizon(1))
             agent.observe(obs[e : e + 1], agent.act(obs[e : e + 1]), np.full(1, 0.5))
         assert seen == [period - e % period for e in range(2 * period + 3)]
         steps_per_update = 2 if algo == "ppo" else 1  # ppo: two minibatches of 4 in its one epoch
@@ -313,7 +314,7 @@ def test_horizons_count_the_episodes_to_the_next_update():
         dqn = make_agent("dqn", config, np.random.default_rng(1), hidden=(8, 8), warmup=warmup, batch_size=batch_size)
         seen = []
         for e in range(warm + 4):  # across the end of the warm-up
-            seen.append(dqn.horizon())
+            seen.append(dqn.horizon(1))
             dqn.observe(obs[e : e + 1], dqn.act(obs[e : e + 1]), np.full(1, 0.5))
         assert seen == [warm - e for e in range(warm)] + [1] * 4
         assert dqn.train_steps == 5
@@ -331,12 +332,17 @@ def test_exploring_act_on_a_block_matches_single_rows(algo):
     obs = _obs()
     block = a.act(obs, explore=True)
     rows = []
-    b.alpha = 0.0  # ql, vpg: observing drains a row's kept draw and leaves the table as it is
+    # Observing drains a row's kept draws and levels and leaves the policy as
+    # it is: ql and vpg step by 0, a2c's actor by a rate of 0, and dqn (its
+    # warm-up) and ppo (its rollout) take more rows than these to update.
+    if algo in ("ql", "vpg"):
+        b.alpha = 0.0
+    elif algo == "a2c":
+        b.opt_actor.lr = 0.0
     for j, o in enumerate(obs):
         b.t = a.t + j  # the row's episode comes j observes after the block's first
         rows.append(b.act(o[None], explore=True))
-        if algo in ("ql", "vpg"):
-            b.observe(o[None], rows[-1], np.zeros(1))
+        b.observe(o[None], rows[-1], np.zeros(1))
     assert np.array_equal(block, np.concatenate(rows))
     assert _same_state(a.rng, b.rng)
 
@@ -352,16 +358,17 @@ RUN_OVERRIDES = {
 
 @pytest.mark.parametrize("algo", ["ql", "vpg", "dqn", "dpn", "a2c", "ppo"])
 def test_observing_a_run_equals_observing_its_rows(algo):
-    # a learner acting and observing in runs of horizon() episodes ends where
-    # one acting and observing an episode at a time does; ql and vpg, which
-    # have no horizon, observe a longer run of given levels row by row
+    # a learner acting and observing in runs of horizon(1) episodes ends where
+    # one acting and observing an episode at a time does; ql and vpg, whose
+    # horizon is the cap they are given, observe a longer run of given levels
+    # row by row
     config, obs = ScenarioConfig(episodes=100), _obs()[:24]
     rewards = np.random.default_rng(6).normal(size=24)
     overrides = {"hidden": (8, 8), **RUN_OVERRIDES[algo]} if algo in RUN_OVERRIDES else {}
     a, b = (make_agent(algo, config, np.random.default_rng(5), **overrides) for _ in range(2))
     start = 0
     while start < len(obs):
-        rows = slice(start, start + (6 if algo in ("ql", "vpg") else a.horizon()))
+        rows = slice(start, start + (6 if algo in ("ql", "vpg") else a.horizon(1)))
         levels = a.act(obs[rows])
         a.observe(obs[rows], levels, rewards[rows])
         for e in range(rows.start, rows.stop):
@@ -401,31 +408,37 @@ def test_observe_needs_no_act_before_it(algo):
     assert _same_state(agent.rng, twin.rng)
 
 
-# --- table learners: runs of up to RUN_CAP episodes, cut at the first changed row
+# --- learners that act past their updates (ql, vpg, dqn): runs of up to
+# RUN_CAP episodes, cut at the first changed row
 
 CAP_SESSIONS = {
     "ql": lambda: harness.pretrain("ql", "dp", 4, 700, 3),
     "vpg": lambda: harness.pretrain("vpg", "up", 8, 700, 3),
+    "dqn": lambda: harness.pretrain("dqn", "gsp", 6, 300, 3, overrides={"warmup": 64, "lr": 1e-2}),
     "tournament": lambda: harness.tournament("gsp", 6, {}, 300, 3),  # beside a2c, ppo, dpn and a warming dqn
+    "dqn_tournament": lambda: Session("tournament", ScenarioConfig(rule="dp", supply=4, episodes=300, master_seed=3), (
+        Seat(1, "ql", True), Seat(2, "vpg", True), Seat(3, "a2c", True), Seat(4, "ppo", True, overrides={"rollout": 64}),
+        *(Seat(i, "dqn", True, overrides={"warmup": 32, "lr": 1e-2}) for i in (5, 6)),
+    )),  # two warm dqns: the first one's runs are also cut by the second, past its speculation
 }
 
 
-def _play_counting_acts(make_session):
-    """_play, with the rows each seat acted on (exploring) counted per seat."""
-    acted = {}
+def _play_counting_derived(make_session):
+    """_play, with the rows each rollout learner (dpn, a2c, ppo) derived
+    levels for counted per seat."""
+    derived = {}
 
-    def counting(act):
-        def wrapper(self, obs, explore=True):
-            if explore:
-                acted[id(self)] = acted.get(id(self), 0) + len(obs)
-            return act(self, obs, explore)
+    def counting(derive):
+        def wrapper(self, obs, start):
+            derived[id(self)] = derived.get(id(self), 0) + len(obs)
+            return derive(self, obs, start)
         return wrapper
 
     with pytest.MonkeyPatch.context() as m:
-        for cls in (A2cAgent, PpoAgent, DpgAgent, DqnAgent):
-            m.setattr(cls, "act", counting(cls.act))
+        for cls in (A2cAgent, PpoAgent, DpgAgent):
+            m.setattr(cls, "_derive", counting(cls._derive))
         columns, env, agents, steps = _play(make_session)
-    return columns, env, agents, steps, [acted.get(id(a), 0) for a in agents]
+    return columns, env, agents, steps, [derived.get(id(a), 0) for a in agents]
 
 
 @pytest.mark.parametrize("name", list(CAP_SESSIONS))
@@ -433,14 +446,15 @@ def test_sessions_do_not_depend_on_the_run_cap(name, monkeypatch):
     runs = {}
     for cap in (1, 7, 512):
         monkeypatch.setattr(harness, "RUN_CAP", cap)
-        runs[cap] = _play_counting_acts(CAP_SESSIONS[name])
-    want_columns, want_env, want_agents, want_steps, want_acted = runs[1]
+        runs[cap] = _play_counting_derived(CAP_SESSIONS[name])
+    want_columns, want_env, want_agents, want_steps, want_derived = runs[1]
     episodes = CAP_SESSIONS[name]().scenario.episodes
-    assert sum(want_steps) == episodes  # at a cap of 1 each step clears the next episode once
+    if name not in ("dqn", "dqn_tournament"):  # a warming dqn's runs are longer
+        assert sum(want_steps) == episodes  # at a cap of 1 each step clears the next episode once
     for cap in (7, 512):
-        columns, env, agents, steps, acted = runs[cap]
+        columns, env, agents, steps, derived = runs[cap]
         assert max(steps) > 1 and sum(steps) >= episodes
-        assert acted == want_acted  # the other learners act on each episode once
+        assert derived == want_derived  # the rollout learners derive each episode's levels once
         for w, g in zip(want_columns, columns):
             assert all(np.array_equal(w[key], g[key]) for key in w)
         for want, got in zip(want_agents, agents):
@@ -450,9 +464,9 @@ def test_sessions_do_not_depend_on_the_run_cap(name, monkeypatch):
             assert _same_state(want.rng, got.rng)
             assert getattr(got, "_pending", []) == []  # each block ends with every kept draw observed
         assert all(_same_state(getattr(want_env, s), getattr(env, s)) for s in ("_value_rng", "_tie_rng"))
-    if name == "tournament":
-        assert [a for a, agent in zip(want_acted, want_agents) if agent.algo in ("a2c", "ppo", "dpn", "dqn")] == [
-            episodes] * 4
+    if name in ("tournament", "dqn_tournament"):
+        rollout_seats = [d for d, agent in zip(want_derived, want_agents) if agent.algo in ("a2c", "ppo", "dpn")]
+        assert rollout_seats == [episodes] * len(rollout_seats)
 
 
 def _planted(algo, table_row, kept):
@@ -515,3 +529,73 @@ def test_observing_fewer_rows_than_kept_applies_only_their_updates(algo):
 def test_a_ql_pretrain_clears_runs_of_episodes():
     steps = _play(lambda: harness.pretrain("ql", "dp", 4, 2048, 3))[3]
     assert sum(steps) >= 2048 and len(steps) < 1024
+
+
+def _warm_dqn(seed):
+    """A dqn past its warm-up, with a six-row ring that wraps within a run and
+    a large step, so that its trains change greedy rows; and a 16-row run."""
+    agent = make_agent("dqn", ScenarioConfig(episodes=100), np.random.default_rng(seed), hidden=(8, 8), warmup=4,
+                       batch_size=4, buffer_capacity=6, lr=0.05, eps_max=0.3)
+    rng = np.random.default_rng(100 + seed)
+    obs = np.repeat(rng.uniform(0, 1, size=(22, 1)), 2, axis=1)
+    rewards = rng.normal(scale=5.0, size=22)
+    for e in range(6):
+        agent.observe(obs[e : e + 1], agent.act(obs[e : e + 1]), rewards[e : e + 1])
+    return agent, obs[6:], rewards[6:]
+
+
+def _dqn_state(agent):
+    """Every piece of a dqn's state that a train or a push changes, and its
+    stream and kept draws."""
+    buffer = agent.buffer
+    return [agent.net.vec, agent.opt.m, agent.opt.v, agent.opt.step, agent.train_steps, agent.t, buffer._cursor,
+            buffer._size, *buffer._columns, agent.rng.bit_generator.state, agent._acted,
+            [d for d, _ in agent._pending], [r for _, r in agent._pending if r is not None]]
+
+
+def _same_dqn(a, b) -> bool:
+    return all(np.array_equal(x, y) if isinstance(x, (np.ndarray, list)) else x == y
+               for x, y in zip(_dqn_state(a), _dqn_state(b), strict=True))
+
+
+def test_a_dqn_run_is_cut_at_the_first_greedy_row_a_train_changes():
+    # The cut speculate finds is the first row whose level differs when the
+    # run's rows are acted on and observed one at a time; the rows before it
+    # leave the dqn as observing them one at a time does.
+    cuts = []
+    for seed in range(12):
+        agent, obs, rewards = _warm_dqn(seed)
+        stepwise = copy.deepcopy(agent)
+        levels = agent.act(obs)
+        twin = copy.deepcopy(agent)
+        cut = agent.speculate(obs, levels, rewards)
+        agent.observe(obs[:cut], levels[:cut], rewards[:cut])
+        for e in range(len(obs)):
+            row = stepwise.act(obs[e : e + 1])
+            if e == cut:
+                assert not np.array_equal(row[0], levels[e])
+                break
+            assert np.array_equal(row[0], levels[e])
+            stepwise.observe(obs[e : e + 1], row, rewards[e : e + 1])
+            twin.observe(obs[e : e + 1], row, rewards[e : e + 1])
+        assert _same_dqn(agent, twin) and agent.t == 6 + cut
+        cuts.append(cut)
+    assert len(set(cuts)) > 3 and min(cuts) < max(cuts)
+
+
+def test_dqn_observing_fewer_rows_than_kept_restores_its_state():
+    # Another learner can cut the run at any row before this one's cut: the
+    # dqn then holds what one that observed only those rows, one at a time, does.
+    agent, obs, rewards = _warm_dqn(1)
+    levels = agent.act(obs)
+    probe = copy.deepcopy(agent)
+    kept = probe.speculate(obs, levels, rewards)
+    assert kept > 4
+    for cut in range(1, kept):
+        cut_short, twin = copy.deepcopy(agent), copy.deepcopy(agent)
+        assert cut_short.speculate(obs, levels, rewards) == kept
+        cut_short.observe(obs[:cut], levels[:cut], rewards[:cut])
+        for e in range(cut):
+            twin.observe(obs[e : e + 1], levels[e : e + 1], rewards[e : e + 1])
+        assert _same_dqn(cut_short, twin), cut
+        assert np.array_equal(cut_short.act(obs[cut:]), twin.act(obs[cut:]))

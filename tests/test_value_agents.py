@@ -77,7 +77,7 @@ def test_dqn_overfits_small_buffer():
         buf.push(obs[None], np.array([a]), np.array([r]))
     loss = np.inf
     for _ in range(2000):
-        loss = dqn_train_step(agent.net, buf, agent.opt, 4, rng)
+        loss = dqn_train_step(agent.net, buf, agent.opt, rng.integers(0, len(buf), size=4))
     assert loss < 1e-3
     for obs, a, r in data:
         q, _ = forward(agent.net, obs)
@@ -179,9 +179,9 @@ def test_dqn_train_step_reduces_loss():
     buf = ReplayBuffer(16, obs=(float, (2,)), action=int, reward=float)
     for i in range(16):
         buf.push(rng.random(2)[None], np.array([rng.integers(4)]), np.array([rng.normal()]))
-    first = dqn_train_step(net, buf, opt, 16, np.random.default_rng(7))
+    first = dqn_train_step(net, buf, opt, np.random.default_rng(7).integers(0, len(buf), size=16))
     for _ in range(300):
-        last = dqn_train_step(net, buf, opt, 16, np.random.default_rng(7))
+        last = dqn_train_step(net, buf, opt, np.random.default_rng(7).integers(0, len(buf), size=16))
     assert last < first
 
 

@@ -22,8 +22,9 @@ a2c and ppo with small batches, warm-up and rollout, and of ql and vpg with
 other value bins, step sizes and exploration, from a config file;
 `pretrain --all` at 40 episodes with that file; learning, `--freeze` and
 `--all-ppo` tournaments from the dp K=4 checkpoints, a 4,000-episode dp K=4
-learning tournament from them (six learners train, so DQN trains past its
-warm-up and the table learners' runs are cut by one another), and a 5,000-episode
+learning tournament from them (six learners train, and DQN speculates for
+3,000 episodes past its warm-up, more than any other case, on runs that the
+table learners have already cut), and a 5,000-episode
 `--freeze` gsp K=6 tournament from them (ten blocks, each cleared whole); a
 missing-checkpoint (exit 4) and a wrong-algorithm (exit 5) tournament; six
 commands that fail before any session runs (a pretrain without --algo, two
